@@ -1,6 +1,7 @@
 """Command-line front door. Exit codes: 0 success/valid, 1 invalid input or
-failed check, 2 usage error. ``--json`` switches stdout to a stable
-machine-readable report (sorted keys, canonical ordering)."""
+failed check, 2 usage error, a flag value out of range included. ``--json``
+switches stdout to a stable machine-readable report (sorted keys, canonical
+ordering)."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import PermlatError
+from .errors import InvalidStructureError, PermlatError, UsageError
 from .formats import (dump_perm, dump_structure, load_cover, load_lattice,
                       load_perm, load_structure, read_lattice_ref,
                       write_manifest)
@@ -22,15 +23,6 @@ from .lattice import (dimension_bounds, enumerate_distributive_lattices,
 from .permstruct import cameron_enumeration, decode_relations, encode_orders, profile
 from .spaces import (amalgamation_failure_probe, canonical_amalgam, validate_space)
 from .sqorders import OrderedLambdaStructure, compose_lex, split_convex_linear
-
-
-def _threads() -> int:
-    # sequential implementation; the env var is an upper cap and is recorded
-    # in manifests for reproducibility
-    try:
-        return max(1, int(os.environ.get("PERMLAT_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _emit(args, payload: dict, human: list[str]) -> None:
@@ -52,14 +44,34 @@ def _carry_lattice_ref(infile: str, out: str | None) -> str:
     return os.path.relpath(target, Path(out).resolve().parent)
 
 
-def _parse_orders_spec(spec: str) -> list[tuple[str, str]]:
+def _parse_orders_spec(spec: str, lat) -> list[tuple[str, str]]:
     out = []
     for item in spec.split(","):
         parts = item.split(":")
         if len(parts) != 2 or not parts[0] or not parts[1]:
-            raise PermlatError(f"bad order signature {item!r}; expected BOTTOM:TOP")
+            raise UsageError(f"bad order signature {item!r}; expected BOTTOM:TOP")
+        unknown = [e for e in parts if e not in lat.index]
+        if unknown:
+            raise UsageError(f"order signature {item!r} names {unknown[0]!r}, which is not "
+                             f"an element of the lattice")
         out.append((parts[0], parts[1]))
     return out
+
+
+def _load_checked(path: str, *order_flags: tuple[str, int]):
+    """Load a structure file, refuse it unless it validates, and return it
+    with the orders picked by the ``(flag, index)`` pairs."""
+    space, orders = load_structure(path)
+    s = OrderedLambdaStructure(space, orders)
+    report = s.validate()
+    if not report.ok:
+        v = report.violations[0]
+        raise InvalidStructureError(f"{path}: {v.rule} {v.witness} ({v.message})",
+                                    report=report.as_dict())
+    for flag, i in order_flags:
+        if not 0 <= i < len(orders):
+            raise UsageError(f"{flag} {i} is out of range: {path} has {len(orders)} orders")
+    return s, [orders[i] for _, i in order_flags]
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +195,8 @@ def cmd_sq_check(args) -> int:
 
 
 def cmd_sq_compose(args) -> int:
-    space, orders = load_structure(args.file)
-    lo, hi = orders[args.lo], orders[args.hi]
-    composed = compose_lex(lo, hi)
-    s = OrderedLambdaStructure(space, (composed,))
+    s, (lo, hi) = _load_checked(args.file, ("--lo", args.lo), ("--hi", args.hi))
+    s = OrderedLambdaStructure(s.space, (compose_lex(lo, hi),))
     text = dump_structure(s, lattice_ref=_carry_lattice_ref(args.file, args.out))
     if args.out:
         Path(args.out).write_text(text)
@@ -195,9 +205,10 @@ def cmd_sq_compose(args) -> int:
 
 
 def cmd_sq_split(args) -> int:
-    space, orders = load_structure(args.file)
-    within, between = split_convex_linear(orders[args.order], args.at)
-    s = OrderedLambdaStructure(space, (within, between))
+    s, (order,) = _load_checked(args.file, ("--order", args.order))
+    if args.at not in s.space.lattice.index:
+        raise UsageError(f"--at {args.at!r} is not an element of the lattice")
+    s = OrderedLambdaStructure(s.space, split_convex_linear(order, args.at))
     text = dump_structure(s, lattice_ref=_carry_lattice_ref(args.file, args.out))
     if args.out:
         Path(args.out).write_text(text)
@@ -211,7 +222,7 @@ def cmd_sq_split(args) -> int:
 
 def cmd_gen(args) -> int:
     lat = load_lattice(args.lattice)
-    signature = _parse_orders_spec(args.orders)
+    signature = _parse_orders_spec(args.orders, lat)
     cfg = GenerationConfig(seed=args.seed, target_size=args.size,
                            saturation_depth=args.depth)
     result = generate_generic(lat, signature, cfg,
@@ -220,8 +231,7 @@ def cmd_gen(args) -> int:
     text = dump_structure(result.structure, lattice_ref=ref)
     Path(args.out).write_text(text)
     config = {"lattice": str(args.lattice), "orders": args.orders,
-              "size": args.size, "depth": args.depth, "seed": args.seed,
-              "threads": _threads()}
+              "size": args.size, "depth": args.depth, "seed": args.seed}
     write_manifest(args.out, "gen", config, {"lattice": args.lattice})
     payload = {"out": args.out, "points": result.structure.space.n,
                "steps": result.steps}
@@ -236,8 +246,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_check(args) -> int:
-    space, orders = load_structure(args.infile)
-    s = OrderedLambdaStructure(space, orders)
+    s, _ = _load_checked(args.infile)
     if args.kind == "ext":
         report = extension_property_check(s, args.k)
         payload = report.as_dict()
@@ -262,8 +271,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    space, orders = load_structure(args.infile)
-    s = OrderedLambdaStructure(space, orders)
+    s, _ = _load_checked(args.infile)
     cover = "auto" if args.cover == "auto" else load_cover(args.cover)
     result = encode_orders(s, cover=cover, seed=args.seed)
     text = dump_perm(result.perm)
@@ -282,8 +290,7 @@ def cmd_encode(args) -> int:
     human = [f"emitted {result.emitted} linear orders (bound {result.bound})"]
     if args.out:
         Path(args.out).write_text(text)
-        config = {"in": str(args.infile), "cover": args.cover, "seed": args.seed,
-                  "threads": _threads()}
+        config = {"in": str(args.infile), "cover": args.cover, "seed": args.seed}
         write_manifest(args.out, "encode", config, {"in": args.infile})
         human.append(f"wrote {args.out}")
         payload["out"] = args.out
@@ -467,6 +474,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as e:
+        print(f"error [{e.code}]: {e}", file=sys.stderr)
+        return 2
     except PermlatError as e:
         print(f"error [{e.code}]: {e}", file=sys.stderr)
         return 1

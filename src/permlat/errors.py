@@ -47,3 +47,15 @@ class MissingMeetIrreducibleError(PermlatError):
 
 class SizeCapError(PermlatError):
     code = "SIZE_CAP"
+
+
+class CollapsedCompletionError(PermlatError):
+    code = "COLLAPSED_COMPLETION"
+
+
+class InvalidStructureError(PermlatError):
+    code = "INVALID_STRUCTURE"
+
+
+class UsageError(PermlatError):
+    code = "USAGE"

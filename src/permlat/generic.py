@@ -21,15 +21,16 @@ pair ratio can never reach 1.0 and is diagnostic only.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 import warnings
 from dataclasses import dataclass
 
-from .errors import MeetReducibleBottomError, NonDistributiveError
+from .errors import CollapsedCompletionError, MeetReducibleBottomError, NonDistributiveError
 from .lattice import FiniteLattice, is_distributive, meet_irreducibles
-from .spaces import LambdaSpace
-from .sqorders import OrderedLambdaStructure, SubquotientOrder, class_reps
+from .spaces import LambdaSpace, _triangle_rows
+from .sqorders import OrderedLambdaStructure, SubquotientOrder
 
 Gap = int | None
 
@@ -68,98 +69,37 @@ class GenerationConfig:
 # type machinery
 
 
-def _valid_distance_assignments(s: OrderedLambdaStructure, idx_a: list[int]):
-    lat = s.space.lattice
-    dist = s.space.dist
-    k = len(idx_a)
-    for delta in itertools.product(lat.nonzero_idx(), repeat=k):
-        ok = True
-        for u in range(k):
-            for v in range(u + 1, k):
-                duv = dist[idx_a[u]][idx_a[v]]
-                if not (lat.leq_idx(duv, lat.join_idx(delta[u], delta[v]))
-                        and lat.leq_idx(delta[u], lat.join_idx(delta[v], duv))
-                        and lat.leq_idx(delta[v], lat.join_idx(delta[u], duv))):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            yield delta
-
-
-def _constrained_scales(s: OrderedLambdaStructure, A: tuple[str, ...],
-                        delta: tuple[int, ...]):
-    """Per order: None if the new point is class-pinned or lands in a fresh
-    top class, else the base's bottom-class reps in rank order."""
-    lat = s.space.lattice
-    out = []
-    for o in s.orders:
-        bot = lat.index[o.bottom]
-        top = lat.index[o.top]
-        pinned = any(lat.leq_idx(d, bot) for d in delta)
-        members = [a for a, d in zip(A, delta) if lat.leq_idx(d, top)]
-        if pinned or not members:
-            out.append(None)
-            continue
-        reps = sorted({o.class_of(a) for a in members}, key=lambda c: o.rank[c])
-        out.append(reps)
-    return out
+def _index_of(s: OrderedLambdaStructure, names) -> list[int]:
+    return [s.space.pindex[a] for a in names]
 
 
 def enumerate_one_point_types(s: OrderedLambdaStructure, A) -> list[OnePointType]:
     """Every consistent 1-type over the base: triangle-closed distance
     assignments crossed with every consistent gap choice."""
     A = tuple(sorted(A, key=s.space.pindex.__getitem__))
-    idx_a = [s.space.pindex[a] for a in A]
-    types = []
-    for delta in _valid_distance_assignments(s, idx_a):
-        scales = _constrained_scales(s, A, delta)
-        gap_ranges = [range(len(sc) + 1) if sc is not None else (None,) for sc in scales]
-        for gaps in itertools.product(*gap_ranges):
-            types.append(OnePointType(A, delta, tuple(gaps)))
-    return types
+    return [OnePointType(A, delta, gaps)
+            for delta, gaps in _CheckContext(s).types(_index_of(s, A))]
 
 
 def type_is_consistent(s: OrderedLambdaStructure, t: OnePointType) -> bool:
-    idx_a = [s.space.pindex[a] for a in t.over]
-    if t.distances not in set(_valid_distance_assignments(s, idx_a)) and idx_a:
-        return False
-    scales = _constrained_scales(s, t.over, t.distances)
-    for gap, sc in zip(t.order_constraints, scales):
-        if (sc is None) != (gap is None):
-            return False
-        if gap is not None and not 0 <= gap <= len(sc):
-            return False
-    return True
-
-
-def _point_gap(o: SubquotientOrder, z: str, scale_reps: list[str]) -> int:
-    zr = o.rank[o.class_of(z)]
-    return sum(1 for c in scale_reps if o.rank[c] < zr)
+    want = (tuple(t.distances), tuple(t.order_constraints))
+    return want in _CheckContext(s).types(_index_of(s, t.over))
 
 
 def realizers(s: OrderedLambdaStructure, t: OnePointType) -> list[str]:
     """Points of s satisfying the type exactly."""
-    idx_a = [s.space.pindex[a] for a in t.over]
-    scales = _constrained_scales(s, t.over, t.distances)
-    out = []
-    for z in s.space.points:
-        if z in t.over:
-            continue
-        zi = s.space.pindex[z]
-        if any(s.space.dist[zi][ai] != d for ai, d in zip(idx_a, t.distances)):
-            continue
-        ok = True
-        for o, gap, sc in zip(s.orders, t.order_constraints, scales):
-            if gap is None:
-                continue
-            if _point_gap(o, z, sc) != gap:
-                ok = False
-                break
-        if ok:
-            out.append(z)
-    return out
+    ctx = _CheckContext(s)
+    idx_a = _index_of(s, t.over)
+    want = (tuple(t.distances), tuple(t.order_constraints))
+    return [s.space.points[z] for z in range(ctx.n)
+            if z not in idx_a and ctx.point_type(idx_a, z) == want]
+
+
+def tp_point(s: OrderedLambdaStructure, A: tuple[str, ...], z: str) -> OnePointType:
+    """Exact 1-type of an existing point over a base."""
+    A = tuple(sorted(A, key=s.space.pindex.__getitem__))
+    delta, gaps = _CheckContext(s).point_type(_index_of(s, A), s.space.pindex[z])
+    return OnePointType(A, delta, gaps)
 
 
 # ---------------------------------------------------------------------------
@@ -206,44 +146,41 @@ def realize_type(s: OrderedLambdaStructure, t: OnePointType,
     name = f"p{space.n}"
     while name in space.pindex:
         name = name + "'"
-    idx_a = {a: space.pindex[a] for a in t.over}
-    delta = dict(zip(t.over, t.distances))
+    idx_a = _index_of(s, t.over)
+    delta = dict(zip(idx_a, t.distances))
+    n = space.n
     new_d = []
-    for z in space.points:
+    for z in range(n):
         if z in delta:
             new_d.append(delta[z])
             continue
-        zi = space.pindex[z]
-        terms = [lat.join_idx(delta[a], space.dist[idx_a[a]][zi]) for a in t.over]
-        m = lat.meet_many_idx(terms)
-        # fresh point cannot collapse onto z: the type is unrealized, and a
-        # bottom-distance here would force z to realize it
-        assert m != lat.bottom_idx, "canonical completion collapsed a fresh point"
+        m = lat.meet_many_idx([lat.join_idx(d, space.dist[a][z]) for a, d in delta.items()])
+        if m == lat.bottom_idx:
+            # cannot happen: the type is unrealized, and a bottom distance
+            # here would make z realize it
+            raise CollapsedCompletionError(
+                f"canonical completion collapsed a fresh point onto {space.points[z]}",
+                point=space.points[z])
         new_d.append(m)
-    n = space.n
     dist = [list(row) + [new_d[i]] for i, row in enumerate(space.dist)]
     dist.append(new_d + [lat.bottom_idx])
     new_space = LambdaSpace(lat, space.points + (name,), tuple(map(tuple, dist)))
 
-    scales_before = _constrained_scales(s, t.over, t.distances)
+    ctx = _CheckContext(s)
     new_orders = []
-    for o, gap, sc in zip(s.orders, t.order_constraints, scales_before):
-        bot = lat.index[o.bottom]
-        top = lat.index[o.top]
-        dx = dist[n]
+    for o, (bot, top, reps, _), gap, sc in zip(s.orders, ctx.orders, t.order_constraints,
+                                               ctx.scale_ranks(idx_a, tuple(t.distances))):
         rank = dict(o.rank)
-        pinned = any(lat.leq_idx(dx[i], bot) for i in range(n))
-        if not pinned:
+        if not any(ctx.leq(d, bot) for d in new_d):
             # fresh class, represented by the new point itself
-            scale_members = [space.points[r] for r in
-                             sorted({class_reps(space, bot)[i] for i in range(n)
-                                     if lat.leq_idx(dx[i], top)})]
-            ordered = sorted(scale_members, key=lambda c: rank[c])
+            ordered = sorted({space.points[reps[i]] for i in range(n) if ctx.leq(new_d[i], top)},
+                             key=rank.__getitem__)
+            ranks = [rank[c] for c in ordered]
             if gap is not None:
                 # slots strictly after the gap's left base class, at most at
                 # the right base class
-                left = ordered.index(sc[gap - 1]) + 1 if gap > 0 else 0
-                right = ordered.index(sc[gap]) if gap < len(sc) else len(ordered)
+                left = bisect.bisect_right(ranks, sc[gap - 1]) if gap > 0 else 0
+                right = bisect.bisect_left(ranks, sc[gap]) if gap < len(sc) else len(ordered)
                 slot = rng.randint(left, right)
             else:
                 slot = rng.randint(0, len(ordered))
@@ -378,7 +315,7 @@ def generate_generic(lat: FiniteLattice, sq_signature, cfg: GenerationConfig,
         zi = s.space.n - 1
         for size in range(0, min(k, len(before)) + 1):
             for A2 in itertools.combinations(range(len(before)), size):
-                realized_patterns.add(_point_pattern_key(ctx2, list(A2), zi))
+                realized_patterns.add(_point_pattern(ctx2, list(A2), zi))
         steps += 1
         return True
 
@@ -414,25 +351,6 @@ def generate_generic(lat: FiniteLattice, sq_signature, cfg: GenerationConfig,
 # canonical pattern keys
 
 
-def _subset_canonical(s: OrderedLambdaStructure, A: tuple[str, ...]):
-    """Canonical matrix of the induced structure and one fixed canonical
-    labeling (lexicographically first permutation achieving the minimum)."""
-    idx = [s.space.pindex[a] for a in A]
-    k = len(idx)
-    facts = [[None] * k for _ in range(k)]
-    for u in range(k):
-        for v in range(k):
-            facts[u][v] = (0,) if u == v else s.pair_code(idx[u], idx[v])
-    best = None
-    best_perm = None
-    for perm in itertools.permutations(range(k)):
-        mat = tuple(tuple(facts[perm[u]][perm[v]] for v in range(k)) for u in range(k))
-        if best is None or mat < best:
-            best = mat
-            best_perm = perm
-    return best, best_perm
-
-
 def _canonical_autos(matrix) -> list[tuple[int, ...]]:
     k = len(matrix)
     out = []
@@ -446,14 +364,6 @@ def _apply_perm_type(delta: tuple[int, ...], gaps: tuple[Gap, ...], perm) -> tup
     return (tuple(delta[perm[u]] for u in range(len(delta))), gaps)
 
 
-def pattern_key(s: OrderedLambdaStructure, t: OnePointType) -> tuple:
-    """Isomorphism-class key of (base structure, extension type)."""
-    matrix, perm = _subset_canonical(s, t.over)
-    local = _apply_perm_type(t.distances, t.order_constraints, perm)
-    best = min(_apply_perm_type(*local, a) for a in _canonical_autos(matrix))
-    return (matrix, best)
-
-
 # ---------------------------------------------------------------------------
 # fast per-structure context for the checks
 
@@ -462,13 +372,11 @@ class _CheckContext:
     """Precomputed integer arrays for type manipulation over one structure."""
 
     def __init__(self, s: OrderedLambdaStructure):
-        self.s = s
         lat = s.space.lattice
+        self.lat = lat
         self.up = lat.poset.up
-        self.join = lat._join
         self.n = s.space.n
         self.dist = s.space.dist
-        self.nonzero = lat.nonzero_idx()
         self.orders = []
         for o in s.orders:
             bot = lat.index[o.bottom]
@@ -478,6 +386,8 @@ class _CheckContext:
                 if s.space.n else []
             self.orders.append((bot, top, reps, rank_by_idx))
         self._auto_cache: dict = {}
+        self._scales_base: tuple | None = None
+        self._scales: dict = {}
 
     def leq(self, i: int, j: int) -> bool:
         return bool(self.up[i] & (1 << j))
@@ -512,32 +422,20 @@ class _CheckContext:
             self._auto_cache[matrix] = _canonical_autos(matrix)
         return self._auto_cache[matrix]
 
-    def distance_assignments(self, idx_a: list[int]):
-        k = len(idx_a)
-        join = self.join
-        up = self.up
-        out = []
-        for delta in itertools.product(self.nonzero, repeat=k):
-            ok = True
-            for u in range(k):
-                du = delta[u]
-                for v in range(u + 1, k):
-                    dv = delta[v]
-                    duv = self.dist[idx_a[u]][idx_a[v]]
-                    if not (up[duv] & (1 << join[du][dv])
-                            and up[du] & (1 << join[dv][duv])
-                            and up[dv] & (1 << join[du][duv])):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                out.append(delta)
-        return out
+    def distance_assignments(self, idx_a: list[int]) -> list[tuple[int, ...]]:
+        return _triangle_rows(self.lat, [[self.dist[a][b] for b in idx_a] for a in idx_a])
 
     def scale_ranks(self, idx_a: list[int], delta) -> list[list[int] | None]:
         """Per order: sorted ranks of the base's distinct bottom classes in
-        the new point's top class, or None when unconstrained."""
+        the new point's top class, or None when unconstrained. Memoized per
+        delta for the most recent base."""
+        base = tuple(idx_a)
+        if base != self._scales_base:
+            self._scales_base = base
+            self._scales = {}
+        out = self._scales.get(delta)
+        if out is not None:
+            return out
         out = []
         for bot, top, reps, rank in self.orders:
             pinned = False
@@ -552,11 +450,26 @@ class _CheckContext:
                 out.append(None)
             else:
                 out.append(sorted({rank[reps[u]] for u in members}))
+        self._scales[delta] = out
         return out
 
-    def gap_of(self, order_pos: int, zi: int, ranks: list[int]) -> int:
-        rz = self.orders[order_pos][3][zi]
-        return sum(1 for r in ranks if r < rz)
+    def point_type(self, idx_a: list[int], z: int) -> tuple:
+        """(delta, gaps) of the existing point z over the base; a gap counts
+        the scale's classes ranked below z's class."""
+        row = self.dist[z]
+        delta = tuple([row[a] for a in idx_a])
+        gaps = tuple([None if sc is None else bisect.bisect_left(sc, rank[z])
+                      for (_, _, _, rank), sc in zip(self.orders, self.scale_ranks(idx_a, delta))])
+        return delta, gaps
+
+    def types(self, idx_a: list[int]):
+        """Every consistent 1-type over the base as (delta, gaps): distance
+        assignments in lexicographic order, each crossed with its gap choices."""
+        for delta in self.distance_assignments(idx_a):
+            gap_ranges = [(None,) if sc is None else range(len(sc) + 1)
+                          for sc in self.scale_ranks(idx_a, delta)]
+            for gaps in itertools.product(*gap_ranges):
+                yield delta, gaps
 
 
 # ---------------------------------------------------------------------------
@@ -564,45 +477,23 @@ class _CheckContext:
 
 
 def _iter_subset_types(ctx: _CheckContext, idx_a: list[int]):
-    """Yield (delta, gaps, realized, pattern_key) for every consistent type
-    over the subset, with realization checked against grouped candidates."""
+    """Yield (delta, gaps, realized, pattern) for every consistent type
+    over the subset, realized when some point outside it has that type."""
     matrix, perm = ctx.subset_canonical(idx_a)
     autos = ctx.autos(matrix)
     aset = set(idx_a)
-    by_dv: dict = {}
-    for z in range(ctx.n):
-        if z in aset:
-            continue
-        dv = tuple(ctx.dist[z][a] for a in idx_a)
-        by_dv.setdefault(dv, []).append(z)
-    n_orders = len(ctx.orders)
-    for delta in ctx.distance_assignments(idx_a):
-        scales = ctx.scale_ranks(idx_a, delta)
-        constrained = [(pos, sc) for pos, sc in enumerate(scales) if sc is not None]
-        realized_gaps = set()
-        for z in by_dv.get(delta, ()):
-            realized_gaps.add(tuple(ctx.gap_of(pos, z, sc) for pos, sc in constrained))
-        gap_ranges = [range(len(sc) + 1) for _, sc in constrained]
-        for combo in itertools.product(*gap_ranges):
-            gaps = [None] * n_orders
-            for (pos, _), g in zip(constrained, combo):
-                gaps[pos] = g
-            gaps = tuple(gaps)
-            local = _apply_perm_type(delta, gaps, perm)
-            key = (matrix, min(_apply_perm_type(*local, a) for a in autos))
-            yield delta, gaps, combo in realized_gaps, key
+    exact = {ctx.point_type(idx_a, z) for z in range(ctx.n) if z not in aset}
+    for delta, gaps in ctx.types(idx_a):
+        local = _apply_perm_type(delta, gaps, perm)
+        key = (matrix, min(_apply_perm_type(*local, a) for a in autos))
+        yield delta, gaps, (delta, gaps) in exact, key
 
 
-def _point_pattern_key(ctx: _CheckContext, idx_a: list[int], zi: int) -> tuple:
+def _point_pattern(ctx: _CheckContext, idx_a: list[int], zi: int) -> tuple:
     """Pattern key of the exact type of point zi over the base idx_a."""
     matrix, perm = ctx.subset_canonical(idx_a)
-    autos = ctx.autos(matrix)
-    delta = tuple(ctx.dist[zi][a] for a in idx_a)
-    scales = ctx.scale_ranks(idx_a, delta)
-    gaps = tuple(None if sc is None else ctx.gap_of(pos, zi, sc)
-                 for pos, sc in enumerate(scales))
-    local = _apply_perm_type(delta, gaps, perm)
-    return (matrix, min(_apply_perm_type(*local, a) for a in autos))
+    local = _apply_perm_type(*ctx.point_type(idx_a, zi), perm)
+    return (matrix, min(_apply_perm_type(*local, a) for a in ctx.autos(matrix)))
 
 
 def _pattern_census(s: OrderedLambdaStructure, k: int) -> set:
@@ -694,11 +585,7 @@ def homogeneity_check(s: OrderedLambdaStructure, m: int) -> HomogeneityReport:
             for z in range(ctx.n):
                 if z in aset:
                     continue
-                delta = tuple(ctx.dist[z][a] for a in idx_a)
-                scales = ctx.scale_ranks(idx_a, delta)
-                gaps = tuple(None if sc is None else ctx.gap_of(pos, z, sc)
-                             for pos, sc in enumerate(scales))
-                key = _apply_perm_type(delta, gaps, perm)
+                key = _apply_perm_type(*ctx.point_type(idx_a, z), perm)
                 exact[key] = exact.get(key, 0) + 1
             classes.setdefault(matrix, []).append((A, perm, exact))
     pairs_checked = 0
@@ -728,17 +615,9 @@ def homogeneity_check(s: OrderedLambdaStructure, m: int) -> HomogeneityReport:
         misses += class_misses
         # pattern level: consistent types of the class vs realized orbit
         A0, perm0, _ = members[0]
-        consistent = set()
-        idx_a0 = list(A0)
-        for delta in ctx.distance_assignments(idx_a0):
-            scales = ctx.scale_ranks(idx_a0, delta)
-            constrained = [(pos, sc) for pos, sc in enumerate(scales) if sc is not None]
-            for combo in itertools.product(*[range(len(sc) + 1) for _, sc in constrained]):
-                gaps = [None] * len(s.orders)
-                for (pos, _), g in zip(constrained, combo):
-                    gaps[pos] = g
-                local = _apply_perm_type(delta, tuple(gaps), perm0)
-                consistent.add(min(_apply_perm_type(*local, a) for a in autos))
+        consistent = {min(_apply_perm_type(*_apply_perm_type(delta, gaps, perm0), a)
+                          for a in autos)
+                      for delta, gaps in ctx.types(list(A0))}
         realized_orbit = {min(_apply_perm_type(*u, a) for a in autos) for u in universe}
         for missing in sorted(map(repr, consistent - realized_orbit)):
             pattern_failures += 1
@@ -765,14 +644,3 @@ def homogeneity_check(s: OrderedLambdaStructure, m: int) -> HomogeneityReport:
                     break
     return HomogeneityReport(pairs_checked, misses, pattern_failures, failures, missing_patterns)
 
-
-def tp_point(s: OrderedLambdaStructure, A: tuple[str, ...], z: str) -> OnePointType:
-    """Exact 1-type of an existing point over a base."""
-    A = tuple(sorted(A, key=s.space.pindex.__getitem__))
-    zi = s.space.pindex[z]
-    delta = tuple(s.space.dist[zi][s.space.pindex[a]] for a in A)
-    scales = _constrained_scales(s, A, delta)
-    gaps = []
-    for o, sc in zip(s.orders, scales):
-        gaps.append(None if sc is None else _point_gap(o, z, sc))
-    return OnePointType(A, delta, tuple(gaps))

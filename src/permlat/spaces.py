@@ -13,10 +13,11 @@ every distributive lattice.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import InvalidFactorError, NonDistributiveError
+from .errors import InvalidFactorError, NonDistributiveError, SizeCapError
 from .lattice import FiniteLattice, is_distributive
 from .validation import ValidationReport
 
@@ -70,6 +71,31 @@ class LambdaSpace:
         return f"LambdaSpace(points={self.points!r})"
 
 
+def _triangle_ok(up, join, a: int, b: int, c: int) -> bool:
+    """The join-triangle on one triple of distances: each lies below the
+    join of the other two. ``up``/``join`` are the lattice's bitmask and
+    join tables."""
+    return bool(up[a] >> join[b][c] & 1 and up[b] >> join[a][c] & 1
+                and up[c] >> join[a][b] & 1)
+
+
+def _triangle_rows(lat: FiniteLattice, base_dist,
+                   prefix: tuple[int, ...] = ()) -> list[tuple[int, ...]]:
+    """Every row of nonzero distances from one new point to the points of
+    ``base_dist`` (a square distance matrix) that keeps each join-triangle
+    through two base points, in lexicographic order. The row starts with
+    ``prefix``, taken as given."""
+    up = lat.poset.up
+    join = lat._join
+    nonzero = lat.nonzero_idx()
+    rows = [tuple(prefix)]
+    for v in range(len(prefix), len(base_dist)):
+        dv = base_dist[v]
+        rows = [row + (x,) for row in rows for x in nonzero
+                if all(_triangle_ok(up, join, row[u], x, dv[u]) for u in range(v))]
+    return rows
+
+
 def validate_space(s: LambdaSpace) -> ValidationReport:
     """All metric axioms, join-triangle included; violations carry witnesses."""
     report = ValidationReport(subject="space")
@@ -84,11 +110,35 @@ def validate_space(s: LambdaSpace) -> ValidationReport:
         if s.dist[i][j] == bot:
             report.add("indiscernible", (s.points[i], s.points[j]),
                        "distinct points at distance bottom")
+    if s.n < 3 or (report.ok and _triangles_hold(lat, s.dist)):
+        return report
+    # a triangle fails (or the matrix is asymmetric): collect the witnesses
     for i, j, k in itertools.permutations(range(s.n), 3):
         if not lat.leq_idx(s.dist[i][k], lat.join_idx(s.dist[i][j], s.dist[j][k])):
             report.add("join-triangle", (s.points[i], s.points[j], s.points[k]),
                        f"d({s.points[i]},{s.points[k]}) > d(.,{s.points[j]}) join d({s.points[j]},.)")
     return report
+
+
+@functools.lru_cache(maxsize=64)
+def _broken_triangles(lat: FiniteLattice) -> list[set[tuple[int, int]]]:
+    """Per distance d: the pairs (a, b) for which (d, a, b) breaks the
+    join-triangle."""
+    up = lat.poset.up
+    join = lat._join
+    elems = range(lat.n)
+    return [{(a, b) for a in elems for b in elems if not _triangle_ok(up, join, d, a, b)}
+            for d in elems]
+
+
+def _triangles_hold(lat: FiniteLattice, dist) -> bool:
+    """Whether every join-triangle of a symmetric distance matrix holds, in
+    one pass over the point pairs."""
+    broken = _broken_triangles(lat)
+    for i, j in itertools.combinations(range(len(dist)), 2):
+        if not broken[dist[i][j]].isdisjoint(zip(dist[i][j + 1:], dist[j][j + 1:])):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -268,53 +318,22 @@ def canonical_amalgam(base: LambdaSpace, f1: LambdaSpace, f2: LambdaSpace) -> Am
 
 
 # ---------------------------------------------------------------------------
-# instance enumeration (shared by the failure probe and the validity sweep)
+# instance enumeration and the validity sweep; the failure probe reuses the
+# sweep on distributive lattices and enumerates instances itself otherwise
 
-
-def _valid_extension_rows(lat: FiniteLattice, base_dist, k: int) -> list[tuple[int, ...]]:
-    """All distance rows from one new point to a k-point base that satisfy the
-    triangle constraints against the base distances."""
-    rows = []
-    for row in itertools.product(lat.nonzero_idx(), repeat=k):
-        ok = True
-        for i in range(k):
-            for j in range(i + 1, k):
-                dij = base_dist[i][j]
-                if not (lat.leq_idx(dij, lat.join_idx(row[i], row[j]))
-                        and lat.leq_idx(row[i], lat.join_idx(row[j], dij))
-                        and lat.leq_idx(row[j], lat.join_idx(row[i], dij))):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            rows.append(row)
-    return rows
-
-
-def _valid_mutuals(lat: FiniteLattice, base_dist, r1, r2) -> list[int]:
-    """Distances between two new points compatible with their base rows."""
-    k = len(r1)
-    out = []
-    for m in lat.nonzero_idx():
-        ok = True
-        for c in range(k):
-            if not (lat.leq_idx(m, lat.join_idx(r1[c], r2[c]))
-                    and lat.leq_idx(r1[c], lat.join_idx(m, r2[c]))
-                    and lat.leq_idx(r2[c], lat.join_idx(m, r1[c]))):
-                ok = False
-                break
-        if ok:
-            out.append(m)
-    return out
+MAX_BASE_POINTS = 3
 
 
 def _base_spaces(lat: FiniteLattice, max_base: int):
     """Valid base spaces with 0..max_base points, one per isomorphism class.
 
     The triangle constraints on <= 3 points are symmetric in the pair slots,
-    so the multiset of pair distances is a complete isomorphism invariant.
+    so the multiset of pair distances is a complete isomorphism invariant;
+    beyond 3 points it is not, so larger bases are refused.
     """
+    if max_base > MAX_BASE_POINTS:
+        raise SizeCapError(f"bases are capped at {MAX_BASE_POINTS} points, got {max_base}: "
+                           f"larger bases are not enumerated up to isomorphism")
     names = [f"c{i}" for i in range(max_base)]
     yield LambdaSpace(lat, (), ())
     for k in range(1, max_base + 1):
@@ -328,12 +347,6 @@ def _base_spaces(lat: FiniteLattice, max_base: int):
             s = LambdaSpace(lat, tuple(names[:k]), tuple(map(tuple, dist)))
             if validate_space(s).ok:
                 yield s
-
-
-def _factor_extensions(lat: FiniteLattice, base: LambdaSpace, max_new: int, prefix: str):
-    """All valid extensions of the base by 1..max_new fresh points."""
-    for ext in _raw_extensions(lat, base, max_new):
-        yield _materialize(lat, base, ext, prefix)
 
 
 @dataclass(frozen=True)
@@ -367,18 +380,12 @@ def _has_pseudo_completion(lat: FiniteLattice, base: LambdaSpace,
 
     cross_pairs = [(a, b) for a in new1 for b in new2]
 
+    up = lat.poset.up
+    join = lat._join
+
     def consistent(i, j) -> bool:
-        for k2 in range(n):
-            dik, dkj, dij = d[i][k2], d[k2][j], d[i][j]
-            if dik is None or dkj is None:
-                continue
-            if not lat.leq_idx(dij, lat.join_idx(dik, dkj)):
-                return False
-            if not lat.leq_idx(dik, lat.join_idx(dij, dkj)):
-                return False
-            if not lat.leq_idx(dkj, lat.join_idx(dij, dik)):
-                return False
-        return True
+        return all(d[i][k2] is None or d[k2][j] is None
+                   or _triangle_ok(up, join, d[i][j], d[i][k2], d[k2][j]) for k2 in range(n))
 
     def assign(pos: int) -> bool:
         if pos == len(cross_pairs):
@@ -399,25 +406,32 @@ def amalgamation_failure_probe(lat: FiniteLattice, max_base: int = 3,
                                max_new: int = 2) -> FailingInstance | None:
     """Search for a base/factor pair with no amalgam at all.
 
-    For a distributive lattice the sweep finds nothing (the canonical
-    completion always works, identifying points where forced); for a
-    non-distributive lattice some instance in this space resists every
-    completion, identification included.
+    On a distributive lattice only the validity sweep's failures are
+    candidates, and the sweep finds none: the canonical completion always
+    works, identifying points where forced. On a non-distributive lattice
+    every instance is a candidate, and some instance in this space resists
+    every completion, identification included.
     """
-    distributive = bool(is_distributive(lat))
-    for base in _base_spaces(lat, max_base):
-        exts = list(_factor_extensions(lat, base, max_new, "x"))
-        exts2 = list(_factor_extensions(lat, base, max_new, "y"))
-        for i1, f1 in enumerate(exts):
-            for f2 in exts2[i1:]:
-                if distributive:
-                    result = canonical_amalgam(base, f1, f2)
-                    if validate_space(result.space).ok:
-                        continue
-                if _has_pseudo_completion(lat, base, f1, f2):
-                    continue
-                return FailingInstance(base, f1, f2)
+    if is_distributive(lat):
+        candidates = (failure[:3] for failure in _sweep(lat, max_base, max_new).failures)
+    else:
+        candidates = _instances(lat, max_base, max_new)
+    for base, f1, f2 in candidates:
+        if not _has_pseudo_completion(lat, base, f1, f2):
+            return FailingInstance(base, f1, f2)
     return None
+
+
+def _instances(lat: FiniteLattice, max_base: int, max_new: int):
+    """Every (base, f1, f2) instance in sweep order: f2 runs over the
+    extensions from f1's position on."""
+    for base in _base_spaces(lat, max_base):
+        exts = list(_raw_extensions(lat, base, max_new))
+        exts1 = [_materialize(lat, base, ext, "x") for ext in exts]
+        exts2 = [_materialize(lat, base, ext, "y") for ext in exts]
+        for i1, f1 in enumerate(exts1):
+            for f2 in exts2[i1:]:
+                yield base, f1, f2
 
 
 @dataclass
@@ -428,13 +442,17 @@ class SweepReport:
 
 def _raw_extensions(lat: FiniteLattice, base: LambdaSpace, max_new: int):
     """Extensions as (rows, mutual) integer tuples, unordered in the new points."""
-    rows = _valid_extension_rows(lat, base.dist, base.n)
+    if max_new > 2:
+        raise SizeCapError(f"extensions are capped at 2 new points, got {max_new}")
+    rows = _triangle_rows(lat, base.dist)
     for r in rows:
         yield ((r,), None)
     if max_new >= 2:
         for i1, r1 in enumerate(rows):
+            # mutual distances: rows over the base plus the first new point
+            with_r1 = [row + (r1[c],) for c, row in enumerate(base.dist)] + [r1 + (lat.bottom_idx,)]
             for r2 in rows[i1:]:
-                for m in _valid_mutuals(lat, base.dist, r1, r2):
+                for *_, m in _triangle_rows(lat, with_r1, r2):
                     yield ((r1, r2), m)
 
 
@@ -470,6 +488,11 @@ def amalgam_validity_sweep(lat: FiniteLattice, max_base: int = 3, max_new: int =
     if not dist_check:
         raise NonDistributiveError("validity sweep expects a distributive lattice",
                                    witness=dist_check.witness)
+    return _sweep(lat, max_base, max_new, check_maximality)
+
+
+def _sweep(lat: FiniteLattice, max_base: int, max_new: int,
+           check_maximality: bool = False) -> SweepReport:
     report = SweepReport(0, [])
     join = [list(row) for row in lat._join]
     up = lat.poset.up
@@ -481,7 +504,6 @@ def amalgam_validity_sweep(lat: FiniteLattice, max_base: int = 3, max_new: int =
 
     for base in _base_spaces(lat, max_base):
         k = base.n
-        bd = base.dist
         exts = list(_raw_extensions(lat, base, max_new))
         for i1 in range(len(exts)):
             rows1, m1 = exts[i1]
@@ -514,16 +536,12 @@ def amalgam_validity_sweep(lat: FiniteLattice, max_base: int = 3, max_new: int =
                         # triangles through the sibling new point on either side
                         if len(rows1) == 2:
                             o = 1 - a
-                            if not (leq(cab, join[m1][cross[o][b]])
-                                    and leq(m1, join[cab][cross[o][b]])
-                                    and leq(cross[o][b], join[cab][m1])):
+                            if not _triangle_ok(up, join, cab, m1, cross[o][b]):
                                 bad = ("f1 sibling triangle", a, b)
                                 break
                         if len(rows2) == 2:
                             o = 1 - b
-                            if not (leq(cab, join[m2][cross[a][o]])
-                                    and leq(m2, join[cab][cross[a][o]])
-                                    and leq(cross[a][o], join[cab][m2])):
+                            if not _triangle_ok(up, join, cab, m2, cross[a][o]):
                                 bad = ("f2 sibling triangle", a, b)
                                 break
                     if bad:

@@ -212,24 +212,6 @@ class OrderedLambdaStructure:
                 report.add(f"order[{i}].space", (), "order bound to a different space")
         return report
 
-    def pair_code(self, i: int, j: int) -> tuple:
-        """Atomic facts about an ordered point pair: distance plus one
-        relation code per order (0 same class, 1 less, 2 greater, 3 incomparable)."""
-        d = self.space.dist[i][j]
-        lat = self.space.lattice
-        codes = []
-        x, y = self.space.points[i], self.space.points[j]
-        for o in self.orders:
-            if lat.leq_idx(d, lat.index[o.bottom]):
-                codes.append(0)
-            elif not lat.leq_idx(d, lat.index[o.top]):
-                codes.append(3)
-            elif o.rank[o.class_of(x)] < o.rank[o.class_of(y)]:
-                codes.append(1)
-            else:
-                codes.append(2)
-        return (d, tuple(codes))
-
     def signature(self) -> tuple[tuple[str, str], ...]:
         return tuple((o.bottom, o.top) for o in self.orders)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -193,3 +194,55 @@ def test_entry_point_runs():
     result = subprocess.run([sys.executable, "-m", "permlat.cli", "--version"],
                             capture_output=True, text=True)
     assert result.returncode == 0
+
+
+# -- coded errors -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["sq", "compose", "{s}", "--lo", "0", "--hi", "5"], 2, "USAGE"),
+    (["sq", "split", "{s}", "--order", "5", "--at", "E"], 2, "USAGE"),
+    (["sq", "split", "{s}", "--order", "-1", "--at", "E"], 2, "USAGE"),
+    (["sq", "split", "{s}", "--order", "0", "--at", "Z"], 2, "USAGE"),
+    (["gen", "--lattice", "{lat}", "--orders", "0:Z", "--size", "5", "--out", "{out}"],
+     2, "USAGE"),
+    (["check", "ext", "--in", "{norank}"], 1, "INVALID_STRUCTURE"),
+    (["encode", "--in", "{norank}"], 1, "INVALID_STRUCTURE"),
+    (["space", "probe", "{lat}", "--max-base", "4"], 1, "SIZE_CAP"),
+    (["space", "probe", "{lat}", "--max-new", "3"], 1, "SIZE_CAP"),
+])
+def test_bad_input_is_a_coded_error(fixtures, capsys, argv, code, err):
+    struct = fixtures / "s.struct"
+    run(["gen", "--lattice", fixtures / "chain3.lat", "--orders", "0:E,E:1",
+         "--size", "8", "--depth", "2", "--seed", "1", "--no-report", "--out", struct], capsys)
+    norank = fixtures / "norank.struct"
+    norank.write_text("".join(line for line in struct.read_text().splitlines(True)
+                              if not line.startswith("rank:")))
+    paths = {"s": struct, "norank": norank, "lat": fixtures / "chain3.lat",
+             "out": fixtures / "z.struct"}
+    assert main([a.format(**paths) for a in argv]) == code
+    assert f"error [{err}]" in capsys.readouterr().err
+
+
+# -- golden digests -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("lat, orders, size, depth, seed, struct_sha, perm_sha", [
+    ("chain3.lat", "0:E,E:1", 15, 2, 7,
+     "fd68b8d298e3b247856a9c79d2e75c055822527478b8e9f92107c5d623c2208d",
+     "affa10dd3a3293c124340a16d2d552f96f1c35f0345873ed36d48fe56bea35e8"),
+    ("b2.lat", "a:1,b:1", 12, 2, 3,
+     "ced5b0c2e74c39c13d816611616b59c1bb0230a501c3141f68defdd75bca11c2",
+     "17278c61b6091b2153a74b16340f14c1942e8dd4f5931708533a36fb0e6cd055"),
+])
+def test_gen_and_encode_match_golden_digests(fixtures, capsys, lat, orders, size, depth,
+                                             seed, struct_sha, perm_sha):
+    # pins the seeded stream across refactors, not only within one build
+    struct, perm = fixtures / "g.struct", fixtures / "g.perm"
+    code, _ = run(["gen", "--lattice", fixtures / lat, "--orders", orders, "--size", size,
+                   "--depth", depth, "--seed", seed, "--no-report", "--out", struct], capsys)
+    assert code == 0
+    code, _ = run(["encode", "--in", struct, "--out", perm], capsys)
+    assert code == 0
+    assert hashlib.sha256(struct.read_bytes()).hexdigest() == struct_sha
+    assert hashlib.sha256(perm.read_bytes()).hexdigest() == perm_sha

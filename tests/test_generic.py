@@ -216,3 +216,19 @@ def test_exact_types_round_trip(chain3):
                 continue
             t = tp_point(s, A, z)
             assert z in realizers(s, t)
+
+
+def test_collapsed_completion_is_a_coded_error(b2, monkeypatch):
+    # a realized type whose realizer is hidden: the completion lands on it
+    import permlat.generic as generic
+    from permlat.errors import CollapsedCompletionError
+    a, b, one = (b2.index[e] for e in ("a", "b", "1"))
+    s = empty_structure(b2, [("a", "1"), ("b", "1")])
+    s = realize_type(s, OnePointType((), (), (None, None)), random.Random(0)).structure
+    s = realize_type(s, OnePointType(("p0",), (one,), (0, 0)), random.Random(0)).structure
+    t = OnePointType(("p0", "p1"), (a, b), (None, None))
+    s = realize_type(s, t, random.Random(0)).structure
+    monkeypatch.setattr(generic, "realizers", lambda s, t: [])
+    with pytest.raises(CollapsedCompletionError) as e:
+        realize_type(s, t, random.Random(0))
+    assert e.value.code == "COLLAPSED_COMPLETION"

@@ -2,12 +2,12 @@ import itertools
 
 import pytest
 
-from permlat.errors import InvalidFactorError, NonDistributiveError
+from permlat.errors import InvalidFactorError, NonDistributiveError, SizeCapError
 from permlat.lattice import boolean2, chain_lattice, m3, n5
 from permlat.spaces import (LambdaSpace, all_spaces, amalgam_validity_sweep,
                             amalgamation_failure_probe, canonical_amalgam,
                             equivalences_from_space, space_from_equivalences,
-                            validate_space, _completion_valid)
+                            validate_space, _completion_valid, _triangle_rows)
 
 
 def test_single_point_space_is_valid(b2):
@@ -223,3 +223,47 @@ def test_sweep_maximality_spot_check(chain3):
     report = amalgam_validity_sweep(chain3, max_base=2, max_new=1,
                                     check_maximality=True)
     assert not report.failures
+
+
+@pytest.mark.parametrize("call, lat", [(amalgamation_failure_probe, chain_lattice(3)),
+                                       (amalgamation_failure_probe, m3()),
+                                       (amalgam_validity_sweep, chain_lattice(3))])
+@pytest.mark.parametrize("sizes", [{"max_base": 4}, {"max_new": 3}])
+def test_sizes_the_enumeration_cannot_cover_are_refused(call, lat, sizes):
+    # the pair-distance multiset misses isomorphism classes from 4 base
+    # points on, and extensions are enumerated with at most 2 new points
+    with pytest.raises(SizeCapError):
+        call(lat, **sizes)
+
+
+def test_probe_stops_at_the_first_failing_instance():
+    found = amalgamation_failure_probe(m3())
+    assert found.base.dist == ((0, 1), (1, 0))
+    assert found.f1.points == ("c0", "c1", "x0", "x1")
+    assert found.f2.dist[2][3] == 4
+
+
+@pytest.mark.parametrize("lat", [chain_lattice(3), boolean2()])
+def test_triangle_rows_are_exactly_the_valid_extensions(lat):
+    for base in all_spaces(lat, 3):
+        rows = _triangle_rows(lat, base.dist)
+        brute = []
+        for row in itertools.product(lat.nonzero_idx(), repeat=base.n):
+            dist = [list(r) + [x] for r, x in zip(base.dist, row)] + [list(row) + [lat.bottom_idx]]
+            ext = LambdaSpace(lat, base.points + ("z",), tuple(map(tuple, dist)))
+            if validate_space(ext).ok:
+                brute.append(row)
+        assert rows == brute
+
+
+def test_fast_triangle_pass_agrees_with_the_witness_scan(chain3):
+    # every symmetric 4-point matrix of nonzero distances, valid or not
+    pairs = list(itertools.combinations(range(4), 2))
+    for values in itertools.product(chain3.nonzero_idx(), repeat=len(pairs)):
+        dist = [[chain3.bottom_idx] * 4 for _ in range(4)]
+        for (i, j), v in zip(pairs, values):
+            dist[i][j] = dist[j][i] = v
+        s = LambdaSpace(chain3, ("a", "b", "c", "d"), tuple(map(tuple, dist)))
+        brute = all(chain3.leq_idx(dist[i][k], chain3.join_idx(dist[i][j], dist[j][k]))
+                    for i, j, k in itertools.permutations(range(4), 3))
+        assert validate_space(s).ok == brute
