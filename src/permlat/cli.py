@@ -58,6 +58,12 @@ def _parse_orders_spec(spec: str, lat) -> list[tuple[str, str]]:
     return out
 
 
+def _in_range(flag: str, value: int, low: int, high: int | None = None) -> None:
+    if value < low or (high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in {low}..{high}"
+        raise UsageError(f"{flag} must be {bound}, got {value}")
+
+
 def _load_checked(path: str, *order_flags: tuple[str, int]):
     """Load a structure file, refuse it unless it validates, and return it
     with the orders picked by the ``(flag, index)`` pairs."""
@@ -162,6 +168,8 @@ def cmd_space_amalgam(args) -> int:
 
 
 def cmd_space_probe(args) -> int:
+    _in_range("--max-base", args.max_base, 0)
+    _in_range("--max-new", args.max_new, 0)
     lat = load_lattice(args.file)
     found = amalgamation_failure_probe(lat, max_base=args.max_base, max_new=args.max_new)
     if found is None:
@@ -221,6 +229,8 @@ def cmd_sq_split(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    _in_range("--size", args.size, 1)
+    _in_range("--depth", args.depth, 1)
     lat = load_lattice(args.lattice)
     signature = _parse_orders_spec(args.orders, lat)
     cfg = GenerationConfig(seed=args.seed, target_size=args.size,
@@ -246,6 +256,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_check(args) -> int:
+    _in_range("--k", args.k, 0)
     s, _ = _load_checked(args.infile)
     if args.kind == "ext":
         report = extension_property_check(s, args.k)
@@ -329,6 +340,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_profile(args) -> int:
+    _in_range("--k", args.k, 0, 4)   # profile is exhaustive only up to 4
     p = load_perm(args.infile)
     prof = profile(p, args.k)
     payload = {"k": args.k, "distinct_types": len(prof),
@@ -341,6 +353,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_cameron(args) -> int:
+    _in_range("--size", args.size, 1)
     result = cameron_enumeration(args.size, seed=args.seed)
     payload = {
         "distinct_profiles": result.distinct,

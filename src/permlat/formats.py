@@ -16,6 +16,13 @@ from .spaces import LambdaSpace
 from .sqorders import OrderedLambdaStructure, SubquotientOrder
 
 
+def _int(path, lineno: int, text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise FormatError(f"{path}:{lineno}: {what} must be an integer, got {text!r}") from None
+
+
 def _lines(path: str | Path) -> list[tuple[int, str]]:
     try:
         text = Path(path).read_text()
@@ -107,7 +114,13 @@ def load_structure(path: str | Path,
             parts = line.split(":", 1)[1].split()
             if len(parts) != 3:
                 raise FormatError(f"{path}:{lineno}: expected 'd: x y lambda'")
-            distances[(parts[0], parts[1])] = parts[2]
+            x, y, lam = parts
+            prev = distances.get((x, y), distances.get((y, x)))
+            if prev is None:
+                distances[(x, y)] = lam
+            elif prev != lam:
+                raise FormatError(f"{path}:{lineno}: d({x},{y}) = {lam} conflicts with "
+                                  f"an earlier line that set it to {prev}")
         elif line.startswith("sq:"):
             parts = line.split(":", 1)[1].split()
             if len(parts) != 2:
@@ -119,7 +132,7 @@ def load_structure(path: str | Path,
             parts = line.split(":", 1)[1].split()
             if len(parts) != 2:
                 raise FormatError(f"{path}:{lineno}: expected 'rank: CLASS_REP INT'")
-            order_blocks[-1]["rank"][parts[0]] = int(parts[1])
+            order_blocks[-1]["rank"][parts[0]] = _int(path, lineno, parts[1], "rank")
         else:
             raise FormatError(f"{path}:{lineno}: unrecognized line {line!r}")
     if lattice is None:
@@ -167,10 +180,11 @@ def load_perm(path: str | Path) -> PermStructure:
     rows = _lines(path)
     if not rows:
         raise FormatError(f"{path}: empty file")
-    header = rows[0][1].split()
+    lineno, line = rows[0]
+    header = line.split()
     if len(header) != 2:
-        raise FormatError(f"{path}: header must be 'n N'")
-    n, N = int(header[0]), int(header[1])
+        raise FormatError(f"{path}:{lineno}: header must be 'n N'")
+    n, N = (_int(path, lineno, h, "header count") for h in header)
     points = []
     ranks = [[] for _ in range(n)]
     for lineno, line in rows[1:]:
@@ -179,7 +193,7 @@ def load_perm(path: str | Path) -> PermStructure:
             raise FormatError(f"{path}:{lineno}: expected point id and {n} ranks")
         points.append(parts[0])
         for t in range(n):
-            ranks[t].append(int(parts[t + 1]))
+            ranks[t].append(_int(path, lineno, parts[t + 1], "rank"))
     if len(points) != N:
         raise FormatError(f"{path}: header says {N} points, found {len(points)}")
     return PermStructure(tuple(points), tuple(tuple(r) for r in ranks))

@@ -22,9 +22,11 @@ pair ratio can never reach 1.0 and is diagnostic only.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import random
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import CollapsedCompletionError, MeetReducibleBottomError, NonDistributiveError
@@ -276,6 +278,14 @@ def generate_generic(lat: FiniteLattice, sq_signature, cfg: GenerationConfig,
     still missing (an exact census runs at each pass start), falling back to
     plain per-subset unrealized types once every pattern is covered, so the
     budget goes to genuine saturation first and density second.
+
+    One subset index serves the whole run, the final report included. It is
+    extended after every appended point and never rebuilt: appending a point
+    changes no pair code among the old points (see ``_CheckContext``), so
+    the canonical forms and pattern keys of old subsets stay valid. For the
+    same reason a realized pattern stays realized, and the census at a pass
+    start only needs the subsets that meet a point appended since the last
+    census; every other realized pattern is already registered.
     """
     dist_check = is_distributive(lat)
     if not dist_check:
@@ -288,49 +298,56 @@ def generate_generic(lat: FiniteLattice, sq_signature, cfg: GenerationConfig,
                       "deduplication is not applied", stacklevel=2)
     rng = random.Random(cfg.seed)
     s = empty_structure(lat, signature)
+    ctx = _CheckContext(s)
     steps = 0
     k = cfg.saturation_depth
+    realized: set = set()   # pattern keys realized somewhere, exact at each pass start
+    censused = 0            # points whose subsets the census has covered
 
-    def visit(A, realized_patterns, pattern_first: bool):
+    def append(grown: OrderedLambdaStructure):
         nonlocal s, steps
-        ctx = _CheckContext(s)
-        idx_a = [s.space.pindex[a] for a in A]
-        cand = []
-        for delta, gaps, realized, key in _iter_subset_types(ctx, idx_a):
-            if realized:
-                realized_patterns.add(key)
-                continue
-            if pattern_first and key in realized_patterns:
-                continue
-            cand.append((OnePointType(tuple(A), delta, gaps), key))
-        if not cand:
-            return False
-        t, key = cand[rng.randrange(len(cand))]
-        before = s.space.points
-        s = realize_type(s, t, rng).structure
-        realized_patterns.add(key)
+        s = grown
+        ctx.extend(s)
+        steps += 1
         # register the new point's collateral patterns so later steered picks
         # in this pass do not chase already-covered ones
-        ctx2 = _CheckContext(s)
-        zi = s.space.n - 1
-        for size in range(0, min(k, len(before)) + 1):
-            for A2 in itertools.combinations(range(len(before)), size):
-                realized_patterns.add(_point_pattern(ctx2, list(A2), zi))
-        steps += 1
+        z = s.space.n - 1
+        for size in range(0, min(k, z) + 1):
+            for A in itertools.combinations(range(z), size):
+                realized.add(ctx.form(A).types[ctx.row_type(A, z)])
+
+    def visit(A, pattern_first: bool):
+        types = ctx.form(A).types
+        exact = ctx.exact_types(A)
+        cand = [t for t, key in types.items()
+                if t not in exact and not (pattern_first and key in realized)]
+        if not cand:
+            return False
+        delta, gaps = cand[rng.randrange(len(cand))]
+        names = tuple(s.space.points[a] for a in A)
+        # the new point realizes the picked type over A: append registers it
+        append(realize_type(s, OnePointType(names, delta, gaps), rng).structure)
         return True
 
     while s.space.n < cfg.target_size:
-        realized_patterns = _pattern_census(s, k)
+        n = s.space.n
+        # census of the subsets that meet a point appended since the last one
+        for size in range(1, min(k, n) + 1):
+            for last in range(censused, n):
+                for rest in itertools.combinations(range(last), size - 1):
+                    A = rest + (last,)
+                    types = ctx.form(A).types
+                    realized.update(types[t] for t in ctx.exact_types(A) & types.keys())
+        censused = n
         progressed = False
-        snapshot = s.space.points
         for pattern_first in (True, False):
-            for size in range(0, min(k, len(snapshot)) + 1):
+            for size in range(0, min(k, n) + 1):
                 if s.space.n >= cfg.target_size:
                     break
-                for A in itertools.combinations(snapshot, size):
+                for A in itertools.combinations(range(n), size):
                     if s.space.n >= cfg.target_size:
                         break
-                    if visit(A, realized_patterns, pattern_first):
+                    if visit(A, pattern_first):
                         progressed = True
             if s.space.n >= cfg.target_size or progressed:
                 break
@@ -339,11 +356,10 @@ def generate_generic(lat: FiniteLattice, sq_signature, cfg: GenerationConfig,
                 break
             # every pair realized below target (possible only in order-free
             # signatures): densify with far generic points
-            s = _force_far_point(s, rng)
-            steps += 1
+            append(_force_far_point(s, rng))
     saturation = None
     if with_saturation_report:
-        saturation = extension_property_check(s, k)
+        saturation = _extension_report(ctx, k)
     return GenerationResult(s, saturation, steps)
 
 
@@ -364,19 +380,89 @@ def _apply_perm_type(delta: tuple[int, ...], gaps: tuple[Gap, ...], perm) -> tup
     return (tuple(delta[perm[u]] for u in range(len(delta))), gaps)
 
 
+@functools.cache
+def _labellings(k: int) -> list:
+    """Each permutation of a k-subset with the positions, in a row-major
+    flattened k x k matrix, of the off-diagonal cells it reads in order."""
+    return [(perm, [perm[u] * k + perm[v] for u in range(k) for v in range(k) if u != v])
+            for perm in itertools.permutations(range(k))]
+
+
+class _Class:
+    """One isomorphism class of bases: its canonical matrix, automorphisms
+    and pattern keys. A base's consistent types depend only on its pair
+    codes, so they are a function of the class."""
+
+    __slots__ = ("matrix", "autos", "patterns", "forms")
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.autos = _canonical_autos(matrix)
+        self.patterns: dict = {}   # local type -> pattern key
+        self.forms: dict = {}      # canonical labelling -> _Form
+
+    def pattern(self, local) -> tuple:
+        key = self.patterns.get(local)
+        if key is None:
+            key = self.patterns[local] = (
+                self.matrix, min(_apply_perm_type(*local, a) for a in self.autos))
+        return key
+
+
+class _Form:
+    """A class seen through one canonical labelling, shared by every subset
+    with that canonical matrix and labelling, so by every subset with the
+    same matrix of pair codes. ``types`` maps each consistent type, in
+    subset coordinates and enumeration order, to its pattern key; ``rows``
+    maps each row of pair codes from an outside point to the type of that
+    point."""
+
+    __slots__ = ("cls", "perm", "types", "rows")
+
+    def __init__(self, cls: _Class, perm, types: dict):
+        self.cls = cls
+        self.perm = perm
+        self.types = types
+        self.rows: dict = {}
+
+
 # ---------------------------------------------------------------------------
-# fast per-structure context for the checks
+# the subset index
 
 
 class _CheckContext:
-    """Precomputed integer arrays for type manipulation over one structure."""
+    """Integer subset index over one structure, read by generation and by
+    both checks.
+
+    It holds a table of pair codes (distance, then per order: same bottom
+    class, other top class, below or above), the canonical form of each
+    subset met so far, one ``_Class`` per canonical matrix, and the
+    per-order class ranks that exact types need.
+
+    Append invariant: ``extend`` rebinds the index to the same structure
+    with points appended, and keeps every code table entry and every
+    subset's canonical form. That is sound because appending a point never
+    changes a pair code among old points: distances are fixed,
+    ``renormalized`` keeps the order among old classes, and the new point
+    comes last, so it never becomes an existing class's representative.
+    """
 
     def __init__(self, s: OrderedLambdaStructure):
         lat = s.space.lattice
         self.lat = lat
         self.up = lat.poset.up
+        self._to: list[list[int]] = []   # _to[j][i]: pair code of (i, j), -1 on the diagonal
+        self._forms: dict = {}          # index tuple -> _Form
+        self._classes: dict = {}        # (size, flattened codes) -> _Class
+        self.extend(s)
+
+    def extend(self, s: OrderedLambdaStructure) -> None:
+        """Bind the index to s: at construction, then to the same structure
+        with points appended; codes of new pairs are added when next needed."""
+        lat = self.lat
         self.n = s.space.n
         self.dist = s.space.dist
+        self.points = s.space.points
         self.orders = []
         for o in s.orders:
             bot = lat.index[o.bottom]
@@ -385,47 +471,106 @@ class _CheckContext:
             rank_by_idx = [o.rank[s.space.points[reps[i]]] for i in range(self.n)] \
                 if s.space.n else []
             self.orders.append((bot, top, reps, rank_by_idx))
-        self._auto_cache: dict = {}
         self._scales_base: tuple | None = None
         self._scales: dict = {}
 
     def leq(self, i: int, j: int) -> bool:
         return bool(self.up[i] & (1 << j))
 
-    def pair_code(self, i: int, j: int) -> tuple:
+    def _pair_code(self, i: int, j: int) -> int:
         d = self.dist[i][j]
-        codes = []
+        up = self.up[d]
+        code = d
         for bot, top, _, rank in self.orders:
-            if self.up[d] & (1 << bot):
-                codes.append(0)
-            elif not self.up[d] & (1 << top):
-                codes.append(3)
+            if up & (1 << bot):
+                c = 0
+            elif not up & (1 << top):
+                c = 3
             else:
-                codes.append(1 if rank[i] < rank[j] else 2)
-        return (d, tuple(codes))
+                c = 1 if rank[i] < rank[j] else 2
+            code = code << 2 | c
+        return code
 
-    def subset_canonical(self, idx_a: list[int]):
+    def _decode(self, code: int) -> tuple:
+        """The pair code as (distance, per-order codes); integer order on
+        codes is lexicographic order on these tuples."""
+        m = len(self.orders)
+        return (code >> 2 * m, tuple((code >> 2 * (m - 1 - t)) & 3 for t in range(m)))
+
+    def _codes(self) -> list[list[int]]:
+        to = self._to
+        for j in range(len(to), self.n):
+            for i in range(j):
+                to[i].append(self._pair_code(j, i))
+            to.append([self._pair_code(i, j) for i in range(j)] + [-1])
+        return to
+
+    def form(self, idx_a: tuple) -> _Form:
+        """Canonical form of the subset: the lexicographically least code
+        matrix over its labellings, the first labelling reaching it, and the
+        type table of that (class, labelling). Memoized per subset."""
+        form = self._forms.get(idx_a)
+        if form is not None:
+            return form
+        to = self._codes()
         k = len(idx_a)
-        facts = [[(0,) if u == v else self.pair_code(idx_a[u], idx_a[v])
-                  for v in range(k)] for u in range(k)]
-        best = None
-        best_perm = None
-        for perm in itertools.permutations(range(k)):
-            mat = tuple(tuple(facts[perm[u]][perm[v]] for v in range(k)) for u in range(k))
-            if best is None or mat < best:
-                best = mat
-                best_perm = perm
-        return best, best_perm
+        facts = [to[b][a] for a in idx_a for b in idx_a]
+        # perms come in lexicographic order, so ties go to the first one
+        best, best_perm = min((tuple(map(facts.__getitem__, cells)), perm)
+                              for perm, cells in _labellings(k))
+        cls = self._classes.get((k, best))
+        if cls is None:
+            codes = iter(best)
+            matrix = tuple(tuple((0,) if u == v else self._decode(next(codes))
+                                 for v in range(k)) for u in range(k))
+            cls = self._classes[(k, best)] = _Class(matrix)
+        form = cls.forms.get(best_perm)
+        if form is None:
+            form = cls.forms[best_perm] = _Form(cls, best_perm, {
+                t: cls.pattern(_apply_perm_type(*t, best_perm)) for t in self.types(idx_a)})
+        self._forms[idx_a] = form
+        return form
 
-    def autos(self, matrix) -> list[tuple[int, ...]]:
-        if matrix not in self._auto_cache:
-            self._auto_cache[matrix] = _canonical_autos(matrix)
-        return self._auto_cache[matrix]
+    def row_type(self, idx_a: tuple, z: int) -> tuple:
+        """Exact type of the point z over the base, through its row of pair
+        codes; see ``_Form``."""
+        to = self._codes()
+        return self._row_type(self.form(idx_a), idx_a, tuple([to[a][z] for a in idx_a]), z)
 
-    def distance_assignments(self, idx_a: list[int]) -> list[tuple[int, ...]]:
+    def _row_type(self, form: _Form, idx_a: tuple, row: tuple, z: int) -> tuple:
+        t = form.rows.get(row)
+        if t is None:
+            t = form.rows[row] = self.point_type(idx_a, z)
+        return t
+
+    def exact_types(self, idx_a: tuple, counts: bool = False):
+        """Exact types of the points outside the base: a set, or with counts
+        a dict type -> number of points. A point's type over the base is a
+        function of its row of pair codes to it, given the subset's own
+        codes: the row fixes the distances, the pinned orders and the base
+        points ranked below it, and with strict ranks inside each scale (a
+        valid order) that fixes every gap. So ``point_type`` runs once per
+        distinct row and canonical form."""
+        form = self.form(idx_a)
+        to = self._codes()
+        cols = [to[a] for a in idx_a]
+        rows = list(zip(*cols)) if cols else [()] * self.n
+        first = dict(zip(rows, range(self.n)))
+        for a in idx_a:   # a base point's row has -1 at its own place
+            del first[tuple(col[a] for col in cols)]
+        if not counts:
+            return {self._row_type(form, idx_a, row, z) for row, z in first.items()}
+        tally = Counter(rows)
+        out: dict = {}
+        for row, z in first.items():
+            t = self._row_type(form, idx_a, row, z)
+            out[t] = out.get(t, 0) + tally[row]
+        return out
+
+    def distance_assignments(self, idx_a) -> list[tuple[int, ...]]:
         return _triangle_rows(self.lat, [[self.dist[a][b] for b in idx_a] for a in idx_a])
 
-    def scale_ranks(self, idx_a: list[int], delta) -> list[list[int] | None]:
+    def scale_ranks(self, idx_a, delta) -> list[list[int] | None]:
         """Per order: sorted ranks of the base's distinct bottom classes in
         the new point's top class, or None when unconstrained. Memoized per
         delta for the most recent base."""
@@ -453,7 +598,7 @@ class _CheckContext:
         self._scales[delta] = out
         return out
 
-    def point_type(self, idx_a: list[int], z: int) -> tuple:
+    def point_type(self, idx_a, z: int) -> tuple:
         """(delta, gaps) of the existing point z over the base; a gap counts
         the scale's classes ranked below z's class."""
         row = self.dist[z]
@@ -462,7 +607,7 @@ class _CheckContext:
                       for (_, _, _, rank), sc in zip(self.orders, self.scale_ranks(idx_a, delta))])
         return delta, gaps
 
-    def types(self, idx_a: list[int]):
+    def types(self, idx_a):
         """Every consistent 1-type over the base as (delta, gaps): distance
         assignments in lexicographic order, each crossed with its gap choices."""
         for delta in self.distance_assignments(idx_a):
@@ -476,62 +621,42 @@ class _CheckContext:
 # extension property
 
 
-def _iter_subset_types(ctx: _CheckContext, idx_a: list[int]):
-    """Yield (delta, gaps, realized, pattern) for every consistent type
-    over the subset, realized when some point outside it has that type."""
-    matrix, perm = ctx.subset_canonical(idx_a)
-    autos = ctx.autos(matrix)
-    aset = set(idx_a)
-    exact = {ctx.point_type(idx_a, z) for z in range(ctx.n) if z not in aset}
-    for delta, gaps in ctx.types(idx_a):
-        local = _apply_perm_type(delta, gaps, perm)
-        key = (matrix, min(_apply_perm_type(*local, a) for a in autos))
-        yield delta, gaps, (delta, gaps) in exact, key
-
-
-def _point_pattern(ctx: _CheckContext, idx_a: list[int], zi: int) -> tuple:
-    """Pattern key of the exact type of point zi over the base idx_a."""
-    matrix, perm = ctx.subset_canonical(idx_a)
-    local = _apply_perm_type(*ctx.point_type(idx_a, zi), perm)
-    return (matrix, min(_apply_perm_type(*local, a) for a in ctx.autos(matrix)))
-
-
-def _pattern_census(s: OrderedLambdaStructure, k: int) -> set:
-    """Exact set of realized (base class, type) pattern keys."""
-    ctx = _CheckContext(s)
-    realized: set = set()
-    for size in range(0, min(k, ctx.n) + 1):
-        for A in itertools.combinations(range(ctx.n), size):
-            for _, _, hit, key in _iter_subset_types(ctx, list(A)):
-                if hit:
-                    realized.add(key)
-    return realized
-
-
-def extension_property_check(s: OrderedLambdaStructure, k: int) -> SaturationReport:
-    """Per-subset realization of every consistent 1-type, aggregated both per
-    (subset, type) pair and per isomorphism-class pattern."""
-    ctx = _CheckContext(s)
+def _extension_report(ctx: _CheckContext, k: int) -> SaturationReport:
     pair_total = pair_realized = 0
     pattern_all: set = set()
     pattern_hit: set = set()
+    seen: set = set()
     missing_pairs = []
-    points = s.space.points
     for size in range(0, k + 1):
         for A in itertools.combinations(range(ctx.n), size):
-            names = tuple(points[a] for a in A)
-            for delta, gaps, realized, key in _iter_subset_types(ctx, list(A)):
-                pattern_all.add(key)
-                pair_total += 1
-                if realized:
-                    pair_realized += 1
-                    pattern_hit.add(key)
-                elif len(missing_pairs) < 200:
-                    missing_pairs.append((names, OnePointType(names, delta, gaps)))
+            form = ctx.form(A)
+            types = form.types
+            hit = ctx.exact_types(A) & types.keys()
+            pair_total += len(types)
+            pair_realized += len(hit)
+            pattern_hit.update([types[t] for t in hit])
+            if form not in seen:
+                seen.add(form)
+                pattern_all.update(types.values())
+            if len(missing_pairs) < 200 and len(hit) < len(types):
+                names = tuple(ctx.points[a] for a in A)
+                for t in types:
+                    if t not in hit:
+                        missing_pairs.append((names, OnePointType(names, *t)))
+                        if len(missing_pairs) == 200:
+                            break
     missing_patterns = sorted(
         repr(key) for key in pattern_all - pattern_hit)
     return SaturationReport(len(pattern_all), len(pattern_hit),
                             pair_total, pair_realized, missing_pairs, missing_patterns)
+
+
+def extension_property_check(s: OrderedLambdaStructure, k: int) -> SaturationReport:
+    """Per-subset realization of every consistent 1-type, aggregated both per
+    (subset, type) pair and per isomorphism-class pattern. The structure
+    must be valid (``OrderedLambdaStructure.validate``): exact types are read
+    off pair codes, which presumes strict ranks inside each scale."""
+    return _extension_report(_CheckContext(s), k)
 
 
 # ---------------------------------------------------------------------------
@@ -571,30 +696,27 @@ def homogeneity_check(s: OrderedLambdaStructure, m: int) -> HomogeneityReport:
     does some q outside B complete the square?
 
     Pairs are grouped by canonical form, so the count runs over classes
-    instead of the quadratic pair list; results are identical.
+    instead of the quadratic pair list; results are identical. The structure
+    must be valid, as for ``extension_property_check``.
     """
     ctx = _CheckContext(s)
     points = s.space.points
-    classes: dict[tuple, list] = {}
+    classes: dict[_Class, list] = {}
     for size in range(0, m + 1):
         for A in itertools.combinations(range(ctx.n), size):
-            idx_a = list(A)
-            matrix, perm = ctx.subset_canonical(idx_a)
-            aset = set(A)
+            form = ctx.form(A)
             exact: dict = {}
-            for z in range(ctx.n):
-                if z in aset:
-                    continue
-                key = _apply_perm_type(*ctx.point_type(idx_a, z), perm)
-                exact[key] = exact.get(key, 0) + 1
-            classes.setdefault(matrix, []).append((A, perm, exact))
+            for t, count in ctx.exact_types(A, counts=True).items():
+                key = _apply_perm_type(*t, form.perm)
+                exact[key] = exact.get(key, 0) + count
+            classes.setdefault(form.cls, []).append((A, form, exact))
     pairs_checked = 0
     misses = 0
     failures = []
     pattern_failures = 0
     missing_patterns = []
-    for matrix, members in classes.items():
-        autos = ctx.autos(matrix)
+    for cls, members in classes.items():
+        autos = cls.autos
         universe: set = set()
         counts: dict = {}
         present: dict = {}
@@ -614,33 +736,18 @@ def homogeneity_check(s: OrderedLambdaStructure, m: int) -> HomogeneityReport:
                     class_misses += total_count * absent
         misses += class_misses
         # pattern level: consistent types of the class vs realized orbit
-        A0, perm0, _ = members[0]
-        consistent = {min(_apply_perm_type(*_apply_perm_type(delta, gaps, perm0), a)
-                          for a in autos)
-                      for delta, gaps in ctx.types(list(A0))}
-        realized_orbit = {min(_apply_perm_type(*u, a) for a in autos) for u in universe}
+        consistent = {key[1] for key in members[0][1].types.values()}
+        realized_orbit = {cls.pattern(u)[1] for u in universe}
         for missing in sorted(map(repr, consistent - realized_orbit)):
             pattern_failures += 1
             if len(missing_patterns) < 50:
-                missing_patterns.append((repr(matrix), missing))
+                missing_patterns.append((repr(cls.matrix), missing))
         if class_misses and len(failures) < 20:
             # surface a concrete example for the report
-            done = False
-            for a in autos:
-                for A, _, exact_a in members:
-                    for B, _, exact_b in members:
-                        for u in exact_a:
-                            if _apply_perm_type(*u, a) not in exact_b:
-                                failures.append((tuple(points[i] for i in A),
-                                                 tuple(points[i] for i in B),
-                                                 repr(u), "no matching extension point"))
-                                done = True
-                                break
-                        if done:
-                            break
-                    if done:
-                        break
-                if done:
-                    break
+            failures.extend(itertools.islice((
+                (tuple(points[i] for i in A), tuple(points[i] for i in B), repr(u),
+                 "no matching extension point")
+                for a in autos for A, _, exact_a in members for B, _, exact_b in members
+                for u in exact_a if _apply_perm_type(*u, a) not in exact_b), 1))
     return HomogeneityReport(pairs_checked, misses, pattern_failures, failures, missing_patterns)
 

@@ -210,6 +210,17 @@ def test_entry_point_runs():
     (["encode", "--in", "{norank}"], 1, "INVALID_STRUCTURE"),
     (["space", "probe", "{lat}", "--max-base", "4"], 1, "SIZE_CAP"),
     (["space", "probe", "{lat}", "--max-new", "3"], 1, "SIZE_CAP"),
+    (["check", "ext", "--in", "{s}", "--k", "-1"], 2, "USAGE"),
+    (["check", "hom", "--in", "{s}", "--k", "-1"], 2, "USAGE"),
+    (["space", "probe", "{lat}", "--max-base", "-1"], 2, "USAGE"),
+    (["space", "probe", "{lat}", "--max-new", "-1"], 2, "USAGE"),
+    (["gen", "--lattice", "{lat}", "--orders", "0:E", "--size", "0", "--out", "{out}"],
+     2, "USAGE"),
+    (["gen", "--lattice", "{lat}", "--orders", "0:E", "--size", "5", "--depth", "0",
+      "--out", "{out}"], 2, "USAGE"),
+    (["profile", "--in", "{perm}", "--k", "-1"], 2, "USAGE"),
+    (["profile", "--in", "{perm}", "--k", "5"], 2, "USAGE"),
+    (["cameron", "--size", "0"], 2, "USAGE"),
 ])
 def test_bad_input_is_a_coded_error(fixtures, capsys, argv, code, err):
     struct = fixtures / "s.struct"
@@ -218,10 +229,38 @@ def test_bad_input_is_a_coded_error(fixtures, capsys, argv, code, err):
     norank = fixtures / "norank.struct"
     norank.write_text("".join(line for line in struct.read_text().splitlines(True)
                               if not line.startswith("rank:")))
+    perm = fixtures / "s.perm"
+    perm.write_text("1 3\na 0\nb 2\nc 1\n")
     paths = {"s": struct, "norank": norank, "lat": fixtures / "chain3.lat",
-             "out": fixtures / "z.struct"}
+             "out": fixtures / "z.struct", "perm": perm}
     assert main([a.format(**paths) for a in argv]) == code
     assert f"error [{err}]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, edit, where", [
+    # a .struct file read as a .perm file: its header is not two integers
+    (["decode", "--in", "{s}"], None, "s.struct:1:"),
+    (["profile", "--in", "{s}"], None, "s.struct:1:"),
+    (["check", "ext", "--in", "{s}"], ("rank: p0 0", "rank: p0 x"), "s.struct:7:"),
+    (["decode", "--in", "{perm}"], ("b 2", "b two"), "s.perm:3:"),
+    # the second, conflicting line of a pair's distance is the one named
+    (["space", "check", "{s}"], ("d: p0 p1 E", "d: p0 p1 E\nd: p1 p0 1"), "s.struct:4:"),
+])
+def test_malformed_file_is_a_format_error_at_its_line(fixtures, capsys, argv, edit, where):
+    struct = fixtures / "s.struct"
+    lines = ["lattice: chain3.lat", "points: p0 p1 p2", "d: p0 p1 E", "d: p0 p2 1",
+             "d: p1 p2 1", "sq: 0 E", "rank: p0 0", "rank: p1 1", "rank: p2 0"]
+    perm = fixtures / "s.perm"
+    perm.write_text("1 3\na 0\nb 2\nc 1\n")
+    struct.write_text("\n".join(lines) + "\n")
+    if edit is not None:
+        target = perm if argv[-1] == "{perm}" else struct
+        target.write_text(target.read_text().replace(*edit))
+    code = main([a.format(s=struct, perm=perm) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error [FORMAT]" in err
+    assert where in err
 
 
 # -- golden digests -------------------------------------------------------------

@@ -4,10 +4,11 @@ import random
 import pytest
 
 from permlat.errors import MeetReducibleBottomError, NonDistributiveError
-from permlat.generic import (GenerationConfig, OnePointType, empty_structure,
-                             enumerate_one_point_types, extension_property_check,
-                             generate_generic, homogeneity_check, realize_type,
-                             realizers, tp_point)
+from permlat.generic import (GenerationConfig, HomogeneityReport, OnePointType,
+                             SaturationReport, _CheckContext, _force_far_point,
+                             empty_structure, enumerate_one_point_types,
+                             extension_property_check, generate_generic, homogeneity_check,
+                             realize_type, realizers, tp_point)
 from permlat.lattice import m3, meet_irreducibles
 from permlat.spaces import equivalences_from_space, validate_space
 from permlat.sqorders import OrderedLambdaStructure, SubquotientOrder, validate_sqorder
@@ -232,3 +233,191 @@ def test_collapsed_completion_is_a_coded_error(b2, monkeypatch):
     with pytest.raises(CollapsedCompletionError) as e:
         realize_type(s, t, random.Random(0))
     assert e.value.code == "COLLAPSED_COMPLETION"
+
+
+# -- the subset index against a per-(subset, type) computation ----------------
+#
+# The references below canonicalize every subset from tuple pair codes, take
+# each point's exact type one outside point at a time, and key every type by
+# a minimum over automorphisms: no memo, no code table, no class table.
+
+
+def _ref_pair_code(ctx, i, j):
+    d = ctx.dist[i][j]
+    codes = []
+    for bot, top, _, rank in ctx.orders:
+        if ctx.leq(d, bot):
+            codes.append(0)
+        elif not ctx.leq(d, top):
+            codes.append(3)
+        else:
+            codes.append(1 if rank[i] < rank[j] else 2)
+    return (d, tuple(codes))
+
+
+def _ref_canonical(ctx, idx_a):
+    k = len(idx_a)
+    facts = [[(0,) if u == v else _ref_pair_code(ctx, idx_a[u], idx_a[v])
+              for v in range(k)] for u in range(k)]
+    best = best_perm = None
+    for perm in itertools.permutations(range(k)):
+        mat = tuple(tuple(facts[perm[u]][perm[v]] for v in range(k)) for u in range(k))
+        if best is None or mat < best:
+            best, best_perm = mat, perm
+    return best, best_perm
+
+
+def _ref_autos(matrix):
+    k = len(matrix)
+    return [perm for perm in itertools.permutations(range(k))
+            if all(matrix[perm[u]][perm[v]] == matrix[u][v]
+                   for u in range(k) for v in range(k))]
+
+
+def _permuted(delta, gaps, perm):
+    return (tuple(delta[perm[u]] for u in range(len(delta))), gaps)
+
+
+def _ref_subset_types(ctx, idx_a):
+    matrix, perm = _ref_canonical(ctx, idx_a)
+    autos = _ref_autos(matrix)
+    exact = {ctx.point_type(idx_a, z) for z in range(ctx.n) if z not in idx_a}
+    for delta, gaps in ctx.types(idx_a):
+        local = _permuted(delta, gaps, perm)
+        key = (matrix, min(_permuted(*local, a) for a in autos))
+        yield delta, gaps, (delta, gaps) in exact, key
+
+
+def ref_extension_property_check(s, k):
+    ctx = _CheckContext(s)
+    pair_total = pair_realized = 0
+    pattern_all, pattern_hit = set(), set()
+    missing_pairs = []
+    points = s.space.points
+    for size in range(0, k + 1):
+        for A in itertools.combinations(range(ctx.n), size):
+            names = tuple(points[a] for a in A)
+            for delta, gaps, realized, key in _ref_subset_types(ctx, list(A)):
+                pattern_all.add(key)
+                pair_total += 1
+                if realized:
+                    pair_realized += 1
+                    pattern_hit.add(key)
+                elif len(missing_pairs) < 200:
+                    missing_pairs.append((names, OnePointType(names, delta, gaps)))
+    missing_patterns = sorted(repr(key) for key in pattern_all - pattern_hit)
+    return SaturationReport(len(pattern_all), len(pattern_hit),
+                            pair_total, pair_realized, missing_pairs, missing_patterns)
+
+
+def ref_homogeneity_check(s, m):
+    ctx = _CheckContext(s)
+    points = s.space.points
+    classes = {}
+    for size in range(0, m + 1):
+        for A in itertools.combinations(range(ctx.n), size):
+            matrix, perm = _ref_canonical(ctx, list(A))
+            exact = {}
+            for z in range(ctx.n):
+                if z not in A:
+                    key = _permuted(*ctx.point_type(list(A), z), perm)
+                    exact[key] = exact.get(key, 0) + 1
+            classes.setdefault(matrix, []).append((A, perm, exact))
+    pairs_checked = misses = pattern_failures = 0
+    failures, missing_patterns = [], []
+    for matrix, members in classes.items():
+        autos = _ref_autos(matrix)
+        universe, counts, present = set(), {}, {}
+        for _, _, exact in members:
+            universe.update(exact)
+            for u, c in exact.items():
+                counts[u] = counts.get(u, 0) + c
+                present[u] = present.get(u, 0) + 1
+        class_misses = 0
+        for a in autos:
+            for u, total_count in counts.items():
+                absent = len(members) - present.get(_permuted(*u, a), 0)
+                pairs_checked += total_count * len(members)
+                class_misses += total_count * absent
+        misses += class_misses
+        A0, perm0, _ = members[0]
+        consistent = {min(_permuted(*_permuted(delta, gaps, perm0), a) for a in autos)
+                      for delta, gaps in ctx.types(list(A0))}
+        realized_orbit = {min(_permuted(*u, a) for a in autos) for u in universe}
+        for missing in sorted(map(repr, consistent - realized_orbit)):
+            pattern_failures += 1
+            if len(missing_patterns) < 50:
+                missing_patterns.append((repr(matrix), missing))
+        if class_misses and len(failures) < 20:
+            failures.append(next(
+                (tuple(points[i] for i in A), tuple(points[i] for i in B), repr(u),
+                 "no matching extension point")
+                for a in autos for A, _, exact_a in members for B, _, exact_b in members
+                for u in exact_a if _permuted(*u, a) not in exact_b))
+    return HomogeneityReport(pairs_checked, misses, pattern_failures, failures,
+                             missing_patterns)
+
+
+def _corrupted(s):
+    o = s.orders[0]
+    reps = sorted(o.rank, key=o.rank.get)
+    swapped = dict(o.rank)
+    swapped[reps[0]], swapped[reps[1]] = swapped[reps[1]], swapped[reps[0]]
+    return OrderedLambdaStructure(
+        s.space, (SubquotientOrder(s.space, o.bottom, o.top, swapped),) + s.orders[1:])
+
+
+SIGS = {"chain3": [("0", "E"), ("E", "1")], "b2": [("a", "1"), ("b", "1")],
+        "chain4": [("0", "e"), ("e", "f"), ("f", "1")]}
+
+
+@pytest.mark.parametrize("lat, size, depth, k, complete", [
+    ("chain3", 4, 1, 2, False), ("chain3", 6, 1, 3, False),
+    ("b2", 10, 1, 2, False), ("b2", 10, 1, 3, False),
+    ("chain3", 14, 3, 3, True), ("b2", 24, 3, 3, True), ("chain4", 20, 3, 3, True),
+])
+def test_checks_match_per_subset_type_references(request, lat, size, depth, k, complete):
+    s = gen(request.getfixturevalue(lat), SIGS[lat], size=size, depth=depth)
+    for subject in (s, _corrupted(s)):
+        ext, ref = extension_property_check(subject, k), ref_extension_property_check(subject, k)
+        assert ext.as_dict() == ref.as_dict()
+        assert ext.missing_pairs == ref.missing_pairs
+        hom, href = homogeneity_check(subject, k), ref_homogeneity_check(subject, k)
+        assert hom.as_dict() == href.as_dict()
+        assert hom.failures == href.failures
+    report = extension_property_check(s, k)
+    assert (report.ratio == 1.0) == complete
+    assert bool(report.missing_patterns) != complete
+
+
+@pytest.mark.parametrize("grow", ["realize_type", "_force_far_point"])
+def test_index_entries_survive_an_appended_point(chain3, grow):
+    # the memo rests on this: appending a point changes no old pair code, so
+    # every old subset keeps its canonical form and its pattern keys
+    s = gen(chain3, SIGS["chain3"], size=10, depth=2)
+    ctx = _CheckContext(s)
+    subsets = [A for size in range(4) for A in itertools.combinations(range(s.space.n), size)]
+    kept = {A: ctx.form(A) for A in subsets}
+    exact = {A: ctx.exact_types(A) for A in subsets}
+    if grow == "realize_type":
+        base = (0, 2)
+        delta, gaps = next(t for t in ctx.form(base).types if t not in exact[base])
+        names = tuple(s.space.points[a] for a in base)
+        grown = realize_type(s, OnePointType(names, delta, gaps), random.Random(3))
+        assert grown.added is not None
+        grown = grown.structure
+    else:
+        grown = _force_far_point(s, random.Random(3))
+    assert grown.space.points[:-1] == s.space.points
+    ctx.extend(grown)
+    fresh = _CheckContext(grown)
+    assert ctx._codes() == fresh._codes()
+    z = grown.space.n - 1
+    for A in subsets:
+        form, new = ctx.form(A), fresh.form(A)
+        assert form is kept[A]
+        assert (form.cls.matrix, form.perm, form.types) == (new.cls.matrix, new.perm, new.types)
+        assert (form.cls.matrix, form.perm) == _ref_canonical(fresh, list(A))
+        assert form.types[ctx.row_type(A, z)] == new.types[fresh.point_type(A, z)]
+        assert ctx.exact_types(A) == fresh.exact_types(A) == (
+            exact[A] | {fresh.point_type(A, z)})
