@@ -6,13 +6,14 @@ ordering)."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import InvalidStructureError, PermlatError, UsageError
+from .errors import InvalidStructureError, NotALatticeError, PermlatError, UsageError
 from .formats import (dump_perm, dump_structure, load_cover, load_lattice,
                       load_perm, load_structure, read_lattice_ref,
                       write_manifest)
@@ -54,6 +55,9 @@ def _parse_orders_spec(spec: str, lat) -> list[tuple[str, str]]:
         if unknown:
             raise UsageError(f"order signature {item!r} names {unknown[0]!r}, which is not "
                              f"an element of the lattice")
+        if not lat.leq(*parts):
+            raise UsageError(f"order signature {item!r}: {parts[0]} does not lie below "
+                             f"{parts[1]}")
         out.append((parts[0], parts[1]))
     return out
 
@@ -64,10 +68,27 @@ def _in_range(flag: str, value: int, low: int, high: int | None = None) -> None:
         raise UsageError(f"{flag} must be {bound}, got {value}")
 
 
+def _lattice_checked(lat, path: str):
+    """Refuse the lattice read from the file at path unless it is a lattice."""
+    report = validate_lattice(lat)
+    if not report.ok:
+        v = report.violations[0]
+        raise NotALatticeError(f"{path}: not a lattice: {v.rule} {v.witness} ({v.message})",
+                               report=report.as_dict())
+    return lat
+
+
+def _load_structure(path: str, lat=None):
+    """Load a structure file and refuse it unless its lattice is a lattice."""
+    space, orders = load_structure(path, lat)
+    _lattice_checked(space.lattice, path)
+    return space, orders
+
+
 def _load_checked(path: str, *order_flags: tuple[str, int]):
     """Load a structure file, refuse it unless it validates, and return it
     with the orders picked by the ``(flag, index)`` pairs."""
-    space, orders = load_structure(path)
+    space, orders = _load_structure(path)
     s = OrderedLambdaStructure(space, orders)
     report = s.validate()
     if not report.ok:
@@ -120,6 +141,7 @@ def cmd_lattice_bounds(args) -> int:
 
 
 def cmd_lattice_enum(args) -> int:
+    _in_range("--max-size", args.max_size, 2)
     lats = list(enumerate_distributive_lattices(args.max_size))
     payload = {"count": len(lats),
                "lattices": [{"size": l.n, "covers": [
@@ -139,7 +161,7 @@ def cmd_lattice_enum(args) -> int:
 
 def cmd_space_check(args) -> int:
     lat = load_lattice(args.lattice) if args.lattice else None
-    space, orders = load_structure(args.file, lat)
+    space, orders = _load_structure(args.file, lat)
     report = validate_space(space)
     payload = {"validation": report.as_dict()}
     human = [f"valid: {report.ok}"]
@@ -150,7 +172,7 @@ def cmd_space_check(args) -> int:
 
 
 def cmd_space_amalgam(args) -> int:
-    base, _ = load_structure(args.base)
+    base, _ = _load_structure(args.base)
     f1, _ = load_structure(args.f1, base.lattice)
     f2, _ = load_structure(args.f2, base.lattice)
     result = canonical_amalgam(base, f1, f2)
@@ -170,7 +192,7 @@ def cmd_space_amalgam(args) -> int:
 def cmd_space_probe(args) -> int:
     _in_range("--max-base", args.max_base, 0)
     _in_range("--max-new", args.max_new, 0)
-    lat = load_lattice(args.file)
+    lat = _lattice_checked(load_lattice(args.file), args.file)
     found = amalgamation_failure_probe(lat, max_base=args.max_base, max_new=args.max_new)
     if found is None:
         _emit(args, {"failure": None}, ["no amalgamation failure found"])
@@ -191,7 +213,7 @@ def cmd_space_probe(args) -> int:
 
 
 def cmd_sq_check(args) -> int:
-    space, orders = load_structure(args.file)
+    space, orders = _load_structure(args.file)
     s = OrderedLambdaStructure(space, orders)
     report = s.validate()
     payload = {"validation": report.as_dict(), "orders": len(orders)}
@@ -231,7 +253,7 @@ def cmd_sq_split(args) -> int:
 def cmd_gen(args) -> int:
     _in_range("--size", args.size, 1)
     _in_range("--depth", args.depth, 1)
-    lat = load_lattice(args.lattice)
+    lat = _lattice_checked(load_lattice(args.lattice), args.lattice)
     signature = _parse_orders_spec(args.orders, lat)
     cfg = GenerationConfig(seed=args.seed, target_size=args.size,
                            saturation_depth=args.depth)
@@ -372,7 +394,10 @@ def cmd_cameron(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    caller of ``main``."""
     parser = argparse.ArgumentParser(prog="permlat")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -48,6 +48,8 @@ def load_lattice(path: str | Path) -> FiniteLattice:
     for lineno, line in _lines(path):
         if line.startswith("elements:"):
             elements = tuple(line.split(":", 1)[1].split())
+            if not elements:
+                raise FormatError(f"{path}:{lineno}: 'elements:' names no element")
         elif line.startswith("cover:"):
             body = line.split(":", 1)[1]
             parts = body.split("<")

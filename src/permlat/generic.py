@@ -83,11 +83,6 @@ def enumerate_one_point_types(s: OrderedLambdaStructure, A) -> list[OnePointType
             for delta, gaps in _CheckContext(s).types(_index_of(s, A))]
 
 
-def type_is_consistent(s: OrderedLambdaStructure, t: OnePointType) -> bool:
-    want = (tuple(t.distances), tuple(t.order_constraints))
-    return want in _CheckContext(s).types(_index_of(s, t.over))
-
-
 def realizers(s: OrderedLambdaStructure, t: OnePointType) -> list[str]:
     """Points of s satisfying the type exactly."""
     ctx = _CheckContext(s)
@@ -115,10 +110,17 @@ class RealizeResult:
     realized_by: str | None
 
 
-def _require_meet_irreducible_bottoms(s_or_sig, lat: FiniteLattice) -> None:
+def _require_generable(lat: FiniteLattice, signature) -> None:
+    """Generation needs a distributive lattice and, per order, a
+    meet-irreducible bottom below the top."""
+    dist_check = is_distributive(lat)
+    if not dist_check:
+        raise NonDistributiveError("generation requires a distributive lattice",
+                                   witness=dist_check.witness)
     mi = set(meet_irreducibles(lat).elements)
-    sig = s_or_sig if isinstance(s_or_sig, (list, tuple)) else s_or_sig.signature()
-    for bottom, top in sig:
+    for bottom, top in signature:
+        if not lat.leq(bottom, top):
+            raise ValueError(f"order bottom {bottom} does not lie below top {top}")
         if bottom not in mi:
             raise MeetReducibleBottomError(
                 f"order bottom {bottom} is meet-reducible; amalgamation could "
@@ -130,33 +132,44 @@ def realize_type(s: OrderedLambdaStructure, t: OnePointType,
     """Extend by one fresh point satisfying the type; distances outside the
     base come from the canonical amalgam completion, unconstrained rank slots
     from the seeded stream. Idempotent when the type is already realized."""
-    lat = s.space.lattice
-    dist_check = is_distributive(lat)
-    if not dist_check:
-        raise NonDistributiveError("generation requires a distributive lattice",
-                                   witness=dist_check.witness)
-    _require_meet_irreducible_bottoms(s, lat)
-    if not type_is_consistent(s, t):
+    _require_generable(s.space.lattice, s.signature())
+    dense = OrderedLambdaStructure(s.space, tuple(o.renormalized() for o in s.orders))
+    ctx = _CheckContext(dense)
+    idx_a = _index_of(s, t.over)
+    want = (tuple(t.distances), tuple(t.order_constraints))
+    if want not in ctx.types(idx_a):
         raise ValueError(f"inconsistent type over {t.over}")
-    if rng is None:
-        rng = random.Random(0)
-    existing = realizers(s, t)
-    if existing:
-        return RealizeResult(s, None, existing[0])
+    for z in range(ctx.n):
+        if z not in idx_a and ctx.point_type(idx_a, z) == want:
+            return RealizeResult(s, None, s.space.points[z])
+    grown = _append_point(dense, ctx, idx_a, *want, rng or random.Random(0))
+    return RealizeResult(grown, grown.space.points[-1], None)
 
-    space = s.space
+
+def _new_name(space: LambdaSpace) -> str:
     name = f"p{space.n}"
     while name in space.pindex:
         name = name + "'"
-    idx_a = _index_of(s, t.over)
-    delta = dict(zip(idx_a, t.distances))
+    return name
+
+
+def _append_point(s: OrderedLambdaStructure, ctx: _CheckContext, idx_a, delta, gaps,
+                  rng: random.Random) -> OrderedLambdaStructure:
+    """Append a fresh point of the unrealized type (delta, gaps) over the
+    base, with ctx bound to s. The orders of s must have dense ranks: the new
+    point's top class is then one old scale ranked 0..m-1, and a fresh class
+    takes a rank between two of them, ``renormalized`` closing the gap."""
+    lat = ctx.lat
+    space = s.space
     n = space.n
+    name = _new_name(space)
+    delta_at = dict(zip(idx_a, delta))
     new_d = []
     for z in range(n):
-        if z in delta:
-            new_d.append(delta[z])
+        if z in delta_at:
+            new_d.append(delta_at[z])
             continue
-        m = lat.meet_many_idx([lat.join_idx(d, space.dist[a][z]) for a, d in delta.items()])
+        m = lat.meet_many_idx([lat.join_idx(d, space.dist[a][z]) for a, d in delta_at.items()])
         if m == lat.bottom_idx:
             # cannot happen: the type is unrealized, and a bottom distance
             # here would make z realize it
@@ -167,40 +180,30 @@ def realize_type(s: OrderedLambdaStructure, t: OnePointType,
     dist = [list(row) + [new_d[i]] for i, row in enumerate(space.dist)]
     dist.append(new_d + [lat.bottom_idx])
     new_space = LambdaSpace(lat, space.points + (name,), tuple(map(tuple, dist)))
-
-    ctx = _CheckContext(s)
     new_orders = []
-    for o, (bot, top, reps, _), gap, sc in zip(s.orders, ctx.orders, t.order_constraints,
-                                               ctx.scale_ranks(idx_a, tuple(t.distances))):
+    for o, (bot, top, reps, _), gap, sc in zip(s.orders, ctx.orders, gaps,
+                                               ctx.scale_ranks(idx_a, delta)):
         rank = dict(o.rank)
         if not any(ctx.leq(d, bot) for d in new_d):
-            # fresh class, represented by the new point itself
-            ordered = sorted({space.points[reps[i]] for i in range(n) if ctx.leq(new_d[i], top)},
-                             key=rank.__getitem__)
-            ranks = [rank[c] for c in ordered]
-            if gap is not None:
-                # slots strictly after the gap's left base class, at most at
-                # the right base class
-                left = bisect.bisect_right(ranks, sc[gap - 1]) if gap > 0 else 0
-                right = bisect.bisect_left(ranks, sc[gap]) if gap < len(sc) else len(ordered)
-                slot = rng.randint(left, right)
+            # fresh class, represented by the new point itself; slots run
+            # strictly after the gap's left base class, at most at the right one
+            m = len({reps[i] for i in range(n) if ctx.leq(new_d[i], top)})
+            if gap is None:
+                slot = rng.randint(0, m)
             else:
-                slot = rng.randint(0, len(ordered))
-            for pos, c in enumerate(ordered):
-                rank[c] = pos if pos < slot else pos + 1
-            rank[name] = slot
+                slot = rng.randint(sc[gap - 1] + 1 if gap > 0 else 0,
+                                   sc[gap] if gap < len(sc) else m)
+            rank[name] = slot - 0.5
         new_orders.append(SubquotientOrder(new_space, o.bottom, o.top, rank).renormalized())
-    out = OrderedLambdaStructure(new_space, tuple(new_orders))
-    return RealizeResult(out, name, None)
+    return OrderedLambdaStructure(new_space, tuple(new_orders))
 
 
 def _force_far_point(s: OrderedLambdaStructure, rng: random.Random) -> OrderedLambdaStructure:
-    """Append a point at top distance from everything, ranks seeded."""
+    """Append a point at top distance from everything, ranks seeded. The
+    orders of s must have dense ranks, as for ``_append_point``."""
     lat = s.space.lattice
     space = s.space
-    name = f"p{space.n}"
-    while name in space.pindex:
-        name = name + "'"
+    name = _new_name(space)
     n = space.n
     dist = [list(row) + [lat.top_idx] for row in space.dist]
     dist.append([lat.top_idx] * n + [lat.bottom_idx])
@@ -208,14 +211,8 @@ def _force_far_point(s: OrderedLambdaStructure, rng: random.Random) -> OrderedLa
     new_orders = []
     for o in s.orders:
         rank = dict(o.rank)
-        if o.top == lat.top:
-            scale = sorted((c for c in rank), key=rank.get)
-            slot = rng.randint(0, len(scale))
-            for pos, c in enumerate(scale):
-                rank[c] = pos if pos < slot else pos + 1
-            rank[name] = slot
-        else:
-            rank[name] = 0
+        # below the lattice top the new point is alone in its top class
+        rank[name] = rng.randint(0, len(rank)) - 0.5 if o.top == lat.top else 0
         new_orders.append(SubquotientOrder(new_space, o.bottom, o.top, rank).renormalized())
     return OrderedLambdaStructure(new_space, tuple(new_orders))
 
@@ -287,12 +284,8 @@ def generate_generic(lat: FiniteLattice, sq_signature, cfg: GenerationConfig,
     start only needs the subsets that meet a point appended since the last
     census; every other realized pattern is already registered.
     """
-    dist_check = is_distributive(lat)
-    if not dist_check:
-        raise NonDistributiveError("generation requires a distributive lattice",
-                                   witness=dist_check.witness)
     signature = [tuple(pair) for pair in sq_signature]
-    _require_meet_irreducible_bottoms(signature, lat)
+    _require_generable(lat, signature)
     if len(set(signature)) < len(signature):
         warnings.warn("two subquotient orders share bottom and top; reversal "
                       "deduplication is not applied", stacklevel=2)
@@ -324,9 +317,8 @@ def generate_generic(lat: FiniteLattice, sq_signature, cfg: GenerationConfig,
         if not cand:
             return False
         delta, gaps = cand[rng.randrange(len(cand))]
-        names = tuple(s.space.points[a] for a in A)
         # the new point realizes the picked type over A: append registers it
-        append(realize_type(s, OnePointType(names, delta, gaps), rng).structure)
+        append(_append_point(s, ctx, A, delta, gaps, rng))
         return True
 
     while s.space.n < cfg.target_size:

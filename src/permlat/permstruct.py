@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from math import ceil, log2
 
-from .errors import MissingMeetIrreducibleError, NonDistributiveError
+from .errors import MissingMeetIrreducibleError, NonDistributiveError, SizeCapError
 from .lattice import (FiniteLattice, FinitePoset, is_distributive, lambda0_poset,
                       meet_irreducibles, min_chain_cover)
 from .sqorders import OrderedLambdaStructure, SubquotientOrder, compose_lex, generic_filler
@@ -381,16 +381,13 @@ def _convex_in_order(p: PermStructure, partition, order: int) -> bool:
 # profiles and the two-order catalog
 
 
-def profile(p: PermStructure, k: int, sample_cap: int | None = None) -> Counter:
+def profile(p: PermStructure, k: int) -> Counter:
     """Multiset of k-point types: orbits of labeled k-tuples, keyed by the
-    orientation matrix of the tuple. Exhaustive for k <= 4."""
-    if k > 4 and sample_cap is None:
-        raise ValueError("profile is exhaustive only for k <= 4; pass sample_cap")
+    orientation matrix of the tuple. Exhaustive, so refused for k > 4."""
+    if k > 4:
+        raise SizeCapError(f"profile is capped at k = 4, got {k}")
     out: Counter = Counter()
-    subsets = itertools.combinations(range(p.N), k)
-    if sample_cap is not None:
-        subsets = itertools.islice(subsets, sample_cap)
-    for sub in subsets:
+    for sub in itertools.combinations(range(p.N), k):
         for perm in itertools.permutations(sub):
             key = tuple(p.vector_idx(perm[u], perm[v])
                         for u in range(k) for v in range(k) if u != v)

@@ -9,6 +9,7 @@ rank maps. Class representatives are the first member in point order.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,11 +31,18 @@ def class_reps(space: LambdaSpace, level_idx: int) -> list[int]:
     return reps
 
 
-def _dense(scale: list[tuple[str, int]]) -> dict[str, int]:
-    out = {}
-    for pos, (rep, _) in enumerate(sorted(scale, key=lambda t: t[1])):
-        out[rep] = pos
-    return out
+def _ranks(space: LambdaSpace, bottom_reps: list[int], top_reps: list[int],
+           key=None) -> dict[str, int]:
+    """Dense rank of each bottom class inside its top class, ordered by
+    ``key`` on the representative's point index (point order when None);
+    ties keep point order. Scales come top class by top class in point
+    order, each in rank order, so rank 0 opens every scale."""
+    scales: dict[int, list[int]] = {}
+    for i in range(space.n):
+        if bottom_reps[i] == i:
+            scales.setdefault(top_reps[i], []).append(i)
+    return {space.points[i]: pos for scale in scales.values()
+            for pos, i in enumerate(sorted(scale, key=key))}
 
 
 class SubquotientOrder:
@@ -65,17 +73,16 @@ class SubquotientOrder:
         """
         o = cls(space, bottom, top, {}, _pairs=frozenset(pairs))
         if validate_sqorder(o).ok:
-            rank = {}
-            for scale in o._scales():
-                below = {c: sum(1 for d in scale if (d, c) in o._declared_pairs) for c in scale}
-                rank.update(_dense([(c, below[c]) for c in scale]))
-            o.rank = rank
+            # a legal relation only pairs classes of one scale
+            below = Counter(c for _, c in o._declared_pairs)
+            o.rank = _ranks(space, o.bottom_reps, o.top_reps,
+                            key=lambda i: below[space.points[i]])
         return o
 
     def renormalized(self) -> "SubquotientOrder":
-        rank = {}
-        for scale in self._scales():
-            rank.update(_dense([(c, self.rank[c]) for c in scale]))
+        points = self.space.points
+        rank = _ranks(self.space, self.bottom_reps, self.top_reps,
+                      key=lambda i: self.rank[points[i]])
         return SubquotientOrder(self.space, self.bottom, self.top, rank)
 
     # -- structure ------------------------------------------------------
@@ -94,15 +101,12 @@ class SubquotientOrder:
 
     def _scales(self) -> list[list[str]]:
         """Bottom-class representatives grouped by top class, in point order."""
-        groups: dict[int, list[str]] = {}
-        seen = set()
-        for i in range(self.space.n):
-            rep = self.bottom_reps[i]
-            if rep in seen:
-                continue
-            seen.add(rep)
-            groups.setdefault(self.top_reps[i], []).append(self.space.points[rep])
-        return [groups[k] for k in sorted(groups)]
+        scales: list[list[str]] = []
+        for c, pos in _ranks(self.space, self.bottom_reps, self.top_reps).items():
+            if pos == 0:
+                scales.append([])
+            scales[-1].append(c)
+        return scales
 
     def comparable(self, x: str, y: str) -> bool:
         i, j = self.space.pindex[x], self.space.pindex[y]
@@ -242,21 +246,9 @@ def restrict_to(o: SubquotientOrder, g: str) -> Restriction:
     new_bottom = lat.meet(o.bottom, g)
     mode = "top-lowering" if lat.leq(o.bottom, g) else "cross"
     space = o.space
-    new_reps = class_reps(space, lat.index[new_bottom])
-    g_reps = class_reps(space, lat.index[g])
-    rank: dict[str, int] = {}
-    scales: dict[int, list[tuple[str, int]]] = {}
-    seen = set()
-    for i in range(space.n):
-        rep = new_reps[i]
-        if rep in seen:
-            continue
-        seen.add(rep)
-        # sort key: rank of the containing original bottom-class
-        key = o.rank[space.points[o.bottom_reps[i]]]
-        scales.setdefault(g_reps[i], []).append((space.points[rep], key))
-    for scale in scales.values():
-        rank.update(_dense(scale))
+    # a new class ranks as the original bottom class containing it
+    rank = _ranks(space, class_reps(space, lat.index[new_bottom]), class_reps(space, lat.index[g]),
+                  key=lambda i: o.rank[space.points[o.bottom_reps[i]]])
     return Restriction(SubquotientOrder(space, new_bottom, g, rank), mode)
 
 
@@ -269,22 +261,9 @@ def compose_lex(lo: SubquotientOrder, hi: SubquotientOrder) -> SubquotientOrder:
     if lo.space != hi.space:
         raise ValueError("orders must live on one space")
     space = lo.space
-    rank: dict[str, int] = {}
-    scales: dict[int, list[tuple[str, tuple[int, int]]]] = {}
-    seen = set()
-    hi_top_reps = class_reps(space, space.lattice.index[hi.top])
-    for i in range(space.n):
-        rep = lo.bottom_reps[i]
-        if rep in seen:
-            continue
-        seen.add(rep)
-        mid_rep = space.points[lo.top_reps[i]]
-        key = (hi.rank[mid_rep], lo.rank[space.points[rep]])
-        scales.setdefault(hi_top_reps[i], []).append((space.points[rep], key))
-    for scale in scales.values():
-        ordered = sorted(scale, key=lambda t: t[1])
-        for pos, (rep, _) in enumerate(ordered):
-            rank[rep] = pos
+    points = space.points
+    rank = _ranks(space, lo.bottom_reps, class_reps(space, space.lattice.index[hi.top]),
+                  key=lambda i: (hi.rank[points[lo.top_reps[i]]], lo.rank[points[i]]))
     return SubquotientOrder(space, lo.bottom, hi.top, rank)
 
 
@@ -334,21 +313,10 @@ def split_convex_linear(o: SubquotientOrder, e: str) -> tuple[SubquotientOrder, 
         raise NotConvexError(f"order is not {e}-convex", witness=conv.witness)
     within = restrict_to(o, e).order
     space = o.space
-    e_reps = class_reps(space, lat.index[e])
-    rank: dict[str, int] = {}
-    scales: dict[int, list[tuple[str, int]]] = {}
-    seen = set()
-    for i in range(space.n):
-        rep = e_reps[i]
-        if rep in seen:
-            continue
-        seen.add(rep)
-        # block position: rank of any member class (convexity makes min valid)
-        key = min(o.rank[space.points[o.bottom_reps[j]]]
-                  for j in range(space.n) if e_reps[j] == rep)
-        scales.setdefault(o.top_reps[i], []).append((space.points[rep], key))
-    for scale in scales.values():
-        rank.update(_dense(scale))
+    # convexity makes the e-classes disjoint rank intervals of a scale, so
+    # the rank of any member class (here the representative's) orders them
+    rank = _ranks(space, class_reps(space, lat.index[e]), o.top_reps,
+                  key=lambda i: o.rank[space.points[o.bottom_reps[i]]])
     between = SubquotientOrder(space, e, o.top, rank)
     return within, between
 
@@ -358,21 +326,9 @@ def generic_filler(space: LambdaSpace, bottom: str, top: str, rng) -> Subquotien
     lat = space.lattice
     if not lat.leq(bottom, top):
         raise ValueError(f"{bottom} not below {top}")
-    b_reps = class_reps(space, lat.index[bottom])
-    t_reps = class_reps(space, lat.index[top])
-    groups: dict[int, list[str]] = {}
-    seen = set()
-    for i in range(space.n):
-        rep = b_reps[i]
-        if rep in seen:
-            continue
-        seen.add(rep)
-        groups.setdefault(t_reps[i], []).append(space.points[rep])
-    rank: dict[str, int] = {}
-    for key in sorted(groups):
-        scale = groups[key]
+    o = SubquotientOrder(space, bottom, top, {})
+    for scale in o._scales():
         perm = list(range(len(scale)))
         rng.shuffle(perm)
-        for c, r in zip(scale, perm):
-            rank[c] = r
-    return SubquotientOrder.from_ranks(space, bottom, top, rank)
+        o.rank.update(zip(scale, perm))
+    return o

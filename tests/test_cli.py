@@ -1,9 +1,15 @@
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permlat.cli import main
 from permlat.formats import (dump_lattice, dump_perm, dump_structure, load_lattice,
@@ -221,6 +227,18 @@ def test_entry_point_runs():
     (["profile", "--in", "{perm}", "--k", "-1"], 2, "USAGE"),
     (["profile", "--in", "{perm}", "--k", "5"], 2, "USAGE"),
     (["cameron", "--size", "0"], 2, "USAGE"),
+    (["gen", "--lattice", "{lat}", "--orders", "E:0", "--size", "4", "--out", "{out}"],
+     2, "USAGE"),
+    (["lattice", "enum", "--max-size", "1"], 2, "USAGE"),
+    (["lattice", "enum", "--max-size", "0"], 2, "USAGE"),
+    (["lattice", "enum", "--max-size", "-1"], 2, "USAGE"),
+    (["space", "probe", "{nolat}"], 1, "NOT_A_LATTICE"),
+    (["gen", "--lattice", "{nolat}", "--orders", "a:b", "--size", "4", "--out", "{out}"],
+     1, "NOT_A_LATTICE"),
+    (["check", "ext", "--in", "{nolat_s}"], 1, "NOT_A_LATTICE"),
+    (["space", "check", "{nolat_s}"], 1, "NOT_A_LATTICE"),
+    (["sq", "check", "{nolat_s}"], 1, "NOT_A_LATTICE"),
+    (["space", "amalgam", "{nolat_s}", "{nolat_s}", "{nolat_s}"], 1, "NOT_A_LATTICE"),
 ])
 def test_bad_input_is_a_coded_error(fixtures, capsys, argv, code, err):
     struct = fixtures / "s.struct"
@@ -231,8 +249,13 @@ def test_bad_input_is_a_coded_error(fixtures, capsys, argv, code, err):
                               if not line.startswith("rank:")))
     perm = fixtures / "s.perm"
     perm.write_text("1 3\na 0\nb 2\nc 1\n")
+    # two incomparable elements: no bottom, no top, no meet or join
+    (fixtures / "nolat.lat").write_text("elements: a b\n")
+    nolat_s = fixtures / "nolat.struct"
+    nolat_s.write_text("lattice: nolat.lat\npoints: p0\n")
     paths = {"s": struct, "norank": norank, "lat": fixtures / "chain3.lat",
-             "out": fixtures / "z.struct", "perm": perm}
+             "out": fixtures / "z.struct", "perm": perm, "nolat": fixtures / "nolat.lat",
+             "nolat_s": nolat_s}
     assert main([a.format(**paths) for a in argv]) == code
     assert f"error [{err}]" in capsys.readouterr().err
 
@@ -261,6 +284,55 @@ def test_malformed_file_is_a_format_error_at_its_line(fixtures, capsys, argv, ed
     assert code == 1
     assert "error [FORMAT]" in err
     assert where in err
+
+
+@pytest.mark.parametrize("argv", [["lattice", "check"], ["lattice", "bounds"],
+                                  ["space", "probe"]])
+def test_empty_elements_line_is_a_format_error_at_its_line(tmp_path, capsys, argv):
+    lat = tmp_path / "e.lat"
+    lat.write_text("# no elements\nelements:\n")
+    assert main(argv + [str(lat)]) == 1
+    err = capsys.readouterr().err
+    assert "error [FORMAT]" in err and "e.lat:2:" in err
+
+
+def test_lattice_check_lists_the_violations_of_a_non_lattice(tmp_path, capsys):
+    lat = tmp_path / "nolat.lat"
+    lat.write_text("elements: a b\n")
+    code, out = run(["lattice", "check", lat], capsys)
+    assert code == 1
+    assert "valid: False" in out and "violation meet-total" in out
+
+
+# -- fuzzed lattice files --------------------------------------------------------
+
+
+@st.composite
+def lattice_files(draw):
+    """A lattice file of 0-5 elements with random covers (cycles, loops and
+    non-lattices included) and an order signature over its elements."""
+    names = [f"x{i}" for i in range(draw(st.integers(0, 5)))]
+    element = st.sampled_from(names or ["x0"])
+    covers = draw(st.lists(st.tuples(element, element), max_size=8)) if names else []
+    text = "elements: " + " ".join(names) + "\n"
+    text += "".join(f"cover: {a} < {b}\n" for a, b in covers)
+    return text, f"{draw(element)}:{draw(element)}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_files())
+def test_fuzzed_lattice_files_give_an_exit_code_not_a_traceback(case):
+    text, orders = case
+    with tempfile.TemporaryDirectory() as tmp:
+        lat = Path(tmp) / "f.lat"
+        lat.write_text(text)
+        for argv in (["lattice", "check", lat], ["lattice", "bounds", lat],
+                     ["space", "probe", lat, "--max-base", "1", "--max-new", "1"],
+                     ["gen", "--lattice", lat, "--orders", orders, "--size", "4",
+                      "--depth", "1", "--out", Path(tmp) / "g.struct"]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert main([str(a) for a in argv]) in (0, 1, 2)
 
 
 # -- golden digests -------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from permlat.errors import MeetReducibleBottomError, NonDistributiveError
 from permlat.generic import (GenerationConfig, HomogeneityReport, OnePointType,
-                             SaturationReport, _CheckContext, _force_far_point,
+                             SaturationReport, _append_point, _CheckContext, _force_far_point,
                              empty_structure, enumerate_one_point_types,
                              extension_property_check, generate_generic, homogeneity_check,
                              realize_type, realizers, tp_point)
@@ -84,6 +84,11 @@ def test_meet_reducible_bottom_rejected(b2):
     s = empty_structure(b2, [("0", "1")])
     with pytest.raises(MeetReducibleBottomError):
         realize_type(s, OnePointType((), (), (None,)), random.Random(0))
+
+
+def test_order_bottom_above_top_rejected(b2):
+    with pytest.raises(ValueError, match="does not lie below"):
+        gen(b2, [("a", "b")], size=5)
 
 
 def test_generation_rejects_non_distributive():
@@ -219,9 +224,8 @@ def test_exact_types_round_trip(chain3):
             assert z in realizers(s, t)
 
 
-def test_collapsed_completion_is_a_coded_error(b2, monkeypatch):
-    # a realized type whose realizer is hidden: the completion lands on it
-    import permlat.generic as generic
+def test_collapsed_completion_is_a_coded_error(b2):
+    # the appender handed a realized type: the completion lands on its realizer
     from permlat.errors import CollapsedCompletionError
     a, b, one = (b2.index[e] for e in ("a", "b", "1"))
     s = empty_structure(b2, [("a", "1"), ("b", "1")])
@@ -229,9 +233,9 @@ def test_collapsed_completion_is_a_coded_error(b2, monkeypatch):
     s = realize_type(s, OnePointType(("p0",), (one,), (0, 0)), random.Random(0)).structure
     t = OnePointType(("p0", "p1"), (a, b), (None, None))
     s = realize_type(s, t, random.Random(0)).structure
-    monkeypatch.setattr(generic, "realizers", lambda s, t: [])
+    assert realizers(s, t) == ["p2"]
     with pytest.raises(CollapsedCompletionError) as e:
-        realize_type(s, t, random.Random(0))
+        _append_point(s, _CheckContext(s), (0, 1), (a, b), (None, None), random.Random(0))
     assert e.value.code == "COLLAPSED_COMPLETION"
 
 

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from permlat.errors import MissingMeetIrreducibleError
+from permlat.errors import MissingMeetIrreducibleError, SizeCapError
 from permlat.generic import GenerationConfig, generate_generic
 from permlat.lattice import b2_plus_top, lattices_isomorphic, meet_irreducibles
 from permlat.permstruct import (PermStructure, cameron_enumeration, decode_relations,
@@ -111,6 +111,13 @@ def test_profile_identity_structure_two_types():
     ranks = tuple(range(10))
     p = PermStructure(tuple(f"v{i}" for i in range(10)), (ranks, ranks))
     assert len(profile(p, 2)) == 2
+
+
+def test_profile_refuses_k_above_4():
+    # the count is exhaustive over k-subsets, so sizes past 4 are capped
+    p = PermStructure(("v0", "v1"), ((0, 1),))
+    with pytest.raises(SizeCapError):
+        profile(p, 5)
 
 
 def test_profile_generic_two_orders_four_types(chain2):
