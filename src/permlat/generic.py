@@ -131,7 +131,8 @@ def realize_type(s: OrderedLambdaStructure, t: OnePointType,
                  rng: random.Random | None = None) -> RealizeResult:
     """Extend by one fresh point satisfying the type; distances outside the
     base come from the canonical amalgam completion, unconstrained rank slots
-    from the seeded stream. Idempotent when the type is already realized."""
+    from the seeded stream. Idempotent when the type is already realized.
+    The input orders may have sparse ranks: they are renormalized first."""
     _require_generable(s.space.lattice, s.signature())
     dense = OrderedLambdaStructure(s.space, tuple(o.renormalized() for o in s.orders))
     ctx = _CheckContext(dense)
