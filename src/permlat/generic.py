@@ -695,12 +695,15 @@ def homogeneity_check(s: OrderedLambdaStructure, m: int) -> HomogeneityReport:
     ctx = _CheckContext(s)
     points = s.space.points
     classes: dict[_Class, list] = {}
+    in_class: dict = {}  # (form, exact type) -> the type in class coordinates
     for size in range(0, m + 1):
         for A in itertools.combinations(range(ctx.n), size):
             form = ctx.form(A)
             exact: dict = {}
             for t, count in ctx.exact_types(A, counts=True).items():
-                key = _apply_perm_type(*t, form.perm)
+                key = in_class.get((form, t))
+                if key is None:
+                    key = in_class[form, t] = _apply_perm_type(*t, form.perm)
                 exact[key] = exact.get(key, 0) + count
             classes.setdefault(form.cls, []).append((A, form, exact))
     pairs_checked = 0

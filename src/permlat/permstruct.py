@@ -146,6 +146,9 @@ def encode_orders(s: OrderedLambdaStructure, cover: str | list = "auto",
     mapping every lattice relation and every input order to its defining
     union of orientation types."""
     lat = s.space.lattice
+    if lat.n == 1 and s.orders:
+        raise SizeCapError("encoding an order needs a lattice of at least 2 elements: "
+                           "a one-element lattice has no chain segment to host it")
     dist = is_distributive(lat)
     if not dist:
         raise NonDistributiveError("encoding requires a distributive lattice",

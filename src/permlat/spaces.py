@@ -258,7 +258,7 @@ def canonical_amalgam(base: LambdaSpace, f1: LambdaSpace, f2: LambdaSpace) -> Am
     """
     lat = base.lattice
     if f1.lattice is not lat or f2.lattice is not lat:
-        raise ValueError("base and factors must share one lattice")
+        raise InvalidFactorError("base and factors must share one lattice")
     dist_check = is_distributive(lat)
     if not dist_check:
         raise NonDistributiveError("amalgamation requires a distributive lattice",
@@ -270,15 +270,16 @@ def canonical_amalgam(base: LambdaSpace, f1: LambdaSpace, f2: LambdaSpace) -> Am
                                      report=rep.as_dict())
         for p in base.points:
             if p not in factor.pindex:
-                raise ValueError(f"base point {p} missing from factor {name}")
+                raise InvalidFactorError(f"base point {p} missing from factor {name}")
         for x, y in itertools.combinations(base.points, 2):
             if factor.d(x, y) != base.d(x, y):
-                raise ValueError(f"factor {name} does not restrict to the base at ({x}, {y})")
+                raise InvalidFactorError(
+                    f"factor {name} does not restrict to the base at ({x}, {y})")
     new1 = [p for p in f1.points if p not in base.pindex]
     new2 = [p for p in f2.points if p not in base.pindex]
     clash = set(new1) & set(new2)
     if clash:
-        raise ValueError(f"point-id collision outside the base: {sorted(clash)}")
+        raise InvalidFactorError(f"point-id collision outside the base: {sorted(clash)}")
 
     def cross(a: str, b: str) -> int:
         terms = [lat.join_idx(f1.dist[f1.pindex[a]][f1.pindex[c]],
@@ -318,8 +319,8 @@ def canonical_amalgam(base: LambdaSpace, f1: LambdaSpace, f2: LambdaSpace) -> Am
 
 
 # ---------------------------------------------------------------------------
-# instance enumeration and the validity sweep; the failure probe reuses the
-# sweep on distributive lattices and enumerates instances itself otherwise
+# instance enumeration and the validity sweep; the failure probe reads the
+# sweep's faulty instances
 
 MAX_BASE_POINTS = 3
 
@@ -404,34 +405,20 @@ def _has_pseudo_completion(lat: FiniteLattice, base: LambdaSpace,
 
 def amalgamation_failure_probe(lat: FiniteLattice, max_base: int = 3,
                                max_new: int = 2) -> FailingInstance | None:
-    """Search for a base/factor pair with no amalgam at all.
+    """Search for a base/factor pair with no amalgam at all: the first
+    instance, in sweep order, that resists every completion, identification
+    included.
 
-    On a distributive lattice only the validity sweep's failures are
-    candidates, and the sweep finds none: the canonical completion always
-    works, identifying points where forced. On a non-distributive lattice
-    every instance is a candidate, and some instance in this space resists
-    every completion, identification included.
+    Only the sweep's faulty instances can resist: where the canonical
+    completion passes the sweep's checks it is itself a completion, since it
+    keeps every triangle through a cross pair and puts bottom only between
+    equal rows. On a distributive lattice the sweep finds no fault; on a
+    non-distributive one some instance in this space has no completion.
     """
-    if is_distributive(lat):
-        candidates = (failure[:3] for failure in _sweep(lat, max_base, max_new).failures)
-    else:
-        candidates = _instances(lat, max_base, max_new)
-    for base, f1, f2 in candidates:
+    for base, f1, f2, _ in _sweep(lat, max_base, max_new):
         if not _has_pseudo_completion(lat, base, f1, f2):
             return FailingInstance(base, f1, f2)
     return None
-
-
-def _instances(lat: FiniteLattice, max_base: int, max_new: int):
-    """Every (base, f1, f2) instance in sweep order: f2 runs over the
-    extensions from f1's position on."""
-    for base in _base_spaces(lat, max_base):
-        exts = list(_raw_extensions(lat, base, max_new))
-        exts1 = [_materialize(lat, base, ext, "x") for ext in exts]
-        exts2 = [_materialize(lat, base, ext, "y") for ext in exts]
-        for i1, f1 in enumerate(exts1):
-            for f2 in exts2[i1:]:
-                yield base, f1, f2
 
 
 @dataclass
@@ -440,34 +427,35 @@ class SweepReport:
     failures: list
 
 
-def _raw_extensions(lat: FiniteLattice, base: LambdaSpace, max_new: int):
-    """Extensions as (rows, mutual) integer tuples, unordered in the new points."""
+def _extensions(lat: FiniteLattice, base: LambdaSpace, max_new: int):
+    """The triangle-valid rows over the base, and the extensions as (row
+    indices, mutual distance) pairs, unordered in the new points; an
+    extension by one point has mutual distance None."""
     if max_new > 2:
         raise SizeCapError(f"extensions are capped at 2 new points, got {max_new}")
     rows = _triangle_rows(lat, base.dist)
-    for r in rows:
-        yield ((r,), None)
+    exts = [((i,), None) for i in range(len(rows))]
     if max_new >= 2:
         for i1, r1 in enumerate(rows):
             # mutual distances: rows over the base plus the first new point
             with_r1 = [row + (r1[c],) for c, row in enumerate(base.dist)] + [r1 + (lat.bottom_idx,)]
-            for r2 in rows[i1:]:
-                for *_, m in _triangle_rows(lat, with_r1, r2):
-                    yield ((r1, r2), m)
+            for i2 in range(i1, len(rows)):
+                exts.extend(((i1, i2), m) for *_, m in _triangle_rows(lat, with_r1, rows[i2]))
+    return rows, exts
 
 
-def _materialize(lat, base, ext, prefix) -> LambdaSpace:
-    rows, mutual = ext
+def _materialize(lat, base, rows, ext, prefix) -> LambdaSpace:
+    idx, mutual = ext
     k = base.n
-    pts = base.points + tuple(f"{prefix}{i}" for i in range(len(rows)))
+    pts = base.points + tuple(f"{prefix}{i}" for i in range(len(idx)))
     n = len(pts)
     dist = [[lat.bottom_idx] * n for _ in range(n)]
     for i in range(k):
         for j in range(k):
             dist[i][j] = base.dist[i][j]
-    for a, row in enumerate(rows):
+    for a, i in enumerate(idx):
         for c in range(k):
-            dist[k + a][c] = dist[c][k + a] = row[c]
+            dist[k + a][c] = dist[c][k + a] = rows[i][c]
     if mutual is not None:
         dist[k][k + 1] = dist[k + 1][k] = mutual
     return LambdaSpace(lat, pts, tuple(map(tuple, dist)))
@@ -476,87 +464,101 @@ def _materialize(lat, base, ext, prefix) -> LambdaSpace:
 def amalgam_validity_sweep(lat: FiniteLattice, max_base: int = 3, max_new: int = 2,
                            check_maximality: bool = False) -> SweepReport:
     """Exhaustively amalgamate every instance (bases up to isomorphism) and
-    validate each output; optionally brute-check that every other completion
-    sits below the canonical one.
-
-    The inner loop works on raw integer rows: factor-internal triangles hold
-    by the enumeration constraints, so only triangles through a cross pair
-    need checking; forced-bottom cross pairs are fine exactly when the two
-    rows coincide (the identification case).
+    check each output; optionally brute-check that every other completion
+    sits below the canonical one. Reports the number of instances and every
+    faulty one with its reason (see ``_sweep``).
     """
     dist_check = is_distributive(lat)
     if not dist_check:
         raise NonDistributiveError("validity sweep expects a distributive lattice",
                                    witness=dist_check.witness)
-    return _sweep(lat, max_base, max_new, check_maximality)
+    report = SweepReport(0, [])
+    report.failures.extend(_sweep(lat, max_base, max_new, check_maximality, report))
+    return report
 
 
 def _sweep(lat: FiniteLattice, max_base: int, max_new: int,
-           check_maximality: bool = False) -> SweepReport:
-    report = SweepReport(0, [])
-    join = [list(row) for row in lat._join]
-    up = lat.poset.up
-    bot = lat.bottom_idx
-    top = lat.top_idx
+           check_maximality: bool = False, report: SweepReport | None = None):
+    """Every faulty instance as (base, f1, f2, reason), lazily and in sweep
+    order (bases, then f1 over the extensions, then f2 from f1's position
+    on); adds the number of instances to ``report.instances`` base by base.
 
-    def leq(i, j):
-        return up[i] & (1 << j)
-
+    An instance is faulty when its canonical completion breaks a triangle
+    through a cross pair or puts two distinct rows at distance bottom
+    (factor-internal triangles hold by the enumeration). That depends only
+    on pairs of rows: per base, one table holds each row pair's cross
+    distance and first fault, and each extension gets a mask of its rows and
+    a mask of the rows it faults against, by a pair fault or by a triangle
+    through its other new point. An instance is faulty exactly when either
+    factor's fault mask meets the other's rows. With ``check_maximality``
+    each clean instance is also brute-checked for a completion above the
+    canonical one.
+    """
+    n, bot, top = lat.n, lat.bottom_idx, lat.top_idx
+    up, join, meet = lat.poset.up, lat._join, lat._meet
+    # ok[x][y] >> z & 1: whether the join-triangle on (x, y, z) holds
+    ok = [[sum(1 << z for z in range(n) if _triangle_ok(up, join, x, y, z)) for y in range(n)]
+          for x in range(n)]
     for base in _base_spaces(lat, max_base):
-        k = base.n
-        exts = list(_raw_extensions(lat, base, max_new))
-        for i1 in range(len(exts)):
-            rows1, m1 = exts[i1]
-            for i2 in range(i1, len(exts)):
-                rows2, m2 = exts[i2]
-                report.instances += 1
-                # cross distances: meet over base of join-paths
-                cross = [[0] * len(rows2) for _ in range(len(rows1))]
-                for a, ra in enumerate(rows1):
-                    for b, rb in enumerate(rows2):
-                        m = top
-                        for c in range(k):
-                            t = join[ra[c]][rb[c]]
-                            m = m if leq(m, t) else (t if leq(t, m) else lat.meet_idx(m, t))
-                        cross[a][b] = m
-                bad = None
-                for a, ra in enumerate(rows1):
-                    for b, rb in enumerate(rows2):
-                        cab = cross[a][b]
-                        if cab == bot and ra != rb:
-                            bad = ("identification of distinct types", a, b)
-                            break
-                        # triangles through each base point
-                        for c in range(k):
-                            if not leq(ra[c], join[cab][rb[c]]) or not leq(rb[c], join[cab][ra[c]]):
-                                bad = ("base triangle", a, b, c)
-                                break
-                        if bad:
-                            break
-                        # triangles through the sibling new point on either side
-                        if len(rows1) == 2:
-                            o = 1 - a
-                            if not _triangle_ok(up, join, cab, m1, cross[o][b]):
-                                bad = ("f1 sibling triangle", a, b)
-                                break
-                        if len(rows2) == 2:
-                            o = 1 - b
-                            if not _triangle_ok(up, join, cab, m2, cross[a][o]):
-                                bad = ("f2 sibling triangle", a, b)
-                                break
-                    if bad:
-                        break
-                if bad is not None:
-                    f1 = _materialize(lat, base, exts[i1], "x")
-                    f2 = _materialize(lat, base, exts[i2], "y")
-                    report.failures.append((base, f1, f2, bad))
-                elif check_maximality:
-                    f1 = _materialize(lat, base, exts[i1], "x")
-                    f2 = _materialize(lat, base, exts[i2], "y")
-                    result = canonical_amalgam(base, f1, f2)
-                    if not _completions_below(lat, base, f1, f2, result):
-                        report.failures.append((base, f1, f2, "non-maximal canonical completion"))
-    return report
+        rows, exts = _extensions(lat, base, max_new)
+        nrows = len(rows)
+        cross = [[top] * nrows for _ in range(nrows)]
+        fault = [[None] * nrows for _ in range(nrows)]
+        for i, ri in enumerate(rows):
+            for j in range(i, nrows):
+                rj = rows[j]
+                m = top
+                for x, y in zip(ri, rj):
+                    m = meet[m][join[x][y]]
+                cross[i][j] = cross[j][i] = m
+                if m == bot and i != j:
+                    f = ("identification of distinct types",)
+                else:
+                    jm = join[m]
+                    f = next((("base triangle", c) for c, (x, y) in enumerate(zip(ri, rj))
+                              if not (up[x] >> jm[y] & 1 and up[y] >> jm[x] & 1)), None)
+                fault[i][j] = fault[j][i] = f
+        faulty = [sum(1 << j for j, f in enumerate(fi) if f) for fi in fault]
+        masks = []
+        for idx, m in exts:
+            own = bad = 0
+            for i in idx:
+                own |= 1 << i
+                bad |= faulty[i]
+            if m is not None:
+                okm = [ok[u][m] for u in range(n)]
+                bad |= sum(1 << r for r, (u, v) in enumerate(zip(cross[idx[0]], cross[idx[1]]))
+                           if not okm[u] >> v & 1)
+            masks.append((own, bad))
+        if report is not None:
+            report.instances += len(exts) * (len(exts) + 1) // 2
+        for e1, (own1, bad1) in enumerate(masks):
+            for e2, (own2, bad2) in enumerate(masks[e1:], e1):
+                is_faulty = bad1 & own2 or bad2 & own1
+                if not (is_faulty or check_maximality):
+                    continue
+                f1 = _materialize(lat, base, rows, exts[e1], "x")
+                f2 = _materialize(lat, base, rows, exts[e2], "y")
+                if is_faulty:
+                    yield base, f1, f2, _reason(exts[e1], exts[e2], cross, fault, ok)
+                elif not _completions_below(lat, base, f1, f2, canonical_amalgam(base, f1, f2)):
+                    yield base, f1, f2, "non-maximal canonical completion"
+
+
+def _reason(ext1, ext2, cross, fault, ok) -> tuple:
+    """The first fault of a faulty instance, scanning its cross pairs (a, b)
+    in order: the pair's own fault, then the triangle through f1's other new
+    point, then the one through f2's."""
+    (idx1, m1), (idx2, m2) = ext1, ext2
+    for a, i in enumerate(idx1):
+        for b, j in enumerate(idx2):
+            if fault[i][j]:
+                name, *at = fault[i][j]
+                return (name, a, b, *at)
+            if m1 is not None and not ok[cross[i][j]][m1] >> cross[idx1[1 - a]][j] & 1:
+                return ("f1 sibling triangle", a, b)
+            if m2 is not None and not ok[cross[i][j]][m2] >> cross[i][idx2[1 - b]] & 1:
+                return ("f2 sibling triangle", a, b)
 
 
 def _completions_below(lat, base, f1, f2, result: AmalgamResult) -> bool:

@@ -260,6 +260,35 @@ def test_bad_input_is_a_coded_error(fixtures, capsys, argv, code, err):
     assert f"error [{err}]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("f1, f2, message", [
+    ("points: x\n", "points: b c y\nd: b c 1\nd: b y 1\nd: c y 1\n",
+     "base point b missing from factor f1"),
+    ("points: b c x\nd: b c E\nd: b x 1\nd: c x 1\n",
+     "points: b c y\nd: b c 1\nd: b y 1\nd: c y 1\n",
+     "factor f1 does not restrict to the base at (b, c)"),
+    ("points: b c x\nd: b c 1\nd: b x 1\nd: c x 1\n",
+     "points: b c x\nd: b c 1\nd: b x E\nd: c x 1\n", "point-id collision outside the base"),
+], ids=["missing-base-point", "base-not-restricted", "point-id-collision"])
+def test_amalgam_factor_mismatch_is_a_coded_error(fixtures, capsys, f1, f2, message):
+    paths = []
+    for name, body in (("base", "points: b c\nd: b c 1\n"), ("f1", f1), ("f2", f2)):
+        path = fixtures / f"{name}.struct"
+        path.write_text("lattice: chain3.lat\n" + body)
+        paths.append(str(path))
+    assert main(["space", "amalgam", *paths]) == 1
+    err = capsys.readouterr().err
+    assert "error [INVALID_FACTOR]" in err and message in err
+
+
+def test_encode_refuses_an_order_over_a_one_element_lattice(tmp_path, capsys):
+    (tmp_path / "one.lat").write_text("elements: x0\n")
+    struct = tmp_path / "s.struct"
+    struct.write_text("lattice: one.lat\npoints: p0\nsq: x0 x0\nrank: p0 0\n")
+    assert main(["encode", "--in", str(struct)]) == 1
+    err = capsys.readouterr().err
+    assert "error [SIZE_CAP]" in err and "one-element lattice" in err
+
+
 @pytest.mark.parametrize("argv, edit, where", [
     # a .struct file read as a .perm file: its header is not two integers
     (["decode", "--in", "{s}"], None, "s.struct:1:"),
@@ -330,6 +359,48 @@ def test_fuzzed_lattice_files_give_an_exit_code_not_a_traceback(case):
                      ["space", "probe", lat, "--max-base", "1", "--max-new", "1"],
                      ["gen", "--lattice", lat, "--orders", orders, "--size", "4",
                       "--depth", "1", "--out", Path(tmp) / "g.struct"]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert main([str(a) for a in argv]) in (0, 1, 2)
+
+
+_FUZZ_LATTICES = {
+    "one.lat": "elements: x0\n",
+    "chain3.lat": "elements: 0 E 1\ncover: 0 < E\ncover: E < 1\n",
+    "b2.lat": "elements: 0 a b 1\ncover: 0 < a\ncover: 0 < b\ncover: a < 1\ncover: b < 1\n",
+    "m3.lat": "elements: 0 p q r 1\n" + "".join(f"cover: 0 < {x}\ncover: {x} < 1\n" for x in "pqr"),
+    "nolat.lat": "elements: a b\n",
+}
+
+
+@st.composite
+def structure_files(draw):
+    """A structure file over one of a few small lattices: 0-4 points, every
+    pair given a distance, and 0-2 orders with random ends and ranks."""
+    ref = draw(st.sampled_from(sorted(_FUZZ_LATTICES)))
+    element = st.sampled_from(_FUZZ_LATTICES[ref].split("\n")[0].split()[1:])
+    points = [f"p{i}" for i in range(draw(st.integers(0, 4)))]
+    lines = [f"lattice: {ref}", "points: " + " ".join(points)]
+    lines += [f"d: {x} {y} {draw(element)}" for i, x in enumerate(points) for y in points[i + 1:]]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.append(f"sq: {draw(element)} {draw(element)}")
+        lines += [f"rank: {p} {draw(st.integers(0, 2))}" for p in points if draw(st.booleans())]
+    return "\n".join(lines) + "\n", draw(element)
+
+
+@settings(max_examples=60, deadline=None)
+@given(structure_files())
+def test_fuzzed_structure_files_give_an_exit_code_not_a_traceback(case):
+    text, at = case
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, body in _FUZZ_LATTICES.items():
+            (Path(tmp) / name).write_text(body)
+        s = Path(tmp) / "s.struct"
+        s.write_text(text)
+        for argv in (["space", "check", s], ["sq", "check", s], ["check", "ext", "--in", s],
+                     ["check", "hom", "--in", s], ["encode", "--in", s],
+                     ["sq", "compose", s, "--lo", "0", "--hi", "1"],
+                     ["sq", "split", s, "--order", "0", "--at", at], ["space", "amalgam", s, s, s]):
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 assert main([str(a) for a in argv]) in (0, 1, 2)

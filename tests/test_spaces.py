@@ -3,11 +3,13 @@ import itertools
 import pytest
 
 from permlat.errors import InvalidFactorError, NonDistributiveError, SizeCapError
-from permlat.lattice import boolean2, chain_lattice, m3, n5
-from permlat.spaces import (LambdaSpace, all_spaces, amalgam_validity_sweep,
+from permlat.lattice import boolean2, chain_lattice, enumerate_lattices, m3, n5
+from permlat.spaces import (LambdaSpace, SweepReport, all_spaces, amalgam_validity_sweep,
                             amalgamation_failure_probe, canonical_amalgam,
                             equivalences_from_space, space_from_equivalences,
-                            validate_space, _completion_valid, _triangle_rows)
+                            validate_space, _base_spaces, _completion_valid, _extensions,
+                            _has_pseudo_completion, _materialize, _sweep, _triangle_ok,
+                            _triangle_rows)
 
 
 def test_single_point_space_is_valid(b2):
@@ -189,7 +191,7 @@ def test_invalid_factor_rejected(b2):
 def test_point_id_collision_is_an_error(b2):
     base = LambdaSpace.from_distances(b2, ["c"], {})
     f1 = LambdaSpace.from_distances(b2, ["c", "x"], {("c", "x"): "a"})
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidFactorError):
         canonical_amalgam(base, f1, f1)
 
 
@@ -267,3 +269,83 @@ def test_fast_triangle_pass_agrees_with_the_witness_scan(chain3):
         brute = all(chain3.leq_idx(dist[i][k], chain3.join_idx(dist[i][j], dist[j][k]))
                     for i, j, k in itertools.permutations(range(4), 3))
         assert validate_space(s).ok == brute
+
+
+# -- sweep kernel against the per-instance check -----------------------------
+
+
+def _reference_instances(lat, max_base, max_new):
+    """Every (base, rows1, m1, rows2, m2, f1, f2) instance in sweep order."""
+    for base in _base_spaces(lat, max_base):
+        rows, exts = _extensions(lat, base, max_new)
+        for i1, ext1 in enumerate(exts):
+            for ext2 in exts[i1:]:
+                yield (base, [rows[i] for i in ext1[0]], ext1[1], [rows[i] for i in ext2[0]],
+                       ext2[1], lambda e=ext1: _materialize(lat, base, rows, e, "x"),
+                       lambda e=ext2: _materialize(lat, base, rows, e, "y"))
+
+
+def _reference_sweep(lat, max_base, max_new):
+    """The sweep as one per-instance loop: every cross distance as a meet of
+    joins over the base, then every triangle through each cross pair."""
+    join = lat._join
+    up = lat.poset.up
+    bot = lat.bottom_idx
+
+    def leq(i, j):
+        return up[i] & (1 << j)
+
+    report = SweepReport(0, [])
+    for base, rows1, m1, rows2, m2, f1, f2 in _reference_instances(lat, max_base, max_new):
+        report.instances += 1
+        cross = [[lat.meet_many_idx([join[x][y] for x, y in zip(ra, rb)]) for rb in rows2]
+                 for ra in rows1]
+        bad = None
+        for a, ra in enumerate(rows1):
+            for b, rb in enumerate(rows2):
+                cab = cross[a][b]
+                if cab == bot and ra != rb:
+                    bad = ("identification of distinct types", a, b)
+                    break
+                for c in range(base.n):
+                    if not leq(ra[c], join[cab][rb[c]]) or not leq(rb[c], join[cab][ra[c]]):
+                        bad = ("base triangle", a, b, c)
+                        break
+                if bad:
+                    break
+                if len(rows1) == 2 and not _triangle_ok(up, join, cab, m1, cross[1 - a][b]):
+                    bad = ("f1 sibling triangle", a, b)
+                    break
+                if len(rows2) == 2 and not _triangle_ok(up, join, cab, m2, cross[a][1 - b]):
+                    bad = ("f2 sibling triangle", a, b)
+                    break
+            if bad:
+                break
+        if bad is not None:
+            report.failures.append((base, f1(), f2(), bad))
+    return report
+
+
+_SMALL_LATTICES = [m3(), n5()] + list(enumerate_lattices(5))
+
+
+@pytest.mark.parametrize("lat", _SMALL_LATTICES, ids=lambda lat: "-".join(lat.elements))
+@pytest.mark.parametrize("max_base, max_new", [(2, 2), (3, 1), (1, 2)])
+def test_sweep_kernel_matches_the_per_instance_check(lat, max_base, max_new):
+    report = SweepReport(0, [])
+    failures = list(_sweep(lat, max_base, max_new, report=report))
+    expected = _reference_sweep(lat, max_base, max_new)
+    assert report.instances == expected.instances
+    assert failures == expected.failures
+
+
+@pytest.mark.parametrize("lat, max_base, max_new", [
+    (lat, max_base, max_new) for lat in _SMALL_LATTICES for max_base, max_new in [(2, 1), (1, 2)]
+] + [(m3(), 3, 2), (n5(), 3, 2)],
+    ids=lambda v: "-".join(v.elements) if hasattr(v, "elements") else None)
+def test_probe_returns_the_first_instance_without_completion(lat, max_base, max_new):
+    expected = next(((base, f1(), f2()) for base, _, _, _, _, f1, f2
+                     in _reference_instances(lat, max_base, max_new)
+                     if not _has_pseudo_completion(lat, base, f1(), f2())), None)
+    found = amalgamation_failure_probe(lat, max_base, max_new)
+    assert (found and (found.base, found.f1, found.f2)) == expected
