@@ -13,7 +13,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import InvalidStructureError, NotALatticeError, PermlatError, UsageError
+from .errors import (InvalidFactorError, InvalidStructureError, NotALatticeError,
+                     PermlatError, UsageError)
 from .formats import (dump_perm, dump_structure, load_cover, load_lattice,
                       load_perm, load_structure, read_lattice_ref,
                       write_manifest)
@@ -22,7 +23,8 @@ from .generic import (GenerationConfig, extension_property_check, generate_gener
 from .lattice import (dimension_bounds, enumerate_distributive_lattices,
                       is_distributive, validate_lattice)
 from .permstruct import cameron_enumeration, decode_relations, encode_orders, profile
-from .spaces import (amalgamation_failure_probe, canonical_amalgam, validate_space)
+from .spaces import (LambdaSpace, amalgamation_failure_probe, canonical_amalgam,
+                     validate_space)
 from .sqorders import OrderedLambdaStructure, compose_lex, split_convex_linear
 
 
@@ -171,10 +173,19 @@ def cmd_space_check(args) -> int:
     return 0 if report.ok else 1
 
 
+def _load_factor(path: str, lat) -> LambdaSpace:
+    """Load an amalgam factor over its own lattice file, and refuse it unless
+    that lattice equals the base's."""
+    space, _ = _load_structure(path)
+    if space.lattice != lat:
+        raise InvalidFactorError(f"{path}: factor is over a different lattice than the base")
+    return LambdaSpace(lat, space.points, space.dist)
+
+
 def cmd_space_amalgam(args) -> int:
     base, _ = _load_structure(args.base)
-    f1, _ = load_structure(args.f1, base.lattice)
-    f2, _ = load_structure(args.f2, base.lattice)
+    f1 = _load_factor(args.f1, base.lattice)
+    f2 = _load_factor(args.f2, base.lattice)
     result = canonical_amalgam(base, f1, f2)
     text = dump_structure(result.space, lattice_ref=args.lattice_ref or "lattice.lat")
     payload = {"points": list(result.space.points),
@@ -305,7 +316,7 @@ def cmd_check(args) -> int:
 
 def cmd_encode(args) -> int:
     s, _ = _load_checked(args.infile)
-    cover = "auto" if args.cover == "auto" else load_cover(args.cover)
+    cover = "auto" if args.cover == "auto" else load_cover(args.cover, s.space.lattice)
     result = encode_orders(s, cover=cover, seed=args.seed)
     text = dump_perm(result.perm)
     payload = {

@@ -23,6 +23,12 @@ def _int(path, lineno: int, text: str, what: str) -> int:
         raise FormatError(f"{path}:{lineno}: {what} must be an integer, got {text!r}") from None
 
 
+def _distinct(path, lineno: int, ids, what: str) -> None:
+    for i, x in enumerate(ids):
+        if x in ids[:i]:
+            raise FormatError(f"{path}:{lineno}: duplicate {what} id {x!r}")
+
+
 def _lines(path: str | Path) -> list[tuple[int, str]]:
     try:
         text = Path(path).read_text()
@@ -50,6 +56,7 @@ def load_lattice(path: str | Path) -> FiniteLattice:
             elements = tuple(line.split(":", 1)[1].split())
             if not elements:
                 raise FormatError(f"{path}:{lineno}: 'elements:' names no element")
+            _distinct(path, lineno, elements, "element")
         elif line.startswith("cover:"):
             body = line.split(":", 1)[1]
             parts = body.split("<")
@@ -89,13 +96,6 @@ def read_lattice_ref(path: str | Path) -> str | None:
     return None
 
 
-def load_space(path: str | Path, lattice: FiniteLattice | None = None) -> LambdaSpace:
-    space, orders = load_structure(path, lattice)
-    if orders:
-        raise FormatError(f"{path}: expected a plain space file, found order blocks")
-    return space
-
-
 def load_structure(path: str | Path,
                    lattice: FiniteLattice | None = None) -> tuple[LambdaSpace, tuple]:
     """Space file with optional subquotient-order blocks. The header
@@ -112,6 +112,7 @@ def load_structure(path: str | Path,
                 lattice = load_lattice((path.parent / ref))
         elif line.startswith("points:"):
             points = tuple(line.split(":", 1)[1].split())
+            _distinct(path, lineno, points, "point")
         elif line.startswith("d:"):
             parts = line.split(":", 1)[1].split()
             if len(parts) != 3:
@@ -212,12 +213,22 @@ def dump_perm(p: PermStructure) -> str:
 # chain cover files
 
 
-def load_cover(path: str | Path) -> list[list[str]]:
+def load_cover(path: str | Path, lattice: FiniteLattice) -> list[list[str]]:
+    """One ``chain:`` line per chain, naming pairwise comparable elements of
+    the lattice."""
     chains = []
     for lineno, line in _lines(path):
         if not line.startswith("chain:"):
             raise FormatError(f"{path}:{lineno}: expected 'chain: a b c'")
-        chains.append(line.split(":", 1)[1].split())
+        chain = line.split(":", 1)[1].split()
+        unknown = [x for x in chain if x not in lattice.index]
+        if unknown:
+            raise FormatError(f"{path}:{lineno}: unknown lattice element {unknown[0]!r}")
+        for x, y in itertools.combinations(chain, 2):
+            if not (lattice.leq(x, y) or lattice.leq(y, x)):
+                raise FormatError(f"{path}:{lineno}: {x} and {y} are incomparable, "
+                                  f"so the line is not a chain")
+        chains.append(chain)
     return chains
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .errors import CollapsedCompletionError, MeetReducibleBottomError, NonDistributiveError
 from .lattice import FiniteLattice, is_distributive, meet_irreducibles
-from .spaces import LambdaSpace, _triangle_rows
+from .spaces import LambdaSpace, _meet_of_joins, _triangle_rows
 from .sqorders import OrderedLambdaStructure, SubquotientOrder
 
 Gap = int | None
@@ -44,14 +44,6 @@ class OnePointType:
     over: tuple[str, ...]
     distances: tuple[int, ...]            # lattice element index per base point
     order_constraints: tuple[Gap, ...]    # gap among base classes, or None
-
-    def describe(self, s: OrderedLambdaStructure) -> dict:
-        lat = s.space.lattice
-        return {
-            "over": list(self.over),
-            "distances": {a: lat.elements[d] for a, d in zip(self.over, self.distances)},
-            "order_constraints": list(self.order_constraints),
-        }
 
 
 @dataclass(frozen=True)
@@ -164,23 +156,16 @@ def _append_point(s: OrderedLambdaStructure, ctx: _CheckContext, idx_a, delta, g
     space = s.space
     n = space.n
     name = _new_name(space)
-    delta_at = dict(zip(idx_a, delta))
-    new_d = []
-    for z in range(n):
-        if z in delta_at:
-            new_d.append(delta_at[z])
-            continue
-        m = lat.meet_many_idx([lat.join_idx(d, space.dist[a][z]) for a, d in delta_at.items()])
-        if m == lat.bottom_idx:
-            # cannot happen: the type is unrealized, and a bottom distance
-            # here would make z realize it
-            raise CollapsedCompletionError(
-                f"canonical completion collapsed a fresh point onto {space.points[z]}",
-                point=space.points[z])
-        new_d.append(m)
-    dist = [list(row) + [new_d[i]] for i, row in enumerate(space.dist)]
-    dist.append(new_d + [lat.bottom_idx])
-    new_space = LambdaSpace(lat, space.points + (name,), tuple(map(tuple, dist)))
+    # on the base itself this gives back delta, which is triangle-closed
+    new_d = [_meet_of_joins(lat, delta, [space.dist[a][z] for a in idx_a]) for z in range(n)]
+    if lat.bottom_idx in new_d:
+        # cannot happen: the type is unrealized, and a bottom distance would
+        # make that point realize it
+        z = new_d.index(lat.bottom_idx)
+        raise CollapsedCompletionError(
+            f"canonical completion collapsed a fresh point onto {space.points[z]}",
+            point=space.points[z])
+    new_space = space.extended(name, new_d)
     new_orders = []
     for o, (bot, top, reps, _), gap, sc in zip(s.orders, ctx.orders, gaps,
                                                ctx.scale_ranks(idx_a, delta)):
@@ -203,12 +188,8 @@ def _force_far_point(s: OrderedLambdaStructure, rng: random.Random) -> OrderedLa
     """Append a point at top distance from everything, ranks seeded. The
     orders of s must have dense ranks, as for ``_append_point``."""
     lat = s.space.lattice
-    space = s.space
-    name = _new_name(space)
-    n = space.n
-    dist = [list(row) + [lat.top_idx] for row in space.dist]
-    dist.append([lat.top_idx] * n + [lat.bottom_idx])
-    new_space = LambdaSpace(lat, space.points + (name,), tuple(map(tuple, dist)))
+    name = _new_name(s.space)
+    new_space = s.space.extended(name, [lat.top_idx] * s.space.n)
     new_orders = []
     for o in s.orders:
         rank = dict(o.rank)

@@ -165,9 +165,10 @@ def encode_orders(s: OrderedLambdaStructure, cover: str | list = "auto",
     else:
         cover_chains = [list(c) for c in cover]
         covered = {x for c in cover_chains for x in c}
-        if set(p0.elements) - covered:
-            raise ValueError(f"cover misses internal meet-irreducibles: "
-                             f"{sorted(set(p0.elements) - covered)}")
+        uncovered = sorted(set(p0.elements) - covered)
+        if uncovered:
+            raise MissingMeetIrreducibleError(
+                f"cover misses internal meet-irreducibles: {uncovered}", missing=uncovered)
     plans = _plan_chains(lat, s.signature(), cover_chains)
 
     rng = random.Random(seed)
@@ -263,12 +264,6 @@ class DecodeResult:
     lattice: FiniteLattice
     distributive: bool
     sample_size: int
-
-    def partition_of(self, name: str):
-        for r in self.relations:
-            if r.name == name:
-                return r.partition
-        raise KeyError(name)
 
 
 def _transitive_closure_types(comp: dict, seed_set: frozenset) -> frozenset:

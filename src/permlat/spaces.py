@@ -52,8 +52,12 @@ class LambdaSpace:
     def d(self, x: str, y: str) -> str:
         return self.lattice.elements[self.dist[self.pindex[x]][self.pindex[y]]]
 
-    def d_idx(self, i: int, j: int) -> int:
-        return self.dist[i][j]
+    def extended(self, name: str, row) -> "LambdaSpace":
+        """This space with one point ``name`` appended at distance ``row[i]``
+        from point i."""
+        dist = tuple(r + (x,) for r, x in zip(self.dist, row))
+        return LambdaSpace(self.lattice, self.points + (name,),
+                           dist + (tuple(row) + (self.lattice.bottom_idx,),))
 
     def restrict(self, names) -> "LambdaSpace":
         idxs = [self.pindex[x] for x in names]
@@ -69,6 +73,18 @@ class LambdaSpace:
 
     def __repr__(self):
         return f"LambdaSpace(points={self.points!r})"
+
+
+def _meet_of_joins(lat: FiniteLattice, row1, row2) -> int:
+    """The canonical distance between two points given by their distance rows
+    over the same base points: the meet over the base of the joins of the two
+    rows' entries, the lattice top over an empty base. It is the largest
+    distance that keeps every join-triangle through a base point."""
+    join, meet = lat._join, lat._meet
+    m = lat.top_idx
+    for x, y in zip(row1, row2):
+        m = meet[m][join[x][y]]
+    return m
 
 
 def _triangle_ok(up, join, a: int, b: int, c: int) -> bool:
@@ -155,9 +171,6 @@ class EquivalenceSystem:
 
     def partition(self, lam: str) -> tuple[tuple[str, ...], ...]:
         return self.classes[lam]
-
-    def related(self, lam: str, x: str, y: str) -> bool:
-        return any(x in block and y in block for block in self.classes[lam])
 
     def validate(self) -> ValidationReport:
         report = ValidationReport(subject="equivalence-system")
@@ -250,11 +263,13 @@ class AmalgamResult:
 def canonical_amalgam(base: LambdaSpace, f1: LambdaSpace, f2: LambdaSpace) -> AmalgamResult:
     """Free amalgam of two extensions of a common base.
 
-    Cross distances are the meet over base points of d(a,c) join d(c,b); over
-    an empty base the meet defaults to the lattice top. Every other valid
-    completion is pointwise below this one. Cross pairs forced to bottom are
-    identified (f2 point folded onto its f1 twin) so the result is always a
-    genuine space when the lattice is distributive.
+    Cross distances are the meet over base points of d(a,c) join d(c,b)
+    (``_meet_of_joins``); over an empty base the meet defaults to the lattice
+    top. Every other valid completion is pointwise below this one. The result
+    is f1 with the new points of f2 appended in f2's order, except those
+    forced to bottom from some f1 point: each of these is identified with
+    that twin and left out, so the result is always a genuine space when the
+    lattice is distributive.
     """
     lat = base.lattice
     if f1.lattice is not lat or f2.lattice is not lat:
@@ -281,46 +296,28 @@ def canonical_amalgam(base: LambdaSpace, f1: LambdaSpace, f2: LambdaSpace) -> Am
     if clash:
         raise InvalidFactorError(f"point-id collision outside the base: {sorted(clash)}")
 
-    def cross(a: str, b: str) -> int:
-        terms = [lat.join_idx(f1.dist[f1.pindex[a]][f1.pindex[c]],
-                              f2.dist[f2.pindex[c]][f2.pindex[b]])
-                 for c in base.points]
-        return lat.meet_many_idx(terms)
+    def over_base(f: LambdaSpace, p: str) -> list[int]:
+        return [f.dist[f.pindex[p]][f.pindex[c]] for c in base.points]
 
+    rows1 = {a: over_base(f1, a) for a in new1}
     merged: dict[str, str] = {}
-    cross_d: dict[tuple[str, str], int] = {}
+    space = f1
     for b in new2:
-        for a in new1:
-            m = cross(a, b)
-            cross_d[(a, b)] = m
-            if m == lat.bottom_idx:
-                merged[b] = a
-
-    points = list(f1.points) + [p for p in new2 if p not in merged]
-    pidx = {p: i for i, p in enumerate(points)}
-    n = len(points)
-    dist = [[lat.bottom_idx] * n for _ in range(n)]
-
-    def put(x, y, v):
-        dist[pidx[x]][pidx[y]] = v
-        dist[pidx[y]][pidx[x]] = v
-
-    for x, y in itertools.combinations(f1.points, 2):
-        put(x, y, f1.dist[f1.pindex[x]][f1.pindex[y]])
-    kept2 = [p for p in new2 if p not in merged]
-    for x, y in itertools.combinations(kept2, 2):
-        put(x, y, f2.dist[f2.pindex[x]][f2.pindex[y]])
-    for b in kept2:
-        for c in base.points:
-            put(b, c, f2.dist[f2.pindex[b]][f2.pindex[c]])
-        for a in new1:
-            put(b, a, cross_d[(a, b)])
-    return AmalgamResult(LambdaSpace(lat, tuple(points), tuple(map(tuple, dist))), merged)
+        row2 = over_base(f2, b)
+        cross = {a: _meet_of_joins(lat, rows1[a], row2) for a in new1}
+        merged.update((b, a) for a, m in cross.items() if m == lat.bottom_idx)
+        if b not in merged:
+            # f2 gives the distances to the base and to the f2 points kept so far
+            space = space.extended(b, [cross[p] if p in cross
+                                       else f2.dist[f2.pindex[b]][f2.pindex[p]]
+                                       for p in space.points])
+    return AmalgamResult(space, merged)
 
 
 # ---------------------------------------------------------------------------
-# instance enumeration and the validity sweep; the failure probe reads the
-# sweep's faulty instances
+# instance enumeration, the validity sweep of canonical completions, and the
+# failure probe, which searches the sweep's faulty instances for any
+# completion at all
 
 MAX_BASE_POINTS = 3
 
@@ -363,23 +360,14 @@ def _has_pseudo_completion(lat: FiniteLattice, base: LambdaSpace,
     allowed) satisfies every join-triangle on the union."""
     new1 = [p for p in f1.points if p not in base.pindex]
     new2 = [p for p in f2.points if p not in base.pindex]
-    pts = list(f1.points) + list(new2)
-    idx = {p: i for i, p in enumerate(pts)}
-    n = len(pts)
-    d = [[None] * n for _ in range(n)]
-
-    def put(x, y, v):
-        d[idx[x]][idx[y]] = v
-        d[idx[y]][idx[x]] = v
-
-    for p in pts:
-        put(p, p, lat.bottom_idx)
-    for x, y in itertools.combinations(f1.points, 2):
-        put(x, y, f1.dist[f1.pindex[x]][f1.pindex[y]])
-    for x, y in itertools.combinations(f2.points, 2):
-        put(x, y, f2.dist[f2.pindex[x]][f2.pindex[y]])
-
-    cross_pairs = [(a, b) for a in new1 for b in new2]
+    # the union of the factors, with the cross distances unknown (None)
+    union = f1
+    for b in new2:
+        union = union.extended(b, [f2.dist[f2.pindex[b]][f2.pindex[p]] if p in f2.pindex
+                                   else None for p in union.points])
+    d = [list(row) for row in union.dist]
+    n = union.n
+    cross_pairs = [(union.pindex[a], union.pindex[b]) for a in new1 for b in new2]
 
     up = lat.poset.up
     join = lat._join
@@ -391,8 +379,7 @@ def _has_pseudo_completion(lat: FiniteLattice, base: LambdaSpace,
     def assign(pos: int) -> bool:
         if pos == len(cross_pairs):
             return True
-        a, b = cross_pairs[pos]
-        i, j = idx[a], idx[b]
+        i, j = cross_pairs[pos]
         for v in range(lat.n):
             d[i][j] = d[j][i] = v
             if consistent(i, j) and assign(pos + 1):
@@ -444,41 +431,37 @@ def _extensions(lat: FiniteLattice, base: LambdaSpace, max_new: int):
     return rows, exts
 
 
-def _materialize(lat, base, rows, ext, prefix) -> LambdaSpace:
+def _materialize(base, rows, ext, prefix) -> LambdaSpace:
+    """The factor an extension stands for: the base plus its new points,
+    named ``prefix`` followed by 0 and 1."""
     idx, mutual = ext
-    k = base.n
-    pts = base.points + tuple(f"{prefix}{i}" for i in range(len(idx)))
-    n = len(pts)
-    dist = [[lat.bottom_idx] * n for _ in range(n)]
-    for i in range(k):
-        for j in range(k):
-            dist[i][j] = base.dist[i][j]
+    space = base
     for a, i in enumerate(idx):
-        for c in range(k):
-            dist[k + a][c] = dist[c][k + a] = rows[i][c]
-    if mutual is not None:
-        dist[k][k + 1] = dist[k + 1][k] = mutual
-    return LambdaSpace(lat, pts, tuple(map(tuple, dist)))
+        space = space.extended(f"{prefix}{a}", rows[i] + ((mutual,) if a else ()))
+    return space
 
 
-def amalgam_validity_sweep(lat: FiniteLattice, max_base: int = 3, max_new: int = 2,
-                           check_maximality: bool = False) -> SweepReport:
+def amalgam_validity_sweep(lat: FiniteLattice, max_base: int = 3,
+                           max_new: int = 2) -> SweepReport:
     """Exhaustively amalgamate every instance (bases up to isomorphism) and
-    check each output; optionally brute-check that every other completion
-    sits below the canonical one. Reports the number of instances and every
-    faulty one with its reason (see ``_sweep``).
+    check that each canonical completion is a valid space. Reports the number
+    of instances and every faulty one with its reason (see ``_sweep``).
+
+    Maximality needs no search: the join-triangle through a base point c
+    bounds any valid cross distance d(a,b) by d(a,c) join d(c,b), so every
+    valid completion lies below the canonical one.
     """
     dist_check = is_distributive(lat)
     if not dist_check:
         raise NonDistributiveError("validity sweep expects a distributive lattice",
                                    witness=dist_check.witness)
     report = SweepReport(0, [])
-    report.failures.extend(_sweep(lat, max_base, max_new, check_maximality, report))
+    report.failures.extend(_sweep(lat, max_base, max_new, report))
     return report
 
 
 def _sweep(lat: FiniteLattice, max_base: int, max_new: int,
-           check_maximality: bool = False, report: SweepReport | None = None):
+           report: SweepReport | None = None):
     """Every faulty instance as (base, f1, f2, reason), lazily and in sweep
     order (bases, then f1 over the extensions, then f2 from f1's position
     on); adds the number of instances to ``report.instances`` base by base.
@@ -490,12 +473,11 @@ def _sweep(lat: FiniteLattice, max_base: int, max_new: int,
     distance and first fault, and each extension gets a mask of its rows and
     a mask of the rows it faults against, by a pair fault or by a triangle
     through its other new point. An instance is faulty exactly when either
-    factor's fault mask meets the other's rows. With ``check_maximality``
-    each clean instance is also brute-checked for a completion above the
-    canonical one.
+    factor's fault mask meets the other's rows. Only faulty instances are
+    built as spaces.
     """
     n, bot, top = lat.n, lat.bottom_idx, lat.top_idx
-    up, join, meet = lat.poset.up, lat._join, lat._meet
+    up, join = lat.poset.up, lat._join
     # ok[x][y] >> z & 1: whether the join-triangle on (x, y, z) holds
     ok = [[sum(1 << z for z in range(n) if _triangle_ok(up, join, x, y, z)) for y in range(n)]
           for x in range(n)]
@@ -507,9 +489,7 @@ def _sweep(lat: FiniteLattice, max_base: int, max_new: int,
         for i, ri in enumerate(rows):
             for j in range(i, nrows):
                 rj = rows[j]
-                m = top
-                for x, y in zip(ri, rj):
-                    m = meet[m][join[x][y]]
+                m = _meet_of_joins(lat, ri, rj)
                 cross[i][j] = cross[j][i] = m
                 if m == bot and i != j:
                     f = ("identification of distinct types",)
@@ -534,15 +514,10 @@ def _sweep(lat: FiniteLattice, max_base: int, max_new: int,
             report.instances += len(exts) * (len(exts) + 1) // 2
         for e1, (own1, bad1) in enumerate(masks):
             for e2, (own2, bad2) in enumerate(masks[e1:], e1):
-                is_faulty = bad1 & own2 or bad2 & own1
-                if not (is_faulty or check_maximality):
-                    continue
-                f1 = _materialize(lat, base, rows, exts[e1], "x")
-                f2 = _materialize(lat, base, rows, exts[e2], "y")
-                if is_faulty:
-                    yield base, f1, f2, _reason(exts[e1], exts[e2], cross, fault, ok)
-                elif not _completions_below(lat, base, f1, f2, canonical_amalgam(base, f1, f2)):
-                    yield base, f1, f2, "non-maximal canonical completion"
+                if bad1 & own2 or bad2 & own1:
+                    yield (base, _materialize(base, rows, exts[e1], "x"),
+                           _materialize(base, rows, exts[e2], "y"),
+                           _reason(exts[e1], exts[e2], cross, fault, ok))
 
 
 def _reason(ext1, ext2, cross, fault, ok) -> tuple:
@@ -559,46 +534,6 @@ def _reason(ext1, ext2, cross, fault, ok) -> tuple:
                 return ("f1 sibling triangle", a, b)
             if m2 is not None and not ok[cross[i][j]][m2] >> cross[i][idx2[1 - b]] & 1:
                 return ("f2 sibling triangle", a, b)
-
-
-def _completions_below(lat, base, f1, f2, result: AmalgamResult) -> bool:
-    """Every valid completion is pointwise <= the canonical one."""
-    new1 = [p for p in f1.points if p not in base.pindex]
-    new2 = [p for p in f2.points if p not in base.pindex]
-    pairs = [(a, b) for a in new1 for b in new2]
-
-    def canonical_value(a, b):
-        if b in result.merged:
-            return lat.bottom_idx if result.merged[b] == a else \
-                result.space.dist[result.space.pindex[a]][result.space.pindex[result.merged[b]]]
-        return result.space.dist[result.space.pindex[a]][result.space.pindex[b]]
-
-    for values in itertools.product(lat.nonzero_idx(), repeat=len(pairs)):
-        assigned = dict(zip(pairs, values))
-        if not _completion_valid(lat, base, f1, f2, assigned):
-            continue
-        for pair, v in assigned.items():
-            if not lat.leq_idx(v, canonical_value(*pair)):
-                return False
-    return True
-
-
-def _completion_valid(lat, base, f1, f2, assigned: dict) -> bool:
-    new2 = [p for p in f2.points if p not in base.pindex]
-    pts = list(f1.points) + list(new2)
-    idx = {p: i for i, p in enumerate(pts)}
-    n = len(pts)
-    d = [[lat.bottom_idx] * n for _ in range(n)]
-    for x, y in itertools.combinations(f1.points, 2):
-        d[idx[x]][idx[y]] = d[idx[y]][idx[x]] = f1.dist[f1.pindex[x]][f1.pindex[y]]
-    for x, y in itertools.combinations(f2.points, 2):
-        d[idx[x]][idx[y]] = d[idx[y]][idx[x]] = f2.dist[f2.pindex[x]][f2.pindex[y]]
-    for (a, b), v in assigned.items():
-        d[idx[a]][idx[b]] = d[idx[b]][idx[a]] = v
-    for i, j, k in itertools.permutations(range(n), 3):
-        if not lat.leq_idx(d[i][k], lat.join_idx(d[i][j], d[j][k])):
-            return False
-    return True
 
 
 def all_spaces(lat: FiniteLattice, n_points: int):

@@ -124,16 +124,6 @@ class SubquotientOrder:
         return SubquotientOrder(self.space, self.bottom, self.top,
                                 {c: -r for c, r in self.rank.items()}).renormalized()
 
-    def pairs(self) -> frozenset:
-        if self._declared_pairs is not None:
-            return self._declared_pairs
-        out = []
-        for scale in self._scales():
-            for c1, c2 in itertools.permutations(scale, 2):
-                if self.rank[c1] < self.rank[c2]:
-                    out.append((c1, c2))
-        return frozenset(out)
-
     def __eq__(self, other):
         return (isinstance(other, SubquotientOrder)
                 and self.space == other.space

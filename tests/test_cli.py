@@ -280,6 +280,46 @@ def test_amalgam_factor_mismatch_is_a_coded_error(fixtures, capsys, f1, f2, mess
     assert "error [INVALID_FACTOR]" in err and message in err
 
 
+def test_amalgam_refuses_a_factor_over_another_lattice(fixtures, capsys):
+    (fixtures / "copy.lat").write_text((fixtures / "chain3.lat").read_text())
+    base, f1, f2 = (fixtures / f"{name}.struct" for name in ("base", "f1", "f2"))
+    base.write_text("lattice: chain3.lat\npoints: b\n")
+    f2.write_text("lattice: copy.lat\npoints: b y\nd: b y 1\n")
+    # the same lattice read from another file amalgamates
+    f1.write_text("lattice: copy.lat\npoints: b x\nd: b x E\n")
+    code, out = run(["space", "amalgam", base, f1, f2], capsys)
+    assert code == 0 and "d: x y 1" in out
+    # B2 also has an element named 1, so the distances alone would parse
+    f1.write_text("lattice: b2.lat\npoints: b x\nd: b x 1\n")
+    assert main([str(p) for p in ("space", "amalgam", base, f1, f2)]) == 1
+    err = capsys.readouterr().err
+    assert "error [INVALID_FACTOR]" in err and "f1.struct" in err
+
+
+@pytest.mark.parametrize("lat, orders, cover, err", [
+    ("chain3.lat", "0:E,E:1", "chain: E Q\n", "error [FORMAT]: {cover}:2: unknown"),
+    ("b2.lat", "a:1,b:1", "chain: a b\n", "error [FORMAT]: {cover}:2: a and b are incomparable"),
+    ("b2.lat", "a:1,b:1", "chain: a\n", "error [MISSING_MEET_IRREDUCIBLE]: cover misses"),
+], ids=["unknown-element", "not-a-chain", "misses-a-meet-irreducible"])
+def test_bad_cover_file_is_a_coded_error(fixtures, capsys, lat, orders, cover, err):
+    struct, path = fixtures / "s.struct", fixtures / "c.cover"
+    run(["gen", "--lattice", fixtures / lat, "--orders", orders, "--size", "6", "--depth", "1",
+         "--no-report", "--out", struct], capsys)
+    path.write_text("# one chain per line\n" + cover)
+    assert main(["encode", "--in", str(struct), "--cover", str(path)]) == 1
+    assert err.format(cover=path) in capsys.readouterr().err
+
+
+def test_encode_reads_a_cover_file(fixtures, capsys):
+    struct, path = fixtures / "s.struct", fixtures / "c.cover"
+    run(["gen", "--lattice", fixtures / "b2.lat", "--orders", "a:1,b:1", "--size", "6",
+         "--depth", "1", "--no-report", "--out", struct], capsys)
+    path.write_text("chain: a\nchain: b\n")
+    code, out = run(["encode", "--in", struct, "--cover", path, "--json"], capsys)
+    assert code == 0
+    assert [c["credited"] for c in json.loads(out)["chains"]] == [["a"], ["b"]]
+
+
 def test_encode_refuses_an_order_over_a_one_element_lattice(tmp_path, capsys):
     (tmp_path / "one.lat").write_text("elements: x0\n")
     struct = tmp_path / "s.struct"
@@ -297,6 +337,9 @@ def test_encode_refuses_an_order_over_a_one_element_lattice(tmp_path, capsys):
     (["decode", "--in", "{perm}"], ("b 2", "b two"), "s.perm:3:"),
     # the second, conflicting line of a pair's distance is the one named
     (["space", "check", "{s}"], ("d: p0 p1 E", "d: p0 p1 E\nd: p1 p0 1"), "s.struct:4:"),
+    # duplicate ids, named at their line
+    (["space", "check", "{s}"], ("points: p0 p1 p2", "points: p0 p1 p1"), "s.struct:2:"),
+    (["lattice", "check", "{lat}"], ("elements: 0 E 1", "elements: 0 E E 1"), "chain3.lat:1:"),
 ])
 def test_malformed_file_is_a_format_error_at_its_line(fixtures, capsys, argv, edit, where):
     struct = fixtures / "s.struct"
@@ -305,10 +348,11 @@ def test_malformed_file_is_a_format_error_at_its_line(fixtures, capsys, argv, ed
     perm = fixtures / "s.perm"
     perm.write_text("1 3\na 0\nb 2\nc 1\n")
     struct.write_text("\n".join(lines) + "\n")
+    lat = fixtures / "chain3.lat"
     if edit is not None:
-        target = perm if argv[-1] == "{perm}" else struct
+        target = {"{perm}": perm, "{lat}": lat}.get(argv[-1], struct)
         target.write_text(target.read_text().replace(*edit))
-    code = main([a.format(s=struct, perm=perm) for a in argv])
+    code = main([a.format(s=struct, perm=perm, lat=lat) for a in argv])
     err = capsys.readouterr().err
     assert code == 1
     assert "error [FORMAT]" in err
@@ -385,22 +429,25 @@ def structure_files(draw):
     for _ in range(draw(st.integers(0, 2))):
         lines.append(f"sq: {draw(element)} {draw(element)}")
         lines += [f"rank: {p} {draw(st.integers(0, 2))}" for p in points if draw(st.booleans())]
-    return "\n".join(lines) + "\n", draw(element)
+    return "\n".join(lines) + "\n", draw(element), draw(st.sampled_from(sorted(_FUZZ_LATTICES)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(structure_files())
 def test_fuzzed_structure_files_give_an_exit_code_not_a_traceback(case):
-    text, at = case
+    text, at, other = case
     with tempfile.TemporaryDirectory() as tmp:
         for name, body in _FUZZ_LATTICES.items():
             (Path(tmp) / name).write_text(body)
-        s = Path(tmp) / "s.struct"
+        s, t = Path(tmp) / "s.struct", Path(tmp) / "t.struct"
         s.write_text(text)
+        # the same body under a header that may name another lattice
+        t.write_text(f"lattice: {other}\n" + text.split("\n", 1)[1])
         for argv in (["space", "check", s], ["sq", "check", s], ["check", "ext", "--in", s],
                      ["check", "hom", "--in", s], ["encode", "--in", s],
                      ["sq", "compose", s, "--lo", "0", "--hi", "1"],
-                     ["sq", "split", s, "--order", "0", "--at", at], ["space", "amalgam", s, s, s]):
+                     ["sq", "split", s, "--order", "0", "--at", at], ["space", "amalgam", s, s, s],
+                     ["space", "amalgam", s, t, t]):
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 assert main([str(a) for a in argv]) in (0, 1, 2)

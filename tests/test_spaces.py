@@ -7,7 +7,7 @@ from permlat.lattice import boolean2, chain_lattice, enumerate_lattices, m3, n5
 from permlat.spaces import (LambdaSpace, SweepReport, all_spaces, amalgam_validity_sweep,
                             amalgamation_failure_probe, canonical_amalgam,
                             equivalences_from_space, space_from_equivalences,
-                            validate_space, _base_spaces, _completion_valid, _extensions,
+                            validate_space, _base_spaces, _extensions,
                             _has_pseudo_completion, _materialize, _sweep, _triangle_ok,
                             _triangle_rows)
 
@@ -85,14 +85,23 @@ def test_round_trip_small_sample(chain3):
 
 
 def _brute_valid_completions(lat, base, f1, f2):
+    """Every assignment of nonzero cross distances under which the union of
+    the two factors passes ``validate_space``."""
     new1 = [p for p in f1.points if p not in base.pindex]
     new2 = [p for p in f2.points if p not in base.pindex]
     pairs = [(a, b) for a in new1 for b in new2]
+    pts = f1.points + tuple(new2)
+    idx = {p: i for i, p in enumerate(pts)}
     out = []
     for values in itertools.product(lat.nonzero_idx(), repeat=len(pairs)):
-        assigned = dict(zip(pairs, values))
-        if _completion_valid(lat, base, f1, f2, assigned):
-            out.append(assigned)
+        dist = [[lat.bottom_idx] * len(pts) for _ in pts]
+        for f in (f1, f2):
+            for x, y in itertools.combinations(f.points, 2):
+                dist[idx[x]][idx[y]] = dist[idx[y]][idx[x]] = f.dist[f.pindex[x]][f.pindex[y]]
+        for (a, b), v in zip(pairs, values):
+            dist[idx[a]][idx[b]] = dist[idx[b]][idx[a]] = v
+        if validate_space(LambdaSpace(lat, pts, tuple(map(tuple, dist)))).ok:
+            out.append(dict(zip(pairs, values)))
     return pairs, out
 
 
@@ -221,10 +230,24 @@ def test_sweep_valid_on_small_lattices():
         assert not report.failures
 
 
-def test_sweep_maximality_spot_check(chain3):
-    report = amalgam_validity_sweep(chain3, max_base=2, max_new=1,
-                                    check_maximality=True)
-    assert not report.failures
+@pytest.mark.parametrize("lat", [chain_lattice(3), boolean2()],
+                         ids=lambda lat: "-".join(lat.elements))
+def test_canonical_completion_dominates_every_valid_completion(lat):
+    # every instance at (max_base, max_new) = (2, 1); B2 has identifications
+    found = 0
+    for base, _, _, _, _, f1, f2 in _reference_instances(lat, 2, 1):
+        f1, f2 = f1(), f2()
+        result = canonical_amalgam(base, f1, f2)
+        out = result.space
+        (a, b), = itertools.product(f1.points[base.n:], f2.points[base.n:])
+        canon = (lat.bottom_idx if b in result.merged
+                 else out.dist[out.pindex[a]][out.pindex[b]])
+        _, completions = _brute_valid_completions(lat, base, f1, f2)
+        found += len(completions)
+        assert all(lat.leq_idx(assigned[(a, b)], canon) for assigned in completions)
+        # without an identification the canonical value is itself a completion
+        assert b in result.merged or {(a, b): canon} in completions
+    assert found
 
 
 @pytest.mark.parametrize("call, lat", [(amalgamation_failure_probe, chain_lattice(3)),
@@ -281,8 +304,8 @@ def _reference_instances(lat, max_base, max_new):
         for i1, ext1 in enumerate(exts):
             for ext2 in exts[i1:]:
                 yield (base, [rows[i] for i in ext1[0]], ext1[1], [rows[i] for i in ext2[0]],
-                       ext2[1], lambda e=ext1: _materialize(lat, base, rows, e, "x"),
-                       lambda e=ext2: _materialize(lat, base, rows, e, "y"))
+                       ext2[1], lambda e=ext1: _materialize(base, rows, e, "x"),
+                       lambda e=ext2: _materialize(base, rows, e, "y"))
 
 
 def _reference_sweep(lat, max_base, max_new):
