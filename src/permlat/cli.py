@@ -80,9 +80,9 @@ def _lattice_checked(lat, path: str):
     return lat
 
 
-def _load_structure(path: str, lat=None):
+def _load_structure(path: str):
     """Load a structure file and refuse it unless its lattice is a lattice."""
-    space, orders = load_structure(path, lat)
+    space, orders = load_structure(path)
     _lattice_checked(space.lattice, path)
     return space, orders
 
@@ -162,8 +162,7 @@ def cmd_lattice_enum(args) -> int:
 
 
 def cmd_space_check(args) -> int:
-    lat = load_lattice(args.lattice) if args.lattice else None
-    space, orders = _load_structure(args.file, lat)
+    space, _ = _load_structure(args.file)
     report = validate_space(space)
     payload = {"validation": report.as_dict()}
     human = [f"valid: {report.ok}"]
@@ -187,7 +186,7 @@ def cmd_space_amalgam(args) -> int:
     f1 = _load_factor(args.f1, base.lattice)
     f2 = _load_factor(args.f2, base.lattice)
     result = canonical_amalgam(base, f1, f2)
-    text = dump_structure(result.space, lattice_ref=args.lattice_ref or "lattice.lat")
+    text = dump_structure(result.space, lattice_ref=_carry_lattice_ref(args.base, args.out))
     payload = {"points": list(result.space.points),
                "merged": result.merged,
                "structure": text}
@@ -433,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     space = sub.add_parser("space").add_subparsers(dest="sub", required=True)
     p = space.add_parser("check")
     p.add_argument("file")
-    p.add_argument("--lattice")
     add_json(p)
     p.set_defaults(func=cmd_space_check)
     p = space.add_parser("amalgam")
@@ -441,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("f1")
     p.add_argument("f2")
     p.add_argument("--out")
-    p.add_argument("--lattice-ref")
     add_json(p)
     p.set_defaults(func=cmd_space_amalgam)
     p = space.add_parser("probe")

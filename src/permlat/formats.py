@@ -10,7 +10,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import FormatError
-from .lattice import FiniteLattice
+from .lattice import FiniteLattice, lambda0_poset
 from .permstruct import PermStructure
 from .spaces import LambdaSpace
 from .sqorders import OrderedLambdaStructure, SubquotientOrder
@@ -26,7 +26,7 @@ def _int(path, lineno: int, text: str, what: str) -> int:
 def _distinct(path, lineno: int, ids, what: str) -> None:
     for i, x in enumerate(ids):
         if x in ids[:i]:
-            raise FormatError(f"{path}:{lineno}: duplicate {what} id {x!r}")
+            raise FormatError(f"{path}:{lineno}: duplicate {what} {x!r}")
 
 
 def _lines(path: str | Path) -> list[tuple[int, str]]:
@@ -56,7 +56,7 @@ def load_lattice(path: str | Path) -> FiniteLattice:
             elements = tuple(line.split(":", 1)[1].split())
             if not elements:
                 raise FormatError(f"{path}:{lineno}: 'elements:' names no element")
-            _distinct(path, lineno, elements, "element")
+            _distinct(path, lineno, elements, "element id")
         elif line.startswith("cover:"):
             body = line.split(":", 1)[1]
             parts = body.split("<")
@@ -96,12 +96,11 @@ def read_lattice_ref(path: str | Path) -> str | None:
     return None
 
 
-def load_structure(path: str | Path,
-                   lattice: FiniteLattice | None = None) -> tuple[LambdaSpace, tuple]:
+def load_structure(path: str | Path) -> tuple[LambdaSpace, tuple]:
     """Space file with optional subquotient-order blocks. The header
-    references the lattice file (relative to this file) unless a lattice is
-    supplied by the caller."""
+    references the lattice file, relative to this file."""
     path = Path(path)
+    lattice = None
     points = None
     distances = {}
     order_blocks = []
@@ -112,7 +111,7 @@ def load_structure(path: str | Path,
                 lattice = load_lattice((path.parent / ref))
         elif line.startswith("points:"):
             points = tuple(line.split(":", 1)[1].split())
-            _distinct(path, lineno, points, "point")
+            _distinct(path, lineno, points, "point id")
         elif line.startswith("d:"):
             parts = line.split(":", 1)[1].split()
             if len(parts) != 3:
@@ -214,16 +213,24 @@ def dump_perm(p: PermStructure) -> str:
 
 
 def load_cover(path: str | Path, lattice: FiniteLattice) -> list[list[str]]:
-    """One ``chain:`` line per chain, naming pairwise comparable elements of
-    the lattice."""
+    """One ``chain:`` line per chain, naming distinct, pairwise comparable
+    internal meet-irreducibles of the lattice, in any order."""
+    internal = set(lambda0_poset(lattice).elements)
     chains = []
     for lineno, line in _lines(path):
         if not line.startswith("chain:"):
             raise FormatError(f"{path}:{lineno}: expected 'chain: a b c'")
         chain = line.split(":", 1)[1].split()
+        if not chain:
+            raise FormatError(f"{path}:{lineno}: 'chain:' names no element")
         unknown = [x for x in chain if x not in lattice.index]
         if unknown:
             raise FormatError(f"{path}:{lineno}: unknown lattice element {unknown[0]!r}")
+        _distinct(path, lineno, chain, "chain element")
+        other = [x for x in chain if x not in internal]
+        if other:
+            raise FormatError(f"{path}:{lineno}: {other[0]} is not an internal "
+                              f"meet-irreducible of the lattice")
         for x, y in itertools.combinations(chain, 2):
             if not (lattice.leq(x, y) or lattice.leq(y, x)):
                 raise FormatError(f"{path}:{lineno}: {x} and {y} are incomparable, "

@@ -91,11 +91,9 @@ class ChainPlan:
 
 @dataclass
 class Codebook:
-    order_count: int
     chains: list[ChainPlan]
     relation_vectors: dict[str, frozenset]       # lattice element -> vectors
     order_vectors: dict[int, frozenset]          # input order index -> vectors
-    level_of_vector: dict[int, tuple[int, ...]]  # vector -> per-chain level
 
 
 @dataclass
@@ -104,6 +102,11 @@ class EncodeResult:
     codebook: Codebook
     emitted: int
     bound: int  # |cover| + sum ceil(log2(|L|+1)) for the chosen cover
+
+
+def _bottom_up(lat: FiniteLattice, elements) -> list[str]:
+    """The elements of a chain, sorted from the bottom up."""
+    return sorted(elements, key=lambda x: sum(lat.leq(y, x) for y in lat.elements))
 
 
 def _plan_chains(lat: FiniteLattice, signature, cover_chains) -> list[ChainPlan]:
@@ -136,7 +139,7 @@ def _plan_chains(lat: FiniteLattice, signature, cover_chains) -> list[ChainPlan]
     for plan in plans:
         nodes = set(plan.credited) | {n for seg in plan.hosted for n in seg}
         nodes |= {lat.bottom, lat.top}
-        plan.nodes = sorted(nodes, key=lambda x: sum(lat.leq(y, x) for y in lat.elements))
+        plan.nodes = _bottom_up(lat, nodes)
     return plans
 
 
@@ -163,7 +166,7 @@ def encode_orders(s: OrderedLambdaStructure, cover: str | list = "auto",
     if cover == "auto":
         cover_chains = [list(c) for c in min_chain_cover(p0).chains]
     else:
-        cover_chains = [list(c) for c in cover]
+        cover_chains = [_bottom_up(lat, c) for c in cover]
         covered = {x for c in cover_chains for x in c}
         uncovered = sorted(set(p0.elements) - covered)
         if uncovered:
@@ -210,13 +213,11 @@ def encode_orders(s: OrderedLambdaStructure, cover: str | list = "auto",
                 lvl |= 1 << j
         return lvl
 
-    level_of_vector: dict[int, tuple[int, ...]] = {}
     relation_vectors: dict[str, set] = {e: set() for e in lat.elements}
     for v in range(1 << n):
-        lvls = tuple(chain_level(v, plan) for plan in plans)
-        level_of_vector[v] = lvls
         above = []
-        for plan, lvl in zip(plans, lvls):
+        for plan in plans:
+            lvl = chain_level(v, plan)
             for pos, lam in enumerate(plan.credited, start=1):
                 if lvl < pos:
                     above.append(lat.index[lam])
@@ -238,10 +239,9 @@ def encode_orders(s: OrderedLambdaStructure, cover: str | list = "auto",
             order_vectors[idx] = vecs
 
     bound = len(plans) + sum(ceil(log2(len(p.credited) + 1)) for p in plans)
-    codebook = Codebook(n, plans,
+    codebook = Codebook(plans,
                         {e: frozenset(vs) for e, vs in relation_vectors.items()},
-                        {i: frozenset(vs) for i, vs in order_vectors.items()},
-                        level_of_vector)
+                        {i: frozenset(vs) for i, vs in order_vectors.items()})
     return EncodeResult(perm, codebook, n, bound)
 
 

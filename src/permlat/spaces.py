@@ -17,6 +17,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
+from .canon import canonical_key
 from .errors import InvalidFactorError, NonDistributiveError, SizeCapError
 from .lattice import FiniteLattice, is_distributive
 from .validation import ValidationReport
@@ -59,11 +60,6 @@ class LambdaSpace:
         return LambdaSpace(self.lattice, self.points + (name,),
                            dist + (tuple(row) + (self.lattice.bottom_idx,),))
 
-    def restrict(self, names) -> "LambdaSpace":
-        idxs = [self.pindex[x] for x in names]
-        dist = tuple(tuple(self.dist[a][b] for b in idxs) for a in idxs)
-        return LambdaSpace(self.lattice, tuple(names), dist)
-
     def __eq__(self, other):
         return (isinstance(other, LambdaSpace) and self.lattice == other.lattice
                 and self.points == other.points and self.dist == other.dist)
@@ -87,12 +83,16 @@ def _meet_of_joins(lat: FiniteLattice, row1, row2) -> int:
     return m
 
 
-def _triangle_ok(up, join, a: int, b: int, c: int) -> bool:
-    """The join-triangle on one triple of distances: each lies below the
-    join of the other two. ``up``/``join`` are the lattice's bitmask and
-    join tables."""
-    return bool(up[a] >> join[b][c] & 1 and up[b] >> join[a][c] & 1
-                and up[c] >> join[a][b] & 1)
+@functools.lru_cache(maxsize=64)
+def _triangles(lat: FiniteLattice) -> tuple[tuple[int, ...], ...]:
+    """The join-triangle as a table: bit c of ``[a][b]`` is set iff each of
+    the distances a, b, c lies below the join of the other two. The rule is
+    symmetric in a, b and c, so the table is too."""
+    up, join = lat.poset.up, lat._join
+    elems = range(lat.n)
+    return tuple(tuple(sum(1 << c for c in elems if up[a] >> join[b][c] & 1
+                           and up[b] >> join[a][c] & 1 and up[c] >> join[a][b] & 1)
+                       for b in elems) for a in elems)
 
 
 def _triangle_rows(lat: FiniteLattice, base_dist,
@@ -101,14 +101,19 @@ def _triangle_rows(lat: FiniteLattice, base_dist,
     ``base_dist`` (a square distance matrix) that keeps each join-triangle
     through two base points, in lexicographic order. The row starts with
     ``prefix``, taken as given."""
-    up = lat.poset.up
-    join = lat._join
+    tri = _triangles(lat)
     nonzero = lat.nonzero_idx()
     rows = [tuple(prefix)]
     for v in range(len(prefix), len(base_dist)):
         dv = base_dist[v]
-        rows = [row + (x,) for row in rows for x in nonzero
-                if all(_triangle_ok(up, join, row[u], x, dv[u]) for u in range(v))]
+        grown = []
+        for row in rows:
+            # bit z: (row[u], dv[u], z) keeps the triangle for every u
+            allowed = -1
+            for x, y in zip(row, dv):
+                allowed &= tri[x][y]
+            grown.extend(row + (z,) for z in nonzero if allowed >> z & 1)
+        rows = grown
     return rows
 
 
@@ -139,12 +144,11 @@ def validate_space(s: LambdaSpace) -> ValidationReport:
 @functools.lru_cache(maxsize=64)
 def _broken_triangles(lat: FiniteLattice) -> list[set[tuple[int, int]]]:
     """Per distance d: the pairs (a, b) for which (d, a, b) breaks the
-    join-triangle."""
-    up = lat.poset.up
-    join = lat._join
+    join-triangle; a set view of ``_triangles`` that ``_triangles_hold``
+    scans with ``isdisjoint``."""
+    tri = _triangles(lat)
     elems = range(lat.n)
-    return [{(a, b) for a in elems for b in elems if not _triangle_ok(up, join, d, a, b)}
-            for d in elems]
+    return [{(a, b) for a in elems for b in elems if not tri[d][a] >> b & 1} for d in elems]
 
 
 def _triangles_hold(lat: FiniteLattice, dist) -> bool:
@@ -205,31 +209,28 @@ class EquivalenceSystem:
         return report
 
 
-def _sorted_partition(blocks: list[list[str]], order: dict[str, int]) -> tuple[tuple[str, ...], ...]:
-    norm = [tuple(sorted(b, key=order.__getitem__)) for b in blocks]
-    return tuple(sorted(norm, key=lambda b: order[b[0]]))
+def class_reps(space: LambdaSpace, level_idx: int) -> list[int]:
+    """Map each point index to the index of its class representative at the
+    given lattice level (first member in point order)."""
+    lat = space.lattice
+    reps = list(range(space.n))
+    for i in range(space.n):
+        for j in range(i):
+            if lat.leq_idx(space.dist[i][j], level_idx):
+                reps[i] = reps[j]
+                break
+    return reps
 
 
 def equivalences_from_space(s: LambdaSpace) -> EquivalenceSystem:
     """Group x,y at level lam iff d(x,y) <= lam."""
     lat = s.lattice
-    order = {p: i for i, p in enumerate(s.points)}
     classes = {}
     for e in range(lat.n):
-        blocks: list[list[str]] = []
-        assigned = {}
-        for i, p in enumerate(s.points):
-            target = None
-            for j in range(i):
-                if lat.leq_idx(s.dist[i][j], e):
-                    target = assigned[j]
-                    break
-            if target is None:
-                target = len(blocks)
-                blocks.append([])
-            assigned[i] = target
-            blocks[target].append(p)
-        classes[lat.elements[e]] = _sorted_partition(blocks, order)
+        blocks: dict[int, list[str]] = {}
+        for p, rep in zip(s.points, class_reps(s, e)):
+            blocks.setdefault(rep, []).append(p)
+        classes[lat.elements[e]] = tuple(map(tuple, blocks.values()))
     return EquivalenceSystem(lat, s.points, classes)
 
 
@@ -319,32 +320,31 @@ def canonical_amalgam(base: LambdaSpace, f1: LambdaSpace, f2: LambdaSpace) -> Am
 # failure probe, which searches the sweep's faulty instances for any
 # completion at all
 
-MAX_BASE_POINTS = 3
+MAX_BASE_POINTS = 4
 
 
 def _base_spaces(lat: FiniteLattice, max_base: int):
     """Valid base spaces with 0..max_base points, one per isomorphism class.
 
-    The triangle constraints on <= 3 points are symmetric in the pair slots,
-    so the multiset of pair distances is a complete isomorphism invariant;
-    beyond 3 points it is not, so larger bases are refused.
+    Each (k+1)-point class is a k-point class plus one triangle-valid row,
+    kept the first time its canonical key is seen (isomorph-free generation,
+    McKay 1998). Deleting any point of a space leaves a space of some k-point
+    class, so every class is reached. The cap bounds the sweep's run time
+    only.
     """
     if max_base > MAX_BASE_POINTS:
         raise SizeCapError(f"bases are capped at {MAX_BASE_POINTS} points, got {max_base}: "
-                           f"larger bases are not enumerated up to isomorphism")
-    names = [f"c{i}" for i in range(max_base)]
-    yield LambdaSpace(lat, (), ())
-    for k in range(1, max_base + 1):
-        for combo in itertools.combinations_with_replacement(lat.nonzero_idx(), k * (k - 1) // 2):
-            dist = [[lat.bottom_idx] * k for _ in range(k)]
-            pos = 0
-            for i in range(k):
-                for j in range(i + 1, k):
-                    dist[i][j] = dist[j][i] = combo[pos]
-                    pos += 1
-            s = LambdaSpace(lat, tuple(names[:k]), tuple(map(tuple, dist)))
-            if validate_space(s).ok:
-                yield s
+                           f"the cap bounds the sweep's run time")
+    layer = [LambdaSpace(lat, (), ())]
+    yield from layer
+    for k in range(max_base):
+        classes = {}
+        for base in layer:
+            for row in _triangle_rows(lat, base.dist):
+                s = base.extended(f"c{k}", row)
+                classes.setdefault(canonical_key(s.n, lambda i, j: s.dist[i][j]), s)
+        layer = list(classes.values())
+        yield from layer
 
 
 @dataclass(frozen=True)
@@ -369,12 +369,11 @@ def _has_pseudo_completion(lat: FiniteLattice, base: LambdaSpace,
     n = union.n
     cross_pairs = [(union.pindex[a], union.pindex[b]) for a in new1 for b in new2]
 
-    up = lat.poset.up
-    join = lat._join
+    tri = _triangles(lat)
 
     def consistent(i, j) -> bool:
         return all(d[i][k2] is None or d[k2][j] is None
-                   or _triangle_ok(up, join, d[i][j], d[i][k2], d[k2][j]) for k2 in range(n))
+                   or tri[d[i][j]][d[i][k2]] >> d[k2][j] & 1 for k2 in range(n))
 
     def assign(pos: int) -> bool:
         if pos == len(cross_pairs):
@@ -476,11 +475,8 @@ def _sweep(lat: FiniteLattice, max_base: int, max_new: int,
     factor's fault mask meets the other's rows. Only faulty instances are
     built as spaces.
     """
-    n, bot, top = lat.n, lat.bottom_idx, lat.top_idx
-    up, join = lat.poset.up, lat._join
-    # ok[x][y] >> z & 1: whether the join-triangle on (x, y, z) holds
-    ok = [[sum(1 << z for z in range(n) if _triangle_ok(up, join, x, y, z)) for y in range(n)]
-          for x in range(n)]
+    bot, top = lat.bottom_idx, lat.top_idx
+    ok = _triangles(lat)
     for base in _base_spaces(lat, max_base):
         rows, exts = _extensions(lat, base, max_new)
         nrows = len(rows)
@@ -494,9 +490,9 @@ def _sweep(lat: FiniteLattice, max_base: int, max_new: int,
                 if m == bot and i != j:
                     f = ("identification of distinct types",)
                 else:
-                    jm = join[m]
+                    okm = ok[m]
                     f = next((("base triangle", c) for c, (x, y) in enumerate(zip(ri, rj))
-                              if not (up[x] >> jm[y] & 1 and up[y] >> jm[x] & 1)), None)
+                              if not okm[x] >> y & 1), None)
                 fault[i][j] = fault[j][i] = f
         faulty = [sum(1 << j for j, f in enumerate(fi) if f) for fi in fault]
         masks = []
@@ -506,7 +502,7 @@ def _sweep(lat: FiniteLattice, max_base: int, max_new: int,
                 own |= 1 << i
                 bad |= faulty[i]
             if m is not None:
-                okm = [ok[u][m] for u in range(n)]
+                okm = ok[m]
                 bad |= sum(1 << r for r, (u, v) in enumerate(zip(cross[idx[0]], cross[idx[1]]))
                            if not okm[u] >> v & 1)
             masks.append((own, bad))

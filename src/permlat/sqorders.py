@@ -14,21 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import NotConvexError, TopBottomMismatchError, UndefinedRestrictionError
-from .spaces import LambdaSpace, validate_space
+from .spaces import LambdaSpace, class_reps, validate_space
 from .validation import ValidationReport
-
-
-def class_reps(space: LambdaSpace, level_idx: int) -> list[int]:
-    """Map each point index to the index of its class representative at the
-    given lattice level (first member in point order)."""
-    lat = space.lattice
-    reps = list(range(space.n))
-    for i in range(space.n):
-        for j in range(i):
-            if lat.leq_idx(space.dist[i][j], level_idx):
-                reps[i] = reps[j]
-                break
-    return reps
 
 
 def _ranks(space: LambdaSpace, bottom_reps: list[int], top_reps: list[int],

@@ -1,6 +1,8 @@
 import contextlib
+import functools
 import hashlib
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -177,6 +179,20 @@ def test_amalgam_command(fixtures, capsys):
     assert "d: x y 1" in payload["structure"]
 
 
+def test_amalgam_output_carries_the_base_lattice_reference(fixtures, capsys):
+    base, f1, f2 = (fixtures / f"{name}.struct" for name in ("base", "f1", "f2"))
+    base.write_text("lattice: chain3.lat\npoints: b\n")
+    f1.write_text("lattice: chain3.lat\npoints: b x\nd: b x E\n")
+    f2.write_text("lattice: chain3.lat\npoints: b y\nd: b y 1\n")
+    out = fixtures / "sub" / "a.struct"
+    out.parent.mkdir()
+    code, _ = run(["space", "amalgam", base, f1, f2, "--out", out], capsys)
+    assert code == 0
+    assert out.read_text().startswith("lattice: ../chain3.lat\n")
+    code, text = run(["space", "check", out], capsys)
+    assert code == 0 and "valid: True" in text
+
+
 def test_sq_compose_and_split_commands(fixtures, capsys):
     struct = fixtures / "c.struct"
     run(["gen", "--lattice", fixtures / "chain3.lat", "--orders", "0:E,E:1",
@@ -214,7 +230,7 @@ def test_entry_point_runs():
      2, "USAGE"),
     (["check", "ext", "--in", "{norank}"], 1, "INVALID_STRUCTURE"),
     (["encode", "--in", "{norank}"], 1, "INVALID_STRUCTURE"),
-    (["space", "probe", "{lat}", "--max-base", "4"], 1, "SIZE_CAP"),
+    (["space", "probe", "{lat}", "--max-base", "5"], 1, "SIZE_CAP"),
     (["space", "probe", "{lat}", "--max-new", "3"], 1, "SIZE_CAP"),
     (["check", "ext", "--in", "{s}", "--k", "-1"], 2, "USAGE"),
     (["check", "hom", "--in", "{s}", "--k", "-1"], 2, "USAGE"),
@@ -300,7 +316,12 @@ def test_amalgam_refuses_a_factor_over_another_lattice(fixtures, capsys):
     ("chain3.lat", "0:E,E:1", "chain: E Q\n", "error [FORMAT]: {cover}:2: unknown"),
     ("b2.lat", "a:1,b:1", "chain: a b\n", "error [FORMAT]: {cover}:2: a and b are incomparable"),
     ("b2.lat", "a:1,b:1", "chain: a\n", "error [MISSING_MEET_IRREDUCIBLE]: cover misses"),
-], ids=["unknown-element", "not-a-chain", "misses-a-meet-irreducible"])
+    ("chain3.lat", "0:E,E:1", "chain: E E\n", "error [FORMAT]: {cover}:2: duplicate chain"),
+    ("chain3.lat", "0:E,E:1", "chain: 0 E 1\n",
+     "error [FORMAT]: {cover}:2: 0 is not an internal meet-irreducible"),
+    ("chain3.lat", "0:E,E:1", "chain:\nchain: E\n", "error [FORMAT]: {cover}:2: 'chain:' names no"),
+], ids=["unknown-element", "not-a-chain", "misses-a-meet-irreducible", "repeats-an-element",
+        "names-the-bottom", "names-no-element"])
 def test_bad_cover_file_is_a_coded_error(fixtures, capsys, lat, orders, cover, err):
     struct, path = fixtures / "s.struct", fixtures / "c.cover"
     run(["gen", "--lattice", fixtures / lat, "--orders", orders, "--size", "6", "--depth", "1",
@@ -318,6 +339,21 @@ def test_encode_reads_a_cover_file(fixtures, capsys):
     code, out = run(["encode", "--in", struct, "--cover", path, "--json"], capsys)
     assert code == 0
     assert [c["credited"] for c in json.loads(out)["chains"]] == [["a"], ["b"]]
+
+
+def test_cover_chains_may_list_their_elements_in_any_order(fixtures, capsys):
+    (fixtures / "chain4.lat").write_text(dump_lattice(chain_lattice(4, ["0", "e", "f", "1"])))
+    struct, path = fixtures / "s.struct", fixtures / "c.cover"
+    run(["gen", "--lattice", fixtures / "chain4.lat", "--orders", "0:e,e:f,f:1", "--size", "6",
+         "--depth", "1", "--no-report", "--out", struct], capsys)
+    outs = []
+    for chain in ("e f", "f e"):
+        path.write_text(f"chain: {chain}\n")
+        code, out = run(["encode", "--in", struct, "--cover", path, "--json"], capsys)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert all(json.loads(outs[1])["codebook_orders"].values())
 
 
 def test_encode_refuses_an_order_over_a_one_element_lattice(tmp_path, capsys):
@@ -451,6 +487,70 @@ def test_fuzzed_structure_files_give_an_exit_code_not_a_traceback(case):
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 assert main([str(a) for a in argv]) in (0, 1, 2)
+
+
+# -- fuzzed cover files -----------------------------------------------------------
+
+
+_COVER_CASES = {"chain3": (chain_lattice(3, ["0", "E", "1"]), [("0", "E"), ("E", "1")]),
+                "b2": (boolean2(), [("a", "1"), ("b", "1")]),
+                "chain4": (chain_lattice(4, ["0", "e", "f", "1"]),
+                           [("0", "e"), ("e", "f"), ("f", "1")])}
+
+
+@functools.cache
+def _cover_case_files(name):
+    """The lattice file and a generated structure file for one cover case."""
+    from permlat.generic import GenerationConfig, generate_generic
+    lat, signature = _COVER_CASES[name]
+    s = generate_generic(lat, signature, GenerationConfig(seed=2, target_size=7,
+                                                          saturation_depth=1),
+                         with_saturation_report=False).structure
+    return dump_lattice(lat), dump_structure(s, lattice_ref="l.lat")
+
+
+@st.composite
+def cover_files(draw):
+    """A cover case and 1-3 ``chain:`` lines, each one or more internal
+    meet-irreducibles in random order, now and then with a repeat, the
+    bottom, the top or an unknown name put in."""
+    name = draw(st.sampled_from(sorted(_COVER_CASES)))
+    lat = _COVER_CASES[name][0]
+    internal = [x for x in lat.elements if x not in (lat.bottom, lat.top)]
+    chains = []
+    for _ in range(draw(st.integers(1, 3))):
+        chain = draw(st.permutations(internal))[:draw(st.integers(1, len(internal)))]
+        if draw(st.integers(0, 3)) == 0:
+            bad = draw(st.sampled_from(internal + [lat.bottom, lat.top, "Q"]))
+            chain.insert(draw(st.integers(0, len(chain))), bad)
+        chains.append(chain)
+    return name, "".join("chain: " + " ".join(c) + "\n" for c in chains)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cover_files())
+def test_fuzzed_cover_files_encode_to_orders_the_codebook_recovers(case):
+    name, cover_text = case
+    lat_text, struct_text = _cover_case_files(name)
+    with tempfile.TemporaryDirectory() as tmp:
+        lat, struct, cover, perm = (Path(tmp) / f for f in ("l.lat", "s.struct", "c.cover",
+                                                             "s.perm"))
+        lat.write_text(lat_text)
+        struct.write_text(struct_text)
+        cover.write_text(cover_text)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["encode", "--in", str(struct), "--cover", str(cover),
+                         "--out", str(perm), "--json"])
+        assert code in (0, 1, 2)
+        if code == 0:
+            book = json.loads(stdout.getvalue())["codebook_orders"]
+            p = load_perm(perm)
+            _, orders = load_structure(struct)
+            for idx, order in enumerate(orders):
+                vectors = {tuple(v) for v in book[str(idx)]}
+                for x, y in itertools.permutations(p.points, 2):
+                    assert order.less(x, y) == (p.vector(x, y) in vectors)
 
 
 # -- golden digests -------------------------------------------------------------

@@ -3,13 +3,14 @@ import itertools
 import pytest
 
 from permlat.errors import InvalidFactorError, NonDistributiveError, SizeCapError
-from permlat.lattice import boolean2, chain_lattice, enumerate_lattices, m3, n5
+from permlat.canon import canonical_key
+from permlat.lattice import (boolean2, chain_lattice, enumerate_lattices, is_distributive, m3,
+                             n5)
 from permlat.spaces import (LambdaSpace, SweepReport, all_spaces, amalgam_validity_sweep,
                             amalgamation_failure_probe, canonical_amalgam,
                             equivalences_from_space, space_from_equivalences,
                             validate_space, _base_spaces, _extensions,
-                            _has_pseudo_completion, _materialize, _sweep, _triangle_ok,
-                            _triangle_rows)
+                            _has_pseudo_completion, _materialize, _sweep, _triangle_rows)
 
 
 def test_single_point_space_is_valid(b2):
@@ -253,12 +254,56 @@ def test_canonical_completion_dominates_every_valid_completion(lat):
 @pytest.mark.parametrize("call, lat", [(amalgamation_failure_probe, chain_lattice(3)),
                                        (amalgamation_failure_probe, m3()),
                                        (amalgam_validity_sweep, chain_lattice(3))])
-@pytest.mark.parametrize("sizes", [{"max_base": 4}, {"max_new": 3}])
+@pytest.mark.parametrize("sizes", [{"max_base": 5}, {"max_new": 3}])
 def test_sizes_the_enumeration_cannot_cover_are_refused(call, lat, sizes):
-    # the pair-distance multiset misses isomorphism classes from 4 base
-    # points on, and extensions are enumerated with at most 2 new points
+    # bases are capped at 4 points for run time, and extensions are
+    # enumerated with at most 2 new points
     with pytest.raises(SizeCapError):
         call(lat, **sizes)
+
+
+def _reference_base_spaces(lat, max_base):
+    """Bases up to 3 points, one per multiset of pair distances: on at most
+    3 points that multiset is a complete isomorphism invariant."""
+    names = [f"c{i}" for i in range(max_base)]
+    yield LambdaSpace(lat, (), ())
+    for k in range(1, max_base + 1):
+        for combo in itertools.combinations_with_replacement(lat.nonzero_idx(), k * (k - 1) // 2):
+            dist = [[lat.bottom_idx] * k for _ in range(k)]
+            pos = 0
+            for i in range(k):
+                for j in range(i + 1, k):
+                    dist[i][j] = dist[j][i] = combo[pos]
+                    pos += 1
+            s = LambdaSpace(lat, tuple(names[:k]), tuple(map(tuple, dist)))
+            if validate_space(s).ok:
+                yield s
+
+
+@pytest.mark.parametrize("lat", list(enumerate_lattices(6)), ids=lambda lat: "-".join(lat.elements))
+def test_bases_up_to_3_points_match_the_distance_multiset_enumeration(lat):
+    assert list(_base_spaces(lat, 3)) == list(_reference_base_spaces(lat, 3))
+
+
+def _space_key(s):
+    return canonical_key(s.n, lambda i, j: s.dist[i][j])
+
+
+@pytest.mark.parametrize("lat", list(enumerate_lattices(5)), ids=lambda lat: "-".join(lat.elements))
+def test_4_point_bases_are_one_per_isomorphism_class(lat):
+    bases = [_space_key(s) for s in _base_spaces(lat, 4) if s.n == 4]
+    assert len(bases) == len(set(bases))
+    assert set(bases) == {_space_key(s) for s in all_spaces(lat, 4)}
+
+
+def test_sweep_over_4_point_bases_fails_exactly_off_distributive_lattices():
+    lats = [lat for lat in enumerate_lattices(5) if is_distributive(lat)]
+    assert len(lats) == 7
+    reports = [amalgam_validity_sweep(lat, 4, 2) for lat in lats]
+    assert sum(r.instances for r in reports) == 789_558
+    assert not any(r.failures for r in reports)
+    assert amalgamation_failure_probe(m3(), 4, 2) is not None
+    assert amalgamation_failure_probe(n5(), 4, 2) is not None
 
 
 def test_probe_stops_at_the_first_failing_instance():
@@ -306,6 +351,13 @@ def _reference_instances(lat, max_base, max_new):
                 yield (base, [rows[i] for i in ext1[0]], ext1[1], [rows[i] for i in ext2[0]],
                        ext2[1], lambda e=ext1: _materialize(base, rows, e, "x"),
                        lambda e=ext2: _materialize(base, rows, e, "y"))
+
+
+def _triangle_ok(up, join, a, b, c):
+    """The join-triangle on one triple of distances: each lies below the
+    join of the other two."""
+    return bool(up[a] >> join[b][c] & 1 and up[b] >> join[a][c] & 1
+                and up[c] >> join[a][b] & 1)
 
 
 def _reference_sweep(lat, max_base, max_new):
