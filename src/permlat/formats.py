@@ -24,9 +24,11 @@ def _int(path, lineno: int, text: str, what: str) -> int:
 
 
 def _distinct(path, lineno: int, ids, what: str) -> None:
-    for i, x in enumerate(ids):
-        if x in ids[:i]:
+    seen = set()
+    for x in ids:
+        if x in seen:
             raise FormatError(f"{path}:{lineno}: duplicate {what} {x!r}")
+        seen.add(x)
 
 
 def _lines(path: str | Path) -> list[tuple[int, str]]:
@@ -106,10 +108,12 @@ def load_structure(path: str | Path) -> tuple[LambdaSpace, tuple]:
     order_blocks = []
     for lineno, line in _lines(path):
         if line.startswith("lattice:"):
-            ref = line.split(":", 1)[1].strip()
-            if lattice is None:
-                lattice = load_lattice((path.parent / ref))
+            if lattice is not None:
+                raise FormatError(f"{path}:{lineno}: repeated 'lattice:' header")
+            lattice = load_lattice(path.parent / line.split(":", 1)[1].strip())
         elif line.startswith("points:"):
+            if points is not None:
+                raise FormatError(f"{path}:{lineno}: repeated 'points:' header")
             points = tuple(line.split(":", 1)[1].split())
             _distinct(path, lineno, points, "point id")
         elif line.startswith("d:"):
@@ -141,8 +145,9 @@ def load_structure(path: str | Path) -> tuple[LambdaSpace, tuple]:
         raise FormatError(f"{path}: missing 'lattice:' header")
     if points is None:
         raise FormatError(f"{path}: missing 'points:' header")
+    known = set(points)
     for (x, y), lam in distances.items():
-        if x not in points or y not in points:
+        if x not in known or y not in known:
             raise FormatError(f"{path}: distance names unknown point ({x}, {y})")
         if lam not in lattice.index:
             raise FormatError(f"{path}: unknown lattice element {lam!r}")
@@ -178,7 +183,9 @@ def dump_structure(s: OrderedLambdaStructure | LambdaSpace,
 
 
 def load_perm(path: str | Path) -> PermStructure:
-    """Header ``n N``; one line per point with its rank in each order."""
+    """Header ``n N`` (two counts, neither negative); then one line per point
+    with its distinct id and its rank in each order, each order's ranks
+    running over 0..N-1 once."""
     rows = _lines(path)
     if not rows:
         raise FormatError(f"{path}: empty file")
@@ -187,15 +194,29 @@ def load_perm(path: str | Path) -> PermStructure:
     if len(header) != 2:
         raise FormatError(f"{path}:{lineno}: header must be 'n N'")
     n, N = (_int(path, lineno, h, "header count") for h in header)
+    if n < 0 or N < 0:
+        raise FormatError(f"{path}:{lineno}: header counts must not be negative")
     points = []
     ranks = [[] for _ in range(n)]
+    seen_ids: set[str] = set()
+    seen_ranks = [set() for _ in range(n)]
     for lineno, line in rows[1:]:
         parts = line.split()
         if len(parts) != n + 1:
             raise FormatError(f"{path}:{lineno}: expected point id and {n} ranks")
+        if len(points) == N:
+            raise FormatError(f"{path}:{lineno}: header says {N} points, found more")
+        if parts[0] in seen_ids:
+            raise FormatError(f"{path}:{lineno}: duplicate point id {parts[0]!r}")
+        seen_ids.add(parts[0])
         points.append(parts[0])
         for t in range(n):
-            ranks[t].append(_int(path, lineno, parts[t + 1], "rank"))
+            r = _int(path, lineno, parts[t + 1], "rank")
+            if not 0 <= r < N or r in seen_ranks[t]:
+                raise FormatError(f"{path}:{lineno}: rank {r} of order {t} is outside "
+                                  f"0..{N - 1} or given to an earlier point")
+            seen_ranks[t].add(r)
+            ranks[t].append(r)
     if len(points) != N:
         raise FormatError(f"{path}: header says {N} points, found {len(points)}")
     return PermStructure(tuple(points), tuple(tuple(r) for r in ranks))

@@ -23,6 +23,7 @@ import random
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import ceil, log2
 
 from .errors import MissingMeetIrreducibleError, NonDistributiveError, SizeCapError
@@ -44,21 +45,30 @@ class PermStructure:
             if sorted(r) != list(range(self.N)):
                 raise ValueError("each order must be a strict total order on all points")
 
-    def less(self, order: int, x: str, y: str) -> bool:
-        return self.ranks[order][self.pindex[x]] < self.ranks[order][self.pindex[y]]
+    @cached_property
+    def vectors(self) -> tuple[tuple[int, ...], ...]:
+        """The orientation table: ``[i][j]`` has bit t set iff i precedes j
+        in order t (0 on the diagonal)."""
+        rows = []
+        for i in range(self.N):
+            row = [0] * self.N
+            for t, r in enumerate(self.ranks):
+                bit, ri = 1 << t, r[i]
+                row = [v | bit if ri < rj else v for v, rj in zip(row, r)]
+            rows.append(tuple(row))
+        return tuple(rows)
 
     def vector_idx(self, i: int, j: int) -> int:
         """Orientation of the ordered pair as a bitmask: bit t set iff i
         precedes j in order t."""
-        v = 0
-        for t in range(self.n):
-            if self.ranks[t][i] < self.ranks[t][j]:
-                v |= 1 << t
-        return v
+        return self.vectors[i][j]
+
+    def less(self, order: int, x: str, y: str) -> bool:
+        return bool(self.vector_idx(self.pindex[x], self.pindex[y]) >> order & 1)
 
     def vector(self, x: str, y: str) -> tuple[int, ...]:
-        i, j = self.pindex[x], self.pindex[y]
-        return tuple(1 if self.ranks[t][i] < self.ranks[t][j] else 0 for t in range(self.n))
+        v = self.vector_idx(self.pindex[x], self.pindex[y])
+        return tuple(v >> t & 1 for t in range(self.n))
 
     def __eq__(self, other):
         return (isinstance(other, PermStructure)
@@ -283,6 +293,42 @@ def _transitive_closure_types(comp: dict, seed_set: frozenset) -> frozenset:
     return frozenset(out)
 
 
+def _composition(p: PermStructure) -> dict[tuple[int, int], set]:
+    """``comp[(a, b)]`` is the set of orientation vectors c for which some
+    three distinct points i, j, k have vec(i, j) = a, vec(j, k) = b and
+    vec(i, k) = c.
+
+    Composed by masks, not over the N(N-1)(N-2) triples: ``at[j][b]`` is the
+    bit set of the points k != j with vec(j, k) = b. For a point i, the
+    points reached from i through some j at a and then b are the OR of
+    ``at[j][b]`` over the j with vec(i, j) = a; c is in comp[(a, b)] iff
+    that OR meets ``at[i][c]``. Each row keeps only the vectors it realizes,
+    so no unrealized value is ever visited."""
+    vec = p.vectors
+    at = []
+    for i, row in enumerate(vec):
+        masks: dict[int, int] = {}
+        for k, v in enumerate(row):
+            if k != i:
+                masks[v] = masks.get(v, 0) | 1 << k
+        at.append(masks)
+    comp: dict[tuple[int, int], set] = {}
+    for i, row in enumerate(vec):
+        reach: dict[int, dict[int, int]] = {}
+        for j, a in enumerate(row):
+            if j != i:
+                via = reach.setdefault(a, {})
+                for b, m in at[j].items():
+                    via[b] = via.get(b, 0) | m
+        mine = at[i].items()
+        for a, via in reach.items():
+            for b, m in via.items():
+                for c, mc in mine:
+                    if m & mc:
+                        comp.setdefault((a, b), set()).add(c)
+    return comp
+
+
 def decode_relations(p: PermStructure) -> DecodeResult:
     """Find every equivalence relation expressible as a union of orientation
     types on the sample, with their meet/join closure as a candidate lattice.
@@ -290,15 +336,16 @@ def decode_relations(p: PermStructure) -> DecodeResult:
     Works on the closure system directly: a union of types is an equivalence
     iff it is closed under composition along sample triples, so the closed
     sets are enumerated Moore-family style instead of sweeping all subsets.
-    Transitivity is only tested on the sample; small samples can only
-    falsify, which is why the result carries the sample size.
+    The composition table comes from per-point bit masks of the points at
+    each realized vector (see ``_composition``), read off the structure's one
+    orientation table. Transitivity is only tested on the sample; small
+    samples can only falsify, which is why the result carries the sample
+    size.
     """
     N = p.N
-    vec = [[p.vector_idx(i, j) for j in range(N)] for i in range(N)]
-    realized = sorted({vec[i][j] for i in range(N) for j in range(N) if i != j})
-    comp: dict[tuple[int, int], set] = {}
-    for i, j, k in itertools.permutations(range(N), 3):
-        comp.setdefault((vec[i][j], vec[j][k]), set()).add(vec[i][k])
+    realized = sorted({v for i, row in enumerate(p.vectors)
+                       for j, v in enumerate(row) if i != j})
+    comp = _composition(p)
     full_mask = (1 << p.n) - 1
     atoms = sorted({frozenset((v, v ^ full_mask)) for v in realized}, key=sorted)
     closed: set[frozenset] = set()
@@ -326,9 +373,10 @@ def decode_relations(p: PermStructure) -> DecodeResult:
 
     relations = []
     for sset in by_size:
-        parts = _partition_from_types(p, vec, sset)
-        convex = tuple(t for t in range(p.n) if _convex_in_order(p, parts, t))
+        blocks = _partition_from_types(p, sset)
+        convex = tuple(t for t in range(p.n) if _convex_in_order(p, blocks, t))
         vecs = frozenset(tuple((v >> t) & 1 for t in range(p.n)) for v in sset)
+        parts = tuple(tuple(p.points[i] for i in block) for block in blocks)
         relations.append(RelationInfo(names[sset], vecs, parts, convex))
     mi = set(meet_irreducibles(lattice).elements)
     for r in relations:
@@ -336,7 +384,9 @@ def decode_relations(p: PermStructure) -> DecodeResult:
     return DecodeResult(relations, lattice, bool(dist), N)
 
 
-def _partition_from_types(p: PermStructure, vec, sset: frozenset):
+def _partition_from_types(p: PermStructure, sset: frozenset) -> list[list[int]]:
+    """Blocks of point indices joined by a pair whose vector is in
+    ``sset``, each block ascending, blocks by their first point."""
     parent = list(range(p.N))
 
     def find(x):
@@ -345,22 +395,23 @@ def _partition_from_types(p: PermStructure, vec, sset: frozenset):
             x = parent[x]
         return x
 
-    for i, j in itertools.combinations(range(p.N), 2):
-        if vec[i][j] in sset:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    blocks: dict[int, list[str]] = {}
+    for i, row in enumerate(p.vectors):
+        for j in range(i + 1, p.N):
+            if row[j] in sset:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
+    blocks: dict[int, list[int]] = {}
     for i in range(p.N):
-        blocks.setdefault(find(i), []).append(p.points[i])
-    return tuple(tuple(blocks[k]) for k in sorted(blocks))
+        blocks.setdefault(find(i), []).append(i)
+    return [blocks[k] for k in sorted(blocks)]
 
 
-def _convex_in_order(p: PermStructure, partition, order: int) -> bool:
+def _convex_in_order(p: PermStructure, blocks: list[list[int]], order: int) -> bool:
     block_of = {}
-    for bi, block in enumerate(partition):
-        for x in block:
-            block_of[p.pindex[x]] = bi
+    for bi, block in enumerate(blocks):
+        for i in block:
+            block_of[i] = bi
     by_rank = sorted(range(p.N), key=lambda i: p.ranks[order][i])
     seen_done = set()
     current = None
@@ -381,15 +432,29 @@ def _convex_in_order(p: PermStructure, partition, order: int) -> bool:
 
 def profile(p: PermStructure, k: int) -> Counter:
     """Multiset of k-point types: orbits of labeled k-tuples, keyed by the
-    orientation matrix of the tuple. Exhaustive, so refused for k > 4."""
+    orientation matrix of the tuple (the vectors of its ordered pairs (u, v),
+    u != v, row by row). Exhaustive, so refused for k > 4.
+
+    Counted by orbits rather than over the k!·C(N, k) labeled tuples: the
+    labeled tuple s∘σ of a sorted k-subset s and a permutation σ of its cells
+    has key[(u, v)] = key_s[(σu, σv)], the sorted tuple's key with its cells
+    permuted. So keys are counted over the C(N, k) sorted subsets, read off
+    the orientation table, and each distinct key with multiplicity m adds m
+    to each of its k! cell permutations (the labeled/unlabeled orbit count
+    of Cameron, Oligomorphic Permutation Groups, 1990)."""
     if k > 4:
         raise SizeCapError(f"profile is capped at k = 4, got {k}")
+    vec = p.vectors
+    cells = [(u, v) for u in range(k) for v in range(k) if u != v]
+    sorted_keys = Counter(tuple(vec[sub[u]][sub[v]] for u, v in cells)
+                          for sub in itertools.combinations(range(p.N), k))
+    # position in the sorted key of each entry of a permuted key
+    spreads = [[cells.index((sigma[u], sigma[v])) for u, v in cells]
+               for sigma in itertools.permutations(range(k))]
     out: Counter = Counter()
-    for sub in itertools.combinations(range(p.N), k):
-        for perm in itertools.permutations(sub):
-            key = tuple(p.vector_idx(perm[u], perm[v])
-                        for u in range(k) for v in range(k) if u != v)
-            out[key] += 1
+    for key, m in sorted_keys.items():
+        for spread in spreads:
+            out[tuple(key[x] for x in spread)] += m
     return out
 
 

@@ -34,6 +34,7 @@ class LambdaSpace:
         self.dist = tuple(tuple(row) for row in dist)
         self.pindex = {p: i for i, p in enumerate(self.points)}
         self.n = len(self.points)
+        self._class_reps: dict[int, tuple[int, ...]] = {}  # level -> class_reps
 
     @classmethod
     def from_distances(cls, lattice: FiniteLattice, points, distances: dict) -> "LambdaSpace":
@@ -209,16 +210,20 @@ class EquivalenceSystem:
         return report
 
 
-def class_reps(space: LambdaSpace, level_idx: int) -> list[int]:
+def class_reps(space: LambdaSpace, level_idx: int) -> tuple[int, ...]:
     """Map each point index to the index of its class representative at the
-    given lattice level (first member in point order)."""
-    lat = space.lattice
-    reps = list(range(space.n))
-    for i in range(space.n):
-        for j in range(i):
-            if lat.leq_idx(space.dist[i][j], level_idx):
-                reps[i] = reps[j]
-                break
+    given lattice level (first member in point order). Computed once per
+    space and level."""
+    reps = space._class_reps.get(level_idx)
+    if reps is None:
+        below = space.lattice.poset.down[level_idx]
+        out = list(range(space.n))
+        for i, row in enumerate(space.dist):
+            for j in range(i):
+                if below >> row[j] & 1:
+                    out[i] = out[j]
+                    break
+        reps = space._class_reps[level_idx] = tuple(out)
     return reps
 
 

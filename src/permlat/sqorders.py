@@ -18,7 +18,7 @@ from .spaces import LambdaSpace, class_reps, validate_space
 from .validation import ValidationReport
 
 
-def _ranks(space: LambdaSpace, bottom_reps: list[int], top_reps: list[int],
+def _ranks(space: LambdaSpace, bottom_reps: tuple[int, ...], top_reps: tuple[int, ...],
            key=None) -> dict[str, int]:
     """Dense rank of each bottom class inside its top class, ordered by
     ``key`` on the representative's point index (point order when None);
@@ -75,11 +75,11 @@ class SubquotientOrder:
     # -- structure ------------------------------------------------------
 
     @cached_property
-    def bottom_reps(self) -> list[int]:
+    def bottom_reps(self) -> tuple[int, ...]:
         return class_reps(self.space, self.space.lattice.index[self.bottom])
 
     @cached_property
-    def top_reps(self) -> list[int]:
+    def top_reps(self) -> tuple[int, ...]:
         return class_reps(self.space, self.space.lattice.index[self.top])
 
     def class_of(self, point: str) -> str:

@@ -218,6 +218,12 @@ def test_entry_point_runs():
     assert result.returncode == 0
 
 
+def test_package_runs_as_a_module():
+    result = subprocess.run([sys.executable, "-m", "permlat", "profile", "--help"],
+                            capture_output=True, text=True)
+    assert result.returncode == 0 and "usage: permlat profile" in result.stdout
+
+
 # -- coded errors -------------------------------------------------------------
 
 
@@ -376,6 +382,17 @@ def test_encode_refuses_an_order_over_a_one_element_lattice(tmp_path, capsys):
     # duplicate ids, named at their line
     (["space", "check", "{s}"], ("points: p0 p1 p2", "points: p0 p1 p1"), "s.struct:2:"),
     (["lattice", "check", "{lat}"], ("elements: 0 E 1", "elements: 0 E E 1"), "chain3.lat:1:"),
+    (["decode", "--in", "{perm}"], ("b 2", "a 2"), "s.perm:3:"),
+    (["profile", "--in", "{perm}"], ("b 2", "a 2"), "s.perm:3:"),
+    # a header line may come only once
+    (["space", "check", "{s}"], ("d: p0 p1 E", "d: p0 p1 E\npoints: p0 p3"), "s.struct:4:"),
+    (["space", "check", "{s}"], ("d: p0 p1 E", "d: p0 p1 E\nlattice: chain3.lat"),
+     "s.struct:4:"),
+    # rank columns must be permutations of 0..N-1, and counts not negative
+    (["decode", "--in", "{perm}"], ("b 2", "b 0"), "s.perm:3:"),
+    (["profile", "--in", "{perm}"], ("c 1", "c 3"), "s.perm:4:"),
+    (["decode", "--in", "{perm}"], ("1 3", "-1 3"), "s.perm:1:"),
+    (["decode", "--in", "{perm}"], ("c 1", "c 1\nd 3"), "s.perm:5:"),
 ])
 def test_malformed_file_is_a_format_error_at_its_line(fixtures, capsys, argv, edit, where):
     struct = fixtures / "s.struct"
@@ -484,6 +501,47 @@ def test_fuzzed_structure_files_give_an_exit_code_not_a_traceback(case):
                      ["sq", "compose", s, "--lo", "0", "--hi", "1"],
                      ["sq", "split", s, "--order", "0", "--at", at], ["space", "amalgam", s, s, s],
                      ["space", "amalgam", s, t, t]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert main([str(a) for a in argv]) in (0, 1, 2)
+
+
+# -- fuzzed permutation files ---------------------------------------------------
+
+
+@st.composite
+def perm_files(draw):
+    """A ``.perm`` file of 0-3 orders on 0-5 points: rank columns that are
+    permutations, now and then with a bad header, ids from a small pool
+    (so repeats), a short or extra row, or a rank out of place."""
+    n, N = draw(st.integers(0, 3)), draw(st.integers(0, 5))
+    columns = [draw(st.permutations(range(N))) for _ in range(n)]
+    pool = ["a", "b", "c"] if draw(st.booleans()) else [f"p{i}" for i in range(N)]
+    rows = [[draw(st.sampled_from(pool))] + [str(c[i]) for c in columns] for i in range(N)]
+    if rows and draw(st.booleans()):
+        row = draw(st.sampled_from(rows))
+        fault = draw(st.sampled_from(["short", "rank", "drop", "extra"]))
+        if fault == "short":
+            row.pop()
+        elif fault == "rank" and n:
+            row[draw(st.integers(1, n))] = str(draw(st.integers(-1, N)))
+        elif fault == "drop":
+            rows.remove(row)
+        else:
+            rows.append(list(row))
+    header = draw(st.sampled_from([f"{n} {N}", f"{n} {N}", f"{n} {N}", f"-1 {N}", f"{n} -1",
+                                   f"{n} x", f"{n}", f"{n} {N} 0"]))
+    return header + "\n" + "".join(" ".join(r) + "\n" for r in rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(perm_files())
+def test_fuzzed_perm_files_give_an_exit_code_not_a_traceback(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        perm = Path(tmp) / "f.perm"
+        perm.write_text(text)
+        for argv in (["decode", "--in", perm], ["decode", "--in", perm, "--json"],
+                     *(["profile", "--in", perm, "--k", k] for k in range(5))):
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 assert main([str(a) for a in argv]) in (0, 1, 2)

@@ -1,13 +1,16 @@
 import itertools
+from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from permlat.errors import MissingMeetIrreducibleError, SizeCapError
 from permlat.generic import GenerationConfig, generate_generic
 from permlat.lattice import b2_plus_top, lattices_isomorphic, meet_irreducibles
 from permlat.permstruct import (PermStructure, cameron_enumeration, decode_relations,
                                 encode_orders, profile, two_order_catalog_parameters,
-                                _linear_ranks)
+                                _composition, _linear_ranks)
 from permlat.spaces import LambdaSpace
 from permlat.sqorders import OrderedLambdaStructure, SubquotientOrder
 
@@ -163,3 +166,48 @@ def test_equal_orders_profile_is_doubled_linear_order():
     # both orders agree on every pair: vectors 0b11 and 0b00 only
     for key in prof:
         assert set(key) <= {0b00, 0b11}
+
+
+# -- the kernels against the plain loops ------------------------------------------
+
+
+def _vector(p, i, j):
+    return sum(1 << t for t in range(p.n) if p.ranks[t][i] < p.ranks[t][j])
+
+
+def reference_composition(p):
+    """The composition table over every triple of distinct points."""
+    vec = [[_vector(p, i, j) for j in range(p.N)] for i in range(p.N)]
+    comp = {}
+    for i, j, k in itertools.permutations(range(p.N), 3):
+        comp.setdefault((vec[i][j], vec[j][k]), set()).add(vec[i][k])
+    return comp
+
+
+def reference_profile(p, k):
+    """The k-point profile over every labeled k-tuple."""
+    out = Counter()
+    for sub in itertools.combinations(range(p.N), k):
+        for perm in itertools.permutations(sub):
+            out[tuple(_vector(p, perm[u], perm[v])
+                      for u in range(k) for v in range(k) if u != v)] += 1
+    return out
+
+
+@st.composite
+def perm_structures(draw):
+    """0-5 random orders on 0-12 points."""
+    N = draw(st.integers(0, 12))
+    ranks = tuple(tuple(draw(st.permutations(range(N)))) for _ in range(draw(st.integers(0, 5))))
+    return PermStructure(tuple(f"v{i}" for i in range(N)), ranks)
+
+
+@settings(max_examples=80, deadline=None)
+@given(perm_structures(), st.integers(0, 4))
+@example(PermStructure(("v0", "v1"), ((1, 0), (0, 1))), 3)   # k > N: no subset
+@example(PermStructure((), ()), 0)
+def test_composition_and_profile_match_the_plain_loops(p, k):
+    assert _composition(p) == reference_composition(p)
+    assert profile(p, k) == reference_profile(p, k)
+    assert all(p.vector_idx(i, j) == _vector(p, i, j)
+               for i in range(p.N) for j in range(p.N))
