@@ -13,15 +13,14 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import (InvalidFactorError, InvalidStructureError, NotALatticeError,
-                     PermlatError, UsageError)
+from .errors import InvalidFactorError, InvalidStructureError, PermlatError, UsageError
 from .formats import (dump_perm, dump_structure, load_cover, load_lattice,
                       load_perm, load_structure, read_lattice_ref,
                       write_manifest)
 from .generic import (GenerationConfig, extension_property_check, generate_generic,
                       homogeneity_check)
 from .lattice import (dimension_bounds, enumerate_distributive_lattices,
-                      is_distributive, validate_lattice)
+                      is_distributive, require_lattice, validate_lattice)
 from .permstruct import cameron_enumeration, decode_relations, encode_orders, profile
 from .spaces import (LambdaSpace, amalgamation_failure_probe, canonical_amalgam,
                      validate_space)
@@ -70,20 +69,10 @@ def _in_range(flag: str, value: int, low: int, high: int | None = None) -> None:
         raise UsageError(f"{flag} must be {bound}, got {value}")
 
 
-def _lattice_checked(lat, path: str):
-    """Refuse the lattice read from the file at path unless it is a lattice."""
-    report = validate_lattice(lat)
-    if not report.ok:
-        v = report.violations[0]
-        raise NotALatticeError(f"{path}: not a lattice: {v.rule} {v.witness} ({v.message})",
-                               report=report.as_dict())
-    return lat
-
-
 def _load_structure(path: str):
     """Load a structure file and refuse it unless its lattice is a lattice."""
     space, orders = load_structure(path)
-    _lattice_checked(space.lattice, path)
+    require_lattice(space.lattice, path)
     return space, orders
 
 
@@ -128,7 +117,7 @@ def cmd_lattice_check(args) -> int:
 
 
 def cmd_lattice_bounds(args) -> int:
-    lat = load_lattice(args.file)
+    lat = require_lattice(load_lattice(args.file), args.file)
     b = dimension_bounds(lat)
     payload = {
         "lower": b.lower, "upper": b.upper,
@@ -202,7 +191,7 @@ def cmd_space_amalgam(args) -> int:
 def cmd_space_probe(args) -> int:
     _in_range("--max-base", args.max_base, 0)
     _in_range("--max-new", args.max_new, 0)
-    lat = _lattice_checked(load_lattice(args.file), args.file)
+    lat = require_lattice(load_lattice(args.file), args.file)
     found = amalgamation_failure_probe(lat, max_base=args.max_base, max_new=args.max_new)
     if found is None:
         _emit(args, {"failure": None}, ["no amalgamation failure found"])
@@ -263,7 +252,7 @@ def cmd_sq_split(args) -> int:
 def cmd_gen(args) -> int:
     _in_range("--size", args.size, 1)
     _in_range("--depth", args.depth, 1)
-    lat = _lattice_checked(load_lattice(args.lattice), args.lattice)
+    lat = require_lattice(load_lattice(args.lattice), args.lattice)
     signature = _parse_orders_spec(args.orders, lat)
     cfg = GenerationConfig(seed=args.seed, target_size=args.size,
                            saturation_depth=args.depth)

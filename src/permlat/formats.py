@@ -55,24 +55,26 @@ def load_lattice(path: str | Path) -> FiniteLattice:
     covers = []
     for lineno, line in _lines(path):
         if line.startswith("elements:"):
+            if elements is not None:
+                raise FormatError(f"{path}:{lineno}: repeated 'elements:' header")
             elements = tuple(line.split(":", 1)[1].split())
             if not elements:
                 raise FormatError(f"{path}:{lineno}: 'elements:' names no element")
             _distinct(path, lineno, elements, "element id")
         elif line.startswith("cover:"):
             body = line.split(":", 1)[1]
-            parts = body.split("<")
-            if len(parts) != 2:
+            parts = [x.strip() for x in body.split("<")]
+            if len(parts) != 2 or not all(parts):
                 raise FormatError(f"{path}:{lineno}: expected 'cover: x < y'")
-            covers.append((parts[0].strip(), parts[1].strip()))
+            covers.append((lineno, *parts))
         else:
             raise FormatError(f"{path}:{lineno}: unrecognized line {line!r}")
     if elements is None:
         raise FormatError(f"{path}: missing 'elements:' header")
-    for a, b in covers:
+    for lineno, a, b in covers:
         if a not in elements or b not in elements:
-            raise FormatError(f"{path}: cover names unknown element ({a}, {b})")
-    lat = FiniteLattice.from_cover_relations(elements, covers)
+            raise FormatError(f"{path}:{lineno}: cover names unknown element ({a}, {b})")
+    lat = FiniteLattice.from_cover_relations(elements, [(a, b) for _, a, b in covers])
     poset_report = lat.poset.validate()
     if not poset_report.ok:
         raise FormatError(f"{path}: cover relation is not a partial order "

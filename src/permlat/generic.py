@@ -29,8 +29,8 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import CollapsedCompletionError, MeetReducibleBottomError, NonDistributiveError
-from .lattice import FiniteLattice, is_distributive, meet_irreducibles
+from .errors import CollapsedCompletionError, MeetReducibleBottomError
+from .lattice import FiniteLattice, meet_irreducibles, require_distributive
 from .spaces import LambdaSpace, _meet_of_joins, _triangle_rows
 from .sqorders import OrderedLambdaStructure, SubquotientOrder
 
@@ -105,10 +105,7 @@ class RealizeResult:
 def _require_generable(lat: FiniteLattice, signature) -> None:
     """Generation needs a distributive lattice and, per order, a
     meet-irreducible bottom below the top."""
-    dist_check = is_distributive(lat)
-    if not dist_check:
-        raise NonDistributiveError("generation requires a distributive lattice",
-                                   witness=dist_check.witness)
+    require_distributive(lat, "generation")
     mi = set(meet_irreducibles(lat).elements)
     for bottom, top in signature:
         if not lat.leq(bottom, top):

@@ -20,6 +20,20 @@ from .validation import ValidationReport
 MAX_ELEMENTS = 16
 
 
+def _transpose(masks) -> tuple[int, ...]:
+    """Row i of the result has bit j set iff row j of ``masks`` has bit i."""
+    n = len(masks)
+    return tuple(sum(1 << j for j in range(n) if masks[j] >> i & 1) for i in range(n))
+
+
+def _bits(mask: int):
+    """The indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class FinitePoset:
     """Immutable finite partial order. ``up[i]`` is the bitmask of j with i <= j."""
 
@@ -56,62 +70,42 @@ class FinitePoset:
 
     @cached_property
     def down(self) -> tuple[int, ...]:
-        masks = [0] * self.n
-        for i in range(self.n):
-            for j in range(self.n):
-                if self.up[j] & (1 << i):
-                    masks[i] |= 1 << j
-        return tuple(masks)
+        """``down[i]`` is the bitmask of j with j <= i."""
+        return _transpose(self.up)
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
-        """Pairs (i, j) with j covering i."""
-        out = []
-        for i in range(self.n):
-            for j in range(self.n):
-                if i == j or not self.leq_idx(i, j):
-                    continue
-                if any(self.leq_idx(i, k) and self.leq_idx(k, j) for k in range(self.n) if k not in (i, j)):
-                    continue
-                out.append((i, j))
-        return tuple(out)
+        """Pairs (i, j) with j covering i: the interval [i, j] is {i, j}."""
+        up, down = self.up, self.down
+        return tuple((i, j) for i in range(self.n) for j in range(self.n)
+                     if i != j and up[i] & down[j] == 1 << i | 1 << j)
 
     def upper_covers_idx(self, i: int) -> list[int]:
         return [j for a, j in self.covers if a == i]
 
     def validate(self) -> ValidationReport:
         report = ValidationReport(subject="poset")
+        els, up = self.elements, self.up
         for i in range(self.n):
-            if not self.up[i] & (1 << i):
-                report.add("reflexive", (self.elements[i],), f"{self.elements[i]} not <= itself")
+            if not up[i] & (1 << i):
+                report.add("reflexive", (els[i],), f"{els[i]} not <= itself")
         for i in range(self.n):
-            for j in range(self.n):
-                if i != j and self.leq_idx(i, j) and self.leq_idx(j, i):
-                    report.add("antisymmetric", (self.elements[i], self.elements[j]),
-                               "mutual strict order")
+            for j in _bits(up[i] & self.down[i] & ~(1 << i)):
+                report.add("antisymmetric", (els[i], els[j]), "mutual strict order")
         for i in range(self.n):
-            for j in range(self.n):
-                if not self.leq_idx(i, j):
-                    continue
-                for k in range(self.n):
-                    if self.leq_idx(j, k) and not self.leq_idx(i, k):
-                        report.add("transitive", (self.elements[i], self.elements[j], self.elements[k]),
-                                   "missing composite relation")
+            for j in _bits(up[i]):
+                for k in _bits(up[j] & ~up[i]):
+                    report.add("transitive", (els[i], els[j], els[k]), "missing composite relation")
         return report
 
     def key(self) -> tuple:
-        return canonical_key(self.n, lambda i, j: (i == j, self.leq_idx(i, j), self.leq_idx(j, i)))
+        up = self.up
+        return canonical_key(self.n, lambda i, j: (i == j, up[i] >> j & 1, up[j] >> i & 1))
 
     def subposet(self, names: list[str]) -> "FinitePoset":
         idxs = [self.index[x] for x in names]
-        up = []
-        for a in idxs:
-            mask = 0
-            for pos, b in enumerate(idxs):
-                if self.leq_idx(a, b):
-                    mask |= 1 << pos
-            up.append(mask)
-        return FinitePoset(tuple(names), tuple(up))
+        return FinitePoset(tuple(names), tuple(
+            sum(1 << pos for pos, b in enumerate(idxs) if self.up[a] >> b & 1) for a in idxs))
 
     def __repr__(self):
         return f"FinitePoset({self.elements!r})"
@@ -163,16 +157,10 @@ class FiniteLattice:
         return self.poset.leq(a, b)
 
     def meet(self, a: str, b: str) -> str:
-        m = self._meet[self.index[a]][self.index[b]]
-        if m is None:
-            raise NotALatticeError(f"no meet for ({a}, {b})")
-        return self.elements[m]
+        return self.elements[self.meet_idx(self.index[a], self.index[b])]
 
     def join(self, a: str, b: str) -> str:
-        j = self._join[self.index[a]][self.index[b]]
-        if j is None:
-            raise NotALatticeError(f"no join for ({a}, {b})")
-        return self.elements[j]
+        return self.elements[self.join_idx(self.index[a], self.index[b])]
 
     # -- index-level API (hot loops elsewhere) -------------------------
 
@@ -285,6 +273,17 @@ def validate_lattice(candidate: FiniteLattice) -> ValidationReport:
     return report
 
 
+def require_lattice(lat: FiniteLattice, where: str) -> FiniteLattice:
+    """Return ``lat``, or raise NotALatticeError naming ``where`` and the first
+    violated rule with its witness."""
+    report = validate_lattice(lat)
+    if not report.ok:
+        v = report.violations[0]
+        raise NotALatticeError(f"{where}: not a lattice: {v.rule} {v.witness} ({v.message})",
+                               report=report.as_dict())
+    return lat
+
+
 # ---------------------------------------------------------------------------
 # distributivity
 
@@ -312,18 +311,14 @@ def _sublattice_shape(lat: FiniteLattice, subset: tuple[int, ...]) -> str | None
     mids = [x for x in subset if x not in (bot, top_)]
     if len(mids) != 3:
         return None
-    comp = [(x, y) for x, y in itertools.combinations(mids, 2)
-            if lat.leq_idx(x, y) or lat.leq_idx(y, x)]
+    up, down = lat.poset.up, lat.poset.down
     incomp = [(x, y) for x, y in itertools.combinations(mids, 2)
-              if not (lat.leq_idx(x, y) or lat.leq_idx(y, x))]
-    if len(comp) == 0:
-        if all(lat.meet_idx(x, y) == bot and lat.join_idx(x, y) == top_ for x, y in incomp):
-            return "M3"
+              if not (up[x] | down[x]) >> y & 1]
+    # three incomparable middles make M3, two (one comparable pair) make N5
+    if len(incomp) < 2 or not all(lat.meet_idx(x, y) == bot and lat.join_idx(x, y) == top_
+                                  for x, y in incomp):
         return None
-    if len(comp) == 1:
-        if all(lat.meet_idx(x, y) == bot and lat.join_idx(x, y) == top_ for x, y in incomp):
-            return "N5"
-    return None
+    return "M3" if len(incomp) == 3 else "N5"
 
 
 def is_distributive(lat: FiniteLattice) -> DistributivityResult:
@@ -337,6 +332,16 @@ def is_distributive(lat: FiniteLattice) -> DistributivityResult:
         if kind is not None:
             return DistributivityResult(False, tuple(lat.elements[i] for i in subset), kind)
     return DistributivityResult(True)
+
+
+def require_distributive(lat: FiniteLattice, what: str) -> None:
+    """Raise NonDistributiveError, naming ``what`` and the M3/N5 witness of
+    ``is_distributive``, unless the lattice is distributive."""
+    dist = is_distributive(lat)
+    if not dist:
+        raise NonDistributiveError(f"{what}: the lattice is not distributive "
+                                   f"({dist.kind} sublattice {dist.witness})",
+                                   witness=dist.witness)
 
 
 def distributive_law_holds(lat: FiniteLattice) -> bool:
@@ -410,7 +415,7 @@ def min_chain_cover(p: FinitePoset) -> ChainCover:
     The cover is a partition; its size equals the poset width.
     """
     n = p.n
-    adj = [[j for j in range(n) if j != i and p.leq_idx(i, j)] for i in range(n)]
+    adj = [list(_bits(p.up[i] & ~(1 << i))) for i in range(n)]
     succ = _max_matching(n, adj)
     has_pred = set(succ.values())
     chains = []
@@ -462,9 +467,8 @@ def _all_chains(p: FinitePoset) -> list[tuple[int, tuple[int, ...]]]:
 
     def extend(mask: int, chain: tuple[int, ...], last: int):
         out.append((mask, chain))
-        for nxt in range(p.n):
-            if not mask & (1 << nxt) and p.leq_idx(last, nxt) and nxt != last:
-                extend(mask | (1 << nxt), chain + (nxt,), nxt)
+        for nxt in _bits(p.up[last] & ~mask):
+            extend(mask | (1 << nxt), chain + (nxt,), nxt)
 
     for start in range(p.n):
         extend(1 << start, (start,), start)
@@ -479,7 +483,6 @@ def _best_cover_exhaustive(p: FinitePoset) -> tuple[int, list[tuple[int, ...]]]:
     dp: dict[int, int] = {0: 0}
     choice: dict[int, tuple[int, tuple[int, ...]]] = {}
     frontier = [0]
-    seen = {0}
     while frontier:
         mask = min(frontier, key=lambda m: dp[m])
         frontier.remove(mask)
@@ -491,15 +494,12 @@ def _best_cover_exhaustive(p: FinitePoset) -> tuple[int, list[tuple[int, ...]]]:
                 continue
             new = mask | cmask
             cost = dp[mask] + _chain_cost(len(chain))
-            if new not in dp or cost < dp[new]:
-                dp[new] = cost
-                choice[new] = (mask, chain)
-                if new not in seen:
-                    seen.add(new)
-                    frontier.append(new)
-            elif new not in seen:
-                seen.add(new)
+            if new not in dp:
                 frontier.append(new)
+            elif cost >= dp[new]:
+                continue
+            dp[new] = cost
+            choice[new] = (mask, chain)
     cover = []
     cur = full
     while cur:
@@ -511,7 +511,7 @@ def _best_cover_exhaustive(p: FinitePoset) -> tuple[int, list[tuple[int, ...]]]:
 
 def _best_cover_min_cardinality(p: FinitePoset, ell: int) -> tuple[int, list[tuple[int, ...]]]:
     """Cheapest partition into exactly ell chains (flagged non-exhaustive mode)."""
-    topo = sorted(range(p.n), key=lambda i: bin(p.down[i]).count("1"))
+    topo = sorted(range(p.n), key=lambda i: p.down[i].bit_count())
     best_cost = None
     best_slots = None
     slots: list[list[int]] = [[] for _ in range(ell)]
@@ -534,7 +534,7 @@ def _best_cover_min_cardinality(p: FinitePoset, ell: int) -> tuple[int, list[tup
                 s.append(e)
                 rec(pos + 1)
                 s.pop()
-            elif all(p.leq_idx(x, e) or p.leq_idx(e, x) for x in s):
+            elif all((p.up[e] | p.down[e]) >> x & 1 for x in s):
                 s.append(e)
                 rec(pos + 1)
                 s.pop()
@@ -550,13 +550,8 @@ def dimension_bounds(lat: FiniteLattice) -> DimensionBounds:
 
     Neither bound is tight in general; the report never claims tightness.
     """
-    report = validate_lattice(lat)
-    if not report.ok:
-        raise NotALatticeError("dimension bounds need a valid lattice", report=report.as_dict())
-    dist = is_distributive(lat)
-    if not dist:
-        raise NonDistributiveError("dimension bounds are defined for distributive lattices only",
-                                   witness=dist.witness)
+    require_lattice(lat, "dimension bounds")
+    require_distributive(lat, "dimension bounds")
     p0 = lambda0_poset(lat)
     notes: list[str] = []
     if p0.n == 0:
@@ -581,6 +576,17 @@ def dimension_bounds(lat: FiniteLattice) -> DimensionBounds:
 # enumeration
 
 
+def _ideals(down: tuple[int, ...]) -> list[int]:
+    """The down-sets of a naturally labelled poset (element k lies above
+    only elements < k), given by its down masks, in increasing order. An
+    ideal containing k is an ideal below k plus k, if that holds all of k's
+    strict down-set."""
+    ideals = [0]
+    for k, d in enumerate(down):
+        ideals += [s | 1 << k for s in ideals if d & ~s == 1 << k]
+    return ideals
+
+
 def _natural_posets(max_size: int, prune=None):
     """Naturally-labeled posets (labels form a linear extension) as down-mask
     tuples; each isomorphism class appears at least once. ``prune`` cuts whole
@@ -590,42 +596,16 @@ def _natural_posets(max_size: int, prune=None):
     for size in range(1, max_size + 1):
         new_layer = []
         for p in layer:
-            k = len(p)
-            # down-closed subsets of the current poset
-            for sub in range(1 << k):
-                ok = True
-                for d in range(k):
-                    if sub & (1 << d) and p[d] & ~sub:
-                        ok = False
-                        break
-                if ok:
-                    ext = p + (sub | (1 << k),)
-                    if prune is None or not prune(ext):
-                        new_layer.append(ext)
+            for sub in _ideals(p):
+                ext = p + (sub | 1 << len(p),)
+                if prune is None or not prune(ext):
+                    new_layer.append(ext)
         layer = new_layer
         yield from layer
 
 
-def _ideal_count_exceeds(down: tuple[int, ...], cap: int) -> bool:
-    """True iff the poset has more than ``cap`` order ideals (early abort)."""
-    count = 0
-    n = len(down)
-    for s in range(1 << n):
-        if all(not (s & (1 << d)) or not (down[d] & ~s) for d in range(n)):
-            count += 1
-            if count > cap:
-                return True
-    return False
-
-
 def _poset_from_down(down: tuple[int, ...]) -> FinitePoset:
-    n = len(down)
-    up = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if down[j] & (1 << i):
-                up[i] |= 1 << j
-    return FinitePoset(tuple(f"x{i}" for i in range(n)), tuple(up))
+    return FinitePoset(tuple(f"x{i}" for i in range(len(down))), _transpose(down))
 
 
 def _is_meet_semilattice(down: tuple[int, ...]) -> bool:
@@ -665,23 +645,13 @@ def enumerate_distributive_lattices(max_size: int):
         raise SizeCapError(f"enumerate_distributive_lattices is capped at 8, got {max_size}")
     seen = set()
     results = []
-    for down in _natural_posets(max_size - 1, prune=lambda p: _ideal_count_exceeds(p, max_size)):
+    # the prune keeps exactly the posets with at most max_size ideals
+    for down in _natural_posets(max_size - 1, prune=lambda p: len(_ideals(p)) > max_size):
         if not down:
             continue
-        n = len(down)
-        ideals = [s for s in range(1 << n)
-                  if all(not (s & (1 << d)) or not (down[d] & ~s) for d in range(n))]
-        if len(ideals) > max_size:
-            continue
-        ideals.sort()
-        pos = {s: i for i, s in enumerate(ideals)}
-        elements = tuple(f"i{i}" for i in range(len(ideals)))
-        up = [0] * len(ideals)
-        for a, sa in enumerate(ideals):
-            for b, sb in enumerate(ideals):
-                if sa & ~sb == 0:
-                    up[a] |= 1 << b
-        lat = FiniteLattice.from_poset(FinitePoset(elements, tuple(up)))
+        ideals = _ideals(down)
+        up = tuple(sum(1 << b for b, sb in enumerate(ideals) if sa & ~sb == 0) for sa in ideals)
+        lat = FiniteLattice.from_poset(FinitePoset(tuple(f"i{i}" for i in range(len(ideals))), up))
         k = lat.key()
         if k in seen:
             continue
@@ -724,29 +694,20 @@ def vertical_sum(lower: FiniteLattice, upper: FiniteLattice) -> FiniteLattice:
     """Stack: every element of ``lower`` below every element of ``upper``."""
     lo = [f"l.{e}" for e in lower.elements]
     hi = [f"u.{e}" for e in upper.elements]
-    pairs = []
-    for i, a in enumerate(lower.elements):
-        for j, b in enumerate(lower.elements):
-            if lower.leq(a, b):
-                pairs.append((lo[i], lo[j]))
-    for i, a in enumerate(upper.elements):
-        for j, b in enumerate(upper.elements):
-            if upper.leq(a, b):
-                pairs.append((hi[i], hi[j]))
-    pairs.extend((a, b) for a in lo for b in hi)
-    return FiniteLattice.from_poset(FinitePoset.from_leq_pairs(tuple(lo + hi), pairs))
+    pairs = [(lo[i], lo[j]) for i, j in lower.poset.covers]
+    pairs += [(hi[i], hi[j]) for i, j in upper.poset.covers]
+    pairs += [(a, b) for a in lo for b in hi]
+    return FiniteLattice.from_cover_relations(lo + hi, pairs)
 
 
 def product_lattice(a: FiniteLattice, b: FiniteLattice) -> FiniteLattice:
-    els = tuple(f"{x}*{y}" for x in a.elements for y in b.elements)
-    pairs = []
-    for x1 in a.elements:
-        for y1 in b.elements:
-            for x2 in a.elements:
-                for y2 in b.elements:
-                    if a.leq(x1, x2) and b.leq(y1, y2):
-                        pairs.append((f"{x1}*{y1}", f"{x2}*{y2}"))
-    return FiniteLattice.from_poset(FinitePoset.from_leq_pairs(els, pairs))
+    """Componentwise order: covers move one coordinate along one factor cover."""
+    els = [f"{x}*{y}" for x in a.elements for y in b.elements]
+    pairs = [(f"{a.elements[i]}*{y}", f"{a.elements[j]}*{y}")
+             for i, j in a.poset.covers for y in b.elements]
+    pairs += [(f"{x}*{b.elements[i]}", f"{x}*{b.elements[j]}")
+              for x in a.elements for i, j in b.poset.covers]
+    return FiniteLattice.from_cover_relations(els, pairs)
 
 
 def b2_plus_top() -> FiniteLattice:

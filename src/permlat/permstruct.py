@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import ceil, log2
 
-from .errors import MissingMeetIrreducibleError, NonDistributiveError, SizeCapError
+from .errors import MissingMeetIrreducibleError, SizeCapError
 from .lattice import (FiniteLattice, FinitePoset, is_distributive, lambda0_poset,
-                      meet_irreducibles, min_chain_cover)
+                      meet_irreducibles, min_chain_cover, require_distributive)
 from .sqorders import OrderedLambdaStructure, SubquotientOrder, compose_lex, generic_filler
 
 
@@ -116,7 +116,7 @@ class EncodeResult:
 
 def _bottom_up(lat: FiniteLattice, elements) -> list[str]:
     """The elements of a chain, sorted from the bottom up."""
-    return sorted(elements, key=lambda x: sum(lat.leq(y, x) for y in lat.elements))
+    return sorted(elements, key=lambda x: lat.poset.down[lat.index[x]].bit_count())
 
 
 def _plan_chains(lat: FiniteLattice, signature, cover_chains) -> list[ChainPlan]:
@@ -162,10 +162,7 @@ def encode_orders(s: OrderedLambdaStructure, cover: str | list = "auto",
     if lat.n == 1 and s.orders:
         raise SizeCapError("encoding an order needs a lattice of at least 2 elements: "
                            "a one-element lattice has no chain segment to host it")
-    dist = is_distributive(lat)
-    if not dist:
-        raise NonDistributiveError("encoding requires a distributive lattice",
-                                   witness=dist.witness)
+    require_distributive(lat, "encoding")
     mi = meet_irreducibles(lat)
     bottoms = {o.bottom for o in s.orders}
     missing = [e for e in mi.elements if e not in bottoms]

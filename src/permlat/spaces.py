@@ -18,8 +18,8 @@ import itertools
 from dataclasses import dataclass, field
 
 from .canon import canonical_key
-from .errors import InvalidFactorError, NonDistributiveError, SizeCapError
-from .lattice import FiniteLattice, is_distributive
+from .errors import InvalidFactorError, SizeCapError
+from .lattice import FiniteLattice, require_distributive
 from .validation import ValidationReport
 
 
@@ -280,10 +280,7 @@ def canonical_amalgam(base: LambdaSpace, f1: LambdaSpace, f2: LambdaSpace) -> Am
     lat = base.lattice
     if f1.lattice is not lat or f2.lattice is not lat:
         raise InvalidFactorError("base and factors must share one lattice")
-    dist_check = is_distributive(lat)
-    if not dist_check:
-        raise NonDistributiveError("amalgamation requires a distributive lattice",
-                                   witness=dist_check.witness)
+    require_distributive(lat, "amalgamation")
     for name, factor in (("f1", f1), ("f2", f2)):
         rep = validate_space(factor)
         if not rep.ok:
@@ -455,10 +452,7 @@ def amalgam_validity_sweep(lat: FiniteLattice, max_base: int = 3,
     bounds any valid cross distance d(a,b) by d(a,c) join d(c,b), so every
     valid completion lies below the canonical one.
     """
-    dist_check = is_distributive(lat)
-    if not dist_check:
-        raise NonDistributiveError("validity sweep expects a distributive lattice",
-                                   witness=dist_check.witness)
+    require_distributive(lat, "validity sweep")
     report = SweepReport(0, [])
     report.failures.extend(_sweep(lat, max_base, max_new, report))
     return report

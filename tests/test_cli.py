@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permlat import errors
 from permlat.cli import main
 from permlat.formats import (dump_lattice, dump_perm, dump_structure, load_lattice,
                              load_manifest, load_perm, load_structure)
@@ -255,6 +256,7 @@ def test_package_runs_as_a_module():
     (["lattice", "enum", "--max-size", "0"], 2, "USAGE"),
     (["lattice", "enum", "--max-size", "-1"], 2, "USAGE"),
     (["space", "probe", "{nolat}"], 1, "NOT_A_LATTICE"),
+    (["lattice", "bounds", "{nolat}"], 1, "NOT_A_LATTICE"),
     (["gen", "--lattice", "{nolat}", "--orders", "a:b", "--size", "4", "--out", "{out}"],
      1, "NOT_A_LATTICE"),
     (["check", "ext", "--in", "{nolat_s}"], 1, "NOT_A_LATTICE"),
@@ -393,6 +395,13 @@ def test_encode_refuses_an_order_over_a_one_element_lattice(tmp_path, capsys):
     (["profile", "--in", "{perm}"], ("c 1", "c 3"), "s.perm:4:"),
     (["decode", "--in", "{perm}"], ("1 3", "-1 3"), "s.perm:1:"),
     (["decode", "--in", "{perm}"], ("c 1", "c 1\nd 3"), "s.perm:5:"),
+    # a repeated 'elements:' header, differing or identical, and cover faults
+    (["lattice", "check", "{lat}"], ("cover: E < 1", "cover: E < 1\nelements: 0 E 2"),
+     "chain3.lat:4:"),
+    (["lattice", "check", "{lat}"], ("cover: E < 1", "cover: E < 1\nelements: 0 E 1"),
+     "chain3.lat:4:"),
+    (["lattice", "check", "{lat}"], ("cover: E < 1", "cover: E < Z"), "chain3.lat:3:"),
+    (["lattice", "check", "{lat}"], ("cover: E < 1", "cover: E <"), "chain3.lat:3:"),
 ])
 def test_malformed_file_is_a_format_error_at_its_line(fixtures, capsys, argv, edit, where):
     struct = fixtures / "s.struct"
@@ -420,6 +429,23 @@ def test_empty_elements_line_is_a_format_error_at_its_line(tmp_path, capsys, arg
     assert main(argv + [str(lat)]) == 1
     err = capsys.readouterr().err
     assert "error [FORMAT]" in err and "e.lat:2:" in err
+
+
+def test_guards_name_the_file_rule_and_witness(fixtures, capsys):
+    (fixtures / "nolat.lat").write_text("elements: a b\n")
+    assert main(["lattice", "bounds", str(fixtures / "nolat.lat")]) == 1
+    assert "nolat.lat: not a lattice: bottom ('a',)" in capsys.readouterr().err
+    assert main(["lattice", "bounds", str(fixtures / "m3.lat")]) == 1
+    err = capsys.readouterr().err
+    assert "error [NON_DISTRIBUTIVE]" in err and "M3 sublattice ('0', 'p', 'q', 'r', '1')" in err
+
+
+def test_every_error_code_is_documented():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    codes = {cls.code for cls in vars(errors).values()
+             if isinstance(cls, type) and issubclass(cls, errors.PermlatError)
+             and cls is not errors.PermlatError}
+    assert sorted(c for c in codes if f"`{c}`" not in readme) == []
 
 
 def test_lattice_check_lists_the_violations_of_a_non_lattice(tmp_path, capsys):
@@ -612,6 +638,13 @@ def test_fuzzed_cover_files_encode_to_orders_the_codebook_recovers(case):
 
 
 # -- golden digests -------------------------------------------------------------
+
+
+def test_lattice_enum_matches_golden_digest(capsys):
+    code, out = run(["lattice", "enum", "--max-size", "8", "--json"], capsys)
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "a7900cf85373828715dc7a4e3d5969ebe33dcca26913c965bdfe21b055788b39")
 
 
 @pytest.mark.parametrize("lat, orders, size, depth, seed, struct_sha, perm_sha", [

@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permlat.errors import NonDistributiveError, SizeCapError
-from permlat.lattice import (FiniteLattice, FinitePoset, b2_plus_top, boolean2,
+from permlat.canon import canonical_key
+from permlat.lattice import (FiniteLattice, FinitePoset, _ideals, b2_plus_top, boolean2,
                              chain_lattice, dimension_bounds, distributive_law_holds,
                              enumerate_distributive_lattices, enumerate_lattices,
                              is_distributive, lattices_isomorphic, m3,
                              max_antichain_size, meet_irreducibles, min_chain_cover,
-                             n5, lambda0_poset, validate_lattice, vertical_sum)
+                             n5, lambda0_poset, product_lattice, validate_lattice,
+                             vertical_sum)
+from permlat.validation import ValidationReport
 
 
 def test_two_chain_is_a_valid_lattice():
@@ -237,3 +240,186 @@ def test_distributive_law_oracle_on_small_sample():
     assert distributive_law_holds(boolean2())
     assert not distributive_law_holds(m3())
     assert not distributive_law_holds(n5())
+
+
+# -- mask kernels against the plain loops -------------------------------------
+# The references below are the element-by-element loops the bitmask kernels
+# replaced; each kernel must give the same result in the same order.
+
+
+def ref_down(p):
+    masks = [0] * p.n
+    for i in range(p.n):
+        for j in range(p.n):
+            if p.up[j] & (1 << i):
+                masks[i] |= 1 << j
+    return tuple(masks)
+
+
+def ref_covers(p):
+    out = []
+    for i in range(p.n):
+        for j in range(p.n):
+            if i == j or not p.leq_idx(i, j):
+                continue
+            if any(p.leq_idx(i, k) and p.leq_idx(k, j) for k in range(p.n) if k not in (i, j)):
+                continue
+            out.append((i, j))
+    return tuple(out)
+
+
+def ref_validate(p):
+    report = ValidationReport(subject="poset")
+    for i in range(p.n):
+        if not p.up[i] & (1 << i):
+            report.add("reflexive", (p.elements[i],), f"{p.elements[i]} not <= itself")
+    for i in range(p.n):
+        for j in range(p.n):
+            if i != j and p.leq_idx(i, j) and p.leq_idx(j, i):
+                report.add("antisymmetric", (p.elements[i], p.elements[j]),
+                           "mutual strict order")
+    for i in range(p.n):
+        for j in range(p.n):
+            if not p.leq_idx(i, j):
+                continue
+            for k in range(p.n):
+                if p.leq_idx(j, k) and not p.leq_idx(i, k):
+                    report.add("transitive", (p.elements[i], p.elements[j], p.elements[k]),
+                               "missing composite relation")
+    return report
+
+
+def ref_key(p):
+    return canonical_key(p.n, lambda i, j: (i == j, p.leq_idx(i, j), p.leq_idx(j, i)))
+
+
+def ref_ideals(down):
+    n = len(down)
+    return [s for s in range(1 << n)
+            if all(not (s & (1 << d)) or not (down[d] & ~s) for d in range(n))]
+
+
+def ref_sublattice_shape(lat, subset):
+    sset = set(subset)
+    for a, b in itertools.combinations(subset, 2):
+        if lat.meet_idx(a, b) not in sset or lat.join_idx(a, b) not in sset:
+            return None
+    bot = lat.meet_many_idx(subset)
+    top_ = lat.join_many_idx(subset)
+    if bot not in sset or top_ not in sset:
+        return None
+    mids = [x for x in subset if x not in (bot, top_)]
+    if len(mids) != 3:
+        return None
+    comp = [(x, y) for x, y in itertools.combinations(mids, 2)
+            if lat.leq_idx(x, y) or lat.leq_idx(y, x)]
+    incomp = [(x, y) for x, y in itertools.combinations(mids, 2)
+              if not (lat.leq_idx(x, y) or lat.leq_idx(y, x))]
+    if len(comp) == 0:
+        if all(lat.meet_idx(x, y) == bot and lat.join_idx(x, y) == top_ for x, y in incomp):
+            return "M3"
+        return None
+    if len(comp) == 1:
+        if all(lat.meet_idx(x, y) == bot and lat.join_idx(x, y) == top_ for x, y in incomp):
+            return "N5"
+    return None
+
+
+def ref_vertical_sum(lower, upper):
+    lo = [f"l.{e}" for e in lower.elements]
+    hi = [f"u.{e}" for e in upper.elements]
+    pairs = []
+    for i, a in enumerate(lower.elements):
+        for j, b in enumerate(lower.elements):
+            if lower.leq(a, b):
+                pairs.append((lo[i], lo[j]))
+    for i, a in enumerate(upper.elements):
+        for j, b in enumerate(upper.elements):
+            if upper.leq(a, b):
+                pairs.append((hi[i], hi[j]))
+    pairs.extend((a, b) for a in lo for b in hi)
+    return FiniteLattice.from_poset(FinitePoset.from_leq_pairs(tuple(lo + hi), pairs))
+
+
+def ref_product_lattice(a, b):
+    els = tuple(f"{x}*{y}" for x in a.elements for y in b.elements)
+    pairs = []
+    for x1 in a.elements:
+        for y1 in b.elements:
+            for x2 in a.elements:
+                for y2 in b.elements:
+                    if a.leq(x1, x2) and b.leq(y1, y2):
+                        pairs.append((f"{x1}*{y1}", f"{x2}*{y2}"))
+    return FiniteLattice.from_poset(FinitePoset.from_leq_pairs(els, pairs))
+
+
+@st.composite
+def natural_posets(draw):
+    """Down masks of a naturally labelled poset of 0-7 elements: element k's
+    strict down-set is the down-closure of random elements below k."""
+    down = []
+    for k in range(draw(st.integers(0, 7))):
+        below = draw(st.lists(st.integers(0, k - 1), max_size=k)) if k else []
+        ideal = 0
+        for d in below:
+            ideal |= down[d]
+        down.append(ideal | 1 << k)
+    return tuple(down)
+
+
+def poset_of_down(down):
+    n = len(down)
+    up = tuple(sum(1 << j for j in range(n) if down[j] >> i & 1) for i in range(n))
+    return FinitePoset(tuple(f"x{i}" for i in range(n)), up)
+
+
+@settings(max_examples=200, deadline=None)
+@given(natural_posets())
+def test_mask_kernels_match_the_loops_on_posets(down):
+    p = poset_of_down(down)
+    assert p.down == ref_down(p) == down
+    assert p.covers == ref_covers(p)
+    assert _ideals(down) == ref_ideals(down)
+    assert p.validate().as_dict() == ref_validate(p).as_dict()
+    assert p.key() == ref_key(p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), min_size=n,
+                                             max_size=n), st.booleans())))
+def test_mask_kernels_match_the_loops_on_relations(case):
+    # arbitrary relations: cycles, missing composites, missing loops
+    n, rows, reflexive = case
+    up = tuple(r | (1 << i if reflexive else 0) for i, r in enumerate(rows))
+    p = FinitePoset(tuple(f"y{i}" for i in range(n)), up)
+    assert p.down == ref_down(p)
+    assert p.validate().as_dict() == ref_validate(p).as_dict()
+    assert p.key() == ref_key(p)
+    if reflexive:
+        assert p.covers == ref_covers(p)
+
+
+def test_distributivity_witness_and_key_match_the_loops():
+    for lat in enumerate_lattices(7):
+        result = is_distributive(lat)
+        first = next(((s, k) for s in itertools.combinations(range(lat.n), 5)
+                      if (k := ref_sublattice_shape(lat, s)) is not None), None)
+        if first is None:
+            assert result.distributive and result.witness is None and result.kind is None
+        else:
+            assert not result.distributive
+            assert result.witness == tuple(lat.elements[i] for i in first[0])
+            assert result.kind == first[1]
+        assert lat.key() == ref_key(lat.poset)
+
+
+@pytest.mark.parametrize("a, b", [
+    (boolean2(), chain_lattice(1, ["t"])), (chain_lattice(1, ["s"]), boolean2()),
+    (m3(), chain_lattice(2)), (chain_lattice(3), boolean2()), (n5(), chain_lattice(2)),
+])
+def test_stock_constructions_match_the_loops(a, b):
+    for new, ref in ((vertical_sum(a, b), ref_vertical_sum(a, b)),
+                     (product_lattice(a, b), ref_product_lattice(a, b))):
+        assert new.elements == ref.elements and new.poset.up == ref.poset.up
+        assert (new.bottom, new.top) == (ref.bottom, ref.top)
