@@ -13,13 +13,14 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import InvalidFactorError, InvalidStructureError, PermlatError, UsageError
+from .errors import (InvalidFactorError, InvalidStructureError, PermlatError, SizeCapError,
+                     UsageError)
 from .formats import (dump_perm, dump_structure, load_cover, load_lattice,
                       load_perm, load_structure, read_lattice_ref,
                       write_manifest)
 from .generic import (GenerationConfig, extension_property_check, generate_generic,
                       homogeneity_check)
-from .lattice import (dimension_bounds, enumerate_distributive_lattices,
+from .lattice import (MAX_DISTRIBUTIVE_ENUM, dimension_bounds, enumerate_distributive_lattices,
                       is_distributive, require_lattice, validate_lattice)
 from .permstruct import cameron_enumeration, decode_relations, encode_orders, profile
 from .spaces import (LambdaSpace, amalgamation_failure_probe, canonical_amalgam,
@@ -133,6 +134,9 @@ def cmd_lattice_bounds(args) -> int:
 
 def cmd_lattice_enum(args) -> int:
     _in_range("--max-size", args.max_size, 2)
+    if args.max_size > MAX_DISTRIBUTIVE_ENUM:
+        raise SizeCapError(f"--max-size is capped at {MAX_DISTRIBUTIVE_ENUM}, "
+                           f"got {args.max_size}")
     lats = list(enumerate_distributive_lattices(args.max_size))
     payload = {"count": len(lats),
                "lattices": [{"size": l.n, "covers": [

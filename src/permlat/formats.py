@@ -77,8 +77,14 @@ def load_lattice(path: str | Path) -> FiniteLattice:
     lat = FiniteLattice.from_cover_relations(elements, [(a, b) for _, a, b in covers])
     poset_report = lat.poset.validate()
     if not poset_report.ok:
-        raise FormatError(f"{path}: cover relation is not a partial order "
-                          f"({poset_report.violations[0].message})")
+        # covers are closed reflexively and transitively, so the fault is a
+        # cycle through the witness pair; name the first cover line on it
+        a, b = poset_report.violations[0].witness
+        poset = lat.poset
+        on_cycle = {x for x in elements if poset.leq(a, x) and poset.leq(x, a)}
+        lineno = next(n for n, x, y in covers if x in on_cycle and y in on_cycle)
+        raise FormatError(f"{path}:{lineno}: cover relation is not a partial order: "
+                          f"{a} and {b} lie on a cycle of covers")
     return lat
 
 

@@ -26,7 +26,6 @@ import functools
 import itertools
 import random
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 
 from .errors import CollapsedCompletionError, MeetReducibleBottomError
@@ -283,32 +282,25 @@ def generate_generic(lat: FiniteLattice, sq_signature, cfg: GenerationConfig,
         steps += 1
         # register the new point's collateral patterns so later steered picks
         # in this pass do not chase already-covered ones
-        z = s.space.n - 1
-        for size in range(0, min(k, z) + 1):
-            for A in itertools.combinations(range(z), size):
-                realized.add(ctx.form(A).types[ctx.row_type(A, z)])
+        realized.update([t.pattern for t in ctx.types_of(s.space.n - 1, k)])
 
     def visit(A, pattern_first: bool):
-        types = ctx.form(A).types
         exact = ctx.exact_types(A)
-        cand = [t for t, key in types.items()
-                if t not in exact and not (pattern_first and key in realized)]
+        cand = [t for t in ctx.form(A).types.values()
+                if t not in exact and not (pattern_first and t.pattern in realized)]
         if not cand:
             return False
-        delta, gaps = cand[rng.randrange(len(cand))]
         # the new point realizes the picked type over A: append registers it
-        append(_append_point(s, ctx, A, delta, gaps, rng))
+        append(_append_point(s, ctx, A, *cand[rng.randrange(len(cand))].type, rng))
         return True
 
     while s.space.n < cfg.target_size:
         n = s.space.n
         # census of the subsets that meet a point appended since the last one
         for size in range(1, min(k, n) + 1):
-            for last in range(censused, n):
-                for rest in itertools.combinations(range(last), size - 1):
-                    A = rest + (last,)
-                    types = ctx.form(A).types
-                    realized.update(types[t] for t in ctx.exact_types(A) & types.keys())
+            for rest in itertools.combinations(range(n), size - 1):
+                for last in range(max(censused, rest[-1] + 1 if rest else 0), n):
+                    realized.update([t.pattern for t in ctx.exact_types(rest + (last,))])
         censused = n
         progressed = False
         for pattern_first in (True, False):
@@ -360,33 +352,53 @@ def _labellings(k: int) -> list:
 
 
 class _Class:
-    """One isomorphism class of bases: its canonical matrix, automorphisms
-    and pattern keys. A base's consistent types depend only on its pair
-    codes, so they are a function of the class."""
+    """One isomorphism class of bases: its canonical matrix and
+    automorphisms. A base's consistent types depend only on its pair codes,
+    so they are a function of the class. A pattern key is (matrix, least
+    image of a type in class coordinates under the automorphisms); the
+    index numbers the keys in its shared ``keys`` list."""
 
-    __slots__ = ("matrix", "autos", "patterns", "forms")
+    __slots__ = ("matrix", "autos", "keys", "patterns")
 
-    def __init__(self, matrix):
+    def __init__(self, matrix, keys: list):
         self.matrix = matrix
         self.autos = _canonical_autos(matrix)
-        self.patterns: dict = {}   # local type -> pattern key
-        self.forms: dict = {}      # canonical labelling -> _Form
+        self.keys = keys
+        self.patterns: dict = {}   # type in class coordinates -> pattern number
 
-    def pattern(self, local) -> tuple:
-        key = self.patterns.get(local)
-        if key is None:
-            key = self.patterns[local] = (
-                self.matrix, min(_apply_perm_type(*local, a) for a in self.autos))
-        return key
+    def pattern(self, local) -> int:
+        number = self.patterns.get(local)
+        if number is None:
+            orbit = min(_apply_perm_type(*local, a) for a in self.autos)
+            number = self.patterns.get(orbit)
+            if number is None:
+                number = self.patterns[orbit] = len(self.keys)
+                self.keys.append((self.matrix, orbit))
+            self.patterns[local] = number
+        return number
+
+
+class _Type:
+    """A type over the subsets of one form: ``type`` is (delta, gaps) in
+    subset coordinates, ``local`` the same in class coordinates, and
+    ``pattern`` the number of its pattern key, or None for a type that is
+    not consistent (met only in an invalid structure). A form holds one
+    object per consistent type, so for those identity is equality."""
+
+    __slots__ = ("type", "local", "pattern")
+
+    def __init__(self, t: tuple, local: tuple, pattern: int | None):
+        self.type = t
+        self.local = local
+        self.pattern = pattern
 
 
 class _Form:
     """A class seen through one canonical labelling, shared by every subset
-    with that canonical matrix and labelling, so by every subset with the
-    same matrix of pair codes. ``types`` maps each consistent type, in
-    subset coordinates and enumeration order, to its pattern key; ``rows``
-    maps each row of pair codes from an outside point to the type of that
-    point."""
+    with the same matrix of raw pair codes. ``types`` maps each consistent
+    type, in subset coordinates and enumeration order, to its ``_Type``;
+    ``rows`` maps the packed row of an outside point to the ``_Type`` of
+    that point."""
 
     __slots__ = ("cls", "perm", "types", "rows")
 
@@ -406,25 +418,46 @@ class _CheckContext:
     both checks.
 
     It holds a table of pair codes (distance, then per order: same bottom
-    class, other top class, below or above), the canonical form of each
-    subset met so far, one ``_Class`` per canonical matrix, and the
-    per-order class ranks that exact types need.
+    class, other top class, below or above), one ``_Form`` per matrix of
+    raw pair codes met so far (also memoized per subset), one ``_Class`` per
+    canonical matrix, and the per-order class ranks that exact types need.
+
+    Packed rows: a point's row over a subset (a_1, ..., a_k) is one integer
+    holding its codes to a_1, ..., a_k in fields of ``width`` bits, a_1's
+    highest. A base point's row holds its own -1 diagonal code, and a row
+    shifted and ORed with -1, or a negative row shifted and ORed with a
+    code, stays negative: base points are the negative rows, skipped by
+    sign. The rows over a subset are those over its prefix (all points but
+    the last), each shifted one field and ORed with the last point's code
+    column. The index keeps the rows of the latest prefix of each size, so a
+    lexicographic walk builds most subsets' rows with one list
+    comprehension, and subsets up to size k keep fewer than k lists of n
+    rows.
 
     Append invariant: ``extend`` rebinds the index to the same structure
-    with points appended, and keeps every code table entry and every
-    subset's canonical form. That is sound because appending a point never
+    with points appended, and keeps every code table entry, every form and
+    every form's row table. That is sound because appending a point never
     changes a pair code among old points: distances are fixed,
     ``renormalized`` keeps the order among old classes, and the new point
-    comes last, so it never becomes an existing class's representative.
+    comes last, so it never becomes an existing class's representative. So
+    each old subset keeps its code matrix and form, each old point keeps
+    its row over it, and a row table entry is a function of the form and
+    the row (see ``exact_types``). Only the kept prefix rows lack the new
+    point, and ``extend`` drops them.
     """
 
     def __init__(self, s: OrderedLambdaStructure):
         lat = s.space.lattice
         self.lat = lat
         self.up = lat.poset.up
+        m = len(s.orders)
+        # the widest pair code: the last distance with every order field at 3
+        self.width = max(1, ((lat.n - 1) << 2 * m | (1 << 2 * m) - 1).bit_length())
+        self.keys: list = []             # pattern number -> pattern key
         self._to: list[list[int]] = []   # _to[j][i]: pair code of (i, j), -1 on the diagonal
-        self._forms: dict = {}          # index tuple -> _Form
-        self._classes: dict = {}        # (size, flattened codes) -> _Class
+        self._forms: dict = {}           # index tuple -> _Form
+        self._by_codes: dict = {}        # raw code tuple -> _Form
+        self._classes: dict = {}         # (size, canonical codes) -> _Class
         self.extend(s)
 
     def extend(self, s: OrderedLambdaStructure) -> None:
@@ -444,6 +477,7 @@ class _CheckContext:
             self.orders.append((bot, top, reps, rank_by_idx))
         self._scales_base: tuple | None = None
         self._scales: dict = {}
+        self._prefix: dict = {}   # prefix size -> (prefix, its packed rows)
 
     def leq(self, i: int, j: int) -> bool:
         return bool(self.up[i] & (1 << j))
@@ -479,63 +513,96 @@ class _CheckContext:
     def form(self, idx_a: tuple) -> _Form:
         """Canonical form of the subset: the lexicographically least code
         matrix over its labellings, the first labelling reaching it, and the
-        type table of that (class, labelling). Memoized per subset."""
+        type table of that (class, labelling). Memoized per subset and per
+        raw code matrix, so only a new matrix pays for the k! labellings."""
         form = self._forms.get(idx_a)
         if form is not None:
             return form
         to = self._codes()
-        k = len(idx_a)
-        facts = [to[b][a] for a in idx_a for b in idx_a]
-        # perms come in lexicographic order, so ties go to the first one
-        best, best_perm = min((tuple(map(facts.__getitem__, cells)), perm)
-                              for perm, cells in _labellings(k))
-        cls = self._classes.get((k, best))
-        if cls is None:
-            codes = iter(best)
-            matrix = tuple(tuple((0,) if u == v else self._decode(next(codes))
-                                 for v in range(k)) for u in range(k))
-            cls = self._classes[(k, best)] = _Class(matrix)
-        form = cls.forms.get(best_perm)
+        facts = tuple([to[b][a] for a in idx_a for b in idx_a])
+        form = self._by_codes.get(facts)
         if form is None:
-            form = cls.forms[best_perm] = _Form(cls, best_perm, {
-                t: cls.pattern(_apply_perm_type(*t, best_perm)) for t in self.types(idx_a)})
+            k = len(idx_a)
+            # perms come in lexicographic order, so ties go to the first one
+            best, perm = min((tuple(map(facts.__getitem__, cells)), perm)
+                             for perm, cells in _labellings(k))
+            cls = self._classes.get((k, best))
+            if cls is None:
+                codes = iter(best)
+                matrix = tuple(tuple((0,) if u == v else self._decode(next(codes))
+                                     for v in range(k)) for u in range(k))
+                cls = self._classes[(k, best)] = _Class(matrix, self.keys)
+            types = {}
+            for t in self.types(idx_a):
+                local = _apply_perm_type(*t, perm)
+                types[t] = _Type(t, local, cls.pattern(local))
+            form = self._by_codes[facts] = _Form(cls, perm, types)
         self._forms[idx_a] = form
         return form
 
-    def row_type(self, idx_a: tuple, z: int) -> tuple:
-        """Exact type of the point z over the base, through its row of pair
-        codes; see ``_Form``."""
-        to = self._codes()
-        return self._row_type(self.form(idx_a), idx_a, tuple([to[a][z] for a in idx_a]), z)
+    def rows(self, idx_a: tuple) -> list[int]:
+        """The packed row over the subset of every point, negative for the
+        subset's own points."""
+        if not idx_a:
+            return [0] * self.n
+        prefix = idx_a[:-1]
+        kept = self._prefix.get(len(prefix))
+        if kept is None or kept[0] != prefix:
+            kept = self._prefix[len(prefix)] = (prefix, self.rows(prefix))
+        w = self.width
+        return [r << w | c for r, c in zip(kept[1], self._codes()[idx_a[-1]])]
 
-    def _row_type(self, form: _Form, idx_a: tuple, row: tuple, z: int) -> tuple:
-        t = form.rows.get(row)
-        if t is None:
-            t = form.rows[row] = self.point_type(idx_a, z)
-        return t
+    def _row_type(self, form: _Form, idx_a: tuple, row: int, z: int) -> _Type:
+        """Fill the form's table entry for a row from a point z having it."""
+        t = self.point_type(idx_a, z)
+        entry = form.types.get(t)
+        if entry is None:
+            entry = _Type(t, _apply_perm_type(*t, form.perm), None)
+        form.rows[row] = entry
+        return entry
 
-    def exact_types(self, idx_a: tuple, counts: bool = False):
-        """Exact types of the points outside the base: a set, or with counts
-        a dict type -> number of points. A point's type over the base is a
-        function of its row of pair codes to it, given the subset's own
-        codes: the row fixes the distances, the pinned orders and the base
-        points ranked below it, and with strict ranks inside each scale (a
-        valid order) that fixes every gap. So ``point_type`` runs once per
-        distinct row and canonical form."""
+    def exact_types(self, idx_a: tuple) -> dict:
+        """Each exact type of the points outside the base, as a ``_Type`` of
+        the subset's form, with the number of points having it, in order of
+        first point.
+
+        A point's type over the base is a function of its row of pair codes
+        to it, given the subset's own codes: the row fixes the distances, the
+        pinned orders and the base points ranked below it, and with strict
+        ranks inside each scale (a valid order) that fixes every gap. The
+        subset's own codes are its form's, so ``point_type`` runs once per
+        form and distinct row, on the first point met with that row, and
+        every other point and subset of the form reads the form's table."""
         form = self.form(idx_a)
-        to = self._codes()
-        cols = [to[a] for a in idx_a]
-        rows = list(zip(*cols)) if cols else [()] * self.n
-        first = dict(zip(rows, range(self.n)))
-        for a in idx_a:   # a base point's row has -1 at its own place
-            del first[tuple(col[a] for col in cols)]
-        if not counts:
-            return {self._row_type(form, idx_a, row, z) for row, z in first.items()}
-        tally = Counter(rows)
+        table = form.rows
+        rows = self.rows(idx_a)
+        tally: dict = {}
+        for row in rows:
+            tally[row] = tally.get(row, 0) + 1
         out: dict = {}
-        for row, z in first.items():
-            t = self._row_type(form, idx_a, row, z)
-            out[t] = out.get(t, 0) + tally[row]
+        for row, count in tally.items():
+            if row >= 0:
+                t = table.get(row) or self._row_type(form, idx_a, row, rows.index(row))
+                out[t] = out.get(t, 0) + count
+        return out
+
+    def types_of(self, z: int, k: int) -> list[_Type]:
+        """The exact type of the point z over each subset of the points
+        before it with at most k points, in the subset's form. Each row is
+        packed from z's code column as its subset is built from its prefix."""
+        to = self._codes()
+        col = [to[a][z] for a in range(z)]
+        w = self.width
+        forms = self._forms
+        level = [((), 0)]
+        out = []
+        for size in range(min(k, z) + 1):
+            if size:
+                level = [(A + (b,), row << w | col[b])
+                         for A, row in level for b in range(A[-1] + 1 if A else 0, z)]
+            for A, row in level:
+                form = forms.get(A) or self.form(A)
+                out.append(form.rows.get(row) or self._row_type(form, A, row, z))
         return out
 
     def distance_assignments(self, idx_a) -> list[tuple[int, ...]]:
@@ -602,22 +669,22 @@ def _extension_report(ctx: _CheckContext, k: int) -> SaturationReport:
         for A in itertools.combinations(range(ctx.n), size):
             form = ctx.form(A)
             types = form.types
-            hit = ctx.exact_types(A) & types.keys()
+            exact = ctx.exact_types(A)
+            hit = [t.pattern for t in exact if t.pattern is not None]
             pair_total += len(types)
             pair_realized += len(hit)
-            pattern_hit.update([types[t] for t in hit])
+            pattern_hit.update(hit)
             if form not in seen:
                 seen.add(form)
-                pattern_all.update(types.values())
+                pattern_all.update([t.pattern for t in types.values()])
             if len(missing_pairs) < 200 and len(hit) < len(types):
                 names = tuple(ctx.points[a] for a in A)
-                for t in types:
-                    if t not in hit:
-                        missing_pairs.append((names, OnePointType(names, *t)))
+                for t in types.values():
+                    if t not in exact:
+                        missing_pairs.append((names, OnePointType(names, *t.type)))
                         if len(missing_pairs) == 200:
                             break
-    missing_patterns = sorted(
-        repr(key) for key in pattern_all - pattern_hit)
+    missing_patterns = sorted(repr(ctx.keys[p]) for p in pattern_all - pattern_hit)
     return SaturationReport(len(pattern_all), len(pattern_hit),
                             pair_total, pair_realized, missing_pairs, missing_patterns)
 
@@ -673,16 +740,12 @@ def homogeneity_check(s: OrderedLambdaStructure, m: int) -> HomogeneityReport:
     ctx = _CheckContext(s)
     points = s.space.points
     classes: dict[_Class, list] = {}
-    in_class: dict = {}  # (form, exact type) -> the type in class coordinates
     for size in range(0, m + 1):
         for A in itertools.combinations(range(ctx.n), size):
+            exact: dict = {}   # exact type in class coordinates -> points
+            for t, count in ctx.exact_types(A).items():
+                exact[t.local] = exact.get(t.local, 0) + count
             form = ctx.form(A)
-            exact: dict = {}
-            for t, count in ctx.exact_types(A, counts=True).items():
-                key = in_class.get((form, t))
-                if key is None:
-                    key = in_class[form, t] = _apply_perm_type(*t, form.perm)
-                exact[key] = exact.get(key, 0) + count
             classes.setdefault(form.cls, []).append((A, form, exact))
     pairs_checked = 0
     misses = 0
@@ -691,11 +754,9 @@ def homogeneity_check(s: OrderedLambdaStructure, m: int) -> HomogeneityReport:
     missing_patterns = []
     for cls, members in classes.items():
         autos = cls.autos
-        universe: set = set()
         counts: dict = {}
         present: dict = {}
         for _, _, exact in members:
-            universe.update(exact)
             for u, c in exact.items():
                 counts[u] = counts.get(u, 0) + c
                 present[u] = present.get(u, 0) + 1
@@ -710,9 +771,9 @@ def homogeneity_check(s: OrderedLambdaStructure, m: int) -> HomogeneityReport:
                     class_misses += total_count * absent
         misses += class_misses
         # pattern level: consistent types of the class vs realized orbit
-        consistent = {key[1] for key in members[0][1].types.values()}
-        realized_orbit = {cls.pattern(u)[1] for u in universe}
-        for missing in sorted(map(repr, consistent - realized_orbit)):
+        consistent = {t.pattern for t in members[0][1].types.values()}
+        realized_orbit = {cls.pattern(u) for u in counts}
+        for missing in sorted(repr(ctx.keys[p][1]) for p in consistent - realized_orbit):
             pattern_failures += 1
             if len(missing_patterns) < 50:
                 missing_patterns.append((repr(cls.matrix), missing))

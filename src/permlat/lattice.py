@@ -18,6 +18,7 @@ from .errors import NonDistributiveError, NotALatticeError, SizeCapError
 from .validation import ValidationReport
 
 MAX_ELEMENTS = 16
+MAX_DISTRIBUTIVE_ENUM = 8   # largest size enumerate_distributive_lattices takes
 
 
 def _transpose(masks) -> tuple[int, ...]:
@@ -133,6 +134,8 @@ class FiniteLattice:
     def from_poset(cls, poset: FinitePoset) -> "FiniteLattice":
         """Compute GLB/LUB tables; missing bounds stay None for the validator."""
         n = poset.n
+        if not n:
+            raise NotALatticeError("a lattice has at least one element")
         down = poset.down
         up = poset.up
         principal_down = {down[i]: i for i in range(n)}
@@ -641,8 +644,9 @@ def enumerate_lattices(max_size: int):
 def enumerate_distributive_lattices(max_size: int):
     """Downset lattices of all posets with < max_size elements (Birkhoff),
     deduplicated by canonical form. Desk scale: max_size <= 8."""
-    if max_size > 8:
-        raise SizeCapError(f"enumerate_distributive_lattices is capped at 8, got {max_size}")
+    if max_size > MAX_DISTRIBUTIVE_ENUM:
+        raise SizeCapError(f"enumerate_distributive_lattices is capped at "
+                           f"{MAX_DISTRIBUTIVE_ENUM}, got {max_size}")
     seen = set()
     results = []
     # the prune keeps exactly the posets with at most max_size ideals

@@ -402,6 +402,11 @@ def test_encode_refuses_an_order_over_a_one_element_lattice(tmp_path, capsys):
      "chain3.lat:4:"),
     (["lattice", "check", "{lat}"], ("cover: E < 1", "cover: E < Z"), "chain3.lat:3:"),
     (["lattice", "check", "{lat}"], ("cover: E < 1", "cover: E <"), "chain3.lat:3:"),
+    # a cycle of covers: the witness pair and the first cover line on the cycle
+    (["lattice", "check", "{lat}"], ("cover: E < 1", "cover: E < 1\ncover: 1 < 0"),
+     "chain3.lat:2: cover relation is not a partial order: 0 and E lie on a cycle"),
+    (["lattice", "check", "{lat}"], ("cover: E < 1", "cover: E < 1\ncover: 1 < E"),
+     "chain3.lat:3: cover relation is not a partial order: E and 1 lie on a cycle"),
 ])
 def test_malformed_file_is_a_format_error_at_its_line(fixtures, capsys, argv, edit, where):
     struct = fixtures / "s.struct"
@@ -429,6 +434,11 @@ def test_empty_elements_line_is_a_format_error_at_its_line(tmp_path, capsys, arg
     assert main(argv + [str(lat)]) == 1
     err = capsys.readouterr().err
     assert "error [FORMAT]" in err and "e.lat:2:" in err
+
+
+def test_lattice_enum_cap_names_the_flag(capsys):
+    assert main(["lattice", "enum", "--max-size", "9"]) == 1
+    assert capsys.readouterr().err == "error [SIZE_CAP]: --max-size is capped at 8, got 9\n"
 
 
 def test_guards_name_the_file_rule_and_witness(fixtures, capsys):
@@ -666,3 +676,27 @@ def test_gen_and_encode_match_golden_digests(fixtures, capsys, lat, orders, size
     assert code == 0
     assert hashlib.sha256(struct.read_bytes()).hexdigest() == struct_sha
     assert hashlib.sha256(perm.read_bytes()).hexdigest() == perm_sha
+
+
+@pytest.mark.parametrize("lat, orders, size, seed, codes, shas", [
+    ("chain3.lat", "0:E,E:1", 20, 7, (0, 0, 0), (
+        "b4169b9a75fc8985e825edbf93bcc351fb1cce6f03477edf7265d0a01e03111c",
+        "c3a4ea2ee288da7ca083a07b2bd2e9b36db9472845fc0c662b0a45047d2038e3",
+        "b8607561a56749f11ba3482705a8b3b9af16c6672f2c238e0205e71c0f50df27")),
+    # unsaturated at this size: missing pairs, patterns and hom failures
+    ("b2.lat", "a:1,b:1", 14, 3, (0, 1, 1), (
+        "fd4376fd6481ef8d215696993353f7fd5ebb15ad5ff3e44d7bd4a74e01940e09",
+        "1b7f9836cd5c05bdb498bacade589c6608cfe7e6153cde59b57c1f4b44b59f56",
+        "e72a3c289e13ec627bc9b1bc304dae7a83371ff9c7cab23c925e64b8085d6351")),
+])
+def test_gen_and_check_json_match_golden_digests(fixtures, capsys, monkeypatch, lat, orders,
+                                                 size, seed, codes, shas):
+    # pins the saturation block of gen and both check reports, samples included
+    monkeypatch.chdir(fixtures)   # gen --json names its --out path
+    runs = [["gen", "--lattice", lat, "--orders", orders, "--size", size, "--depth", 3,
+             "--seed", seed, "--out", "g.struct", "--json"],
+            ["check", "ext", "--in", "g.struct", "--k", 3, "--json"],
+            ["check", "hom", "--in", "g.struct", "--k", 3, "--json"]]
+    results = [run(argv, capsys) for argv in runs]
+    assert tuple(code for code, _ in results) == codes
+    assert tuple(hashlib.sha256(out.encode()).hexdigest() for _, out in results) == shas

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,7 +10,7 @@ from permlat.generic import (GenerationConfig, HomogeneityReport, OnePointType,
                              empty_structure, enumerate_one_point_types,
                              extension_property_check, generate_generic, homogeneity_check,
                              realize_type, realizers, tp_point)
-from permlat.lattice import m3, meet_irreducibles
+from permlat.lattice import boolean2, chain_lattice, m3, meet_irreducibles, product_lattice
 from permlat.spaces import equivalences_from_space, validate_space
 from permlat.sqorders import OrderedLambdaStructure, SubquotientOrder, validate_sqorder
 
@@ -394,15 +395,25 @@ def test_checks_match_per_subset_type_references(request, lat, size, depth, k, c
     assert bool(report.missing_patterns) != complete
 
 
+def _tally(ctx, A):
+    return Counter({t.type: count for t, count in ctx.exact_types(A).items()})
+
+
+def _subsets(n, k=3):
+    return [A for size in range(k + 1) for A in itertools.combinations(range(n), size)]
+
+
 @pytest.mark.parametrize("grow", ["realize_type", "_force_far_point"])
 def test_index_entries_survive_an_appended_point(chain3, grow):
     # the memo rests on this: appending a point changes no old pair code, so
-    # every old subset keeps its canonical form and its pattern keys
+    # every old subset keeps its canonical form, its pattern keys and the
+    # packed row of every old point
     s = gen(chain3, SIGS["chain3"], size=10, depth=2)
     ctx = _CheckContext(s)
-    subsets = [A for size in range(4) for A in itertools.combinations(range(s.space.n), size)]
+    subsets = _subsets(s.space.n)
     kept = {A: ctx.form(A) for A in subsets}
-    exact = {A: ctx.exact_types(A) for A in subsets}
+    rows = {A: ctx.rows(A) for A in subsets}
+    exact = {A: _tally(ctx, A) for A in subsets}
     if grow == "realize_type":
         base = (0, 2)
         delta, gaps = next(t for t in ctx.form(base).types if t not in exact[base])
@@ -417,11 +428,82 @@ def test_index_entries_survive_an_appended_point(chain3, grow):
     fresh = _CheckContext(grown)
     assert ctx._codes() == fresh._codes()
     z = grown.space.n - 1
-    for A in subsets:
+    for A, t in zip(subsets, ctx.types_of(z, 3), strict=True):
         form, new = ctx.form(A), fresh.form(A)
         assert form is kept[A]
-        assert (form.cls.matrix, form.perm, form.types) == (new.cls.matrix, new.perm, new.types)
+        assert (form.cls.matrix, form.perm) == (new.cls.matrix, new.perm)
         assert (form.cls.matrix, form.perm) == _ref_canonical(fresh, list(A))
-        assert form.types[ctx.row_type(A, z)] == new.types[fresh.point_type(A, z)]
-        assert ctx.exact_types(A) == fresh.exact_types(A) == (
-            exact[A] | {fresh.point_type(A, z)})
+        assert ([(u.type, u.local, ctx.keys[u.pattern]) for u in form.types.values()]
+                == [(u.type, u.local, fresh.keys[u.pattern]) for u in new.types.values()])
+        assert t.type == fresh.point_type(A, z)
+        assert ctx.rows(A) == fresh.rows(A) == rows[A] + [fresh.rows(A)[z]]
+        assert _tally(ctx, A) == _tally(fresh, A) == exact[A] + Counter([t.type])
+
+
+def _b2_times_chain2():
+    return product_lattice(boolean2(), chain_lattice(2, ["z", "o"]))
+
+
+KERNEL_CASES = {
+    # lattice, signature, size, packed field width
+    "chain3": (lambda: chain_lattice(3, ["0", "E", "1"]), SIGS["chain3"], 14, 6),
+    "b2": (boolean2, SIGS["b2"], 12, 6),
+    "b2xc2": (_b2_times_chain2, [("a*o", "1*o"), ("b*o", "1*o"), ("1*z", "1*o")], 10, 9),
+    "chain4": (lambda: chain_lattice(4, ["0", "e", "f", "1"]), SIGS["chain4"], 12, 8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_packed_rows_match_point_types(case):
+    make, sig, size, width = KERNEL_CASES[case]
+    s = gen(make(), sig, size=size, depth=3)
+    ctx = _CheckContext(s)
+    assert ctx.width == width
+    mask = (1 << width) - 1
+    for A in _subsets(s.space.n):
+        rows = ctx.rows(A)
+        exact = ctx.exact_types(A)
+        form = ctx.form(A)
+        for z in range(ctx.n):
+            assert (rows[z] < 0) == (z in A)
+            if z in A:
+                continue
+            # each field decodes to the pair code of (z, a), a_1's highest
+            fields = [rows[z] >> width * (len(A) - 1 - i) & mask for i in range(len(A))]
+            assert [ctx._decode(c) for c in fields] == [_ref_pair_code(ctx, z, a) for a in A]
+            t = form.rows[rows[z]]
+            assert t.type == ctx.point_type(A, z)
+            assert t is form.types[t.type] and t in exact
+        assert _tally(ctx, A) == Counter(
+            ctx.point_type(A, z) for z in range(ctx.n) if z not in A)
+    for z in range(ctx.n):
+        assert ([t.type for t in ctx.types_of(z, 3)]
+                == [ctx.point_type(A, z) for A in _subsets(z)])
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_grown_index_matches_a_fresh_one(case):
+    # a context read while points are appended, as generation reads it,
+    # answers as one built on the final structure
+    make, sig, size, _ = KERNEL_CASES[case]
+    s = gen(make(), sig, size=size - 4, depth=2)
+    ctx = _CheckContext(s)
+    rng = random.Random(5)
+    for _ in range(4):
+        for A in _subsets(s.space.n):
+            ctx.exact_types(A)
+        base, t = next((A, t) for A in _subsets(s.space.n)
+                       for t in ctx.form(A).types.values() if t not in ctx.exact_types(A))
+        s = _append_point(s, ctx, base, *t.type, rng)
+        ctx.extend(s)
+        ctx.types_of(s.space.n - 1, 3)   # registration, as generation does it
+    fresh = _CheckContext(s)
+    assert ctx._codes() == fresh._codes()
+    for A in _subsets(s.space.n):
+        assert ctx.rows(A) == fresh.rows(A)
+        assert _tally(ctx, A) == _tally(fresh, A)
+        assert ([t.type for t in ctx.form(A).types.values()]
+                == [t.type for t in fresh.form(A).types.values()])
+    for z in range(s.space.n):
+        assert ([t.type for t in ctx.types_of(z, 3)]
+                == [t.type for t in fresh.types_of(z, 3)])

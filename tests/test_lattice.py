@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permlat.errors import NonDistributiveError, SizeCapError
+from permlat.errors import NonDistributiveError, NotALatticeError, SizeCapError
 from permlat.canon import canonical_key
 from permlat.lattice import (FiniteLattice, FinitePoset, _ideals, b2_plus_top, boolean2,
                              chain_lattice, dimension_bounds, distributive_law_holds,
@@ -49,6 +49,11 @@ def test_missing_upper_bound_reported_with_witness():
     assert "join-total" in rules or "top" in rules
     witnessed = [v for v in report.violations if v.rule == "join-total"]
     assert witnessed and witnessed[0].witness == ("a", "b")
+
+
+def test_empty_poset_is_not_a_lattice():
+    with pytest.raises(NotALatticeError):
+        FiniteLattice.from_poset(FinitePoset((), ()))
 
 
 def test_doctored_meet_table_is_caught():
