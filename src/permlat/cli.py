@@ -25,7 +25,7 @@ from .lattice import (MAX_DISTRIBUTIVE_ENUM, dimension_bounds, enumerate_distrib
 from .permstruct import cameron_enumeration, decode_relations, encode_orders, profile
 from .spaces import (LambdaSpace, amalgamation_failure_probe, canonical_amalgam,
                      validate_space)
-from .sqorders import OrderedLambdaStructure, compose_lex, split_convex_linear
+from .sqorders import OrderedLambdaStructure, _require_valid, compose_lex, split_convex_linear
 
 
 def _emit(args, payload: dict, human: list[str]) -> None:
@@ -70,6 +70,17 @@ def _in_range(flag: str, value: int, low: int, high: int | None = None) -> None:
         raise UsageError(f"{flag} must be {bound}, got {value}")
 
 
+def _require_out_file(path: str | None) -> None:
+    """Refuse, before any work is done, an --out path that names a directory
+    or lies in a directory that does not exist."""
+    if path is None:
+        return
+    if Path(path).is_dir():
+        raise UsageError(f"--out {path} is a directory")
+    if not Path(path).parent.is_dir():
+        raise UsageError(f"--out {path}: directory {Path(path).parent} does not exist")
+
+
 def _load_structure(path: str):
     """Load a structure file and refuse it unless its lattice is a lattice."""
     space, orders = load_structure(path)
@@ -82,11 +93,7 @@ def _load_checked(path: str, *order_flags: tuple[str, int]):
     with the orders picked by the ``(flag, index)`` pairs."""
     space, orders = _load_structure(path)
     s = OrderedLambdaStructure(space, orders)
-    report = s.validate()
-    if not report.ok:
-        v = report.violations[0]
-        raise InvalidStructureError(f"{path}: {v.rule} {v.witness} ({v.message})",
-                                    report=report.as_dict())
+    _require_valid(s, path)
     for flag, i in order_flags:
         if not 0 <= i < len(orders):
             raise UsageError(f"{flag} {i} is out of range: {path} has {len(orders)} orders")
@@ -175,6 +182,7 @@ def _load_factor(path: str, lat) -> LambdaSpace:
 
 
 def cmd_space_amalgam(args) -> int:
+    _require_out_file(args.out)
     base, _ = _load_structure(args.base)
     f1 = _load_factor(args.f1, base.lattice)
     f2 = _load_factor(args.f2, base.lattice)
@@ -228,6 +236,7 @@ def cmd_sq_check(args) -> int:
 
 
 def cmd_sq_compose(args) -> int:
+    _require_out_file(args.out)
     s, (lo, hi) = _load_checked(args.file, ("--lo", args.lo), ("--hi", args.hi))
     s = OrderedLambdaStructure(s.space, (compose_lex(lo, hi),))
     text = dump_structure(s, lattice_ref=_carry_lattice_ref(args.file, args.out))
@@ -238,6 +247,7 @@ def cmd_sq_compose(args) -> int:
 
 
 def cmd_sq_split(args) -> int:
+    _require_out_file(args.out)
     s, (order,) = _load_checked(args.file, ("--order", args.order))
     if args.at not in s.space.lattice.index:
         raise UsageError(f"--at {args.at!r} is not an element of the lattice")
@@ -256,6 +266,7 @@ def cmd_sq_split(args) -> int:
 def cmd_gen(args) -> int:
     _in_range("--size", args.size, 1)
     _in_range("--depth", args.depth, 1)
+    _require_out_file(args.out)
     lat = require_lattice(load_lattice(args.lattice), args.lattice)
     signature = _parse_orders_spec(args.orders, lat)
     cfg = GenerationConfig(seed=args.seed, target_size=args.size,
@@ -281,18 +292,20 @@ def cmd_gen(args) -> int:
 
 
 def cmd_check(args) -> int:
-    _in_range("--k", args.k, 0)
-    s, _ = _load_checked(args.infile)
+    _in_range("--k", args.k, 0, 7)   # the checks are capped at 7
+    s = OrderedLambdaStructure(*_load_structure(args.infile))
+    check = extension_property_check if args.kind == "ext" else homogeneity_check
+    try:
+        report = check(s, args.k)   # validates the structure
+    except InvalidStructureError as e:
+        raise InvalidStructureError(f"{args.infile}: {e}", **e.details) from None
+    payload = report.as_dict()
     if args.kind == "ext":
-        report = extension_property_check(s, args.k)
-        payload = report.as_dict()
         ok = report.ratio == 1.0
         human = [f"extension property ratio: {report.ratio:.4f} "
                  f"({report.pattern_realized}/{report.pattern_total} patterns; "
                  f"pair ratio {report.pair_ratio:.4f})"]
     else:
-        report = homogeneity_check(s, args.k)
-        payload = report.as_dict()
         ok = report.ok
         human = [f"homogeneity: {'ok' if ok else 'FAILED'} "
                  f"({report.pattern_failures} pattern failures, "
@@ -307,6 +320,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    _require_out_file(args.out)
     s, _ = _load_checked(args.infile)
     cover = "auto" if args.cover == "auto" else load_cover(args.cover, s.space.lattice)
     result = encode_orders(s, cover=cover, seed=args.seed)

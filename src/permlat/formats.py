@@ -33,9 +33,12 @@ def _distinct(path, lineno: int, ids, what: str) -> None:
 
 def _lines(path: str | Path) -> list[tuple[int, str]]:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise FormatError(f"cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        lineno = e.object.count(b"\n", 0, e.start) + 1
+        raise FormatError(f"{path}:{lineno}: not UTF-8 text (byte {e.start})") from None
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -85,6 +88,17 @@ def load_lattice(path: str | Path) -> FiniteLattice:
         lineno = next(n for n, x, y in covers if x in on_cycle and y in on_cycle)
         raise FormatError(f"{path}:{lineno}: cover relation is not a partial order: "
                           f"{a} and {b} lie on a cycle of covers")
+    poset = lat.poset
+    hasse = set(poset.covers)
+    for lineno, a, b in covers:
+        i, j = poset.index[a], poset.index[b]
+        if (i, j) not in hasse:
+            # a < b holds through this line, so a pair of distinct elements
+            # that is no cover has an element strictly between
+            between = poset.up[i] & poset.down[j] & ~(1 << i | 1 << j)
+            why = ("an element does not cover itself" if i == j else
+                   f"{poset.elements[between.bit_length() - 1]} lies between them")
+            raise FormatError(f"{path}:{lineno}: 'cover: {a} < {b}' is not a cover: {why}")
     return lat
 
 

@@ -26,12 +26,13 @@ import functools
 import itertools
 import random
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
-from .errors import CollapsedCompletionError, MeetReducibleBottomError
+from .errors import CollapsedCompletionError, MeetReducibleBottomError, SizeCapError
 from .lattice import FiniteLattice, meet_irreducibles, require_distributive
 from .spaces import LambdaSpace, _meet_of_joins, _triangle_rows
-from .sqorders import OrderedLambdaStructure, SubquotientOrder
+from .sqorders import OrderedLambdaStructure, SubquotientOrder, _require_valid
 
 Gap = int | None
 
@@ -398,15 +399,17 @@ class _Form:
     with the same matrix of raw pair codes. ``types`` maps each consistent
     type, in subset coordinates and enumeration order, to its ``_Type``;
     ``rows`` maps the packed row of an outside point to the ``_Type`` of
-    that point."""
+    that point, and ``children`` maps it to the form of the subset with
+    that point appended (see ``_CheckContext.sweep``)."""
 
-    __slots__ = ("cls", "perm", "types", "rows")
+    __slots__ = ("cls", "perm", "types", "rows", "children")
 
     def __init__(self, cls: _Class, perm, types: dict):
         self.cls = cls
         self.perm = perm
         self.types = types
         self.rows: dict = {}
+        self.children: dict = {}
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +445,7 @@ class _CheckContext:
     comes last, so it never becomes an existing class's representative. So
     each old subset keeps its code matrix and form, each old point keeps
     its row over it, and a row table entry is a function of the form and
-    the row (see ``exact_types``). Only the kept prefix rows lack the new
+    the row (see ``_types``). Only the kept prefix rows lack the new
     point, and ``extend`` drops them.
     """
 
@@ -561,10 +564,9 @@ class _CheckContext:
         form.rows[row] = entry
         return entry
 
-    def exact_types(self, idx_a: tuple) -> dict:
-        """Each exact type of the points outside the base, as a ``_Type`` of
-        the subset's form, with the number of points having it, in order of
-        first point.
+    def _types(self, form: _Form, idx_a: tuple, rows: list[int]) -> list:
+        """The ``_Type`` of every point over the subset, read off its packed
+        row in the form's table, None for the subset's own points.
 
         A point's type over the base is a function of its row of pair codes
         to it, given the subset's own codes: the row fixes the distances, the
@@ -573,18 +575,57 @@ class _CheckContext:
         subset's own codes are its form's, so ``point_type`` runs once per
         form and distinct row, on the first point met with that row, and
         every other point and subset of the form reads the form's table."""
-        form = self.form(idx_a)
-        table = form.rows
-        rows = self.rows(idx_a)
-        tally: dict = {}
-        for row in rows:
-            tally[row] = tally.get(row, 0) + 1
-        out: dict = {}
-        for row, count in tally.items():
-            if row >= 0:
-                t = table.get(row) or self._row_type(form, idx_a, row, rows.index(row))
-                out[t] = out.get(t, 0) + count
+        types = list(map(form.rows.get, rows))
+        if types.count(None) > len(idx_a):
+            table = form.rows
+            for z, row in enumerate(rows):
+                if types[z] is None and row >= 0:
+                    types[z] = table.get(row) or self._row_type(form, idx_a, row, z)
+        return types
+
+    def exact_types(self, idx_a: tuple) -> dict:
+        """The exact types of the points outside the base, as ``_Type``s of
+        the subset's form: the keys of a dict, in order of first point."""
+        out = dict.fromkeys(self._types(self.form(idx_a), idx_a, self.rows(idx_a)))
+        out.pop(None, None)
         return out
+
+    def sweep(self, k: int):
+        """Yield ``(subset, form, types)`` for every subset of at most k
+        points, by size and then lexicographically, with ``types`` as
+        ``_types`` gives it.
+
+        Each size is walked depth-first over prefixes, a subset's rows built
+        from its prefix's with one comprehension, so fewer than k lists of n
+        rows are live. A subset's form is read from its prefix's form, in
+        ``children`` under the last point's packed row over the prefix, and
+        is filled by ``form`` when missing. That key is exact in a valid
+        structure: the row holds the codes from the last point to the
+        prefix, and with strict ranks inside each scale the codes the other
+        way are the same with below and above swapped, so the prefix's code
+        matrix and the row fix the subset's. Like every form table, the
+        children survive ``extend``."""
+        n, w = self.n, self.width
+        to = self._codes()
+        root = self.form(())
+
+        def walk(prefix, rows, form, depth):
+            children = form.children
+            for b in range(prefix[-1] + 1 if prefix else 0, n - depth + 1):
+                A = prefix + (b,)
+                child = children.get(rows[b])
+                if child is None:
+                    child = children[rows[b]] = self.form(A)
+                grown = [r << w | c for r, c in zip(rows, to[b])]
+                if depth == 1:
+                    yield A, child, self._types(child, A, grown)
+                else:
+                    yield from walk(A, grown, child, depth - 1)
+
+        if k >= 0:
+            yield (), root, self._types(root, (), [0] * n)
+        for size in range(1, min(k, n) + 1):
+            yield from walk((), [0] * n, root, size)
 
     def types_of(self, z: int, k: int) -> list[_Type]:
         """The exact type of the point z over each subset of the points
@@ -660,41 +701,49 @@ class _CheckContext:
 
 
 def _extension_report(ctx: _CheckContext, k: int) -> SaturationReport:
+    subsets: dict = {}     # form -> number of subsets having it
+    present = Counter()    # _Type -> number of subsets over which a point has it
+    missing_pairs = []
+    for A, form, types in ctx.sweep(k):
+        subsets[form] = subsets.get(form, 0) + 1
+        exact = set(types)
+        present.update(exact)
+        if len(missing_pairs) < 200:
+            missing = [t for t in form.types.values() if t not in exact]
+            if missing:
+                names = tuple(ctx.points[a] for a in A)
+                missing_pairs += [(names, OnePointType(names, *t.type))
+                                  for t in missing[:200 - len(missing_pairs)]]
     pair_total = pair_realized = 0
     pattern_all: set = set()
     pattern_hit: set = set()
-    seen: set = set()
-    missing_pairs = []
-    for size in range(0, k + 1):
-        for A in itertools.combinations(range(ctx.n), size):
-            form = ctx.form(A)
-            types = form.types
-            exact = ctx.exact_types(A)
-            hit = [t.pattern for t in exact if t.pattern is not None]
-            pair_total += len(types)
-            pair_realized += len(hit)
-            pattern_hit.update(hit)
-            if form not in seen:
-                seen.add(form)
-                pattern_all.update([t.pattern for t in types.values()])
-            if len(missing_pairs) < 200 and len(hit) < len(types):
-                names = tuple(ctx.points[a] for a in A)
-                for t in types.values():
-                    if t not in exact:
-                        missing_pairs.append((names, OnePointType(names, *t.type)))
-                        if len(missing_pairs) == 200:
-                            break
+    for form, count in subsets.items():
+        pair_total += count * len(form.types)
+        for t in form.types.values():
+            pattern_all.add(t.pattern)
+            if t in present:
+                pair_realized += present[t]
+                pattern_hit.add(t.pattern)
     missing_patterns = sorted(repr(ctx.keys[p]) for p in pattern_all - pattern_hit)
     return SaturationReport(len(pattern_all), len(pattern_hit),
                             pair_total, pair_realized, missing_pairs, missing_patterns)
 
 
+def _check_context(s: OrderedLambdaStructure, k: int, what: str) -> _CheckContext:
+    """The subset index for a check of depth k, which both checks refuse
+    above 7 (the k! labellings of a form cost 29 MB at k = 8) and on a
+    structure that fails ``validate`` (exact types and child forms are read
+    off pair codes, which presumes strict ranks inside each scale)."""
+    if k > 7:
+        raise SizeCapError(f"{what} is capped at k = 7, got {k}")
+    _require_valid(s, "invalid structure")
+    return _CheckContext(s)
+
+
 def extension_property_check(s: OrderedLambdaStructure, k: int) -> SaturationReport:
     """Per-subset realization of every consistent 1-type, aggregated both per
-    (subset, type) pair and per isomorphism-class pattern. The structure
-    must be valid (``OrderedLambdaStructure.validate``): exact types are read
-    off pair codes, which presumes strict ranks inside each scale."""
-    return _extension_report(_CheckContext(s), k)
+    (subset, type) pair and per isomorphism-class pattern."""
+    return _extension_report(_check_context(s, k, "extension_property_check"), k)
 
 
 # ---------------------------------------------------------------------------
@@ -734,45 +783,56 @@ def homogeneity_check(s: OrderedLambdaStructure, m: int) -> HomogeneityReport:
     does some q outside B complete the square?
 
     Pairs are grouped by canonical form, so the count runs over classes
-    instead of the quadratic pair list; results are identical. The structure
-    must be valid, as for ``extension_property_check``.
+    instead of the quadratic pair list; results are identical. A form's
+    types map one to one onto its class's types in class coordinates, so
+    the per-type tallies of one pass give each class's counts.
     """
-    ctx = _CheckContext(s)
+    ctx = _check_context(s, m, "homogeneity_check")
     points = s.space.points
-    classes: dict[_Class, list] = {}
-    for size in range(0, m + 1):
-        for A in itertools.combinations(range(ctx.n), size):
-            exact: dict = {}   # exact type in class coordinates -> points
-            for t, count in ctx.exact_types(A).items():
-                exact[t.local] = exact.get(t.local, 0) + count
-            form = ctx.form(A)
-            classes.setdefault(form.cls, []).append((A, form, exact))
+    counts = Counter()     # _Type -> points having it, over every subset
+    present = Counter()    # _Type -> subsets over which some point has it
+    members: dict = {}     # class -> its subsets, in sweep order
+    seen: dict = {}        # forms, in sweep order
+    for A, form, types in ctx.sweep(m):
+        counts.update(types)
+        present.update(set(types))
+        members.setdefault(form.cls, []).append(A)
+        seen[form] = None
+    forms: dict = {}       # class -> its forms, in sweep order
+    for form in seen:
+        forms.setdefault(form.cls, []).append(form)
+
+    @functools.cache
+    def exact(A) -> dict:
+        """The exact types over A in class coordinates, in order of first point."""
+        return dict.fromkeys(t.local for t in ctx.exact_types(A))
+
     pairs_checked = 0
     misses = 0
     failures = []
     pattern_failures = 0
     missing_patterns = []
-    for cls, members in classes.items():
+    for cls, subsets in members.items():
         autos = cls.autos
-        counts: dict = {}
-        present: dict = {}
-        for _, _, exact in members:
-            for u, c in exact.items():
-                counts[u] = counts.get(u, 0) + c
-                present[u] = present.get(u, 0) + 1
-        n_members = len(members)
+        class_counts: dict = {}    # type in class coordinates -> points
+        class_present: dict = {}   # type in class coordinates -> subsets
+        for form in forms[cls]:
+            for t in form.types.values():
+                if t in present:
+                    class_counts[t.local] = class_counts.get(t.local, 0) + counts[t]
+                    class_present[t.local] = class_present.get(t.local, 0) + present[t]
+        n_members = len(subsets)
         class_misses = 0
         for a in autos:
-            for u, total_count in counts.items():
-                moved = _apply_perm_type(*u, a)
-                absent = n_members - present.get(moved, 0)
+            for u, total_count in class_counts.items():
+                absent = n_members - class_present.get(_apply_perm_type(*u, a), 0)
                 pairs_checked += total_count * n_members
                 if absent:
                     class_misses += total_count * absent
         misses += class_misses
         # pattern level: consistent types of the class vs realized orbit
-        consistent = {t.pattern for t in members[0][1].types.values()}
-        realized_orbit = {cls.pattern(u) for u in counts}
+        consistent = {t.pattern for t in forms[cls][0].types.values()}
+        realized_orbit = {cls.pattern(u) for u in class_counts}
         for missing in sorted(repr(ctx.keys[p][1]) for p in consistent - realized_orbit):
             pattern_failures += 1
             if len(missing_patterns) < 50:
@@ -782,7 +842,6 @@ def homogeneity_check(s: OrderedLambdaStructure, m: int) -> HomogeneityReport:
             failures.extend(itertools.islice((
                 (tuple(points[i] for i in A), tuple(points[i] for i in B), repr(u),
                  "no matching extension point")
-                for a in autos for A, _, exact_a in members for B, _, exact_b in members
-                for u in exact_a if _apply_perm_type(*u, a) not in exact_b), 1))
+                for a in autos for A in subsets for B in subsets
+                for u in exact(A) if _apply_perm_type(*u, a) not in exact(B)), 1))
     return HomogeneityReport(pairs_checked, misses, pattern_failures, failures, missing_patterns)
-

@@ -13,7 +13,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import NotConvexError, TopBottomMismatchError, UndefinedRestrictionError
+from .errors import (InvalidStructureError, NotConvexError, TopBottomMismatchError,
+                     UndefinedRestrictionError)
 from .spaces import LambdaSpace, class_reps, validate_space
 from .validation import ValidationReport
 
@@ -195,6 +196,16 @@ class OrderedLambdaStructure:
 
     def signature(self) -> tuple[tuple[str, str], ...]:
         return tuple((o.bottom, o.top) for o in self.orders)
+
+
+def _require_valid(s: OrderedLambdaStructure, where: str) -> None:
+    """Raise InvalidStructureError, naming ``where`` and the first violated
+    rule with its witness, unless the structure validates."""
+    report = s.validate()
+    if not report.ok:
+        v = report.violations[0]
+        raise InvalidStructureError(f"{where}: {v.rule} {v.witness} ({v.message})",
+                                    report=report.as_dict())
 
 
 # ---------------------------------------------------------------------------

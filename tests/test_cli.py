@@ -241,6 +241,15 @@ def test_package_runs_as_a_module():
     (["space", "probe", "{lat}", "--max-new", "3"], 1, "SIZE_CAP"),
     (["check", "ext", "--in", "{s}", "--k", "-1"], 2, "USAGE"),
     (["check", "hom", "--in", "{s}", "--k", "-1"], 2, "USAGE"),
+    (["check", "ext", "--in", "{s}", "--k", "8"], 2, "USAGE"),
+    (["check", "hom", "--in", "{s}", "--k", "8"], 2, "USAGE"),
+    (["gen", "--lattice", "{lat}", "--orders", "0:E", "--size", "5", "--out", "{nodir}"],
+     2, "USAGE"),
+    (["encode", "--in", "{s}", "--out", "{nodir}"], 2, "USAGE"),
+    (["gen", "--lattice", "{lat}", "--orders", "0:E", "--size", "5", "--out", "{dir}"],
+     2, "USAGE"),
+    (["lattice", "check", "{bin}"], 1, "FORMAT"),
+    (["check", "ext", "--in", "{bin}"], 1, "FORMAT"),
     (["space", "probe", "{lat}", "--max-base", "-1"], 2, "USAGE"),
     (["space", "probe", "{lat}", "--max-new", "-1"], 2, "USAGE"),
     (["gen", "--lattice", "{lat}", "--orders", "0:E", "--size", "0", "--out", "{out}"],
@@ -277,9 +286,12 @@ def test_bad_input_is_a_coded_error(fixtures, capsys, argv, code, err):
     (fixtures / "nolat.lat").write_text("elements: a b\n")
     nolat_s = fixtures / "nolat.struct"
     nolat_s.write_text("lattice: nolat.lat\npoints: p0\n")
+    binary = fixtures / "bin.lat"
+    binary.write_bytes(b"elements: 0 \xff 1\n")
     paths = {"s": struct, "norank": norank, "lat": fixtures / "chain3.lat",
              "out": fixtures / "z.struct", "perm": perm, "nolat": fixtures / "nolat.lat",
-             "nolat_s": nolat_s}
+             "nolat_s": nolat_s, "nodir": fixtures / "no" / "x.struct", "dir": fixtures,
+             "bin": binary}
     assert main([a.format(**paths) for a in argv]) == code
     assert f"error [{err}]" in capsys.readouterr().err
 
@@ -407,6 +419,11 @@ def test_encode_refuses_an_order_over_a_one_element_lattice(tmp_path, capsys):
      "chain3.lat:2: cover relation is not a partial order: 0 and E lie on a cycle"),
     (["lattice", "check", "{lat}"], ("cover: E < 1", "cover: E < 1\ncover: 1 < E"),
      "chain3.lat:3: cover relation is not a partial order: E and 1 lie on a cycle"),
+    # a cover line must name a cover: not a self-loop, not a pair ordered through another
+    (["lattice", "check", "{lat}"], ("cover: E < 1", "cover: E < 1\ncover: 1 < 1"),
+     "chain3.lat:4: 'cover: 1 < 1' is not a cover: an element does not cover itself"),
+    (["lattice", "check", "{lat}"], ("cover: E < 1", "cover: E < 1\ncover: 0 < 1"),
+     "chain3.lat:4: 'cover: 0 < 1' is not a cover: E lies between them"),
 ])
 def test_malformed_file_is_a_format_error_at_its_line(fixtures, capsys, argv, edit, where):
     struct = fixtures / "s.struct"
@@ -434,6 +451,41 @@ def test_empty_elements_line_is_a_format_error_at_its_line(tmp_path, capsys, arg
     assert main(argv + [str(lat)]) == 1
     err = capsys.readouterr().err
     assert "error [FORMAT]" in err and "e.lat:2:" in err
+
+
+def test_check_depth_cap_names_the_flag(fixtures, capsys):
+    struct = fixtures / "s.struct"
+    run(["gen", "--lattice", fixtures / "chain3.lat", "--orders", "0:E,E:1", "--size", "4",
+         "--depth", "1", "--no-report", "--out", struct], capsys)
+    for kind in ("ext", "hom"):
+        assert main(["check", kind, "--in", str(struct), "--k", "8"]) == 2
+        assert capsys.readouterr().err == "error [USAGE]: --k must be in 0..7, got 8\n"
+
+
+def test_check_names_the_file_of_an_invalid_structure(fixtures, capsys):
+    struct = fixtures / "s.struct"
+    struct.write_text("lattice: chain3.lat\npoints: p0 p1\nd: p0 p1 E\nsq: 0 E\n"
+                      "rank: p0 0\nrank: p1 0\n")
+    assert main(["check", "hom", "--in", str(struct)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [INVALID_STRUCTURE]: {struct}: invalid structure: order[0].")
+
+
+def test_gen_refuses_an_out_path_in_a_missing_directory_before_generating(
+        fixtures, capsys, monkeypatch):
+    monkeypatch.setattr("permlat.cli.generate_generic", lambda *a, **k: pytest.fail("ran"))
+    out = fixtures / "no" / "x.struct"
+    assert main(["gen", "--lattice", str(fixtures / "chain3.lat"), "--orders", "0:E",
+                 "--size", "5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error [USAGE]: --out {out}: directory {out.parent} does not exist\n")
+
+
+def test_non_utf8_input_is_a_format_error_naming_the_file(tmp_path, capsys):
+    lat = tmp_path / "bin.lat"
+    lat.write_bytes(b"elements: 0 1\ncover: 0 < 1\n# caf\xe9\n")
+    assert main(["lattice", "check", str(lat)]) == 1
+    assert capsys.readouterr().err == f"error [FORMAT]: {lat}:3: not UTF-8 text (byte 32)\n"
 
 
 def test_lattice_enum_cap_names_the_flag(capsys):

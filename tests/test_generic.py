@@ -4,7 +4,8 @@ from collections import Counter
 
 import pytest
 
-from permlat.errors import MeetReducibleBottomError, NonDistributiveError
+from permlat.errors import (InvalidStructureError, MeetReducibleBottomError,
+                            NonDistributiveError, SizeCapError)
 from permlat.generic import (GenerationConfig, HomogeneityReport, OnePointType,
                              SaturationReport, _append_point, _CheckContext, _force_far_point,
                              empty_structure, enumerate_one_point_types,
@@ -396,7 +397,8 @@ def test_checks_match_per_subset_type_references(request, lat, size, depth, k, c
 
 
 def _tally(ctx, A):
-    return Counter({t.type: count for t, count in ctx.exact_types(A).items()})
+    # the exact type of every point outside A, counted
+    return Counter(t.type for t in ctx._types(ctx.form(A), A, ctx.rows(A)) if t is not None)
 
 
 def _subsets(n, k=3):
@@ -476,6 +478,8 @@ def test_packed_rows_match_point_types(case):
             assert t is form.types[t.type] and t in exact
         assert _tally(ctx, A) == Counter(
             ctx.point_type(A, z) for z in range(ctx.n) if z not in A)
+        assert list(exact) == list(dict.fromkeys(
+            form.rows[rows[z]] for z in range(ctx.n) if z not in A))
     for z in range(ctx.n):
         assert ([t.type for t in ctx.types_of(z, 3)]
                 == [ctx.point_type(A, z) for A in _subsets(z)])
@@ -494,11 +498,13 @@ def test_grown_index_matches_a_fresh_one(case):
             ctx.exact_types(A)
         base, t = next((A, t) for A in _subsets(s.space.n)
                        for t in ctx.form(A).types.values() if t not in ctx.exact_types(A))
+        list(ctx.sweep(3))   # fills child forms, which must survive the append
         s = _append_point(s, ctx, base, *t.type, rng)
         ctx.extend(s)
         ctx.types_of(s.space.n - 1, 3)   # registration, as generation does it
     fresh = _CheckContext(s)
     assert ctx._codes() == fresh._codes()
+    assert _swept(ctx) == _swept(fresh)
     for A in _subsets(s.space.n):
         assert ctx.rows(A) == fresh.rows(A)
         assert _tally(ctx, A) == _tally(fresh, A)
@@ -507,3 +513,59 @@ def test_grown_index_matches_a_fresh_one(case):
     for z in range(s.space.n):
         assert ([t.type for t in ctx.types_of(z, 3)]
                 == [t.type for t in fresh.types_of(z, 3)])
+
+
+def _swept(ctx, k=3):
+    return [(A, form.cls.matrix, form.perm, [t and t.type for t in types])
+            for A, form, types in ctx.sweep(k)]
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_sweep_matches_per_subset_forms_and_types(case):
+    # one walk serves both checks: it must visit today's subsets in today's
+    # order, and its child-table forms and row-table types must be the ones
+    # form() and point_type() give subset by subset
+    make, sig, size, _ = KERNEL_CASES[case]
+    s = gen(make(), sig, size=size, depth=3)
+    ctx = _CheckContext(s)
+    swept = list(ctx.sweep(3))
+    assert [A for A, _, _ in swept] == _subsets(s.space.n)
+    assert len(ctx._forms) < len(swept)   # most forms came from a child table
+    fresh = _CheckContext(s)
+    for A, form, types in swept:
+        # one form object per code matrix, so identity is exactness
+        assert form is ctx.form(A)
+        new = fresh.form(A)
+        assert (form.cls.matrix, form.perm) == (new.cls.matrix, new.perm)
+        assert [t.type for t in form.types.values()] == [t.type for t in new.types.values()]
+        assert [t is None for t in types] == [z in A for z in range(ctx.n)]
+        assert [t.type for t in types if t is not None] == [
+            ctx.point_type(A, z) for z in range(ctx.n) if z not in A]
+        assert list(dict.fromkeys(t for t in types if t is not None)) == list(ctx.exact_types(A))
+    assert [A for A, _, _ in ctx.sweep(0)] == [()]
+    assert list(ctx.sweep(-1)) == []
+
+
+def test_checks_refuse_a_depth_past_the_cap(chain3):
+    s = gen(chain3, SIGS["chain3"], size=4, depth=1)
+    for check in (extension_property_check, homogeneity_check):
+        check(s, 7)
+        with pytest.raises(SizeCapError, match="capped at k = 7, got 8"):
+            check(s, 8)
+
+
+def test_checks_refuse_an_invalid_structure(chain3):
+    # swapping the lowest and highest ranked classes of order 0 puts two
+    # classes of one scale on the same rank; the row-keyed kernels would
+    # then depend on which point first filled a table entry
+    s = gen(chain3, SIGS["chain3"], seed=4, size=16, depth=3)
+    o = s.orders[0]
+    reps = sorted(o.rank, key=o.rank.get)
+    rank = dict(o.rank)
+    rank[reps[0]], rank[reps[-1]] = rank[reps[-1]], rank[reps[0]]
+    bad = OrderedLambdaStructure(
+        s.space, (SubquotientOrder(s.space, o.bottom, o.top, rank),) + s.orders[1:])
+    assert not bad.validate().ok
+    for check in (extension_property_check, homogeneity_check):
+        with pytest.raises(InvalidStructureError, match="strict-total"):
+            check(bad, 3)

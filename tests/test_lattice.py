@@ -180,6 +180,17 @@ def test_bounds_on_b2_plus_top():
     assert b.exhaustive
 
 
+def test_bounds_past_twelve_internal_meet_irreducibles_search_min_cardinality_covers():
+    # a 15-chain has 13 internal meet-irreducibles, one more than the
+    # exhaustive cover search takes
+    b = dimension_bounds(chain_lattice(15))
+    assert not b.exhaustive
+    assert b.cover.chains == (tuple(f"c{i}" for i in range(1, 14)),)
+    assert b.lower == 2 <= b.upper
+    assert b.notes == ("cover search restricted to minimum-cardinality covers "
+                       "(|Lambda0| = 13 > 12)",)
+
+
 def test_bounds_reject_non_distributive():
     with pytest.raises(NonDistributiveError):
         dimension_bounds(m3())
