@@ -100,8 +100,9 @@ class FinitePoset:
         return report
 
     def key(self) -> tuple:
-        up = self.up
-        return canonical_key(self.n, lambda i, j: (i == j, up[i] >> j & 1, up[j] >> i & 1))
+        up, n = self.up, self.n
+        return canonical_key([[(i == j, up[i] >> j & 1, up[j] >> i & 1) for j in range(n)]
+                              for i in range(n)])
 
     def subposet(self, names: list[str]) -> "FinitePoset":
         idxs = [self.index[x] for x in names]
@@ -632,13 +633,12 @@ def enumerate_lattices(max_size: int):
             continue
         n = len(down)
         full = (1 << (n + 1)) - 1
-        lifted = down + (full,)
-        lat = FiniteLattice.from_poset(_poset_from_down(lifted))
-        k = lat.key()
+        poset = _poset_from_down(down + (full,))
+        k = poset.key()
         if k in seen:
             continue
         seen.add(k)
-        yield lat
+        yield FiniteLattice.from_poset(poset)
 
 
 def enumerate_distributive_lattices(max_size: int):
@@ -655,15 +655,15 @@ def enumerate_distributive_lattices(max_size: int):
             continue
         ideals = _ideals(down)
         up = tuple(sum(1 << b for b, sb in enumerate(ideals) if sa & ~sb == 0) for sa in ideals)
-        lat = FiniteLattice.from_poset(FinitePoset(tuple(f"i{i}" for i in range(len(ideals))), up))
-        k = lat.key()
+        poset = FinitePoset(tuple(f"i{i}" for i in range(len(ideals))), up)
+        k = poset.key()
         if k in seen:
             continue
         seen.add(k)
-        results.append((lat.n, k, lat))
+        results.append((poset.n, k, poset))
     results.sort(key=lambda t: (t[0], t[1]))
-    for _, _, lat in results:
-        yield lat
+    for _, _, poset in results:
+        yield FiniteLattice.from_poset(poset)
 
 
 # ---------------------------------------------------------------------------

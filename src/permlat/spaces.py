@@ -344,7 +344,7 @@ def _base_spaces(lat: FiniteLattice, max_base: int):
         for base in layer:
             for row in _triangle_rows(lat, base.dist):
                 s = base.extended(f"c{k}", row)
-                classes.setdefault(canonical_key(s.n, lambda i, j: s.dist[i][j]), s)
+                classes.setdefault(canonical_key(s.dist), s)
         layer = list(classes.values())
         yield from layer
 

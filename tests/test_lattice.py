@@ -306,7 +306,8 @@ def ref_validate(p):
 
 
 def ref_key(p):
-    return canonical_key(p.n, lambda i, j: (i == j, p.leq_idx(i, j), p.leq_idx(j, i)))
+    return canonical_key([[(i == j, p.leq_idx(i, j), p.leq_idx(j, i)) for j in range(p.n)]
+                          for i in range(p.n)])
 
 
 def ref_ideals(down):

@@ -286,7 +286,7 @@ def test_bases_up_to_3_points_match_the_distance_multiset_enumeration(lat):
 
 
 def _space_key(s):
-    return canonical_key(s.n, lambda i, j: s.dist[i][j])
+    return canonical_key(s.dist)
 
 
 @pytest.mark.parametrize("lat", list(enumerate_lattices(5)), ids=lambda lat: "-".join(lat.elements))
