@@ -5,7 +5,7 @@ encoding, verified by property tests at desk scale."""
 __version__ = "0.1.0"
 
 from .lattice import (ChainCover, DimensionBounds, FiniteLattice, FinitePoset,
-                      boolean2, b2_plus_bottom, b2_plus_top, chain_lattice,
+                      boolean2, b2_plus_top, chain_lattice,
                       dimension_bounds, enumerate_distributive_lattices,
                       enumerate_lattices, is_distributive, lattices_isomorphic,
                       m3, meet_irreducibles, min_chain_cover, n5,

@@ -526,12 +526,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()   # a closed reader surfaces here, not at exit
+        return code
     except UsageError as e:
         print(f"error [{e.code}]: {e}", file=sys.stderr)
         return 2
     except PermlatError as e:
         print(f"error [{e.code}]: {e}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader left early (`| head`): exit 1 quietly, flushing to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -26,8 +26,8 @@ import functools
 import itertools
 import random
 import warnings
-from collections import Counter
 from dataclasses import dataclass
+from operator import or_
 
 from .errors import CollapsedCompletionError, MeetReducibleBottomError, SizeCapError
 from .lattice import FiniteLattice, meet_irreducibles, require_distributive
@@ -73,22 +73,6 @@ def enumerate_one_point_types(s: OrderedLambdaStructure, A) -> list[OnePointType
     A = tuple(sorted(A, key=s.space.pindex.__getitem__))
     return [OnePointType(A, delta, gaps)
             for delta, gaps in _CheckContext(s).types(_index_of(s, A))]
-
-
-def realizers(s: OrderedLambdaStructure, t: OnePointType) -> list[str]:
-    """Points of s satisfying the type exactly."""
-    ctx = _CheckContext(s)
-    idx_a = _index_of(s, t.over)
-    want = (tuple(t.distances), tuple(t.order_constraints))
-    return [s.space.points[z] for z in range(ctx.n)
-            if z not in idx_a and ctx.point_type(idx_a, z) == want]
-
-
-def tp_point(s: OrderedLambdaStructure, A: tuple[str, ...], z: str) -> OnePointType:
-    """Exact 1-type of an existing point over a base."""
-    A = tuple(sorted(A, key=s.space.pindex.__getitem__))
-    delta, gaps = _CheckContext(s).point_type(_index_of(s, A), s.space.pindex[z])
-    return OnePointType(A, delta, gaps)
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +244,9 @@ def generate_generic(lat: FiniteLattice, sq_signature, cfg: GenerationConfig,
     changes no pair code among the old points (see ``_CheckContext``), so
     the canonical forms and pattern keys of old subsets stay valid. For the
     same reason a realized pattern stays realized, and the census at a pass
-    start only needs the subsets that meet a point appended since the last
-    census; every other realized pattern is already registered.
+    start sweeps only the subsets that meet a point appended since the last
+    census (``sweep`` with ``since``); every other realized pattern is
+    already registered. The census maps each form's rows to patterns once.
     """
     signature = [tuple(pair) for pair in sq_signature]
     _require_generable(lat, signature)
@@ -297,11 +282,7 @@ def generate_generic(lat: FiniteLattice, sq_signature, cfg: GenerationConfig,
 
     while s.space.n < cfg.target_size:
         n = s.space.n
-        # census of the subsets that meet a point appended since the last one
-        for size in range(1, min(k, n) + 1):
-            for rest in itertools.combinations(range(n), size - 1):
-                for last in range(max(censused, rest[-1] + 1 if rest else 0), n):
-                    realized.update([t.pattern for t in ctx.exact_types(rest + (last,))])
+        realized.update(_census(ctx, k, censused))
         censused = n
         progressed = False
         for pattern_first in (True, False):
@@ -325,6 +306,17 @@ def generate_generic(lat: FiniteLattice, sq_signature, cfg: GenerationConfig,
     if with_saturation_report:
         saturation = _extension_report(ctx, k)
     return GenerationResult(s, saturation, steps)
+
+
+def _census(ctx: _CheckContext, k: int, since: int) -> set:
+    """The patterns realized over the subsets that meet a point from
+    ``since`` on, each form's rows mapped to patterns once. The subset memo
+    gets their forms for the visits and registrations that follow."""
+    met: dict = {}   # form -> rows met
+    for A, form, _, distinct in ctx.sweep(k, since=since):
+        ctx._forms[A] = form
+        met.setdefault(form, set()).update(distinct)
+    return {t.pattern for form, rows in met.items() for t in map(form.rows.__getitem__, rows) if t}
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +390,9 @@ class _Form:
     """A class seen through one canonical labelling, shared by every subset
     with the same matrix of raw pair codes. ``types`` maps each consistent
     type, in subset coordinates and enumeration order, to its ``_Type``;
-    ``rows`` maps the packed row of an outside point to the ``_Type`` of
-    that point, and ``children`` maps it to the form of the subset with
-    that point appended (see ``_CheckContext.sweep``)."""
+    ``rows`` maps a point's packed row over the subset to its ``_Type``, or
+    None for a base point, and ``children`` maps it to the form of the
+    subset with that point appended (see ``_CheckContext.sweep``)."""
 
     __slots__ = ("cls", "perm", "types", "rows", "children")
 
@@ -417,8 +409,9 @@ class _Form:
 
 
 class _CheckContext:
-    """Integer subset index over one structure, read by generation and by
-    both checks.
+    """Integer subset index over one structure. Its ``sweep`` is the one
+    walk over all small subsets: generation's census and report and both
+    checks read per-form row tallies off it.
 
     It holds a table of pair codes (distance, then per order: same bottom
     class, other top class, below or above), one ``_Form`` per matrix of
@@ -429,13 +422,12 @@ class _CheckContext:
     holding its codes to a_1, ..., a_k in fields of ``width`` bits, a_1's
     highest. A base point's row holds its own -1 diagonal code, and a row
     shifted and ORed with -1, or a negative row shifted and ORed with a
-    code, stays negative: base points are the negative rows, skipped by
-    sign. The rows over a subset are those over its prefix (all points but
-    the last), each shifted one field and ORed with the last point's code
-    column. The index keeps the rows of the latest prefix of each size, so a
-    lexicographic walk builds most subsets' rows with one list
-    comprehension, and subsets up to size k keep fewer than k lists of n
-    rows.
+    code, stays negative: base points are the negative rows. The rows over
+    a subset are those over its prefix (all points but the last), each
+    shifted one field and ORed with the last point's code column. Outside
+    ``sweep``, the index keeps the rows of the latest prefix of each size,
+    so a lexicographic run of ``rows`` calls builds most subsets' rows from
+    a kept list.
 
     Append invariant: ``extend`` rebinds the index to the same structure
     with points appended, and keeps every code table entry, every form and
@@ -445,7 +437,7 @@ class _CheckContext:
     comes last, so it never becomes an existing class's representative. So
     each old subset keeps its code matrix and form, each old point keeps
     its row over it, and a row table entry is a function of the form and
-    the row (see ``_types``). Only the kept prefix rows lack the new
+    the row (see ``_fill``). Only the kept prefix rows lack the new
     point, and ``extend`` drops them.
     """
 
@@ -564,68 +556,82 @@ class _CheckContext:
         form.rows[row] = entry
         return entry
 
-    def _types(self, form: _Form, idx_a: tuple, rows: list[int]) -> list:
-        """The ``_Type`` of every point over the subset, read off its packed
-        row in the form's table, None for the subset's own points.
+    def _fill(self, form: _Form, idx_a: tuple, rows: list[int]) -> set:
+        """Enter every row over the subset in the form's table, the
+        subset's own (negative) rows as None and each other row as the
+        ``_Type`` of the first point having it; return the set of rows.
 
         A point's type over the base is a function of its row of pair codes
         to it, given the subset's own codes: the row fixes the distances, the
         pinned orders and the base points ranked below it, and with strict
         ranks inside each scale (a valid order) that fixes every gap. The
-        subset's own codes are its form's, so ``point_type`` runs once per
-        form and distinct row, on the first point met with that row, and
-        every other point and subset of the form reads the form's table."""
-        types = list(map(form.rows.get, rows))
-        if types.count(None) > len(idx_a):
-            table = form.rows
+        subset's own codes are its form's, and so are its own rows (each
+        holds the codes from one base point to the base points after it), so
+        ``point_type`` runs once per form and distinct row, and every other
+        point and subset of the form reads the form's table."""
+        distinct = set(rows)
+        table = form.rows
+        if not table.keys() >= distinct:
             for z, row in enumerate(rows):
-                if types[z] is None and row >= 0:
-                    types[z] = table.get(row) or self._row_type(form, idx_a, row, z)
-        return types
+                if row not in table:
+                    table[row] = None if row < 0 else self._row_type(form, idx_a, row, z)
+        return distinct
 
     def exact_types(self, idx_a: tuple) -> dict:
         """The exact types of the points outside the base, as ``_Type``s of
         the subset's form: the keys of a dict, in order of first point."""
-        out = dict.fromkeys(self._types(self.form(idx_a), idx_a, self.rows(idx_a)))
+        form = self.form(idx_a)
+        rows = self.rows(idx_a)
+        self._fill(form, idx_a, rows)
+        out = dict.fromkeys(map(form.rows.__getitem__, rows))
         out.pop(None, None)
         return out
 
-    def sweep(self, k: int):
-        """Yield ``(subset, form, types)`` for every subset of at most k
-        points, by size and then lexicographically, with ``types`` as
-        ``_types`` gives it.
+    def sweep(self, k: int, since: int | None = None):
+        """Yield ``(subset, form, rows, distinct)`` for every subset of at
+        most k points, by size and then lexicographically: every point's
+        packed row over the subset, their set, and the form's row table
+        filled for each (see ``_fill``). With ``since``, only the subsets
+        whose last point is at least ``since``, so not ``()``.
 
-        Each size is walked depth-first over prefixes, a subset's rows built
-        from its prefix's with one comprehension, so fewer than k lists of n
-        rows are live. A subset's form is read from its prefix's form, in
-        ``children`` under the last point's packed row over the prefix, and
-        is filled by ``form`` when missing. That key is exact in a valid
-        structure: the row holds the codes from the last point to the
-        prefix, and with strict ranks inside each scale the codes the other
-        way are the same with below and above swapped, so the prefix's code
-        matrix and the row fix the subset's. Like every form table, the
-        children survive ``extend``."""
+        Each size is walked depth-first over prefixes: a prefix shifts its
+        rows once, each subset ORs them with its last point's code column,
+        and the subsets of one prefix are yielded as a batch. A subset's
+        form is read from its prefix's form, in ``children`` under the last
+        point's row over the prefix, and is filled by ``form`` when missing.
+        That key is exact in a valid structure: the row holds the codes from
+        the last point to the prefix, and with strict ranks inside each scale
+        the codes the other way are the same with below and above swapped,
+        so the prefix's code matrix and the row fix the subset's. Like every
+        form table, the children survive ``extend``."""
         n, w = self.n, self.width
         to = self._codes()
         root = self.form(())
+        first = since or 0
 
         def walk(prefix, rows, form, depth):
             children = form.children
-            for b in range(prefix[-1] + 1 if prefix else 0, n - depth + 1):
+            shifted = [r << w for r in rows]
+            batch = []
+            start = prefix[-1] + 1 if prefix else 0
+            for b in range(max(start, first) if depth == 1 else start, n - depth + 1):
                 A = prefix + (b,)
                 child = children.get(rows[b])
                 if child is None:
                     child = children[rows[b]] = self.form(A)
-                grown = [r << w | c for r, c in zip(rows, to[b])]
-                if depth == 1:
-                    yield A, child, self._types(child, A, grown)
-                else:
+                grown = list(map(or_, shifted, to[b]))
+                if depth > 1:
                     yield from walk(A, grown, child, depth - 1)
+                else:
+                    batch.append((A, child, grown, self._fill(child, A, grown)))
+            if batch:
+                yield batch
 
-        if k >= 0:
-            yield (), root, self._types(root, (), [0] * n)
+        if k >= 0 and since is None:
+            yield (), root, [0] * n, self._fill(root, (), [0] * n)
         for size in range(1, min(k, n) + 1):
-            yield from walk((), [0] * n, root, size)
+            for batch in walk((), [0] * n, root, size):
+                yield from batch
 
     def types_of(self, z: int, k: int) -> list[_Type]:
         """The exact type of the point z over each subset of the points
@@ -645,9 +651,6 @@ class _CheckContext:
                 form = forms.get(A) or self.form(A)
                 out.append(form.rows.get(row) or self._row_type(form, A, row, z))
         return out
-
-    def distance_assignments(self, idx_a) -> list[tuple[int, ...]]:
-        return _triangle_rows(self.lat, [[self.dist[a][b] for b in idx_a] for a in idx_a])
 
     def scale_ranks(self, idx_a, delta) -> list[list[int] | None]:
         """Per order: sorted ranks of the base's distinct bottom classes in
@@ -689,7 +692,7 @@ class _CheckContext:
     def types(self, idx_a):
         """Every consistent 1-type over the base as (delta, gaps): distance
         assignments in lexicographic order, each crossed with its gap choices."""
-        for delta in self.distance_assignments(idx_a):
+        for delta in _triangle_rows(self.lat, [[self.dist[a][b] for b in idx_a] for a in idx_a]):
             gap_ranges = [(None,) if sc is None else range(len(sc) + 1)
                           for sc in self.scale_ranks(idx_a, delta)]
             for gaps in itertools.product(*gap_ranges):
@@ -701,14 +704,19 @@ class _CheckContext:
 
 
 def _extension_report(ctx: _CheckContext, k: int) -> SaturationReport:
-    subsets: dict = {}     # form -> number of subsets having it
-    present = Counter()    # _Type -> number of subsets over which a point has it
+    """Tallied per form: a subset has its form's own rows, and in a valid
+    structure one realized type per distinct outside row."""
+    tallies: dict = {}     # form -> [subsets, distinct rows summed over them, rows met]
     missing_pairs = []
-    for A, form, types in ctx.sweep(k):
-        subsets[form] = subsets.get(form, 0) + 1
-        exact = set(types)
-        present.update(exact)
+    for A, form, _, distinct in ctx.sweep(k):
+        tally = tallies.get(form)
+        if tally is None:
+            tally = tallies[form] = [0, 0, set()]
+        tally[0] += 1
+        tally[1] += len(distinct)
+        tally[2] |= distinct
         if len(missing_pairs) < 200:
+            exact = set(map(form.rows.__getitem__, distinct))
             missing = [t for t in form.types.values() if t not in exact]
             if missing:
                 names = tuple(ctx.points[a] for a in A)
@@ -717,13 +725,12 @@ def _extension_report(ctx: _CheckContext, k: int) -> SaturationReport:
     pair_total = pair_realized = 0
     pattern_all: set = set()
     pattern_hit: set = set()
-    for form, count in subsets.items():
-        pair_total += count * len(form.types)
-        for t in form.types.values():
-            pattern_all.add(t.pattern)
-            if t in present:
-                pair_realized += present[t]
-                pattern_hit.add(t.pattern)
+    for form, (subsets, realized, rows) in tallies.items():
+        types = [form.rows[row] for row in rows]
+        pair_total += subsets * len(form.types)
+        pair_realized += realized - subsets * types.count(None)
+        pattern_all.update(t.pattern for t in form.types.values())
+        pattern_hit.update(t.pattern for t in types if t)
     missing_patterns = sorted(repr(ctx.keys[p]) for p in pattern_all - pattern_hit)
     return SaturationReport(len(pattern_all), len(pattern_hit),
                             pair_total, pair_realized, missing_pairs, missing_patterns)
@@ -784,23 +791,26 @@ def homogeneity_check(s: OrderedLambdaStructure, m: int) -> HomogeneityReport:
 
     Pairs are grouped by canonical form, so the count runs over classes
     instead of the quadratic pair list; results are identical. A form's
-    types map one to one onto its class's types in class coordinates, so
-    the per-type tallies of one pass give each class's counts.
+    types map one to one onto its class's types in class coordinates, and
+    in a valid structure its distinct outside rows onto its realized types,
+    so the per-row tallies of one pass give each class's counts.
     """
     ctx = _check_context(s, m, "homogeneity_check")
     points = s.space.points
-    counts = Counter()     # _Type -> points having it, over every subset
-    present = Counter()    # _Type -> subsets over which some point has it
-    members: dict = {}     # class -> its subsets, in sweep order
-    seen: dict = {}        # forms, in sweep order
-    for A, form, types in ctx.sweep(m):
-        counts.update(types)
-        present.update(set(types))
-        members.setdefault(form.cls, []).append(A)
-        seen[form] = None
-    forms: dict = {}       # class -> its forms, in sweep order
-    for form in seen:
-        forms.setdefault(form.cls, []).append(form)
+    tallies: dict = {}     # form -> ({row: points having it}, {row: subsets}, its class's subsets)
+    members: dict = {}     # class -> (its subsets, its forms), in sweep order
+    for A, form, rows, distinct in ctx.sweep(m):
+        tally = tallies.get(form)
+        if tally is None:
+            subsets, forms = members.setdefault(form.cls, ([], []))
+            forms.append(form)
+            tally = tallies[form] = ({}, {}, subsets)
+        counts, present, subsets = tally
+        for row in rows:
+            counts[row] = counts.get(row, 0) + 1
+        for row in distinct:
+            present[row] = present.get(row, 0) + 1
+        subsets.append(A)
 
     @functools.cache
     def exact(A) -> dict:
@@ -812,15 +822,17 @@ def homogeneity_check(s: OrderedLambdaStructure, m: int) -> HomogeneityReport:
     failures = []
     pattern_failures = 0
     missing_patterns = []
-    for cls, subsets in members.items():
+    for cls, (subsets, forms) in members.items():
         autos = cls.autos
         class_counts: dict = {}    # type in class coordinates -> points
         class_present: dict = {}   # type in class coordinates -> subsets
-        for form in forms[cls]:
-            for t in form.types.values():
-                if t in present:
-                    class_counts[t.local] = class_counts.get(t.local, 0) + counts[t]
-                    class_present[t.local] = class_present.get(t.local, 0) + present[t]
+        for form in forms:
+            counts, present, _ = tallies[form]
+            for row, count in present.items():
+                t = form.rows[row]
+                if t:
+                    class_counts[t.local] = class_counts.get(t.local, 0) + counts[row]
+                    class_present[t.local] = class_present.get(t.local, 0) + count
         n_members = len(subsets)
         class_misses = 0
         for a in autos:
@@ -831,7 +843,7 @@ def homogeneity_check(s: OrderedLambdaStructure, m: int) -> HomogeneityReport:
                     class_misses += total_count * absent
         misses += class_misses
         # pattern level: consistent types of the class vs realized orbit
-        consistent = {t.pattern for t in forms[cls][0].types.values()}
+        consistent = {t.pattern for t in forms[0].types.values()}
         realized_orbit = {cls.pattern(u) for u in class_counts}
         for missing in sorted(repr(ctx.keys[p][1]) for p in consistent - realized_orbit):
             pattern_failures += 1

@@ -434,20 +434,6 @@ def min_chain_cover(p: FinitePoset) -> ChainCover:
     return ChainCover(tuple(chains))
 
 
-def max_antichain_size(p: FinitePoset) -> int:
-    """Exhaustive width computation (oracle-grade, exponential)."""
-    best = 0
-    for r in range(p.n, 0, -1):
-        if r <= best:
-            break
-        for sub in itertools.combinations(range(p.n), r):
-            if all(not p.leq_idx(a, b) and not p.leq_idx(b, a)
-                   for a, b in itertools.combinations(sub, 2)):
-                best = max(best, r)
-                break
-    return best
-
-
 # ---------------------------------------------------------------------------
 # dimension bounds
 
@@ -717,7 +703,3 @@ def product_lattice(a: FiniteLattice, b: FiniteLattice) -> FiniteLattice:
 def b2_plus_top() -> FiniteLattice:
     """Boolean-on-2-atoms with one extra point stacked on top."""
     return vertical_sum(boolean2(), chain_lattice(1, ["t"]))
-
-
-def b2_plus_bottom() -> FiniteLattice:
-    return vertical_sum(chain_lattice(1, ["s"]), boolean2())

@@ -4,6 +4,7 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -752,3 +753,41 @@ def test_gen_and_check_json_match_golden_digests(fixtures, capsys, monkeypatch, 
     results = [run(argv, capsys) for argv in runs]
     assert tuple(code for code, _ in results) == codes
     assert tuple(hashlib.sha256(out.encode()).hexdigest() for _, out in results) == shas
+    for argv, code, sha in OTHER_DEPTHS.get(lat, ()):
+        got, out = run(argv, capsys)
+        assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, sha)
+
+
+# check reports at other depths on the same structure, where the per-form
+# tallies run over subsets of other sizes: (argv, exit code, SHA-256)
+OTHER_DEPTHS = {"b2.lat": [
+    (["check", "ext", "--in", "g.struct", "--k", 2, "--json"], 0,
+     "890374e70b17db175c2f91e96ff25ebe95244c280c20d5234e7b4821a166d77e"),
+    (["check", "hom", "--in", "g.struct", "--k", 4, "--json"], 1,
+     "d8da2ea9f3d508ebc0f542c2bba790097acd3e4b6ae6bd7ddc3300497faa39e6"),
+]}
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_reader_closing_stdout_early_is_a_quiet_exit_1(fixtures, unbuffered):
+    # `permlat check ext ... --json | head -c 10`: the write to the closed
+    # pipe is refused, and the command exits 1 with nothing on stderr (no
+    # uncoded "Broken pipe" error, no traceback from the flush at exit),
+    # whether stdout writes at once or only when flushed
+    struct = fixtures / "g.struct"
+    assert main(["gen", "--lattice", str(fixtures / "chain3.lat"), "--orders", "0:E,E:1",
+                 "--size", "10", "--depth", "2", "--seed", "1", "--no-report",
+                 "--out", str(struct)]) == 0
+    argv = ["check", "ext", "--in", str(struct), "--k", "2", "--json"]
+    assert main(argv) == 0   # read to the end, the check passes
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)   # the reader is gone before the command writes
+    try:
+        result = subprocess.run([sys.executable, "-m", "permlat", *argv],
+                                stdout=write, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr) == (1, "")

@@ -4,13 +4,14 @@ from collections import Counter
 
 import pytest
 
+from permlat import generic
 from permlat.errors import (InvalidStructureError, MeetReducibleBottomError,
                             NonDistributiveError, SizeCapError)
 from permlat.generic import (GenerationConfig, HomogeneityReport, OnePointType,
                              SaturationReport, _append_point, _CheckContext, _force_far_point,
                              empty_structure, enumerate_one_point_types,
                              extension_property_check, generate_generic, homogeneity_check,
-                             realize_type, realizers, tp_point)
+                             realize_type)
 from permlat.lattice import boolean2, chain_lattice, m3, meet_irreducibles, product_lattice
 from permlat.spaces import equivalences_from_space, validate_space
 from permlat.sqorders import OrderedLambdaStructure, SubquotientOrder, validate_sqorder
@@ -19,6 +20,15 @@ from permlat.sqorders import OrderedLambdaStructure, SubquotientOrder, validate_
 def gen(lat, sig, seed=11, size=40, depth=3):
     cfg = GenerationConfig(seed=seed, target_size=size, saturation_depth=depth)
     return generate_generic(lat, sig, cfg, with_saturation_report=False).structure
+
+
+def realizers(s, t: OnePointType) -> list[str]:
+    """The points of s having the type exactly, by ``point_type``."""
+    ctx = _CheckContext(s)
+    idx_a = [s.space.pindex[a] for a in t.over]
+    want = (tuple(t.distances), tuple(t.order_constraints))
+    return [s.space.points[z] for z in range(ctx.n)
+            if z not in idx_a and ctx.point_type(idx_a, z) == want]
 
 
 # -- type enumeration --------------------------------------------------------
@@ -217,13 +227,21 @@ def test_corrupted_sample_reports_failures(chain3):
 
 
 def test_exact_types_round_trip(chain3):
+    # a point's exact type is consistent, and realizing it finds a point
+    # having it instead of appending one
     s = gen(chain3, [("0", "E"), ("E", "1")], size=12, depth=2)
-    for A in itertools.combinations(s.space.points, 2):
-        for z in s.space.points:
+    ctx = _CheckContext(s)
+    for A in itertools.combinations(range(ctx.n), 2):
+        names = tuple(s.space.points[a] for a in A)
+        consistent = set(ctx.types(A))
+        for z in range(ctx.n):
             if z in A:
                 continue
-            t = tp_point(s, A, z)
-            assert z in realizers(s, t)
+            t = OnePointType(names, *ctx.point_type(A, z))
+            assert (t.distances, t.order_constraints) in consistent
+            assert s.space.points[z] in realizers(s, t)
+            r = realize_type(s, t)
+            assert r.added is None and r.realized_by in realizers(s, t)
 
 
 def test_collapsed_completion_is_a_coded_error(b2):
@@ -398,7 +416,9 @@ def test_checks_match_per_subset_type_references(request, lat, size, depth, k, c
 
 def _tally(ctx, A):
     # the exact type of every point outside A, counted
-    return Counter(t.type for t in ctx._types(ctx.form(A), A, ctx.rows(A)) if t is not None)
+    ctx.exact_types(A)   # fills the form's row table
+    table = ctx.form(A).rows
+    return Counter(table[row].type for row in ctx.rows(A) if row >= 0)
 
 
 def _subsets(n, k=3):
@@ -515,9 +535,10 @@ def test_grown_index_matches_a_fresh_one(case):
                 == [t.type for t in fresh.types_of(z, 3)])
 
 
-def _swept(ctx, k=3):
-    return [(A, form.cls.matrix, form.perm, [t and t.type for t in types])
-            for A, form, types in ctx.sweep(k)]
+def _swept(ctx, k=3, since=None):
+    return [(A, form.cls.matrix, form.perm, rows, [form.rows[row] and form.rows[row].type
+                                                   for row in rows])
+            for A, form, rows, _ in ctx.sweep(k, since)]
 
 
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
@@ -528,22 +549,81 @@ def test_sweep_matches_per_subset_forms_and_types(case):
     make, sig, size, _ = KERNEL_CASES[case]
     s = gen(make(), sig, size=size, depth=3)
     ctx = _CheckContext(s)
-    swept = list(ctx.sweep(3))
-    assert [A for A, _, _ in swept] == _subsets(s.space.n)
+    swept = []
+    for A, form, rows, distinct in ctx.sweep(3):
+        # the form's row table covers the subset's rows when it is yielded
+        assert distinct == set(rows) and form.rows.keys() >= distinct
+        swept.append((A, form, rows, [form.rows[row] for row in rows]))
+    assert [A for A, _, _, _ in swept] == _subsets(s.space.n)
     assert len(ctx._forms) < len(swept)   # most forms came from a child table
     fresh = _CheckContext(s)
-    for A, form, types in swept:
+    for A, form, rows, types in swept:
         # one form object per code matrix, so identity is exactness
         assert form is ctx.form(A)
         new = fresh.form(A)
         assert (form.cls.matrix, form.perm) == (new.cls.matrix, new.perm)
         assert [t.type for t in form.types.values()] == [t.type for t in new.types.values()]
+        assert rows == ctx.rows(A)
         assert [t is None for t in types] == [z in A for z in range(ctx.n)]
         assert [t.type for t in types if t is not None] == [
             ctx.point_type(A, z) for z in range(ctx.n) if z not in A]
         assert list(dict.fromkeys(t for t in types if t is not None)) == list(ctx.exact_types(A))
-    assert [A for A, _, _ in ctx.sweep(0)] == [()]
+    assert [A for A, _, _, _ in ctx.sweep(0)] == [()]
     assert list(ctx.sweep(-1)) == []
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_sweep_since_yields_the_subsets_meeting_the_later_points(case):
+    # the census sweeps only the subsets whose last point is new: the full
+    # sweep's nonempty subsets with last point >= since, in the same order,
+    # with the same forms, rows and row tables, on a warm index and a cold one
+    make, sig, size, _ = KERNEL_CASES[case]
+    s = gen(make(), sig, size=size, depth=3)
+    ctx = _CheckContext(s)
+    full = list(ctx.sweep(3))
+    for since in (0, 1, ctx.n // 2, ctx.n - 1, ctx.n):
+        assert list(ctx.sweep(3, since)) == [x for x in full if x[0] and x[0][-1] >= since]
+    since = ctx.n // 2
+    assert _swept(_CheckContext(s), 3, since) == [
+        x for x in _swept(ctx) if x[0] and x[0][-1] >= since]
+    assert list(ctx.sweep(0, 0)) == []
+
+
+def _ref_census(ctx, k, since):
+    # the census as it was, subset by subset over every subset meeting a
+    # point from since on, with each outside point's type from point_type
+    # instead of the row tables
+    realized = set()
+    for size in range(1, min(k, ctx.n) + 1):
+        for rest in itertools.combinations(range(ctx.n), size - 1):
+            for last in range(max(since, rest[-1] + 1 if rest else 0), ctx.n):
+                A = rest + (last,)
+                types = ctx.form(A).types
+                realized.update(types[ctx.point_type(A, z)].pattern
+                                for z in range(ctx.n) if z not in A)
+    return realized
+
+
+@pytest.mark.parametrize("lat, size", [("chain3", 20), ("b2", 14)])
+def test_sweep_census_matches_the_per_subset_census(request, monkeypatch, lat, size):
+    # at every pass start of a generation, the census read off the sweep
+    # realizes the same patterns as the per-subset one
+    census = generic._census
+    starts = []
+
+    def checked(ctx, k, since):
+        want = _ref_census(ctx, k, since)
+        got = census(ctx, k, since)
+        assert got == want
+        starts.append(since)
+        return got
+
+    plain = gen(request.getfixturevalue(lat), SIGS[lat], seed=3, size=size)
+    monkeypatch.setattr(generic, "_census", checked)
+    s = gen(request.getfixturevalue(lat), SIGS[lat], seed=3, size=size)
+    assert len(starts) > 2 and starts == sorted(starts)
+    assert s.space.dist == plain.space.dist
+    assert [o.rank for o in s.orders] == [o.rank for o in plain.orders]
 
 
 def test_checks_refuse_a_depth_past_the_cap(chain3):

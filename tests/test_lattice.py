@@ -11,7 +11,7 @@ from permlat.lattice import (FiniteLattice, FinitePoset, _ideals, b2_plus_top, b
                              chain_lattice, dimension_bounds, distributive_law_holds,
                              enumerate_distributive_lattices, enumerate_lattices,
                              is_distributive, lattices_isomorphic, m3,
-                             max_antichain_size, meet_irreducibles, min_chain_cover,
+                             meet_irreducibles, min_chain_cover,
                              n5, lambda0_poset, product_lattice, validate_lattice,
                              vertical_sum)
 from permlat.validation import ValidationReport
@@ -133,6 +133,14 @@ def test_b2_plus_top_lambda0_needs_two_chains():
     # oracle: largest antichain by enumeration
     assert max_antichain_size(p0) == 2
     assert len(min_chain_cover(p0)) == 2
+
+
+def max_antichain_size(p: FinitePoset) -> int:
+    """The width oracle: the size of a largest antichain, by exhaustive
+    search from the largest size down."""
+    return next(r for r in range(p.n, 0, -1) for sub in itertools.combinations(range(p.n), r)
+                if all(not p.leq_idx(a, b) and not p.leq_idx(b, a)
+                       for a, b in itertools.combinations(sub, 2)))
 
 
 def _random_poset(rng, n):
