@@ -235,21 +235,26 @@ def generate_generic(lat: FiniteLattice, sq_signature, cfg: GenerationConfig,
 
     Scheduling is round-robin over subset size then lexicographic. Within a
     visit the seeded pick prefers types whose whole isomorphism pattern is
-    still missing (an exact census runs at each pass start), falling back to
-    plain per-subset unrealized types once every pattern is covered, so the
+    still missing (exact at each pass start), falling back to plain
+    per-subset unrealized types once every pattern is covered, so the
     budget goes to genuine saturation first and density second.
 
     One subset index serves the whole run, the final report included. It is
     extended after every appended point and never rebuilt: appending a point
     changes no pair code among the old points (see ``_CheckContext``), so
-    the canonical forms and pattern keys of old subsets stay valid. For the
-    same reason a realized pattern stays realized, and the census at a pass
-    start sweeps only the subsets that meet a point appended since the last
-    census (``sweep`` with ``since``); every other realized pattern is
-    already registered. The census maps each form's rows to patterns once.
+    the forms, pattern keys and row tables of old subsets stay valid, and
+    the row tables are the record of what is realized (``ctx.realized``).
+    A pass start sweeps only the subsets that meet a point appended since
+    the last one (``sweep`` with ``since``), and an appended point enters
+    its rows over the subsets before it (``types_of``), so ``ctx.realized``
+    is exact at each pass start. The visits walk ``sweep`` over the points
+    of the pass start and pack the rows of the points appended since.
     """
     signature = [tuple(pair) for pair in sq_signature]
     _require_generable(lat, signature)
+    if lat.n == 1 and cfg.target_size > 1:
+        raise SizeCapError("generation over a one-element lattice is capped at 1 point: "
+                           "two points would be at distance bottom")
     if len(set(signature)) < len(signature):
         warnings.warn("two subquotient orders share bottom and top; reversal "
                       "deduplication is not applied", stacklevel=2)
@@ -258,42 +263,40 @@ def generate_generic(lat: FiniteLattice, sq_signature, cfg: GenerationConfig,
     ctx = _CheckContext(s)
     steps = 0
     k = cfg.saturation_depth
-    realized: set = set()   # pattern keys realized somewhere, exact at each pass start
-    censused = 0            # points whose subsets the census has covered
+    censused = 0            # points whose subsets ctx.realized covers
 
     def append(grown: OrderedLambdaStructure):
         nonlocal s, steps
         s = grown
         ctx.extend(s)
         steps += 1
-        # register the new point's collateral patterns so later steered picks
-        # in this pass do not chase already-covered ones
-        realized.update([t.pattern for t in ctx.types_of(s.space.n - 1, k)])
+        # enter the new point's rows, so later steered picks in this pass do
+        # not chase patterns it already covers
+        ctx.types_of(s.space.n - 1, k)
 
-    def visit(A, pattern_first: bool):
-        exact = ctx.exact_types(A)
-        cand = [t for t in ctx.form(A).types.values()
-                if t not in exact and not (pattern_first and t.pattern in realized)]
+    def visit(A, form, distinct, pattern_first: bool):
+        # append entered the rows of the points appended since the pass began
+        exact = {form.rows[row] for row in distinct}
+        exact.update(form.rows[ctx.row(A, z)] for z in range(n, ctx.n))
+        cand = [t for t in form.types.values()
+                if t not in exact and not (pattern_first and t.pattern in ctx.realized)]
         if not cand:
             return False
-        # the new point realizes the picked type over A: append registers it
         append(_append_point(s, ctx, A, *cand[rng.randrange(len(cand))].type, rng))
         return True
 
     while s.space.n < cfg.target_size:
         n = s.space.n
-        realized.update(_census(ctx, k, censused))
+        for _ in ctx.sweep(k, since=censused):
+            pass
         censused = n
         progressed = False
         for pattern_first in (True, False):
-            for size in range(0, min(k, n) + 1):
+            for A, form, _, distinct in ctx.sweep(k):
                 if s.space.n >= cfg.target_size:
                     break
-                for A in itertools.combinations(range(n), size):
-                    if s.space.n >= cfg.target_size:
-                        break
-                    if visit(A, pattern_first):
-                        progressed = True
+                if visit(A, form, distinct, pattern_first):
+                    progressed = True
             if s.space.n >= cfg.target_size or progressed:
                 break
         if not progressed:
@@ -306,17 +309,6 @@ def generate_generic(lat: FiniteLattice, sq_signature, cfg: GenerationConfig,
     if with_saturation_report:
         saturation = _extension_report(ctx, k)
     return GenerationResult(s, saturation, steps)
-
-
-def _census(ctx: _CheckContext, k: int, since: int) -> set:
-    """The patterns realized over the subsets that meet a point from
-    ``since`` on, each form's rows mapped to patterns once. The subset memo
-    gets their forms for the visits and registrations that follow."""
-    met: dict = {}   # form -> rows met
-    for A, form, _, distinct in ctx.sweep(k, since=since):
-        ctx._forms[A] = form
-        met.setdefault(form, set()).update(distinct)
-    return {t.pattern for form, rows in met.items() for t in map(form.rows.__getitem__, rows) if t}
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +402,10 @@ class _Form:
 
 class _CheckContext:
     """Integer subset index over one structure. Its ``sweep`` is the one
-    walk over all small subsets: generation's census and report and both
-    checks read per-form row tallies off it.
+    walk over all small subsets: generation's visits, pass starts and report
+    and both checks read it. Its per-form row tables are the one record of
+    the types realized: ``realized`` holds the pattern of every consistent
+    entry, and an entry is made only from a point having its row.
 
     It holds a table of pair codes (distance, then per order: same bottom
     class, other top class, below or above), one ``_Form`` per matrix of
@@ -422,12 +416,7 @@ class _CheckContext:
     holding its codes to a_1, ..., a_k in fields of ``width`` bits, a_1's
     highest. A base point's row holds its own -1 diagonal code, and a row
     shifted and ORed with -1, or a negative row shifted and ORed with a
-    code, stays negative: base points are the negative rows. The rows over
-    a subset are those over its prefix (all points but the last), each
-    shifted one field and ORed with the last point's code column. Outside
-    ``sweep``, the index keeps the rows of the latest prefix of each size,
-    so a lexicographic run of ``rows`` calls builds most subsets' rows from
-    a kept list.
+    code, stays negative: base points are the negative rows.
 
     Append invariant: ``extend`` rebinds the index to the same structure
     with points appended, and keeps every code table entry, every form and
@@ -437,8 +426,7 @@ class _CheckContext:
     comes last, so it never becomes an existing class's representative. So
     each old subset keeps its code matrix and form, each old point keeps
     its row over it, and a row table entry is a function of the form and
-    the row (see ``_fill``). Only the kept prefix rows lack the new
-    point, and ``extend`` drops them.
+    the row (see ``_fill``), so a realized pattern stays realized.
     """
 
     def __init__(self, s: OrderedLambdaStructure):
@@ -449,6 +437,7 @@ class _CheckContext:
         # the widest pair code: the last distance with every order field at 3
         self.width = max(1, ((lat.n - 1) << 2 * m | (1 << 2 * m) - 1).bit_length())
         self.keys: list = []             # pattern number -> pattern key
+        self.realized: set = set()       # pattern numbers of the row table entries
         self._to: list[list[int]] = []   # _to[j][i]: pair code of (i, j), -1 on the diagonal
         self._forms: dict = {}           # index tuple -> _Form
         self._by_codes: dict = {}        # raw code tuple -> _Form
@@ -472,7 +461,6 @@ class _CheckContext:
             self.orders.append((bot, top, reps, rank_by_idx))
         self._scales_base: tuple | None = None
         self._scales: dict = {}
-        self._prefix: dict = {}   # prefix size -> (prefix, its packed rows)
 
     def leq(self, i: int, j: int) -> bool:
         return bool(self.up[i] & (1 << j))
@@ -535,24 +523,28 @@ class _CheckContext:
         self._forms[idx_a] = form
         return form
 
+    def row(self, idx_a: tuple, z: int) -> int:
+        """The packed row of the point z over the subset."""
+        to = self._codes()
+        row = 0
+        for a in idx_a:
+            row = row << self.width | to[a][z]
+        return row
+
     def rows(self, idx_a: tuple) -> list[int]:
         """The packed row over the subset of every point, negative for the
         subset's own points."""
-        if not idx_a:
-            return [0] * self.n
-        prefix = idx_a[:-1]
-        kept = self._prefix.get(len(prefix))
-        if kept is None or kept[0] != prefix:
-            kept = self._prefix[len(prefix)] = (prefix, self.rows(prefix))
-        w = self.width
-        return [r << w | c for r, c in zip(kept[1], self._codes()[idx_a[-1]])]
+        return [self.row(idx_a, z) for z in range(self.n)]
 
     def _row_type(self, form: _Form, idx_a: tuple, row: int, z: int) -> _Type:
-        """Fill the form's table entry for a row from a point z having it."""
+        """Fill the form's table entry for a row from a point z having it;
+        a consistent type's pattern enters ``realized``."""
         t = self.point_type(idx_a, z)
         entry = form.types.get(t)
         if entry is None:
             entry = _Type(t, _apply_perm_type(*t, form.perm), None)
+        else:
+            self.realized.add(entry.pattern)
         form.rows[row] = entry
         return entry
 
@@ -591,8 +583,10 @@ class _CheckContext:
         """Yield ``(subset, form, rows, distinct)`` for every subset of at
         most k points, by size and then lexicographically: every point's
         packed row over the subset, their set, and the form's row table
-        filled for each (see ``_fill``). With ``since``, only the subsets
-        whose last point is at least ``since``, so not ``()``.
+        filled for each (see ``_fill``), so ``realized`` then covers them.
+        With ``since``, only the subsets whose last point is at least
+        ``since``, so not ``()``. The points are those bound at the call:
+        points appended while the walk is suspended are not in its rows.
 
         Each size is walked depth-first over prefixes: a prefix shifts its
         rows once, each subset ORs them with its last point's code column,
@@ -635,8 +629,9 @@ class _CheckContext:
 
     def types_of(self, z: int, k: int) -> list[_Type]:
         """The exact type of the point z over each subset of the points
-        before it with at most k points, in the subset's form. Each row is
-        packed from z's code column as its subset is built from its prefix."""
+        before it with at most k points, in the subset's form, each entered
+        in the form's row table. Each row is packed from z's code column as
+        its subset is built from its prefix."""
         to = self._codes()
         col = [to[a][z] for a in range(z)]
         w = self.width

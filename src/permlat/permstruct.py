@@ -221,6 +221,7 @@ def encode_orders(s: OrderedLambdaStructure, cover: str | list = "auto",
         return lvl
 
     relation_vectors: dict[str, set] = {e: set() for e in lat.elements}
+    order_vectors: dict[int, set] = {idx: set() for plan in plans for idx in plan.hosted.values()}
     for v in range(1 << n):
         above = []
         for plan in plans:
@@ -233,17 +234,11 @@ def encode_orders(s: OrderedLambdaStructure, cover: str | list = "auto",
         for e in range(lat.n):
             if lat.leq_idx(dv, e):
                 relation_vectors[lat.elements[e]].add(vec)
-
-    order_vectors: dict[int, set] = {}
-    for plan in plans:
-        for (lo, hi), idx in plan.hosted.items():
-            vecs = set()
-            for v in range(1 << n):
-                vec = tuple((v >> t) & 1 for t in range(n))
-                if (vec in relation_vectors[hi] and vec not in relation_vectors[lo]
-                        and (v >> plan.base_index) & 1):
-                    vecs.add(vec)
-            order_vectors[idx] = vecs
+        for plan in plans:
+            if (v >> plan.base_index) & 1:
+                for (lo, hi), idx in plan.hosted.items():
+                    if lat.leq_idx(dv, lat.index[hi]) and not lat.leq_idx(dv, lat.index[lo]):
+                        order_vectors[idx].add(vec)
 
     bound = len(plans) + sum(ceil(log2(len(p.credited) + 1)) for p in plans)
     codebook = Codebook(plans,

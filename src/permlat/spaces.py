@@ -418,11 +418,12 @@ class SweepReport:
 def _extensions(lat: FiniteLattice, base: LambdaSpace, max_new: int):
     """The triangle-valid rows over the base, and the extensions as (row
     indices, mutual distance) pairs, unordered in the new points; an
-    extension by one point has mutual distance None."""
+    extension by one point has mutual distance None. With ``max_new`` below
+    1 there is no extension."""
     if max_new > 2:
         raise SizeCapError(f"extensions are capped at 2 new points, got {max_new}")
     rows = _triangle_rows(lat, base.dist)
-    exts = [((i,), None) for i in range(len(rows))]
+    exts = [((i,), None) for i in range(len(rows))] if max_new >= 1 else []
     if max_new >= 2:
         for i1, r1 in enumerate(rows):
             # mutual distances: rows over the base plus the first new point

@@ -108,6 +108,12 @@ def test_space_probe_chain_exits_0(fixtures, capsys):
     assert code == 0
 
 
+def test_space_probe_max_new_0_finds_no_failure(fixtures, capsys):
+    code, out = run(["space", "probe", fixtures / "m3.lat", "--max-new", "0"], capsys)
+    assert code == 0
+    assert "no amalgamation failure found" in out
+
+
 # -- generation pipeline ------------------------------------------------------
 
 

@@ -4,7 +4,6 @@ from collections import Counter
 
 import pytest
 
-from permlat import generic
 from permlat.errors import (InvalidStructureError, MeetReducibleBottomError,
                             NonDistributiveError, SizeCapError)
 from permlat.generic import (GenerationConfig, HomogeneityReport, OnePointType,
@@ -106,6 +105,14 @@ def test_order_bottom_above_top_rejected(b2):
 def test_generation_rejects_non_distributive():
     with pytest.raises(NonDistributiveError):
         gen(m3(), [("p", "1")], size=5)
+
+
+def test_generation_over_a_one_element_lattice_is_capped_at_one_point():
+    # a second point would be at distance bottom from the first
+    one = chain_lattice(1, ["0"])
+    assert gen(one, [], size=1).space.n == 1
+    with pytest.raises(SizeCapError, match="one-element lattice is capped at 1 point"):
+        generate_generic(one, [], GenerationConfig(0, 3, 2))
 
 
 def test_duplicate_signature_lint_warns(chain2):
@@ -589,37 +596,46 @@ def test_sweep_since_yields_the_subsets_meeting_the_later_points(case):
     assert list(ctx.sweep(0, 0)) == []
 
 
-def _ref_census(ctx, k, since):
-    # the census as it was, subset by subset over every subset meeting a
-    # point from since on, with each outside point's type from point_type
-    # instead of the row tables
+def _ref_census(ctx, k):
+    # the patterns realized over every subset of at most k points, subset by
+    # subset, with each outside point's type from point_type instead of the
+    # row tables
     realized = set()
-    for size in range(1, min(k, ctx.n) + 1):
-        for rest in itertools.combinations(range(ctx.n), size - 1):
-            for last in range(max(since, rest[-1] + 1 if rest else 0), ctx.n):
-                A = rest + (last,)
-                types = ctx.form(A).types
-                realized.update(types[ctx.point_type(A, z)].pattern
-                                for z in range(ctx.n) if z not in A)
+    for A in _subsets(ctx.n, k):
+        types = ctx.form(A).types
+        realized.update(types[ctx.point_type(A, z)].pattern
+                        for z in range(ctx.n) if z not in A)
     return realized
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_sweep_realizes_the_per_subset_census(case):
+    # on a fresh index, the row tables a full sweep fills realize exactly
+    # the patterns a per-subset census finds
+    make, sig, size, _ = KERNEL_CASES[case]
+    ctx = _CheckContext(gen(make(), sig, size=size, depth=3))
+    assert ctx.realized == set()
+    for _ in ctx.sweep(3):
+        pass
+    assert ctx.realized == _ref_census(ctx, 3)
 
 
 @pytest.mark.parametrize("lat, size", [("chain3", 20), ("b2", 14)])
 def test_sweep_census_matches_the_per_subset_census(request, monkeypatch, lat, size):
-    # at every pass start of a generation, the census read off the sweep
-    # realizes the same patterns as the per-subset one
-    census = generic._census
+    # the pass start's sweep, over the subsets meeting the points appended
+    # since the last one, leaves the row tables realizing exactly the
+    # patterns that a census over every subset finds
+    sweep = _CheckContext.sweep
     starts = []
 
-    def checked(ctx, k, since):
-        want = _ref_census(ctx, k, since)
-        got = census(ctx, k, since)
-        assert got == want
-        starts.append(since)
-        return got
+    def checked(ctx, k, since=None):
+        yield from sweep(ctx, k, since)
+        if since is not None:
+            assert ctx.realized == _ref_census(ctx, k)
+            starts.append(since)
 
     plain = gen(request.getfixturevalue(lat), SIGS[lat], seed=3, size=size)
-    monkeypatch.setattr(generic, "_census", checked)
+    monkeypatch.setattr(_CheckContext, "sweep", checked)
     s = gen(request.getfixturevalue(lat), SIGS[lat], seed=3, size=size)
     assert len(starts) > 2 and starts == sorted(starts)
     assert s.space.dist == plain.space.dist

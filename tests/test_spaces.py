@@ -224,6 +224,13 @@ def test_probe_finds_nothing_for_b2_despite_identifications():
     assert amalgamation_failure_probe(boolean2(), max_base=2) is None
 
 
+def test_max_new_0_gives_no_instance():
+    # every factor adds at least one point, so with none allowed there is
+    # nothing to amalgamate and nothing to fail
+    assert amalgam_validity_sweep(chain_lattice(3), max_base=2, max_new=0).instances == 0
+    assert amalgamation_failure_probe(m3(), max_new=0) is None
+
+
 def test_sweep_valid_on_small_lattices():
     for lat in [chain_lattice(3), boolean2()]:
         report = amalgam_validity_sweep(lat, max_base=2, max_new=2)
