@@ -36,6 +36,12 @@ def _emit(args, payload: dict, human: list[str]) -> None:
             print(line)
 
 
+def _validity_lines(report, detail: str = "") -> list[str]:
+    """The human lines of a validation report: the verdict, then each violation."""
+    return [f"valid: {report.ok}{detail}"] + [
+        f"  violation {v.rule}: {v.witness} ({v.message})" for v in report.violations]
+
+
 def _carry_lattice_ref(infile: str, out: str | None) -> str:
     """Re-point a structure file's lattice reference at the output location."""
     ref = read_lattice_ref(infile)
@@ -45,6 +51,17 @@ def _carry_lattice_ref(infile: str, out: str | None) -> str:
         return ref
     target = (Path(infile).parent / ref).resolve()
     return os.path.relpath(target, Path(out).resolve().parent)
+
+
+def _write_structure(args, s, infile: str, notes=(), **payload) -> int:
+    """Dump a result structure with ``infile``'s lattice reference carried to
+    ``--out``, write it there when given, and emit it with the extra human
+    lines ``notes`` and the extra JSON keys ``payload``."""
+    text = dump_structure(s, lattice_ref=_carry_lattice_ref(infile, args.out))
+    if args.out:
+        Path(args.out).write_text(text)
+    _emit(args, {**payload, "structure": text}, [text.rstrip(), *notes])
+    return 0
 
 
 def _parse_orders_spec(spec: str, lat) -> list[tuple[str, str]]:
@@ -109,9 +126,7 @@ def cmd_lattice_check(args) -> int:
     report = validate_lattice(lat)
     dist = is_distributive(lat) if report.ok else None
     payload = {"validation": report.as_dict()}
-    human = [f"valid: {report.ok}"]
-    for v in report.violations:
-        human.append(f"  violation {v.rule}: {v.witness} ({v.message})")
+    human = _validity_lines(report)
     code = 0 if report.ok else 1
     if dist is not None:
         payload["distributive"] = dist.distributive
@@ -164,11 +179,7 @@ def cmd_lattice_enum(args) -> int:
 def cmd_space_check(args) -> int:
     space, _ = _load_structure(args.file)
     report = validate_space(space)
-    payload = {"validation": report.as_dict()}
-    human = [f"valid: {report.ok}"]
-    for v in report.violations:
-        human.append(f"  violation {v.rule}: {v.witness} ({v.message})")
-    _emit(args, payload, human)
+    _emit(args, {"validation": report.as_dict()}, _validity_lines(report))
     return 0 if report.ok else 1
 
 
@@ -187,17 +198,9 @@ def cmd_space_amalgam(args) -> int:
     f1 = _load_factor(args.f1, base.lattice)
     f2 = _load_factor(args.f2, base.lattice)
     result = canonical_amalgam(base, f1, f2)
-    text = dump_structure(result.space, lattice_ref=_carry_lattice_ref(args.base, args.out))
-    payload = {"points": list(result.space.points),
-               "merged": result.merged,
-               "structure": text}
-    human = [text.rstrip()]
-    if result.merged:
-        human.append(f"identified points: {result.merged}")
-    if args.out:
-        Path(args.out).write_text(text)
-    _emit(args, payload, human)
-    return 0
+    notes = [f"identified points: {result.merged}"] if result.merged else []
+    return _write_structure(args, result.space, args.base, notes,
+                            points=list(result.space.points), merged=result.merged)
 
 
 def cmd_space_probe(args) -> int:
@@ -227,23 +230,16 @@ def cmd_sq_check(args) -> int:
     space, orders = _load_structure(args.file)
     s = OrderedLambdaStructure(space, orders)
     report = s.validate()
-    payload = {"validation": report.as_dict(), "orders": len(orders)}
-    human = [f"valid: {report.ok} ({len(orders)} orders)"]
-    for v in report.violations:
-        human.append(f"  violation {v.rule}: {v.witness} ({v.message})")
-    _emit(args, payload, human)
+    _emit(args, {"validation": report.as_dict(), "orders": len(orders)},
+          _validity_lines(report, f" ({len(orders)} orders)"))
     return 0 if report.ok else 1
 
 
 def cmd_sq_compose(args) -> int:
     _require_out_file(args.out)
     s, (lo, hi) = _load_checked(args.file, ("--lo", args.lo), ("--hi", args.hi))
-    s = OrderedLambdaStructure(s.space, (compose_lex(lo, hi),))
-    text = dump_structure(s, lattice_ref=_carry_lattice_ref(args.file, args.out))
-    if args.out:
-        Path(args.out).write_text(text)
-    _emit(args, {"structure": text}, [text.rstrip()])
-    return 0
+    composed = (compose_lex(lo, hi),)
+    return _write_structure(args, OrderedLambdaStructure(s.space, composed), args.file)
 
 
 def cmd_sq_split(args) -> int:
@@ -251,12 +247,8 @@ def cmd_sq_split(args) -> int:
     s, (order,) = _load_checked(args.file, ("--order", args.order))
     if args.at not in s.space.lattice.index:
         raise UsageError(f"--at {args.at!r} is not an element of the lattice")
-    s = OrderedLambdaStructure(s.space, split_convex_linear(order, args.at))
-    text = dump_structure(s, lattice_ref=_carry_lattice_ref(args.file, args.out))
-    if args.out:
-        Path(args.out).write_text(text)
-    _emit(args, {"structure": text}, [text.rstrip()])
-    return 0
+    parts = split_convex_linear(order, args.at)
+    return _write_structure(args, OrderedLambdaStructure(s.space, parts), args.file)
 
 
 # ---------------------------------------------------------------------------

@@ -233,11 +233,12 @@ def generate_generic(lat: FiniteLattice, sq_signature, cfg: GenerationConfig,
     """Grow a structure to target size by round-robin realization of
     unrealized 1-types over small subsets; pure function of the config.
 
-    Scheduling is round-robin over subset size then lexicographic. Within a
-    visit the seeded pick prefers types whose whole isomorphism pattern is
-    still missing (exact at each pass start), falling back to plain
-    per-subset unrealized types once every pattern is covered, so the
-    budget goes to genuine saturation first and density second.
+    Scheduling is round-robin over subset size then lexicographic, one walk
+    over the subsets per pass. While some pattern is still missing at the
+    pass start (``ctx.realized`` is exact there), the seeded pick is steered
+    to types whose whole isomorphism pattern is missing; once every pattern
+    is covered it takes any per-subset unrealized type, so the budget goes
+    to genuine saturation first and density second.
 
     One subset index serves the whole run, the final report included. It is
     extended after every appended point and never rebuilt: appending a point
@@ -261,54 +262,46 @@ def generate_generic(lat: FiniteLattice, sq_signature, cfg: GenerationConfig,
     rng = random.Random(cfg.seed)
     s = empty_structure(lat, signature)
     ctx = _CheckContext(s)
-    steps = 0
     k = cfg.saturation_depth
     censused = 0            # points whose subsets ctx.realized covers
 
     def append(grown: OrderedLambdaStructure):
-        nonlocal s, steps
+        nonlocal s
         s = grown
         ctx.extend(s)
-        steps += 1
         # enter the new point's rows, so later steered picks in this pass do
         # not chase patterns it already covers
         ctx.types_of(s.space.n - 1, k)
-
-    def visit(A, form, distinct, pattern_first: bool):
-        # append entered the rows of the points appended since the pass began
-        exact = {form.rows[row] for row in distinct}
-        exact.update(form.rows[ctx.row(A, z)] for z in range(n, ctx.n))
-        cand = [t for t in form.types.values()
-                if t not in exact and not (pattern_first and t.pattern in ctx.realized)]
-        if not cand:
-            return False
-        append(_append_point(s, ctx, A, *cand[rng.randrange(len(cand))].type, rng))
-        return True
 
     while s.space.n < cfg.target_size:
         n = s.space.n
         for _ in ctx.sweep(k, since=censused):
             pass
         censused = n
-        progressed = False
-        for pattern_first in (True, False):
-            for A, form, _, distinct in ctx.sweep(k):
-                if s.space.n >= cfg.target_size:
-                    break
-                if visit(A, form, distinct, pattern_first):
-                    progressed = True
-            if s.space.n >= cfg.target_size or progressed:
-                break
-        if not progressed:
+        # ctx.keys numbers the patterns of the forms met over these points and
+        # ctx.realized is exact here, so a steered walk always appends: the
+        # first subset of a form with a missing pattern offers it, unless an
+        # earlier visit has appended
+        steered = len(ctx.realized) < len(ctx.keys)
+        for A, form, _, distinct in ctx.sweep(k):
             if s.space.n >= cfg.target_size:
                 break
+            # append entered the rows of the points appended since the pass began
+            exact = {form.rows[row] for row in distinct}
+            exact.update(form.rows[ctx.row(A, z)] for z in range(n, ctx.n))
+            cand = [t for t in form.types.values()
+                    if t not in exact and not (steered and t.pattern in ctx.realized)]
+            if cand:
+                append(_append_point(s, ctx, A, *cand[rng.randrange(len(cand))].type, rng))
+        if s.space.n == n:
             # every pair realized below target (possible only in order-free
             # signatures): densify with far generic points
             append(_force_far_point(s, rng))
     saturation = None
     if with_saturation_report:
         saturation = _extension_report(ctx, k)
-    return GenerationResult(s, saturation, steps)
+    # generation starts empty and each append adds one point
+    return GenerationResult(s, saturation, s.space.n)
 
 
 # ---------------------------------------------------------------------------

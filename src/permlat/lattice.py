@@ -225,7 +225,9 @@ def lattices_isomorphic(a: FiniteLattice, b: FiniteLattice) -> bool:
 
 
 def validate_lattice(candidate: FiniteLattice) -> ValidationReport:
-    """Confirm the lattice invariants or list each violation with a witness."""
+    """Confirm the lattice invariants or list each violation with a witness.
+    Every meet and join entry is checked to be the exact glb or lub, and
+    exact bounds satisfy the lattice laws, so those are not checked again."""
     report = candidate.poset.validate()
     report.subject = "lattice"
     if not report.ok:
@@ -258,22 +260,6 @@ def validate_lattice(candidate: FiniteLattice) -> ValidationReport:
                 report.add("meet-commutative", (els[i], els[j], els[m]), "meet table asymmetric")
             if jn is not None and candidate._join[j][i] != jn:
                 report.add("join-commutative", (els[i], els[j], els[jn]), "join table asymmetric")
-    if report.ok:
-        # laws hold automatically once the tables are exact bounds; spot-check
-        # associativity and absorption anyway so a doctored table cannot pass
-        for i in range(n):
-            if candidate._meet[i][i] != i or candidate._join[i][i] != i:
-                report.add("idempotent", (els[i],), "x*x != x")
-        for i, j, k in itertools.product(range(n), repeat=3):
-            lhs = candidate._meet[candidate._meet[i][j]][k]
-            rhs = candidate._meet[i][candidate._meet[j][k]]
-            if lhs != rhs:
-                report.add("meet-associative", (els[i], els[j], els[k]), "meet not associative")
-                break
-        for i, j in itertools.product(range(n), repeat=2):
-            if candidate._meet[i][candidate._join[i][j]] != i:
-                report.add("absorption", (els[i], els[j]), "a meet (a join b) != a")
-                break
     return report
 
 

@@ -8,8 +8,6 @@ rank maps. Class representatives are the first member in point order.
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,13 +32,11 @@ def _ranks(space: LambdaSpace, bottom_reps: tuple[int, ...], top_reps: tuple[int
 
 
 class SubquotientOrder:
-    def __init__(self, space: LambdaSpace, bottom: str, top: str,
-                 rank: dict[str, int], _pairs: frozenset | None = None):
+    def __init__(self, space: LambdaSpace, bottom: str, top: str, rank: dict[str, int]):
         self.space = space
         self.bottom = bottom
         self.top = top
         self.rank = dict(rank)
-        self._declared_pairs = _pairs
 
     # -- construction ---------------------------------------------------
 
@@ -49,23 +45,6 @@ class SubquotientOrder:
                    rank: dict[str, int]) -> "SubquotientOrder":
         o = cls(space, bottom, top, rank)
         return o.renormalized()
-
-    @classmethod
-    def from_pairs(cls, space: LambdaSpace, bottom: str, top: str,
-                   pairs) -> "SubquotientOrder":
-        """Build from an explicit strict relation on class representatives.
-
-        The relation is kept for validation; ranks are only derivable when it
-        is a legal subquotient order, so call validate_sqorder first on
-        untrusted input.
-        """
-        o = cls(space, bottom, top, {}, _pairs=frozenset(pairs))
-        if validate_sqorder(o).ok:
-            # a legal relation only pairs classes of one scale
-            below = Counter(c for _, c in o._declared_pairs)
-            o.rank = _ranks(space, o.bottom_reps, o.top_reps,
-                            key=lambda i: below[space.points[i]])
-        return o
 
     def renormalized(self) -> "SubquotientOrder":
         points = self.space.points
@@ -104,8 +83,6 @@ class SubquotientOrder:
 
     def less(self, x: str, y: str) -> bool:
         """Point-level pullback: class(x) strictly below class(y)."""
-        if self._declared_pairs is not None and not self.rank:
-            return (self.class_of(x), self.class_of(y)) in self._declared_pairs
         return self.comparable(x, y) and self.rank[self.class_of(x)] < self.rank[self.class_of(y)]
 
     def reverse(self) -> "SubquotientOrder":
@@ -127,8 +104,10 @@ class SubquotientOrder:
 
 
 def validate_sqorder(o: SubquotientOrder) -> ValidationReport:
-    """Both defining invariants: comparability exactly inside a common
-    top-class, and strict totality of ranks within each top-class."""
+    """Both defining invariants. Comparability exactly inside a common
+    top-class holds by construction, since ranks only compare classes of one
+    top class; the ranks must cover exactly the bottom-class representatives
+    and be strictly total within each top-class."""
     report = ValidationReport(subject="subquotient-order")
     lat = o.space.lattice
     if o.bottom not in lat.index or o.top not in lat.index:
@@ -139,29 +118,6 @@ def validate_sqorder(o: SubquotientOrder) -> ValidationReport:
         return report
     scales = o._scales()
     all_reps = {c for scale in scales for c in scale}
-    scale_of = {c: i for i, scale in enumerate(scales) for c in scale}
-    if o._declared_pairs is not None:
-        for c1, c2 in o._declared_pairs:
-            if c1 not in all_reps or c2 not in all_reps:
-                report.add("class-keys", (c1, c2), "pair does not name class representatives")
-                continue
-            if c1 == c2:
-                report.add("irreflexive", (c1,), "class compared with itself")
-            elif scale_of[c1] != scale_of[c2]:
-                report.add("comparable-iff-same-top", (c1, c2),
-                           "comparably ranked classes lie in different top classes")
-            elif (c2, c1) in o._declared_pairs:
-                report.add("antisymmetric", (c1, c2), "both orientations declared")
-        for scale in scales:
-            for c1, c2 in itertools.combinations(scale, 2):
-                if (c1, c2) not in o._declared_pairs and (c2, c1) not in o._declared_pairs:
-                    report.add("total-within-top", (c1, c2),
-                               "classes in one top class left incomparable")
-            for c1, c2, c3 in itertools.permutations(scale, 3):
-                if ((c1, c2) in o._declared_pairs and (c2, c3) in o._declared_pairs
-                        and (c1, c3) not in o._declared_pairs):
-                    report.add("transitive", (c1, c2, c3), "missing composite comparability")
-        return report
     if set(o.rank) != all_reps:
         missing = sorted(all_reps - set(o.rank))
         extra = sorted(set(o.rank) - all_reps)

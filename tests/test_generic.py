@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from permlat import generic
 from permlat.errors import (InvalidStructureError, MeetReducibleBottomError,
                             NonDistributiveError, SizeCapError)
 from permlat.generic import (GenerationConfig, HomogeneityReport, OnePointType,
@@ -640,6 +641,33 @@ def test_sweep_census_matches_the_per_subset_census(request, monkeypatch, lat, s
     assert len(starts) > 2 and starts == sorted(starts)
     assert s.space.dist == plain.space.dist
     assert [o.rank for o in s.orders] == [o.rank for o in plain.orders]
+
+
+@pytest.mark.parametrize("lat, sig, far", [("chain3", SIGS["chain3"], False),
+                                           ("chain2", [], True)])
+def test_generation_walks_the_subsets_once_per_pass(request, monkeypatch, lat, sig, far):
+    # each pass is its census (a walk with ``since``) and then one visit
+    # walk, steered or plain as the census leaves some pattern missing or
+    # none; the order-free signature runs out of unrealized pairs and
+    # appends far points
+    sweep = _CheckContext.sweep
+    force = generic._force_far_point
+    walks, forced = [], []
+
+    def recorded(ctx, k, since=None):
+        walks.append(since is not None)
+        return sweep(ctx, k, since)
+
+    def recorded_force(s, rng):
+        forced.append(s.space.n)
+        return force(s, rng)
+
+    monkeypatch.setattr(_CheckContext, "sweep", recorded)
+    monkeypatch.setattr(generic, "_force_far_point", recorded_force)
+    s = gen(request.getfixturevalue(lat), sig, seed=3, size=20)
+    assert s.space.n == 20
+    assert len(walks) > 4 and walks == [True, False] * (len(walks) // 2)
+    assert bool(forced) == far
 
 
 def test_checks_refuse_a_depth_past_the_cap(chain3):

@@ -63,6 +63,11 @@ def test_doctored_meet_table_is_caught():
                         lat._join, lat.bottom, lat.top)
     report = validate_lattice(bad)
     assert any(v.rule == "meet-glb" for v in report.violations)
+    bad = FiniteLattice(lat.poset, lat._meet,
+                        tuple(tuple(2 for _ in range(3)) for _ in range(3)),
+                        lat.bottom, lat.top)
+    report = validate_lattice(bad)
+    assert [v.rule for v in report.violations] == ["join-lub"] * 3
 
 
 # -- meet-irreducibles -------------------------------------------------------

@@ -47,15 +47,6 @@ def test_linear_order_is_a_valid_subquotient_order(block_space):
     assert validate_sqorder(o).ok
 
 
-def test_cross_top_comparability_is_invalid(block_space):
-    # rank pairs relating classes in different top classes, with top = E
-    o = SubquotientOrder.from_pairs(block_space, "0", "E",
-                                    [("q0", "q2"), ("q0", "q1"), ("q2", "q3"),
-                                     ("q4", "q5"), ("q6", "q7")])
-    report = validate_sqorder(o)
-    assert any(v.rule == "comparable-iff-same-top" for v in report.violations)
-
-
 def test_duplicate_ranks_within_scale_invalid(block_space):
     o = SubquotientOrder(block_space, "0", "1",
                          {p: 0 for p in block_space.points})
