@@ -39,12 +39,8 @@ def _lines(path: str | Path) -> list[tuple[int, str]]:
     except UnicodeDecodeError as e:
         lineno = e.object.count(b"\n", 0, e.start) + 1
         raise FormatError(f"{path}:{lineno}: not UTF-8 text (byte {e.start})") from None
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            out.append((lineno, line))
-    return out
+    return [(lineno, line) for lineno, line in enumerate(map(str.strip, text.splitlines()), 1)
+            if line and line[0] != "#"]
 
 
 # ---------------------------------------------------------------------------
@@ -126,38 +122,38 @@ def load_structure(path: str | Path) -> tuple[LambdaSpace, tuple]:
     path = Path(path)
     lattice = None
     points = None
-    distances = {}
+    distances = {}  # point pair, sorted -> [x, y, lambda] of its first line
     order_blocks = []
     for lineno, line in _lines(path):
-        if line.startswith("lattice:"):
+        tag, sep, body = line.partition(":")
+        tag += sep
+        if tag == "d:":
+            given = body.split()
+            if len(given) != 3:
+                raise FormatError(f"{path}:{lineno}: expected 'd: x y lambda'")
+            x, y, lam = given
+            prev = distances.setdefault((x, y) if x < y else (y, x), given)
+            if prev[2] != lam:
+                raise FormatError(f"{path}:{lineno}: d({x},{y}) = {lam} conflicts with "
+                                  f"an earlier line that set it to {prev[2]}")
+        elif tag == "lattice:":
             if lattice is not None:
                 raise FormatError(f"{path}:{lineno}: repeated 'lattice:' header")
-            lattice = load_lattice(path.parent / line.split(":", 1)[1].strip())
-        elif line.startswith("points:"):
+            lattice = load_lattice(path.parent / body.strip())
+        elif tag == "points:":
             if points is not None:
                 raise FormatError(f"{path}:{lineno}: repeated 'points:' header")
-            points = tuple(line.split(":", 1)[1].split())
+            points = tuple(body.split())
             _distinct(path, lineno, points, "point id")
-        elif line.startswith("d:"):
-            parts = line.split(":", 1)[1].split()
-            if len(parts) != 3:
-                raise FormatError(f"{path}:{lineno}: expected 'd: x y lambda'")
-            x, y, lam = parts
-            prev = distances.get((x, y), distances.get((y, x)))
-            if prev is None:
-                distances[(x, y)] = lam
-            elif prev != lam:
-                raise FormatError(f"{path}:{lineno}: d({x},{y}) = {lam} conflicts with "
-                                  f"an earlier line that set it to {prev}")
-        elif line.startswith("sq:"):
-            parts = line.split(":", 1)[1].split()
+        elif tag == "sq:":
+            parts = body.split()
             if len(parts) != 2:
                 raise FormatError(f"{path}:{lineno}: expected 'sq: BOTTOM TOP'")
             order_blocks.append({"bottom": parts[0], "top": parts[1], "rank": {}})
-        elif line.startswith("rank:"):
+        elif tag == "rank:":
             if not order_blocks:
                 raise FormatError(f"{path}:{lineno}: 'rank:' before any 'sq:' block")
-            parts = line.split(":", 1)[1].split()
+            parts = body.split()
             if len(parts) != 2:
                 raise FormatError(f"{path}:{lineno}: expected 'rank: CLASS_REP INT'")
             order_blocks[-1]["rank"][parts[0]] = _int(path, lineno, parts[1], "rank")
@@ -168,16 +164,17 @@ def load_structure(path: str | Path) -> tuple[LambdaSpace, tuple]:
     if points is None:
         raise FormatError(f"{path}: missing 'points:' header")
     known = set(points)
-    for (x, y), lam in distances.items():
+    for x, y, lam in distances.values():
         if x not in known or y not in known:
             raise FormatError(f"{path}: distance names unknown point ({x}, {y})")
         if lam not in lattice.index:
             raise FormatError(f"{path}: unknown lattice element {lam!r}")
-    missing = [(x, y) for x, y in itertools.combinations(points, 2)
-               if (x, y) not in distances and (y, x) not in distances]
-    if missing:
+    if sum(x != y for x, y in distances) < len(points) * (len(points) - 1) // 2:
+        missing = [(x, y) for x, y in itertools.combinations(points, 2)
+                   if ((x, y) if x < y else (y, x)) not in distances]
         raise FormatError(f"{path}: missing distances for pairs {missing[:5]}")
-    space = LambdaSpace.from_distances(lattice, points, distances)
+    space = LambdaSpace.from_distances(
+        lattice, points, {(x, y): lam for x, y, lam in distances.values()})
     orders = tuple(
         SubquotientOrder(space, blk["bottom"], blk["top"], blk["rank"])
         for blk in order_blocks)

@@ -591,34 +591,34 @@ class _CheckContext:
         the codes the other way are the same with below and above swapped,
         so the prefix's code matrix and the row fix the subset's. Like every
         form table, the children survive ``extend``."""
-        n, w = self.n, self.width
+        n = self.n
         to = self._codes()
         root = self.form(())
-        first = since or 0
-
-        def walk(prefix, rows, form, depth):
-            children = form.children
-            shifted = [r << w for r in rows]
-            batch = []
-            start = prefix[-1] + 1 if prefix else 0
-            for b in range(max(start, first) if depth == 1 else start, n - depth + 1):
-                A = prefix + (b,)
-                child = children.get(rows[b])
-                if child is None:
-                    child = children[rows[b]] = self.form(A)
-                grown = list(map(or_, shifted, to[b]))
-                if depth > 1:
-                    yield from walk(A, grown, child, depth - 1)
-                else:
-                    batch.append((A, child, grown, self._fill(child, A, grown)))
-            if batch:
-                yield batch
-
         if k >= 0 and since is None:
             yield (), root, [0] * n, self._fill(root, (), [0] * n)
         for size in range(1, min(k, n) + 1):
-            for batch in walk((), [0] * n, root, size):
+            for batch in self._walk(to, since or 0, (), [0] * n, root, size):
                 yield from batch
+
+    def _walk(self, to, first, prefix, rows, form, depth):
+        """``sweep``'s batches below ``prefix``; a method, as a recursive closure is a cycle."""
+        n, w = len(rows), self.width
+        children = form.children
+        shifted = [r << w for r in rows]
+        batch = []
+        start = prefix[-1] + 1 if prefix else 0
+        for b in range(max(start, first) if depth == 1 else start, n - depth + 1):
+            A = prefix + (b,)
+            child = children.get(rows[b])
+            if child is None:
+                child = children[rows[b]] = self.form(A)
+            grown = list(map(or_, shifted, to[b]))
+            if depth > 1:
+                yield from self._walk(to, first, A, grown, child, depth - 1)
+            else:
+                batch.append((A, child, grown, self._fill(child, A, grown)))
+        if batch:
+            yield batch
 
     def types_of(self, z: int, k: int) -> list[_Type]:
         """The exact type of the point z over each subset of the points

@@ -24,7 +24,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import ceil, log2
+from math import ceil, comb, log2
 
 from .errors import MissingMeetIrreducibleError, SizeCapError
 from .lattice import (FiniteLattice, FinitePoset, is_distributive, lambda0_poset,
@@ -57,6 +57,12 @@ class PermStructure:
                 row = [v | bit if ri < rj else v for v, rj in zip(row, r)]
             rows.append(tuple(row))
         return tuple(rows)
+
+    @cached_property
+    def realized(self) -> tuple[int, ...]:
+        """The vectors of the pairs of distinct points, ascending; vec(j, i) = ~vec(i, j)."""
+        below = set().union(*(row[:i] for i, row in enumerate(self.vectors)))
+        return tuple(sorted(below | {v ^ (1 << self.n) - 1 for v in below}))
 
     def vector_idx(self, i: int, j: int) -> int:
         """Orientation of the ordered pair as a bitmask: bit t set iff i
@@ -290,13 +296,17 @@ def _composition(p: PermStructure) -> dict[tuple[int, int], set]:
     three distinct points i, j, k have vec(i, j) = a, vec(j, k) = b and
     vec(i, k) = c.
 
-    Composed by masks, not over the N(N-1)(N-2) triples: ``at[j][b]`` is the
-    bit set of the points k != j with vec(j, k) = b. For a point i, the
-    points reached from i through some j at a and then b are the OR of
-    ``at[j][b]`` over the j with vec(i, j) = a; c is in comp[(a, b)] iff
-    that OR meets ``at[i][c]``. Each row keeps only the vectors it realizes,
-    so no unrealized value is ever visited."""
-    vec = p.vectors
+    Composed by masks, not over the N(N-1)(N-2) triples. ``at[j][b]`` is the
+    bit set of the k != j with vec(j, k) = b, and ``packed[j]`` holds it in
+    the N-bit slot of b. For a point i, ORing each ``packed[j]``, j != i, into
+    the block of r slots of a = vec(i, j) puts in slot (a, b) exactly the k
+    reached from i through some j at a and then b; one AND with ``at[i][c]``
+    in every slot keeps the k != i with vec(i, k) = c. So c is in comp[(a, b)]
+    iff slot (a, b) of that AND is nonzero for some i: an OR over i keeps it."""
+    N, vec, realized = p.N, p.vectors, p.realized
+    r = len(realized)
+    pos = {v: s for s, v in enumerate(realized)}
+    every = sum(1 << s * N for s in range(r * r))
     at = []
     for i, row in enumerate(vec):
         masks: dict[int, int] = {}
@@ -304,20 +314,24 @@ def _composition(p: PermStructure) -> dict[tuple[int, int], set]:
             if k != i:
                 masks[v] = masks.get(v, 0) | 1 << k
         at.append(masks)
-    comp: dict[tuple[int, int], set] = {}
+    packed = [sum(m << pos[v] * N for v, m in masks.items()) for masks in at]
+    found: dict[int, int] = {}
     for i, row in enumerate(vec):
-        reach: dict[int, dict[int, int]] = {}
+        reach: dict[int, int] = {}
         for j, a in enumerate(row):
             if j != i:
-                via = reach.setdefault(a, {})
-                for b, m in at[j].items():
-                    via[b] = via.get(b, 0) | m
-        mine = at[i].items()
-        for a, via in reach.items():
-            for b, m in via.items():
-                for c, mc in mine:
-                    if m & mc:
-                        comp.setdefault((a, b), set()).add(c)
+                reach[a] = reach.get(a, 0) | packed[j]
+        wide = sum(m << pos[a] * r * N for a, m in reach.items())
+        for c, mc in at[i].items():
+            found[c] = found.get(c, 0) | wide & mc * every
+    comp: dict[tuple[int, int], set] = {}
+    for c, hit in found.items():
+        s = -1
+        while hit:   # s: the next nonzero slot, found by the lowest set bit
+            skip = ((hit & -hit).bit_length() - 1) // N + 1
+            s += skip
+            hit >>= skip * N
+            comp.setdefault((realized[s // r], realized[s % r]), set()).add(c)
     return comp
 
 
@@ -335,11 +349,9 @@ def decode_relations(p: PermStructure) -> DecodeResult:
     size.
     """
     N = p.N
-    realized = sorted({v for i, row in enumerate(p.vectors)
-                       for j, v in enumerate(row) if i != j})
     comp = _composition(p)
     full_mask = (1 << p.n) - 1
-    atoms = sorted({frozenset((v, v ^ full_mask)) for v in realized}, key=sorted)
+    atoms = sorted({frozenset((v, v ^ full_mask)) for v in p.realized}, key=sorted)
     closed: set[frozenset] = set()
     empty = frozenset()
     queue = [empty]
@@ -433,13 +445,23 @@ def profile(p: PermStructure, k: int) -> Counter:
     permuted. So keys are counted over the C(N, k) sorted subsets, read off
     the orientation table, and each distinct key with multiplicity m adds m
     to each of its k! cell permutations (the labeled/unlabeled orbit count
-    of Cameron, Oligomorphic Permutation Groups, 1990)."""
+    of Cameron, Oligomorphic Permutation Groups, 1990). Per (k-1)-prefix P,
+    zipping P's constant cells with the slices of vec[P[u]] and of column
+    P[v] from max(P) + 1 on gives the keys of P's subsets in sorted order."""
     if k > 4:
         raise SizeCapError(f"profile is capped at k = 4, got {k}")
-    vec = p.vectors
+    if k <= 1:   # one empty key per subset
+        return Counter({(): comb(p.N, k)} if p.N >= k else {})
+    vec, cols = p.vectors, list(zip(*p.vectors))
+    last = k - 1
     cells = [(u, v) for u in range(k) for v in range(k) if u != v]
-    sorted_keys = Counter(tuple(vec[sub[u]][sub[v]] for u, v in cells)
-                          for sub in itertools.combinations(range(p.N), k))
+    sorted_keys: Counter = Counter()
+    for pre in itertools.combinations(range(p.N - 1), last):
+        start = pre[-1] + 1
+        sorted_keys.update(zip(*(
+            itertools.repeat(vec[pre[u]][pre[v]]) if v != last and u != last
+            else vec[pre[u]][start:] if v == last else cols[pre[v]][start:]
+            for u, v in cells)))
     # position in the sorted key of each entry of a permuted key
     spreads = [[cells.index((sigma[u], sigma[v])) for u, v in cells]
                for sigma in itertools.permutations(range(k))]

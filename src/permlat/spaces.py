@@ -119,45 +119,45 @@ def _triangle_rows(lat: FiniteLattice, base_dist,
 
 
 def validate_space(s: LambdaSpace) -> ValidationReport:
-    """All metric axioms, join-triangle included; violations carry witnesses."""
+    """All metric axioms, join-triangle included; violations carry witnesses.
+    The per-pair and per-triple scans run only once a whole-matrix test fails."""
     report = ValidationReport(subject="space")
-    lat = s.lattice
-    bot = lat.bottom_idx
-    for i in range(s.n):
-        if s.dist[i][i] != bot:
-            report.add("self-distance", (s.points[i],), "d(x,x) must be the lattice bottom")
-    for i, j in itertools.combinations(range(s.n), 2):
-        if s.dist[i][j] != s.dist[j][i]:
-            report.add("symmetric", (s.points[i], s.points[j]), "asymmetric distance")
-        if s.dist[i][j] == bot:
-            report.add("indiscernible", (s.points[i], s.points[j]),
-                       "distinct points at distance bottom")
-    if s.n < 3 or (report.ok and _triangles_hold(lat, s.dist)):
+    lat, dist, n, bot = s.lattice, s.dist, s.n, s.lattice.bottom_idx
+    if dist != tuple(zip(*dist)) or any(row[i] != bot or row.count(bot) != 1
+                                        for i, row in enumerate(dist)):
+        for i in range(n):
+            if dist[i][i] != bot:
+                report.add("self-distance", (s.points[i],), "d(x,x) must be the lattice bottom")
+        for i, j in itertools.combinations(range(n), 2):
+            if dist[i][j] != dist[j][i]:
+                report.add("symmetric", (s.points[i], s.points[j]), "asymmetric distance")
+            if dist[i][j] == bot:
+                report.add("indiscernible", (s.points[i], s.points[j]),
+                           "distinct points at distance bottom")
+    elif n < 3 or _triangles_hold(lat, dist):
         return report
-    # a triangle fails (or the matrix is asymmetric): collect the witnesses
-    for i, j, k in itertools.permutations(range(s.n), 3):
-        if not lat.leq_idx(s.dist[i][k], lat.join_idx(s.dist[i][j], s.dist[j][k])):
+    for i, j, k in itertools.permutations(range(n), 3):
+        if not lat.leq_idx(dist[i][k], lat.join_idx(dist[i][j], dist[j][k])):
             report.add("join-triangle", (s.points[i], s.points[j], s.points[k]),
                        f"d({s.points[i]},{s.points[k]}) > d(.,{s.points[j]}) join d({s.points[j]},.)")
     return report
 
 
-@functools.lru_cache(maxsize=64)
-def _broken_triangles(lat: FiniteLattice) -> list[set[tuple[int, int]]]:
-    """Per distance d: the pairs (a, b) for which (d, a, b) breaks the
-    join-triangle; a set view of ``_triangles`` that ``_triangles_hold``
-    scans with ``isdisjoint``."""
-    tri = _triangles(lat)
-    elems = range(lat.n)
-    return [{(a, b) for a in elems for b in elems if not tri[d][a] >> b & 1} for d in elems]
-
-
 def _triangles_hold(lat: FiniteLattice, dist) -> bool:
-    """Whether every join-triangle of a symmetric distance matrix holds, in
-    one pass over the point pairs."""
-    broken = _broken_triangles(lat)
-    for i, j in itertools.combinations(range(len(dist)), 2):
-        if not broken[dist[i][j]].isdisjoint(zip(dist[i][j + 1:], dist[j][j + 1:])):
+    """Whether every join-triangle of a symmetric matrix with the bottom on
+    its diagonal holds: iff each level's relation x R y, d(x, y) <= λ, is
+    transitive, as d(x, y) join d(y, z) is the least λ with x R y R z. A
+    row read through a level's table (an index below λ to "1", others to
+    "0") is a binary numeral M[x], point 0 the top bit, so r(x) = N -
+    M[x].bit_length() is its least point. R is reflexive and symmetric, so
+    it is transitive iff M[x] = M[r(x)] for each x: if x R y, y in M[r(x)]
+    and x in M[r(y)] give r(y) <= r(x) <= r(y), so M[x] = M[y]. N·|L| mask
+    operations, not C(N, 3) lookups."""
+    n, elements, rows = len(dist), bytes(range(lat.n)), list(map(bytes, dist))
+    for d in lat.poset.down:
+        table = bytes.maketrans(elements, bytes(49 if d >> e & 1 else 48 for e in elements))
+        masks = [int(row.translate(table), 2) for row in rows]
+        if any(m != masks[n - m.bit_length()] for m in masks):
             return False
     return True
 

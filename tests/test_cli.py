@@ -431,6 +431,22 @@ def test_encode_refuses_an_order_over_a_one_element_lattice(tmp_path, capsys):
      "chain3.lat:4: 'cover: 1 < 1' is not a cover: an element does not cover itself"),
     (["lattice", "check", "{lat}"], ("cover: E < 1", "cover: E < 1\ncover: 0 < 1"),
      "chain3.lat:4: 'cover: 0 < 1' is not a cover: E lies between them"),
+    # each structure-file fault, its whole message pinned
+    (["space", "check", "{s}"], ("d: p0 p2 1", "d: p0 p9 1"),
+     "s.struct: distance names unknown point (p0, p9)\n"),
+    (["space", "check", "{s}"], ("d: p0 p2 1", "d: p0 p2 X"),
+     "s.struct: unknown lattice element 'X'\n"),
+    (["space", "check", "{s}"], ("d: p0 p2 1\n", ""),
+     "s.struct: missing distances for pairs [('p0', 'p2')]\n"),
+    (["space", "check", "{s}"], ("d: p0 p2 1", "d: p0 p0 0"),   # a self-pair is no pair
+     "s.struct: missing distances for pairs [('p0', 'p2')]\n"),
+    (["space", "check", "{s}"], ("d: p0 p1 E", "d: p0 p1 E\nd: p1 p0 1"),
+     "s.struct:4: d(p1,p0) = 1 conflicts with an earlier line that set it to E\n"),
+    (["space", "check", "{s}"], ("d: p0 p1 E", "d: p0 p1"), "s.struct:3: expected 'd: x y lambda'\n"),
+    (["space", "check", "{s}"], ("sq: 0 E\n", ""), "s.struct:6: 'rank:' before any 'sq:' block\n"),
+    (["space", "check", "{s}"], ("d: p0 p1 E", "d: p0 p1 E\nbogus line"),
+     "s.struct:4: unrecognized line 'bogus line'\n"),
+    (["space", "check", "{s}"], ("d: p0 p1 E", "d p0 p1 E"), "s.struct:3: unrecognized line 'd p0 p1 E'\n"),
 ])
 def test_malformed_file_is_a_format_error_at_its_line(fixtures, capsys, argv, edit, where):
     struct = fixtures / "s.struct"
@@ -448,6 +464,8 @@ def test_malformed_file_is_a_format_error_at_its_line(fixtures, capsys, argv, ed
     assert code == 1
     assert "error [FORMAT]" in err
     assert where in err
+    if where.endswith("\n"):  # the whole message
+        assert err == f"error [FORMAT]: {fixtures}/{where}"
 
 
 @pytest.mark.parametrize("argv", [["lattice", "check"], ["lattice", "bounds"],

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -511,6 +513,25 @@ def test_packed_rows_match_point_types(case):
     for z in range(ctx.n):
         assert ([t.type for t in ctx.types_of(z, 3)]
                 == [ctx.point_type(A, z) for A in _subsets(z)])
+
+
+@pytest.mark.parametrize("stop", [None, "mid-walk"])
+def test_a_sweep_leaves_no_reference_cycle(chain3, stop):
+    # with the cyclic GC off, a context is freed when its last reference
+    # goes, whether its sweep ran to the end or was left suspended inside
+    # the size-3 walk, as generation's visit walk is left when it appends
+    s = gen(chain3, [("0", "E"), ("E", "1")], size=12, depth=2)
+    steps = None if stop is None else 1 + 12 + 66 + 5
+    gc.disable()
+    try:
+        ctx = _CheckContext(s)
+        walk = ctx.sweep(3)
+        assert len(list(itertools.islice(walk, steps))) == (steps or 1 + 12 + 66 + 220)
+        ref = weakref.ref(ctx)
+        del ctx, walk
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))

@@ -116,6 +116,15 @@ def test_profile_identity_structure_two_types():
     assert len(profile(p, 2)) == 2
 
 
+def test_profile_of_too_few_points_has_no_type():
+    # no zero counts: a k-subset of fewer than k points does not exist
+    for N in range(3):
+        p = PermStructure(tuple(f"v{i}" for i in range(N)), (tuple(range(N)),))
+        for k in range(5):
+            assert dict(profile(p, k)) == ({(): 1} if k == 0 else {} if N < k else
+                                           {(): N} if k == 1 else {(0, 1): 1, (1, 0): 1})
+
+
 def test_profile_refuses_k_above_4():
     # the count is exhaustive over k-subsets, so sizes past 4 are capped
     p = PermStructure(("v0", "v1"), ((0, 1),))

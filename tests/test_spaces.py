@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -333,17 +334,43 @@ def test_triangle_rows_are_exactly_the_valid_extensions(lat):
         assert rows == brute
 
 
-def test_fast_triangle_pass_agrees_with_the_witness_scan(chain3):
-    # every symmetric 4-point matrix of nonzero distances, valid or not
+def _witness_scan(s):
+    """Every violation the plain per-point, per-pair and per-triple scans
+    find, as (rule, point indices), in ``validate_space``'s order."""
+    lat, dist, bot = s.lattice, s.dist, s.lattice.bottom_idx
+    out = [("self-distance", (i,)) for i in range(s.n) if dist[i][i] != bot]
+    for i, j in itertools.combinations(range(s.n), 2):
+        out += [("symmetric", (i, j))] * (dist[i][j] != dist[j][i])
+        out += [("indiscernible", (i, j))] * (dist[i][j] == bot)
+    return out + [("join-triangle", (i, j, k))
+                  for i, j, k in itertools.permutations(range(s.n), 3)
+                  if not lat.leq_idx(dist[i][k], lat.join_idx(dist[i][j], dist[j][k]))]
+
+
+@pytest.mark.parametrize("lat", list(enumerate_lattices(5)), ids=lambda lat: lat.n)
+def test_fast_triangle_pass_agrees_with_the_witness_scan(lat):
+    # symmetric 4-point matrices of nonzero distances, valid or not: all of
+    # them up to 4 elements, a sample on the 5-element lattices (M3 and N5
+    # among them; the level-wise test needs no distributivity)
+    rng = random.Random(lat.n)
     pairs = list(itertools.combinations(range(4), 2))
-    for values in itertools.product(chain3.nonzero_idx(), repeat=len(pairs)):
-        dist = [[chain3.bottom_idx] * 4 for _ in range(4)]
-        for (i, j), v in zip(pairs, values):
+    values = list(itertools.product(lat.nonzero_idx(), repeat=len(pairs)))
+    if len(values) > 729:
+        values = rng.sample(values, 729)
+    mats = []
+    for row in values:
+        dist = [[lat.bottom_idx] * 4 for _ in range(4)]
+        for (i, j), v in zip(pairs, row):
             dist[i][j] = dist[j][i] = v
-        s = LambdaSpace(chain3, ("a", "b", "c", "d"), tuple(map(tuple, dist)))
-        brute = all(chain3.leq_idx(dist[i][k], chain3.join_idx(dist[i][j], dist[j][k]))
-                    for i, j, k in itertools.permutations(range(4), 3))
-        assert validate_space(s).ok == brute
+        mats.append(dist)
+    # and any matrix of up to 5 points: asymmetric, bottom anywhere
+    mats += [[[rng.randrange(lat.n) for _ in range(n)] for _ in range(n)]
+             for n in (rng.randint(0, 5) for _ in range(100))]
+    for dist in mats:
+        s = LambdaSpace(lat, tuple("abcde"[:len(dist)]), tuple(map(tuple, dist)))
+        report = validate_space(s)
+        assert [(v.rule, tuple(map(s.pindex.get, v.witness)))
+                for v in report.violations] == _witness_scan(s)
 
 
 # -- sweep kernel against the per-instance check -----------------------------
