@@ -125,10 +125,8 @@ def load_structure(path: str | Path) -> tuple[LambdaSpace, tuple]:
     distances = {}  # point pair, sorted -> [x, y, lambda] of its first line
     order_blocks = []
     for lineno, line in _lines(path):
-        tag, sep, body = line.partition(":")
-        tag += sep
-        if tag == "d:":
-            given = body.split()
+        if line.startswith("d:"):
+            given = line[2:].split()
             if len(given) != 3:
                 raise FormatError(f"{path}:{lineno}: expected 'd: x y lambda'")
             x, y, lam = given
@@ -136,7 +134,10 @@ def load_structure(path: str | Path) -> tuple[LambdaSpace, tuple]:
             if prev[2] != lam:
                 raise FormatError(f"{path}:{lineno}: d({x},{y}) = {lam} conflicts with "
                                   f"an earlier line that set it to {prev[2]}")
-        elif tag == "lattice:":
+            continue
+        tag, sep, body = line.partition(":")
+        tag += sep
+        if tag == "lattice:":
             if lattice is not None:
                 raise FormatError(f"{path}:{lineno}: repeated 'lattice:' header")
             lattice = load_lattice(path.parent / body.strip())
@@ -163,18 +164,21 @@ def load_structure(path: str | Path) -> tuple[LambdaSpace, tuple]:
         raise FormatError(f"{path}: missing 'lattice:' header")
     if points is None:
         raise FormatError(f"{path}: missing 'points:' header")
-    known = set(points)
+    pindex = {x: i for i, x in enumerate(points)}
+    dist = [[lattice.bottom_idx] * len(points) for _ in points]
     for x, y, lam in distances.values():
-        if x not in known or y not in known:
+        i, j = pindex.get(x), pindex.get(y)
+        if i is None or j is None:
             raise FormatError(f"{path}: distance names unknown point ({x}, {y})")
-        if lam not in lattice.index:
+        e = lattice.index.get(lam)
+        if e is None:
             raise FormatError(f"{path}: unknown lattice element {lam!r}")
+        dist[i][j] = dist[j][i] = e
     if sum(x != y for x, y in distances) < len(points) * (len(points) - 1) // 2:
         missing = [(x, y) for x, y in itertools.combinations(points, 2)
                    if ((x, y) if x < y else (y, x)) not in distances]
         raise FormatError(f"{path}: missing distances for pairs {missing[:5]}")
-    space = LambdaSpace.from_distances(
-        lattice, points, {(x, y): lam for x, y, lam in distances.values()})
+    space = LambdaSpace(lattice, points, dist)
     orders = tuple(
         SubquotientOrder(space, blk["bottom"], blk["top"], blk["rank"])
         for blk in order_blocks)

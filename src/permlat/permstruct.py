@@ -25,9 +25,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import ceil, comb, log2
+from operator import lshift, or_
 
 from .errors import MissingMeetIrreducibleError, SizeCapError
-from .lattice import (FiniteLattice, FinitePoset, is_distributive, lambda0_poset,
+from .lattice import (FiniteLattice, FinitePoset, _bits, is_distributive, lambda0_poset,
                       meet_irreducibles, min_chain_cover, require_distributive)
 from .sqorders import OrderedLambdaStructure, SubquotientOrder, compose_lex, generic_filler
 
@@ -46,23 +47,67 @@ class PermStructure:
                 raise ValueError("each order must be a strict total order on all points")
 
     @cached_property
+    def _descending(self) -> tuple[list[int], ...]:
+        """The rank kernel: per order, the points sorted by rank, last first.
+        A running OR down it gives each point the points after it."""
+        return tuple(sorted(range(self.N), key=r.__getitem__, reverse=True)
+                     for r in self.ranks)
+
+    @cached_property
     def vectors(self) -> tuple[tuple[int, ...], ...]:
         """The orientation table: ``[i][j]`` has bit t set iff i precedes j
-        in order t (0 on the diagonal)."""
-        rows = []
-        for i in range(self.N):
-            row = [0] * self.N
-            for t, r in enumerate(self.ranks):
-                bit, ri = 1 << t, r[i]
-                row = [v | bit if ri < rj else v for v, rj in zip(row, r)]
-            rows.append(tuple(row))
-        return tuple(rows)
+        in order t (0 on the diagonal).
+
+        Row i is built as one numeral with digit j = vec(i, j), w bytes per
+        digit, w = max(1, ceil(n / 8)): a running OR down each order t, of
+        ``1 << t`` in the digit of each point passed, gives each point bit t
+        in the digits of the points after it, n ORs per row. The digits are
+        then read off the numeral's little-endian bytes: byte k of every
+        digit is one stride-w slice, shifted into place."""
+        N, w = self.N, max(1, (self.n + 7) // 8)
+        rows = [0] * N
+        for t, order in enumerate(self._descending):
+            wide = 0
+            for i in order:
+                rows[i] |= wide
+                wide |= 1 << 8 * w * i + t
+        table = []
+        for num in rows:
+            b = num.to_bytes(N * w, "little")
+            row = b[::w]
+            for k in range(1, w):
+                row = map(or_, row, map(lshift, b[k::w], itertools.repeat(8 * k)))
+            table.append(tuple(row))
+        return tuple(table)
+
+    @cached_property
+    def _at(self) -> tuple[dict[int, int], ...]:
+        """``[i][v]``: the bit mask of the points k != i with vec(i, k) = v,
+        for the v where it is nonzero. The other points of i start in one
+        class at v = 0 and are split order by order: per order t, a running
+        OR gives the mask of the points after i, and those move to
+        v | 1 << t."""
+        everyone = (1 << self.N) - 1
+        at = [{0: everyone ^ 1 << i} if self.N > 1 else {} for i in range(self.N)]
+        for t, order in enumerate(self._descending):
+            bit, later = 1 << t, 0
+            for i in order:
+                split = {}
+                for v, m in at[i].items():
+                    hi = m & later
+                    if hi:
+                        split[v | bit] = hi
+                    if hi != m:
+                        split[v] = m ^ hi
+                at[i] = split
+                later |= 1 << i
+        return tuple(at)
 
     @cached_property
     def realized(self) -> tuple[int, ...]:
-        """The vectors of the pairs of distinct points, ascending; vec(j, i) = ~vec(i, j)."""
-        below = set().union(*(row[:i] for i, row in enumerate(self.vectors)))
-        return tuple(sorted(below | {v ^ (1 << self.n) - 1 for v in below}))
+        """The vectors of the pairs of distinct points, ascending: the keys
+        of ``_at``."""
+        return tuple(sorted(set().union(*self._at)))
 
     def vector_idx(self, i: int, j: int) -> int:
         """Orientation of the ordered pair as a bitmask: bit t set iff i
@@ -296,24 +341,18 @@ def _composition(p: PermStructure) -> dict[tuple[int, int], set]:
     three distinct points i, j, k have vec(i, j) = a, vec(j, k) = b and
     vec(i, k) = c.
 
-    Composed by masks, not over the N(N-1)(N-2) triples. ``at[j][b]`` is the
-    bit set of the k != j with vec(j, k) = b, and ``packed[j]`` holds it in
-    the N-bit slot of b. For a point i, ORing each ``packed[j]``, j != i, into
-    the block of r slots of a = vec(i, j) puts in slot (a, b) exactly the k
-    reached from i through some j at a and then b; one AND with ``at[i][c]``
-    in every slot keeps the k != i with vec(i, k) = c. So c is in comp[(a, b)]
-    iff slot (a, b) of that AND is nonzero for some i: an OR over i keeps it."""
-    N, vec, realized = p.N, p.vectors, p.realized
+    Composed by masks, not over the N(N-1)(N-2) triples. The structure's
+    per-point vector masks ``at[j][b]`` (the k != j with vec(j, k) = b) come
+    from its rank kernel; ``packed[j]`` holds each in the N-bit slot of b.
+    For a point i, ORing each ``packed[j]``, j != i, into the block of r
+    slots of a = vec(i, j) puts in slot (a, b) exactly the k reached from i
+    through some j at a and then b; one AND with ``at[i][c]`` in every slot
+    keeps the k != i with vec(i, k) = c. So c is in comp[(a, b)] iff slot
+    (a, b) of that AND is nonzero for some i: an OR over i keeps it."""
+    N, vec, realized, at = p.N, p.vectors, p.realized, p._at
     r = len(realized)
     pos = {v: s for s, v in enumerate(realized)}
     every = sum(1 << s * N for s in range(r * r))
-    at = []
-    for i, row in enumerate(vec):
-        masks: dict[int, int] = {}
-        for k, v in enumerate(row):
-            if k != i:
-                masks[v] = masks.get(v, 0) | 1 << k
-        at.append(masks)
     packed = [sum(m << pos[v] * N for v, m in masks.items()) for masks in at]
     found: dict[int, int] = {}
     for i, row in enumerate(vec):
@@ -342,11 +381,11 @@ def decode_relations(p: PermStructure) -> DecodeResult:
     Works on the closure system directly: a union of types is an equivalence
     iff it is closed under composition along sample triples, so the closed
     sets are enumerated Moore-family style instead of sweeping all subsets.
-    The composition table comes from per-point bit masks of the points at
-    each realized vector (see ``_composition``), read off the structure's one
-    orientation table. Transitivity is only tested on the sample; small
-    samples can only falsify, which is why the result carries the sample
-    size.
+    The composition table, the partitions and the convexity checks all read
+    the structure's rank kernel: its per-point vector masks and its ranks
+    (see ``_composition``, ``_partition_from_types``, ``_convex_in_order``).
+    Transitivity is only tested on the sample; small samples can only
+    falsify, which is why the result carries the sample size.
     """
     N = p.N
     comp = _composition(p)
@@ -390,43 +429,36 @@ def decode_relations(p: PermStructure) -> DecodeResult:
 
 def _partition_from_types(p: PermStructure, sset: frozenset) -> list[list[int]]:
     """Blocks of point indices joined by a pair whose vector is in
-    ``sset``, each block ascending, blocks by their first point."""
-    parent = list(range(p.N))
+    ``sset``, each block ascending, blocks by their first point.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, row in enumerate(p.vectors):
-        for j in range(i + 1, p.N):
-            if row[j] in sset:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    blocks: dict[int, list[int]] = {}
+    The block of i is ``1 << i`` ORed with ``at[i][v]`` for each v in
+    ``sset``: the points joined to i directly. With no union-find that is
+    the whole block, because every set ``decode_relations`` passes is an
+    equivalence on the sample. It is closed under complement, so i joined
+    to j gives j joined to i (vec(j, i) = ~vec(i, j)). It is closed under
+    composition along sample triples, so i joined to j and j to k, k != i,
+    gives i joined to k (vec(i, k) is in comp[(vec(i, j), vec(j, k))]).
+    The complement closure holds because the atoms are complement pairs and
+    composing keeps it: a witness i, j, k of c in comp[(a, b)], read as
+    k, j, i, witnesses ~c in comp[(~b, ~a)]."""
+    at, seen, blocks = p._at, 0, []
     for i in range(p.N):
-        blocks.setdefault(find(i), []).append(i)
-    return [blocks[k] for k in sorted(blocks)]
+        if not seen >> i & 1:
+            block = 1 << i | sum(m for v, m in at[i].items() if v in sset)  # disjoint masks
+            seen |= block
+            blocks.append(list(_bits(block)))
+    return blocks
 
 
 def _convex_in_order(p: PermStructure, blocks: list[list[int]], order: int) -> bool:
-    block_of = {}
-    for bi, block in enumerate(blocks):
-        for i in block:
-            block_of[i] = bi
-    by_rank = sorted(range(p.N), key=lambda i: p.ranks[order][i])
-    seen_done = set()
-    current = None
-    for i in by_rank:
-        b = block_of[i]
-        if b != current:
-            if b in seen_done:
-                return False
-            if current is not None:
-                seen_done.add(current)
-            current = b
+    """Each block is an interval of the order: the mask of its rank
+    positions is one run of ones."""
+    r = p.ranks[order]
+    for block in blocks:
+        m = sum(1 << r[i] for i in block)
+        m //= m & -m   # the run moved down to bit 0
+        if m & m + 1:
+            return False
     return True
 
 

@@ -792,6 +792,46 @@ OTHER_DEPTHS = {"b2.lat": [
 ]}
 
 
+_NO_TYPES = '{"distinct_types": 0, "k": 3, "profile": {}}\n'
+
+
+def _one_relation(blocks, convex, N):
+    return ('{"distributive": true, "lattice_hasse": [], "relation_count": 1, "relations": '
+            f'[{{"blocks": {blocks}, "convex_in_orders": {convex}, "meet_irreducible": false, '
+            f'"name": "R0", "vectors": []}}], "sample_size": {N}}}\n')
+
+
+def _two_relations(convex, vectors):
+    return ('{"distributive": true, "lattice_hasse": [["R0", "R1"]], "relation_count": 2, '
+            f'"relations": [{{"blocks": 2, "convex_in_orders": {convex}, '
+            '"meet_irreducible": true, "name": "R0", "vectors": []}, '
+            f'{{"blocks": 1, "convex_in_orders": {convex}, "meet_irreducible": false, '
+            f'"name": "R1", "vectors": {vectors}}}], "sample_size": 2}}\n')
+
+
+@pytest.mark.parametrize("text, decode_out, profile_out", [
+    ("0 0\n", _one_relation(0, [], 0), _NO_TYPES),
+    ("1 0\n", _one_relation(0, [0], 0), _NO_TYPES),
+    ("2 1\np 0 0\n", _one_relation(1, [0, 1], 1), _NO_TYPES),
+    ("0 2\np\nq\n", _two_relations([], [[]]), _NO_TYPES),   # no orders: one vector, ()
+    ("1 2\np 1\nq 0\n", _two_relations([0], [[0], [1]]), _NO_TYPES),
+    # nine orders: two-byte digits in the orientation rows; SHA-256 of the output
+    ("9 4\nx0 2 2 1 0 2 1 1 3 0\nx1 0 0 2 1 1 3 3 0 2\n"
+     "x2 3 1 3 2 3 0 0 1 3\nx3 1 3 0 3 0 2 2 2 1\n",
+     "b9c82c998d3b8d66960ed7c7afb7fdbf03d343eb47a657a6ed4cdd28ea9baf56",
+     "5244ec8ca6f0b9cd0037a0f6076465cc48d7a9e7afd10f5935580a6d0af9d828"),
+])
+def test_degenerate_perm_files_decode_and_profile_as_pinned(tmp_path, capsys, text,
+                                                            decode_out, profile_out):
+    perm = tmp_path / "f.perm"
+    perm.write_text(text)
+    for argv, want in ((["decode", "--in", perm, "--json"], decode_out),
+                       (["profile", "--in", perm, "--k", 3, "--json"], profile_out)):
+        code, out = run(argv, capsys)
+        assert code == 0
+        assert out == want or hashlib.sha256(out.encode()).hexdigest() == want
+
+
 @pytest.mark.parametrize("unbuffered", [False, True])
 def test_a_reader_closing_stdout_early_is_a_quiet_exit_1(fixtures, unbuffered):
     # `permlat check ext ... --json | head -c 10`: the write to the closed

@@ -10,7 +10,8 @@ from permlat.generic import GenerationConfig, generate_generic
 from permlat.lattice import b2_plus_top, lattices_isomorphic, meet_irreducibles
 from permlat.permstruct import (PermStructure, cameron_enumeration, decode_relations,
                                 encode_orders, profile, two_order_catalog_parameters,
-                                _composition, _linear_ranks)
+                                _composition, _convex_in_order, _linear_ranks,
+                                _partition_from_types)
 from permlat.spaces import LambdaSpace
 from permlat.sqorders import OrderedLambdaStructure, SubquotientOrder
 
@@ -184,6 +185,26 @@ def _vector(p, i, j):
     return sum(1 << t for t in range(p.n) if p.ranks[t][i] < p.ranks[t][j])
 
 
+def reference_vectors(p):
+    """The orientation table by one comprehension over the points per point
+    and order."""
+    rows = []
+    for i in range(p.N):
+        row = [0] * p.N
+        for t, r in enumerate(p.ranks):
+            bit, ri = 1 << t, r[i]
+            row = [v | bit if ri < rj else v for v, rj in zip(row, r)]
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def reference_realized(p):
+    """The vectors of the N(N-1)/2 pairs below the diagonal and their
+    complements, ascending."""
+    below = {_vector(p, i, j) for i, j in itertools.combinations(range(p.N), 2)}
+    return tuple(sorted(below | {v ^ (1 << p.n) - 1 for v in below}))
+
+
 def reference_composition(p):
     """The composition table over every triple of distinct points."""
     vec = [[_vector(p, i, j) for j in range(p.N)] for i in range(p.N)]
@@ -191,6 +212,39 @@ def reference_composition(p):
     for i, j, k in itertools.permutations(range(p.N), 3):
         comp.setdefault((vec[i][j], vec[j][k]), set()).add(vec[i][k])
     return comp
+
+
+def reference_partition(p, sset):
+    """Blocks by a union-find over every pair whose vector is in ``sset``."""
+    parent = list(range(p.N))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, j in itertools.combinations(range(p.N), 2):
+        if _vector(p, i, j) in sset:
+            ri, rj = find(i), find(j)
+            parent[max(ri, rj)] = min(ri, rj)
+    blocks = {}
+    for i in range(p.N):
+        blocks.setdefault(find(i), []).append(i)
+    return [blocks[k] for k in sorted(blocks)]
+
+
+def reference_convex(p, blocks, order):
+    """Scan the points by rank: no block may come back once left."""
+    block_of = {i: b for b, block in enumerate(blocks) for i in block}
+    by_rank = sorted(range(p.N), key=lambda i: p.ranks[order][i])
+    left, current = set(), None
+    for i in by_rank:
+        if block_of[i] != current:
+            if block_of[i] in left:
+                return False
+            left.add(current)
+            current = block_of[i]
+    return True
 
 
 def reference_profile(p, k):
@@ -204,10 +258,12 @@ def reference_profile(p, k):
 
 
 @st.composite
-def perm_structures(draw):
-    """0-5 random orders on 0-12 points."""
+def perm_structures(draw, max_orders=10):
+    """0 to ``max_orders`` random orders on 0-12 points; past 8 orders an
+    orientation row takes two bytes per digit."""
     N = draw(st.integers(0, 12))
-    ranks = tuple(tuple(draw(st.permutations(range(N)))) for _ in range(draw(st.integers(0, 5))))
+    ranks = tuple(tuple(draw(st.permutations(range(N))))
+                  for _ in range(draw(st.integers(0, max_orders))))
     return PermStructure(tuple(f"v{i}" for i in range(N)), ranks)
 
 
@@ -215,8 +271,29 @@ def perm_structures(draw):
 @given(perm_structures(), st.integers(0, 4))
 @example(PermStructure(("v0", "v1"), ((1, 0), (0, 1))), 3)   # k > N: no subset
 @example(PermStructure((), ()), 0)
+@example(PermStructure(("v0", "v1", "v2"), ((0, 1, 2),) * 9 + ((2, 1, 0),) * 8), 2)
 def test_composition_and_profile_match_the_plain_loops(p, k):
+    assert p.vectors == reference_vectors(p)
+    assert p.realized == reference_realized(p)
     assert _composition(p) == reference_composition(p)
     assert profile(p, k) == reference_profile(p, k)
     assert all(p.vector_idx(i, j) == _vector(p, i, j)
                for i in range(p.N) for j in range(p.N))
+
+
+@settings(max_examples=80, deadline=None)
+@given(perm_structures(max_orders=4), st.data())
+def test_partitions_and_convexity_match_the_plain_loops(p, data):
+    # every closed set decode finds, and blocks from an arbitrary labelling
+    dec = decode_relations(p)
+    for r in dec.relations:
+        sset = frozenset(sum(b << t for t, b in enumerate(v)) for v in r.vectors)
+        blocks = _partition_from_types(p, sset)
+        assert blocks == reference_partition(p, sset)
+        assert r.partition == tuple(tuple(p.points[i] for i in b) for b in blocks)
+        assert r.convex_in_orders == tuple(
+            t for t in range(p.n) if reference_convex(p, blocks, t))
+    labels = data.draw(st.lists(st.integers(0, 3), min_size=p.N, max_size=p.N))
+    blocks = [[i for i in range(p.N) if labels[i] == b] for b in sorted(set(labels))]
+    for t in range(p.n):
+        assert _convex_in_order(p, blocks, t) == reference_convex(p, blocks, t)
