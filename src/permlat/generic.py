@@ -235,21 +235,23 @@ def generate_generic(lat: FiniteLattice, sq_signature, cfg: GenerationConfig,
 
     Scheduling is round-robin over subset size then lexicographic, one walk
     over the subsets per pass. While some pattern is still missing at the
-    pass start (``ctx.realized`` is exact there), the seeded pick is steered
-    to types whose whole isomorphism pattern is missing; once every pattern
-    is covered it takes any per-subset unrealized type, so the budget goes
-    to genuine saturation first and density second.
+    pass start, the seeded pick is steered to types whose whole isomorphism
+    pattern is missing; once every pattern is covered it takes any
+    per-subset unrealized type, so the budget goes to genuine saturation
+    first and density second. Steering never comes back (see the flag).
 
     One subset index serves the whole run, the final report included. It is
     extended after every appended point and never rebuilt: appending a point
     changes no pair code among the old points (see ``_CheckContext``), so
     the forms, pattern keys and row tables of old subsets stay valid, and
     the row tables are the record of what is realized (``ctx.realized``).
-    A pass start sweeps only the subsets that meet a point appended since
-    the last one (``sweep`` with ``since``), and an appended point enters
-    its rows over the subsets before it (``types_of``), so ``ctx.realized``
-    is exact at each pass start. The visits walk ``sweep`` over the points
-    of the pass start and pack the rows of the points appended since.
+    A steered pass start sweeps only the subsets that meet a point appended
+    since the last one (``sweep`` with ``since``), and while steered an
+    appended point enters its rows over the subsets before it
+    (``types_of``), so ``ctx.realized`` is exact at each steered pass start.
+    Once steering ends neither runs, as nothing reads ``ctx.realized``
+    again. The visits walk ``sweep`` over the points of the pass start and
+    look up the rows of the points appended since, filling missing entries.
     """
     signature = [tuple(pair) for pair in sq_signature]
     _require_generable(lat, signature)
@@ -264,31 +266,43 @@ def generate_generic(lat: FiniteLattice, sq_signature, cfg: GenerationConfig,
     ctx = _CheckContext(s)
     k = cfg.saturation_depth
     censused = 0            # points whose subsets ctx.realized covers
+    # Steering, once ended, never comes back, so the flag only goes from True
+    # to False. Say a steered pass start finds every pattern of ctx.keys
+    # realized. A new point z makes a new class of at most k points only as
+    # B | {z}, B an old subset of at most k - 1 points. z's type over B is
+    # consistent, so its pattern is in ctx.keys (B's class was met when B was
+    # swept), and is realized by some old w over some old B'. So B | {z} is
+    # isomorphic to B' | {w}, an old subset whose class was met: keys cannot
+    # grow, and every later pass start would find them all realized too.
+    steered = True
 
     def append(grown: OrderedLambdaStructure):
         nonlocal s
         s = grown
         ctx.extend(s)
-        # enter the new point's rows, so later steered picks in this pass do
-        # not chase patterns it already covers
-        ctx.types_of(s.space.n - 1, k)
+        if steered:
+            # enter the new point's rows, so later steered picks in this pass
+            # do not chase patterns it already covers
+            ctx.types_of(s.space.n - 1, k)
 
     while s.space.n < cfg.target_size:
         n = s.space.n
-        for _ in ctx.sweep(k, since=censused):
-            pass
-        censused = n
-        # ctx.keys numbers the patterns of the forms met over these points and
-        # ctx.realized is exact here, so a steered walk always appends: the
-        # first subset of a form with a missing pattern offers it, unless an
-        # earlier visit has appended
-        steered = len(ctx.realized) < len(ctx.keys)
+        if steered:
+            for _ in ctx.sweep(k, since=censused):
+                pass
+            censused = n
+            # ctx.keys numbers the patterns of the forms met over these points
+            # and ctx.realized is exact here, so a steered walk always
+            # appends: the first subset of a form with a missing pattern
+            # offers it, unless an earlier visit has appended
+            steered = len(ctx.realized) < len(ctx.keys)
         for A, form, _, distinct in ctx.sweep(k):
             if s.space.n >= cfg.target_size:
                 break
-            # append entered the rows of the points appended since the pass began
             exact = {form.rows[row] for row in distinct}
-            exact.update(form.rows[ctx.row(A, z)] for z in range(n, ctx.n))
+            for z in range(n, ctx.n):
+                row = ctx.row(A, z)
+                exact.add(form.rows.get(row) or ctx._row_type(form, A, row, z))
             cand = [t for t in form.types.values()
                     if t not in exact and not (steered and t.pattern in ctx.realized)]
             if cand:
@@ -395,10 +409,12 @@ class _Form:
 
 class _CheckContext:
     """Integer subset index over one structure. Its ``sweep`` is the one
-    walk over all small subsets: generation's visits, pass starts and report
-    and both checks read it. Its per-form row tables are the one record of
-    the types realized: ``realized`` holds the pattern of every consistent
-    entry, and an entry is made only from a point having its row.
+    walk over all small subsets: generation's visits, steered pass starts
+    and report and both checks read it. Its per-form row tables are the one
+    record of the types realized: ``realized`` holds the pattern of every
+    consistent entry, and an entry is made only from a point having its
+    row. So ``realized`` is exact only once every row has been entered: in
+    generation, only at each steered pass start.
 
     It holds a table of pair codes (distance, then per order: same bottom
     class, other top class, below or above), one ``_Form`` per matrix of

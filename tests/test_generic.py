@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import warnings
 import weakref
 from collections import Counter
 
@@ -9,12 +10,14 @@ import pytest
 from permlat import generic
 from permlat.errors import (InvalidStructureError, MeetReducibleBottomError,
                             NonDistributiveError, SizeCapError)
-from permlat.generic import (GenerationConfig, HomogeneityReport, OnePointType,
-                             SaturationReport, _append_point, _CheckContext, _force_far_point,
-                             empty_structure, enumerate_one_point_types,
-                             extension_property_check, generate_generic, homogeneity_check,
-                             realize_type)
-from permlat.lattice import boolean2, chain_lattice, m3, meet_irreducibles, product_lattice
+from permlat.formats import dump_structure
+from permlat.generic import (GenerationConfig, GenerationResult, HomogeneityReport,
+                             OnePointType, SaturationReport, _append_point, _CheckContext,
+                             _extension_report, _force_far_point, empty_structure,
+                             enumerate_one_point_types, extension_property_check,
+                             generate_generic, homogeneity_check, realize_type)
+from permlat.lattice import (boolean2, chain_lattice, enumerate_distributive_lattices, m3,
+                             meet_irreducibles, product_lattice)
 from permlat.spaces import equivalences_from_space, validate_space
 from permlat.sqorders import OrderedLambdaStructure, SubquotientOrder, validate_sqorder
 
@@ -667,10 +670,11 @@ def test_sweep_census_matches_the_per_subset_census(request, monkeypatch, lat, s
 @pytest.mark.parametrize("lat, sig, far", [("chain3", SIGS["chain3"], False),
                                            ("chain2", [], True)])
 def test_generation_walks_the_subsets_once_per_pass(request, monkeypatch, lat, sig, far):
-    # each pass is its census (a walk with ``since``) and then one visit
-    # walk, steered or plain as the census leaves some pattern missing or
-    # none; the order-free signature runs out of unrealized pairs and
-    # appends far points
+    # each steered pass is its census (a walk with ``since``) and then one
+    # visit walk; once a census leaves no pattern missing, steering ends and
+    # every later pass is a plain visit walk alone. The 3-chain steers to
+    # its last point; the order-free signature stops steering, runs out of
+    # unrealized pairs and appends far points (a steered walk always appends)
     sweep = _CheckContext.sweep
     force = generic._force_far_point
     walks, forced = [], []
@@ -687,8 +691,72 @@ def test_generation_walks_the_subsets_once_per_pass(request, monkeypatch, lat, s
     monkeypatch.setattr(generic, "_force_far_point", recorded_force)
     s = gen(request.getfixturevalue(lat), sig, seed=3, size=20)
     assert s.space.n == 20
-    assert len(walks) > 4 and walks == [True, False] * (len(walks) // 2)
-    assert bool(forced) == far
+    steered = walks.count(True)
+    plain = len(walks) - 2 * steered
+    assert steered > 2 and walks == [True, False] * steered + [False] * plain
+    assert bool(plain) == bool(forced) == far
+
+
+def _eager_generate(lat, sig, cfg):
+    """``generate_generic`` with a census walk and registration on every
+    pass, steered or not, as it ran before steering could end: the result,
+    report included, and the steered value at each pass start."""
+    rng = random.Random(cfg.seed)
+    s = empty_structure(lat, sig)
+    ctx = _CheckContext(s)
+    k = cfg.saturation_depth
+    censused = 0
+    steered_at = []
+
+    def append(grown):
+        nonlocal s
+        s = grown
+        ctx.extend(s)
+        ctx.types_of(s.space.n - 1, k)
+
+    while s.space.n < cfg.target_size:
+        n = s.space.n
+        for _ in ctx.sweep(k, since=censused):
+            pass
+        censused = n
+        steered = len(ctx.realized) < len(ctx.keys)
+        steered_at.append(steered)
+        for A, form, _, distinct in ctx.sweep(k):
+            if s.space.n >= cfg.target_size:
+                break
+            exact = {form.rows[row] for row in distinct}
+            exact.update(form.rows[ctx.row(A, z)] for z in range(n, ctx.n))
+            cand = [t for t in form.types.values()
+                    if t not in exact and not (steered and t.pattern in ctx.realized)]
+            if cand:
+                append(_append_point(s, ctx, A, *cand[rng.randrange(len(cand))].type, rng))
+        if s.space.n == n:
+            append(_force_far_point(s, rng))
+    return GenerationResult(s, _extension_report(ctx, k), s.space.n), steered_at
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+def test_generation_matches_the_eager_schedule(depth):
+    # dropping the census and registration once steering ends changes no
+    # byte, report or step count; and the eager schedule, which keeps its
+    # census exact on every pass, never finds a pattern missing again after
+    # a pass start found none
+    ended = 0
+    for lat in enumerate_distributive_lattices(5):
+        mi = meet_irreducibles(lat)
+        sig = [(e, mi.cover[e]) for e in mi.elements]
+        for seed in range(4):
+            cfg = GenerationConfig(seed=seed, target_size=20, saturation_depth=depth)
+            want, steered_at = _eager_generate(lat, sig, cfg)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                got = generate_generic(lat, sig, cfg)
+            assert dump_structure(got.structure) == dump_structure(want.structure)
+            assert got.saturation.as_dict() == want.saturation.as_dict()
+            assert got.steps == want.steps
+            assert steered_at[0] and steered_at == sorted(steered_at, reverse=True)
+            ended += not steered_at[-1]
+    assert ended
 
 
 def test_checks_refuse_a_depth_past_the_cap(chain3):
