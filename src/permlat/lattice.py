@@ -563,35 +563,56 @@ def _ideals(down: tuple[int, ...]) -> list[int]:
     return ideals
 
 
-def _natural_posets(max_size: int, prune=None):
-    """Naturally-labeled posets (labels form a linear extension) as down-mask
-    tuples; each isomorphism class appears at least once. ``prune`` cuts whole
-    extension subtrees (sound for predicates monotone under adding elements)."""
+def _natural_posets(max_size: int, lattice_of):
+    """One naturally labelled poset (labels form a linear extension) of
+    1..max_size points per isomorphism class that ``lattice_of`` keeps, as
+    ``(key, lattice poset)`` in walk order: ``lattice_of(down)`` gives the
+    poset of the lattice a candidate stands for, or None to cut it. Each
+    layer puts a new top label over each ideal of each poset kept before."""
+    # The walk keeps the representatives that walking every poset and keeping
+    # the first of each class would keep. Candidates are isomorphic iff their
+    # lattices are: an isomorphism fixes an adjoined top, and Birkhoff holds
+    # for ideal lattices. A copy of an earlier candidate is dropped, as an
+    # isomorphism carries its ideals onto the earlier one's, so each of its
+    # children copies an earlier child. A cut drops only candidates whose
+    # children it drops too, so the first of a class has a kept parent: a
+    # meet that fails among old points fails with a new top point (whose
+    # down-set is no meet of old points), and a child has all its parent's
+    # ideals. Lattices of two layers differ in size or in their number of
+    # join-irreducibles, so no key repeats across layers.
     layer: list[tuple[int, ...]] = [()]
-    yield ()
-    for size in range(1, max_size + 1):
-        new_layer = []
+    for size in range(max_size):
+        kept: dict = {}
         for p in layer:
-            for sub in _ideals(p):
-                ext = p + (sub | 1 << len(p),)
-                if prune is None or not prune(ext):
-                    new_layer.append(ext)
-        layer = new_layer
-        yield from layer
-
-
-def _poset_from_down(down: tuple[int, ...]) -> FinitePoset:
-    return FinitePoset(tuple(f"x{i}" for i in range(len(down))), _transpose(down))
+            for ideal in _ideals(p):
+                down = p + (ideal | 1 << size,)
+                poset = lattice_of(down)
+                if poset is not None:
+                    kept.setdefault(poset.key(), (down, poset))
+        layer = [down for down, _ in kept.values()]
+        yield from ((key, poset) for key, (_, poset) in kept.items())
 
 
 def _is_meet_semilattice(down: tuple[int, ...]) -> bool:
     principal = set(down)
-    n = len(down)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if down[i] & down[j] not in principal:
-                return False
-    return True
+    return all(a & b in principal for a, b in itertools.combinations(down, 2))
+
+
+def _with_top(down: tuple[int, ...]) -> FinitePoset | None:
+    """A meet-semilattice with a top adjoined, or None for any other poset."""
+    if not _is_meet_semilattice(down):
+        return None
+    n = len(down) + 1
+    return FinitePoset(tuple(f"x{i}" for i in range(n)), _transpose(down + ((1 << n) - 1,)))
+
+
+def _ideal_lattice(down: tuple[int, ...], max_size: int) -> FinitePoset | None:
+    """The lattice of ideals of a poset, or None past ``max_size`` ideals."""
+    ideals = _ideals(down)
+    if len(ideals) > max_size:
+        return None
+    up = tuple(sum(1 << b for b, sb in enumerate(ideals) if sa & ~sb == 0) for sa in ideals)
+    return FinitePoset(tuple(f"i{i}" for i in range(len(ideals))), up)
 
 
 def enumerate_lattices(max_size: int):
@@ -599,42 +620,18 @@ def enumerate_lattices(max_size: int):
     elements, via meet-semilattices of size max_size-1 with a new top adjoined."""
     if max_size > MAX_ELEMENTS:
         raise SizeCapError(f"max_size {max_size} exceeds cap {MAX_ELEMENTS}")
-    seen = set()
-    for down in _natural_posets(max_size - 1):
-        if not down or not _is_meet_semilattice(down):
-            continue
-        n = len(down)
-        full = (1 << (n + 1)) - 1
-        poset = _poset_from_down(down + (full,))
-        k = poset.key()
-        if k in seen:
-            continue
-        seen.add(k)
+    for _, poset in _natural_posets(max_size - 1, _with_top):
         yield FiniteLattice.from_poset(poset)
 
 
 def enumerate_distributive_lattices(max_size: int):
     """Downset lattices of all posets with < max_size elements (Birkhoff),
-    deduplicated by canonical form. Desk scale: max_size <= 8."""
+    one per isomorphism class, by size then key. Desk scale: max_size <= 8."""
     if max_size > MAX_DISTRIBUTIVE_ENUM:
         raise SizeCapError(f"enumerate_distributive_lattices is capped at "
                            f"{MAX_DISTRIBUTIVE_ENUM}, got {max_size}")
-    seen = set()
-    results = []
-    # the prune keeps exactly the posets with at most max_size ideals
-    for down in _natural_posets(max_size - 1, prune=lambda p: len(_ideals(p)) > max_size):
-        if not down:
-            continue
-        ideals = _ideals(down)
-        up = tuple(sum(1 << b for b, sb in enumerate(ideals) if sa & ~sb == 0) for sa in ideals)
-        poset = FinitePoset(tuple(f"i{i}" for i in range(len(ideals))), up)
-        k = poset.key()
-        if k in seen:
-            continue
-        seen.add(k)
-        results.append((poset.n, k, poset))
-    results.sort(key=lambda t: (t[0], t[1]))
-    for _, _, poset in results:
+    found = _natural_posets(max_size - 1, lambda down: _ideal_lattice(down, max_size))
+    for _, poset in sorted(found, key=lambda t: (t[1].n, t[0])):
         yield FiniteLattice.from_poset(poset)
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 from permlat.errors import NonDistributiveError, NotALatticeError, SizeCapError
 from permlat.canon import canonical_key
-from permlat.lattice import (FiniteLattice, FinitePoset, _ideals, b2_plus_top, boolean2,
+from permlat.lattice import (FiniteLattice, FinitePoset, _ideals, _is_meet_semilattice,
+                             b2_plus_top, boolean2,
                              chain_lattice, dimension_bounds, distributive_law_holds,
                              enumerate_distributive_lattices, enumerate_lattices,
                              is_distributive, lattices_isomorphic, m3,
@@ -254,10 +256,101 @@ def test_enumeration_agrees_with_filtering_all_lattices():
 
 
 def test_lattice_counts_match_known_sequence():
-    # isomorphism classes of lattices on 2..7 elements: 1, 1, 2, 5, 15, 53
-    from collections import Counter
-    counts = Counter(l.n for l in enumerate_lattices(7))
-    assert counts == Counter({2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53})
+    # isomorphism classes of lattices (OEIS A006966) and distributive lattices (A006982) on 2..8 elements
+    lattices = Counter(l.n for l in enumerate_lattices(8))
+    assert [lattices[n] for n in range(2, 9)] == [1, 1, 2, 5, 15, 53, 222]
+    assert sum(lattices.values()) == 299
+    distributive = Counter(l.n for l in enumerate_distributive_lattices(8))
+    assert [distributive[n] for n in range(2, 9)] == [1, 1, 2, 3, 5, 8, 15]
+    assert sum(distributive.values()) == 35
+
+
+# The enumerators as they were before the layered walk: every naturally
+# labelled poset is built, then isomorphic copies are dropped by key.
+
+
+def ref_natural_posets(max_size, prune=None):
+    layer = [()]
+    yield ()
+    for size in range(1, max_size + 1):
+        new_layer = []
+        for p in layer:
+            for sub in _ideals(p):
+                ext = p + (sub | 1 << len(p),)
+                if prune is None or not prune(ext):
+                    new_layer.append(ext)
+        layer = new_layer
+        yield from layer
+
+
+def ref_is_meet_semilattice(down):
+    principal = set(down)
+    n = len(down)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if down[i] & down[j] not in principal:
+                return False
+    return True
+
+
+def ref_enumerate_lattices(max_size):
+    seen = set()
+    for down in ref_natural_posets(max_size - 1):
+        if not down or not ref_is_meet_semilattice(down):
+            continue
+        n = len(down)
+        full = (1 << (n + 1)) - 1
+        poset = poset_of_down(down + (full,))
+        k = poset.key()
+        if k in seen:
+            continue
+        seen.add(k)
+        yield FiniteLattice.from_poset(poset)
+
+
+def ref_enumerate_distributive_lattices(max_size):
+    seen = set()
+    results = []
+    for down in ref_natural_posets(max_size - 1, prune=lambda p: len(_ideals(p)) > max_size):
+        if not down:
+            continue
+        ideals = _ideals(down)
+        up = tuple(sum(1 << b for b, sb in enumerate(ideals) if sa & ~sb == 0) for sa in ideals)
+        poset = FinitePoset(tuple(f"i{i}" for i in range(len(ideals))), up)
+        k = poset.key()
+        if k in seen:
+            continue
+        seen.add(k)
+        results.append((poset.n, k, poset))
+    results.sort(key=lambda t: (t[0], t[1]))
+    for _, _, poset in results:
+        yield FiniteLattice.from_poset(poset)
+
+
+def listing(lattices):
+    return [(lat.elements, lat.poset.up, lat.bottom, lat.top) for lat in lattices]
+
+
+@pytest.mark.parametrize("max_size", range(0, 8))
+def test_enumerate_lattices_matches_the_eager_reference(max_size):
+    assert listing(enumerate_lattices(max_size)) == listing(ref_enumerate_lattices(max_size))
+
+
+@pytest.mark.parametrize("max_size", range(0, 9))
+def test_enumerate_distributive_lattices_matches_the_eager_reference(max_size):
+    assert (listing(enumerate_distributive_lattices(max_size))
+            == listing(ref_enumerate_distributive_lattices(max_size)))
+
+
+def test_the_walk_cuts_only_what_no_extension_brings_back():
+    # a poset that is no meet-semilattice has no one-point extension that is
+    # one, and an extension has at least as many ideals
+    for down in ref_natural_posets(5):
+        children = [down + (ideal | 1 << len(down),) for ideal in _ideals(down)]
+        assert _is_meet_semilattice(down) == ref_is_meet_semilattice(down)
+        if not _is_meet_semilattice(down):
+            assert not any(_is_meet_semilattice(child) for child in children)
+        assert all(len(_ideals(child)) >= len(_ideals(down)) for child in children)
 
 
 def test_validate_everything_enumerated():
