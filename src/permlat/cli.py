@@ -18,8 +18,8 @@ from .errors import (InvalidFactorError, InvalidStructureError, PermlatError, Si
 from .formats import (dump_perm, dump_structure, load_cover, load_lattice,
                       load_perm, load_structure, read_lattice_ref,
                       write_manifest)
-from .generic import (GenerationConfig, extension_property_check, generate_generic,
-                      homogeneity_check)
+from .generic import (MAX_DEPTH, GenerationConfig, extension_property_check,
+                      generate_generic, homogeneity_check)
 from .lattice import (MAX_DISTRIBUTIVE_ENUM, dimension_bounds, enumerate_distributive_lattices,
                       is_distributive, require_lattice, validate_lattice)
 from .permstruct import cameron_enumeration, decode_relations, encode_orders, profile
@@ -257,7 +257,7 @@ def cmd_sq_split(args) -> int:
 
 def cmd_gen(args) -> int:
     _in_range("--size", args.size, 1)
-    _in_range("--depth", args.depth, 1)
+    _in_range("--depth", args.depth, 1, MAX_DEPTH)
     _require_out_file(args.out)
     lat = require_lattice(load_lattice(args.lattice), args.lattice)
     signature = _parse_orders_spec(args.orders, lat)
@@ -284,7 +284,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_check(args) -> int:
-    _in_range("--k", args.k, 0, 7)   # the checks are capped at 7
+    _in_range("--k", args.k, 0, MAX_DEPTH)
     s = OrderedLambdaStructure(*_load_structure(args.infile))
     check = extension_property_check if args.kind == "ext" else homogeneity_check
     try:

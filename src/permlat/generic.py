@@ -35,6 +35,7 @@ from .spaces import LambdaSpace, _meet_of_joins, _triangle_rows
 from .sqorders import OrderedLambdaStructure, SubquotientOrder, _require_valid
 
 Gap = int | None
+MAX_DEPTH = 7   # the k! labellings of a form cost 29 MB at k = 8
 
 
 @dataclass(frozen=True)
@@ -248,13 +249,16 @@ def generate_generic(lat: FiniteLattice, sq_signature, cfg: GenerationConfig,
     A steered pass start sweeps only the subsets that meet a point appended
     since the last one (``sweep`` with ``since``), and while steered an
     appended point enters its rows over the subsets before it
-    (``types_of``), so ``ctx.realized`` is exact at each steered pass start.
+    (``register``), so ``ctx.realized`` is exact at each steered pass start.
     Once steering ends neither runs, as nothing reads ``ctx.realized``
     again. The visits walk ``sweep`` over the points of the pass start and
     look up the rows of the points appended since, filling missing entries.
     """
     signature = [tuple(pair) for pair in sq_signature]
     _require_generable(lat, signature)
+    k = cfg.saturation_depth
+    if k > MAX_DEPTH:
+        raise SizeCapError(f"generation is capped at depth {MAX_DEPTH}, got {k}")
     if lat.n == 1 and cfg.target_size > 1:
         raise SizeCapError("generation over a one-element lattice is capped at 1 point: "
                            "two points would be at distance bottom")
@@ -264,7 +268,6 @@ def generate_generic(lat: FiniteLattice, sq_signature, cfg: GenerationConfig,
     rng = random.Random(cfg.seed)
     s = empty_structure(lat, signature)
     ctx = _CheckContext(s)
-    k = cfg.saturation_depth
     censused = 0            # points whose subsets ctx.realized covers
     # Steering, once ended, never comes back, so the flag only goes from True
     # to False. Say a steered pass start finds every pattern of ctx.keys
@@ -283,7 +286,7 @@ def generate_generic(lat: FiniteLattice, sq_signature, cfg: GenerationConfig,
         if steered:
             # enter the new point's rows, so later steered picks in this pass
             # do not chase patterns it already covers
-            ctx.types_of(s.space.n - 1, k)
+            ctx.register(s.space.n - 1, k)
 
     while s.space.n < cfg.target_size:
         n = s.space.n
@@ -373,13 +376,12 @@ class _Class:
 class _Type:
     """A type over the subsets of one form: ``type`` is (delta, gaps) in
     subset coordinates, ``local`` the same in class coordinates, and
-    ``pattern`` the number of its pattern key, or None for a type that is
-    not consistent (met only in an invalid structure). A form holds one
-    object per consistent type, so for those identity is equality."""
+    ``pattern`` the number of its pattern key. A form holds one object per
+    consistent type, so identity is equality."""
 
     __slots__ = ("type", "local", "pattern")
 
-    def __init__(self, t: tuple, local: tuple, pattern: int | None):
+    def __init__(self, t: tuple, local: tuple, pattern: int):
         self.type = t
         self.local = local
         self.pattern = pattern
@@ -418,7 +420,7 @@ class _CheckContext:
 
     It holds a table of pair codes (distance, then per order: same bottom
     class, other top class, below or above), one ``_Form`` per matrix of
-    raw pair codes met so far (also memoized per subset), one ``_Class`` per
+    raw pair codes met so far, one ``_Class`` per
     canonical matrix, and the per-order class ranks that exact types need.
 
     Packed rows: a point's row over a subset (a_1, ..., a_k) is one integer
@@ -448,7 +450,6 @@ class _CheckContext:
         self.keys: list = []             # pattern number -> pattern key
         self.realized: set = set()       # pattern numbers of the row table entries
         self._to: list[list[int]] = []   # _to[j][i]: pair code of (i, j), -1 on the diagonal
-        self._forms: dict = {}           # index tuple -> _Form
         self._by_codes: dict = {}        # raw code tuple -> _Form
         self._classes: dict = {}         # (size, canonical codes) -> _Class
         self.extend(s)
@@ -505,11 +506,8 @@ class _CheckContext:
     def form(self, idx_a: tuple) -> _Form:
         """Canonical form of the subset: the lexicographically least code
         matrix over its labellings, the first labelling reaching it, and the
-        type table of that (class, labelling). Memoized per subset and per
-        raw code matrix, so only a new matrix pays for the k! labellings."""
-        form = self._forms.get(idx_a)
-        if form is not None:
-            return form
+        type table of that (class, labelling). Memoized per raw code matrix;
+        the walks look a subset up in its prefix form's ``children`` first."""
         to = self._codes()
         facts = tuple([to[b][a] for a in idx_a for b in idx_a])
         form = self._by_codes.get(facts)
@@ -529,7 +527,6 @@ class _CheckContext:
                 local = _apply_perm_type(*t, perm)
                 types[t] = _Type(t, local, cls.pattern(local))
             form = self._by_codes[facts] = _Form(cls, perm, types)
-        self._forms[idx_a] = form
         return form
 
     def row(self, idx_a: tuple, z: int) -> int:
@@ -546,15 +543,11 @@ class _CheckContext:
         return [self.row(idx_a, z) for z in range(self.n)]
 
     def _row_type(self, form: _Form, idx_a: tuple, row: int, z: int) -> _Type:
-        """Fill the form's table entry for a row from a point z having it;
-        a consistent type's pattern enters ``realized``."""
-        t = self.point_type(idx_a, z)
-        entry = form.types.get(t)
-        if entry is None:
-            entry = _Type(t, _apply_perm_type(*t, form.perm), None)
-        else:
-            self.realized.add(entry.pattern)
-        form.rows[row] = entry
+        """Fill the form's table entry for a row from a point z having it and
+        enter its pattern in ``realized``. In a valid structure, the only kind
+        generation builds and the checks accept, z's type is one of the form's."""
+        entry = form.rows[row] = form.types[self.point_type(idx_a, z)]
+        self.realized.add(entry.pattern)
         return entry
 
     def _fill(self, form: _Form, idx_a: tuple, rows: list[int]) -> set:
@@ -636,25 +629,31 @@ class _CheckContext:
         if batch:
             yield batch
 
-    def types_of(self, z: int, k: int) -> list[_Type]:
-        """The exact type of the point z over each subset of the points
-        before it with at most k points, in the subset's form, each entered
-        in the form's row table. Each row is packed from z's code column as
-        its subset is built from its prefix."""
-        to = self._codes()
-        col = [to[a][z] for a in range(z)]
-        w = self.width
-        forms = self._forms
-        level = [((), 0)]
-        out = []
-        for size in range(min(k, z) + 1):
-            if size:
-                level = [(A + (b,), row << w | col[b])
-                         for A, row in level for b in range(A[-1] + 1 if A else 0, z)]
-            for A, row in level:
-                form = forms.get(A) or self.form(A)
-                out.append(form.rows.get(row) or self._row_type(form, A, row, z))
-        return out
+    def register(self, z: int, k: int) -> None:
+        """Enter z's row over each subset of at most k >= 1 of the points
+        before it in its form's row table, walking prefixes as ``_walk`` does
+        with the packed rows of the points up to z, z's last. An entry is a
+        function of form and row (see ``_fill``), so fill order is free."""
+        root = self.form(())
+        if 0 not in root.rows:
+            self._row_type(root, (), 0, z)
+        self._register_walk(self._codes(), (), [0] * (z + 1), root, k)
+
+    def _register_walk(self, to, prefix, rows, form, depth):
+        """``register``'s entries below ``prefix``; a method, as a recursive closure is a cycle."""
+        z, w = len(rows) - 1, self.width
+        children = form.children
+        shifted = [r << w for r in rows]
+        for b in range(prefix[-1] + 1 if prefix else 0, z):
+            A = prefix + (b,)
+            child = children.get(rows[b])
+            if child is None:
+                child = children[rows[b]] = self.form(A)
+            row = shifted[z] | to[b][z]
+            if row not in child.rows:
+                self._row_type(child, A, row, z)
+            if depth > 1:
+                self._register_walk(to, A, list(map(or_, shifted, to[b])), child, depth - 1)
 
     def scale_ranks(self, idx_a, delta) -> list[list[int] | None]:
         """Per order: sorted ranks of the base's distinct bottom classes in
@@ -742,11 +741,11 @@ def _extension_report(ctx: _CheckContext, k: int) -> SaturationReport:
 
 def _check_context(s: OrderedLambdaStructure, k: int, what: str) -> _CheckContext:
     """The subset index for a check of depth k, which both checks refuse
-    above 7 (the k! labellings of a form cost 29 MB at k = 8) and on a
-    structure that fails ``validate`` (exact types and child forms are read
-    off pair codes, which presumes strict ranks inside each scale)."""
-    if k > 7:
-        raise SizeCapError(f"{what} is capped at k = 7, got {k}")
+    above ``MAX_DEPTH`` and on a structure that fails ``validate`` (exact
+    types and child forms are read off pair codes, which presumes strict
+    ranks inside each scale)."""
+    if k > MAX_DEPTH:
+        raise SizeCapError(f"{what} is capped at k = {MAX_DEPTH}, got {k}")
     _require_valid(s, "invalid structure")
     return _CheckContext(s)
 

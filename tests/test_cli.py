@@ -487,6 +487,15 @@ def test_check_depth_cap_names_the_flag(fixtures, capsys):
         assert capsys.readouterr().err == "error [USAGE]: --k must be in 0..7, got 8\n"
 
 
+def test_gen_depth_cap_names_the_flag(fixtures, capsys):
+    # refused before any work is done: the checks could not read the report back
+    struct = fixtures / "s.struct"
+    assert main(["gen", "--lattice", str(fixtures / "chain3.lat"), "--orders", "0:E,E:1",
+                 "--size", "10", "--depth", "8", "--out", str(struct)]) == 2
+    assert capsys.readouterr().err == "error [USAGE]: --depth must be in 1..7, got 8\n"
+    assert not struct.exists()
+
+
 def test_check_names_the_file_of_an_invalid_structure(fixtures, capsys):
     struct = fixtures / "s.struct"
     struct.write_text("lattice: chain3.lat\npoints: p0 p1\nd: p0 p1 E\nsq: 0 E\n"

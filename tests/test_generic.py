@@ -438,6 +438,23 @@ def _subsets(n, k=3):
     return [A for size in range(k + 1) for A in itertools.combinations(range(n), size)]
 
 
+def _registered(ctx, A, z):
+    # the row table entry of the point z over A
+    return ctx.form(A).rows[ctx.row(A, z)]
+
+
+def _count_form_calls(monkeypatch):
+    # every _CheckContext.form call from here on, by subset
+    form, calls = _CheckContext.form, []
+
+    def counted(ctx, idx_a):
+        calls.append(idx_a)
+        return form(ctx, idx_a)
+
+    monkeypatch.setattr(_CheckContext, "form", counted)
+    return calls
+
+
 @pytest.mark.parametrize("grow", ["realize_type", "_force_far_point"])
 def test_index_entries_survive_an_appended_point(chain3, grow):
     # the memo rests on this: appending a point changes no old pair code, so
@@ -463,7 +480,9 @@ def test_index_entries_survive_an_appended_point(chain3, grow):
     fresh = _CheckContext(grown)
     assert ctx._codes() == fresh._codes()
     z = grown.space.n - 1
-    for A, t in zip(subsets, ctx.types_of(z, 3), strict=True):
+    ctx.register(z, 3)
+    for A in subsets:
+        t = _registered(ctx, A, z)
         form, new = ctx.form(A), fresh.form(A)
         assert form is kept[A]
         assert (form.cls.matrix, form.perm) == (new.cls.matrix, new.perm)
@@ -514,20 +533,24 @@ def test_packed_rows_match_point_types(case):
         assert list(exact) == list(dict.fromkeys(
             form.rows[rows[z]] for z in range(ctx.n) if z not in A))
     for z in range(ctx.n):
-        assert ([t.type for t in ctx.types_of(z, 3)]
+        ctx.register(z, 3)
+        assert ([_registered(ctx, A, z).type for A in _subsets(z)]
                 == [ctx.point_type(A, z) for A in _subsets(z)])
 
 
-@pytest.mark.parametrize("stop", [None, "mid-walk"])
+@pytest.mark.parametrize("stop", [None, "mid-walk", "registered"])
 def test_a_sweep_leaves_no_reference_cycle(chain3, stop):
     # with the cyclic GC off, a context is freed when its last reference
     # goes, whether its sweep ran to the end or was left suspended inside
-    # the size-3 walk, as generation's visit walk is left when it appends
+    # the size-3 walk, as generation's visit walk is left when it appends,
+    # and after it registered a point, as generation does after an append
     s = gen(chain3, [("0", "E"), ("E", "1")], size=12, depth=2)
-    steps = None if stop is None else 1 + 12 + 66 + 5
+    steps = 1 + 12 + 66 + 5 if stop == "mid-walk" else None
     gc.disable()
     try:
         ctx = _CheckContext(s)
+        if stop == "registered":
+            ctx.register(ctx.n - 1, 3)
         walk = ctx.sweep(3)
         assert len(list(itertools.islice(walk, steps))) == (steps or 1 + 12 + 66 + 220)
         ref = weakref.ref(ctx)
@@ -553,7 +576,7 @@ def test_grown_index_matches_a_fresh_one(case):
         list(ctx.sweep(3))   # fills child forms, which must survive the append
         s = _append_point(s, ctx, base, *t.type, rng)
         ctx.extend(s)
-        ctx.types_of(s.space.n - 1, 3)   # registration, as generation does it
+        ctx.register(s.space.n - 1, 3)   # registration, as generation does it
     fresh = _CheckContext(s)
     assert ctx._codes() == fresh._codes()
     assert _swept(ctx) == _swept(fresh)
@@ -563,8 +586,54 @@ def test_grown_index_matches_a_fresh_one(case):
         assert ([t.type for t in ctx.form(A).types.values()]
                 == [t.type for t in fresh.form(A).types.values()])
     for z in range(s.space.n):
-        assert ([t.type for t in ctx.types_of(z, 3)]
-                == [t.type for t in fresh.types_of(z, 3)])
+        ctx.register(z, 3)
+        fresh.register(z, 3)
+        assert ([_registered(ctx, A, z).type for A in _subsets(z)]
+                == [_registered(fresh, A, z).type for A in _subsets(z)])
+
+
+def _ref_register(ctx, z, k):
+    # registration as it ran before it read the children tables: size by
+    # size, one form() lookup per subset of the points before z
+    for A in _subsets(z, k):
+        form, row = ctx.form(A), ctx.row(A, z)
+        if row not in form.rows:
+            ctx._row_type(form, A, row, z)
+
+
+def _row_tables(ctx):
+    # every form's row table, by raw code matrix, with patterns as keys
+    return {facts: {row: (t.type, ctx.keys[t.pattern]) for row, t in form.rows.items()}
+            for facts, form in ctx._by_codes.items()}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_registration_matches_the_per_subset_reference(monkeypatch, case):
+    # twin contexts grown point by point, one registering each point with
+    # the children-table walk and one subset by subset, fill the same row
+    # tables and realize the same patterns; the walk calls form() only on
+    # a children miss, so fewer times than there are subsets
+    make, sig, size, _ = KERNEL_CASES[case]
+    s = gen(make(), sig, size=size - 4, depth=2)
+    walk, ref = _CheckContext(s), _CheckContext(s)
+    for z in range(s.space.n):
+        walk.register(z, 3)
+        _ref_register(ref, z, 3)
+    rng = random.Random(5)
+    calls = _count_form_calls(monkeypatch)
+    for _ in range(4):
+        pick = _CheckContext(s)
+        base, t = next((A, t) for A in _subsets(s.space.n)
+                       for t in pick.form(A).types.values() if t not in pick.exact_types(A))
+        s = _append_point(s, pick, base, *t.type, rng)
+        walk.extend(s)
+        ref.extend(s)
+        calls.clear()
+        walk.register(s.space.n - 1, 3)
+        assert len(calls) < len(_subsets(s.space.n - 1))
+        _ref_register(ref, s.space.n - 1, 3)
+    assert _row_tables(walk) == _row_tables(ref)
+    assert {walk.keys[p] for p in walk.realized} == {ref.keys[p] for p in ref.realized}
 
 
 def _swept(ctx, k=3, since=None):
@@ -574,20 +643,21 @@ def _swept(ctx, k=3, since=None):
 
 
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
-def test_sweep_matches_per_subset_forms_and_types(case):
+def test_sweep_matches_per_subset_forms_and_types(monkeypatch, case):
     # one walk serves both checks: it must visit today's subsets in today's
     # order, and its child-table forms and row-table types must be the ones
     # form() and point_type() give subset by subset
     make, sig, size, _ = KERNEL_CASES[case]
     s = gen(make(), sig, size=size, depth=3)
     ctx = _CheckContext(s)
+    calls = _count_form_calls(monkeypatch)
     swept = []
     for A, form, rows, distinct in ctx.sweep(3):
         # the form's row table covers the subset's rows when it is yielded
         assert distinct == set(rows) and form.rows.keys() >= distinct
         swept.append((A, form, rows, [form.rows[row] for row in rows]))
     assert [A for A, _, _, _ in swept] == _subsets(s.space.n)
-    assert len(ctx._forms) < len(swept)   # most forms came from a child table
+    assert len(calls) < len(swept)   # most forms came from a child table
     fresh = _CheckContext(s)
     for A, form, rows, types in swept:
         # one form object per code matrix, so identity is exactness
@@ -712,7 +782,7 @@ def _eager_generate(lat, sig, cfg):
         nonlocal s
         s = grown
         ctx.extend(s)
-        ctx.types_of(s.space.n - 1, k)
+        ctx.register(s.space.n - 1, k)
 
     while s.space.n < cfg.target_size:
         n = s.space.n
@@ -757,6 +827,14 @@ def test_generation_matches_the_eager_schedule(depth):
             assert steered_at[0] and steered_at == sorted(steered_at, reverse=True)
             ended += not steered_at[-1]
     assert ended
+
+
+def test_generation_refuses_a_depth_past_the_cap(chain3):
+    # the checks could not read a deeper report back, and the k! labellings
+    # of a form would cost more than the run
+    gen(chain3, SIGS["chain3"], size=4, depth=generic.MAX_DEPTH)
+    with pytest.raises(SizeCapError, match="generation is capped at depth 7, got 8"):
+        gen(chain3, SIGS["chain3"], size=10, depth=8)
 
 
 def test_checks_refuse_a_depth_past_the_cap(chain3):
