@@ -23,8 +23,8 @@ from .generic import (MAX_DEPTH, GenerationConfig, extension_property_check,
 from .lattice import (MAX_DISTRIBUTIVE_ENUM, dimension_bounds, enumerate_distributive_lattices,
                       is_distributive, require_lattice, validate_lattice)
 from .permstruct import cameron_enumeration, decode_relations, encode_orders, profile
-from .spaces import (LambdaSpace, amalgamation_failure_probe, canonical_amalgam,
-                     validate_space)
+from .spaces import (MAX_BASE_POINTS, MAX_NEW_POINTS, LambdaSpace,
+                     amalgamation_failure_probe, canonical_amalgam, validate_space)
 from .sqorders import OrderedLambdaStructure, _require_valid, compose_lex, split_convex_linear
 
 
@@ -85,6 +85,11 @@ def _in_range(flag: str, value: int, low: int, high: int | None = None) -> None:
     if value < low or (high is not None and value > high):
         bound = f">= {low}" if high is None else f"in {low}..{high}"
         raise UsageError(f"{flag} must be {bound}, got {value}")
+
+
+def _capped(flag: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise SizeCapError(f"{flag} is capped at {cap}, got {value}")
 
 
 def _require_out_file(path: str | None) -> None:
@@ -156,9 +161,7 @@ def cmd_lattice_bounds(args) -> int:
 
 def cmd_lattice_enum(args) -> int:
     _in_range("--max-size", args.max_size, 2)
-    if args.max_size > MAX_DISTRIBUTIVE_ENUM:
-        raise SizeCapError(f"--max-size is capped at {MAX_DISTRIBUTIVE_ENUM}, "
-                           f"got {args.max_size}")
+    _capped("--max-size", args.max_size, MAX_DISTRIBUTIVE_ENUM)
     lats = list(enumerate_distributive_lattices(args.max_size))
     payload = {"count": len(lats),
                "lattices": [{"size": l.n, "covers": [
@@ -206,6 +209,8 @@ def cmd_space_amalgam(args) -> int:
 def cmd_space_probe(args) -> int:
     _in_range("--max-base", args.max_base, 0)
     _in_range("--max-new", args.max_new, 0)
+    _capped("--max-base", args.max_base, MAX_BASE_POINTS)
+    _capped("--max-new", args.max_new, MAX_NEW_POINTS)
     lat = require_lattice(load_lattice(args.file), args.file)
     found = amalgamation_failure_probe(lat, max_base=args.max_base, max_new=args.max_new)
     if found is None:

@@ -13,6 +13,7 @@ every distributive lattice.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from dataclasses import dataclass, field
@@ -35,21 +36,6 @@ class LambdaSpace:
         self.pindex = {p: i for i, p in enumerate(self.points)}
         self.n = len(self.points)
         self._class_reps: dict[int, tuple[int, ...]] = {}  # level -> class_reps
-
-    @classmethod
-    def from_distances(cls, lattice: FiniteLattice, points, distances: dict) -> "LambdaSpace":
-        """``distances`` maps unordered point pairs to element names."""
-        points = tuple(points)
-        idx = {p: i for i, p in enumerate(points)}
-        n = len(points)
-        bot = lattice.bottom_idx
-        dist = [[bot] * n for _ in range(n)]
-        for (x, y), lam in distances.items():
-            i, j = idx[x], idx[y]
-            e = lattice.index[lam]
-            dist[i][j] = e
-            dist[j][i] = e
-        return cls(lattice, points, tuple(map(tuple, dist)))
 
     def d(self, x: str, y: str) -> str:
         return self.lattice.elements[self.dist[self.pindex[x]][self.pindex[y]]]
@@ -323,6 +309,7 @@ def canonical_amalgam(base: LambdaSpace, f1: LambdaSpace, f2: LambdaSpace) -> Am
 # completion at all
 
 MAX_BASE_POINTS = 4
+MAX_NEW_POINTS = 2
 
 
 def _base_spaces(lat: FiniteLattice, max_base: int):
@@ -419,17 +406,24 @@ def _extensions(lat: FiniteLattice, base: LambdaSpace, max_new: int):
     """The triangle-valid rows over the base, and the extensions as (row
     indices, mutual distance) pairs, unordered in the new points; an
     extension by one point has mutual distance None. With ``max_new`` below
-    1 there is no extension."""
-    if max_new > 2:
-        raise SizeCapError(f"extensions are capped at 2 new points, got {max_new}")
+    1 there is no extension.
+
+    Rows r1 and r2 may stand at a nonzero mutual distance m iff m keeps the
+    triangle (r1[c], r2[c], m) through every base point c: bit m of the AND
+    over the base of ``_triangles(lat)[r2[c]][r1[c]]``. The rows themselves
+    keep every triangle through two base points."""
+    if max_new > MAX_NEW_POINTS:
+        raise SizeCapError(f"extensions are capped at {MAX_NEW_POINTS} new points, got {max_new}")
     rows = _triangle_rows(lat, base.dist)
     exts = [((i,), None) for i in range(len(rows))] if max_new >= 1 else []
     if max_new >= 2:
+        tri, nonzero = _triangles(lat), lat.nonzero_idx()
         for i1, r1 in enumerate(rows):
-            # mutual distances: rows over the base plus the first new point
-            with_r1 = [row + (r1[c],) for c, row in enumerate(base.dist)] + [r1 + (lat.bottom_idx,)]
             for i2 in range(i1, len(rows)):
-                exts.extend(((i1, i2), m) for *_, m in _triangle_rows(lat, with_r1, rows[i2]))
+                allowed = -1
+                for x, y in zip(rows[i2], r1):
+                    allowed &= tri[x][y]
+                exts.extend(((i1, i2), m) for m in nonzero if allowed >> m & 1)
     return rows, exts
 
 
@@ -471,9 +465,12 @@ def _sweep(lat: FiniteLattice, max_base: int, max_new: int,
     on pairs of rows: per base, one table holds each row pair's cross
     distance and first fault, and each extension gets a mask of its rows and
     a mask of the rows it faults against, by a pair fault or by a triangle
-    through its other new point. An instance is faulty exactly when either
-    factor's fault mask meets the other's rows. Only faulty instances are
-    built as spaces.
+    through its other new point (mutual distance m): bit m of ``ok[u][v]``
+    for the cross distances u, v of its two rows to that row, as ``ok`` is
+    symmetric in its three sides. An instance is faulty exactly when either
+    factor's fault mask meets the other's rows, so only the pairs with a
+    fault mask set on some side are visited, in sweep order (none, on a
+    distributive lattice). Only faulty instances are built as spaces.
     """
     bot, top = lat.bottom_idx, lat.top_idx
     ok = _triangles(lat)
@@ -496,20 +493,29 @@ def _sweep(lat: FiniteLattice, max_base: int, max_new: int,
                 fault[i][j] = fault[j][i] = f
         faulty = [sum(1 << j for j, f in enumerate(fi) if f) for fi in fault]
         masks = []
+        pair = None
         for idx, m in exts:
             own = bad = 0
             for i in idx:
                 own |= 1 << i
                 bad |= faulty[i]
             if m is not None:
-                okm = ok[m]
-                bad |= sum(1 << r for r, (u, v) in enumerate(zip(cross[idx[0]], cross[idx[1]]))
-                           if not okm[u] >> v & 1)
+                if idx != pair:  # sib[r]: the m keeping row r's sibling triangle
+                    pair, sib = idx, [ok[u][v] for u, v in zip(cross[idx[0]], cross[idx[1]])]
+                    keep = functools.reduce(int.__and__, sib)
+                if not keep >> m & 1:
+                    bad |= sum(1 << r for r, s in enumerate(sib) if not s >> m & 1)
             masks.append((own, bad))
         if report is not None:
             report.instances += len(exts) * (len(exts) + 1) // 2
+        faulty_exts = [e for e, (_, bad) in enumerate(masks) if bad]
+        if not faulty_exts:
+            continue
         for e1, (own1, bad1) in enumerate(masks):
-            for e2, (own2, bad2) in enumerate(masks[e1:], e1):
+            partners = (range(e1, len(masks)) if bad1
+                        else faulty_exts[bisect.bisect_left(faulty_exts, e1):])
+            for e2 in partners:
+                own2, bad2 = masks[e2]
                 if bad1 & own2 or bad2 & own1:
                     yield (base, _materialize(base, rows, exts[e1], "x"),
                            _materialize(base, rows, exts[e2], "y"),
@@ -531,15 +537,3 @@ def _reason(ext1, ext2, cross, fault, ok) -> tuple:
             if m2 is not None and not ok[cross[i][j]][m2] >> cross[i][idx2[1 - b]] & 1:
                 return ("f2 sibling triangle", a, b)
 
-
-def all_spaces(lat: FiniteLattice, n_points: int):
-    """Every valid space on n_points named points (test helper)."""
-    names = tuple(f"p{i}" for i in range(n_points))
-    pairs = list(itertools.combinations(range(n_points), 2))
-    for values in itertools.product(lat.nonzero_idx(), repeat=len(pairs)):
-        dist = [[lat.bottom_idx] * n_points for _ in range(n_points)]
-        for (i, j), v in zip(pairs, values):
-            dist[i][j] = dist[j][i] = v
-        s = LambdaSpace(lat, names, tuple(map(tuple, dist)))
-        if validate_space(s).ok:
-            yield s

@@ -15,9 +15,9 @@ from permlat.lattice import (chain_lattice, distributive_law_holds,
 from permlat.permstruct import (PermStructure, cameron_enumeration, decode_relations,
                                 encode_orders, profile, two_order_catalog_parameters,
                                 _linear_ranks)
-from permlat.spaces import (all_spaces, amalgam_validity_sweep,
-                            amalgamation_failure_probe, equivalences_from_space,
-                            space_from_equivalences)
+from permlat.spaces import (amalgam_validity_sweep, amalgamation_failure_probe,
+                            equivalences_from_space, space_from_equivalences)
+from space_helpers import all_spaces
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

@@ -527,6 +527,14 @@ def test_lattice_enum_cap_names_the_flag(capsys):
     assert capsys.readouterr().err == "error [SIZE_CAP]: --max-size is capped at 8, got 9\n"
 
 
+@pytest.mark.parametrize("flag, value, cap", [("--max-base", "5", 4), ("--max-new", "3", 2)])
+def test_space_probe_caps_name_the_flag_before_reading_the_lattice(tmp_path, capsys, flag,
+                                                                   value, cap):
+    missing = tmp_path / "missing.lat"
+    assert main(["space", "probe", str(missing), flag, value]) == 1
+    assert capsys.readouterr().err == f"error [SIZE_CAP]: {flag} is capped at {cap}, got {value}\n"
+
+
 def test_guards_name_the_file_rule_and_witness(fixtures, capsys):
     (fixtures / "nolat.lat").write_text("elements: a b\n")
     assert main(["lattice", "bounds", str(fixtures / "nolat.lat")]) == 1

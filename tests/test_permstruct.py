@@ -12,8 +12,8 @@ from permlat.permstruct import (PermStructure, cameron_enumeration, decode_relat
                                 encode_orders, profile, two_order_catalog_parameters,
                                 _composition, _convex_in_order, _linear_ranks,
                                 _partition_from_types)
-from permlat.spaces import LambdaSpace
 from permlat.sqorders import OrderedLambdaStructure, SubquotientOrder
+from space_helpers import space_from_distances
 
 
 def gen(lat, sig, seed=11, size=40, depth=2):
@@ -28,7 +28,7 @@ def block8(chain3):
     dd = {}
     for i, j in itertools.combinations(range(8), 2):
         dd[(f"x{i}", f"x{j}")] = "E" if i // 2 == j // 2 else "1"
-    space = LambdaSpace.from_distances(chain3, [f"x{i}" for i in range(8)], dd)
+    space = space_from_distances(chain3, [f"x{i}" for i in range(8)], dd)
     within = SubquotientOrder.from_ranks(space, "0", "E",
                                          {f"x{i}": i % 2 for i in range(8)})
     between = SubquotientOrder.from_ranks(space, "E", "1",

@@ -7,32 +7,33 @@ from permlat.errors import InvalidFactorError, NonDistributiveError, SizeCapErro
 from permlat.canon import canonical_key
 from permlat.lattice import (boolean2, chain_lattice, enumerate_lattices, is_distributive, m3,
                              n5)
-from permlat.spaces import (LambdaSpace, SweepReport, all_spaces, amalgam_validity_sweep,
+from permlat.spaces import (LambdaSpace, SweepReport, amalgam_validity_sweep,
                             amalgamation_failure_probe, canonical_amalgam,
                             equivalences_from_space, space_from_equivalences,
                             validate_space, _base_spaces, _extensions,
                             _has_pseudo_completion, _materialize, _sweep, _triangle_rows)
+from space_helpers import all_spaces, space_from_distances
 
 
 def test_single_point_space_is_valid(b2):
-    s = LambdaSpace.from_distances(b2, ["x"], {})
+    s = space_from_distances(b2, ["x"], {})
     assert validate_space(s).ok
 
 
 def test_two_points_at_bottom_distance_invalid(b2):
-    s = LambdaSpace.from_distances(b2, ["x", "y"], {("x", "y"): "0"})
+    s = space_from_distances(b2, ["x", "y"], {("x", "y"): "0"})
     report = validate_space(s)
     assert any(v.rule == "indiscernible" for v in report.violations)
 
 
 def test_three_point_space_over_b2(b2):
-    s = LambdaSpace.from_distances(
+    s = space_from_distances(
         b2, ["1", "2", "3"], {("1", "2"): "a", ("2", "3"): "b", ("1", "3"): "1"})
     assert validate_space(s).ok
 
 
 def test_triangle_violation_reported(chain3):
-    s = LambdaSpace.from_distances(
+    s = space_from_distances(
         chain3, ["x", "y", "z"], {("x", "y"): "E", ("y", "z"): "E", ("x", "z"): "1"})
     report = validate_space(s)
     assert any(v.rule == "join-triangle" for v in report.violations)
@@ -43,7 +44,7 @@ def test_triangle_violation_reported(chain3):
 
 @pytest.fixture
 def b2_space(b2):
-    return LambdaSpace.from_distances(
+    return space_from_distances(
         b2, ["1", "2", "3"], {("1", "2"): "a", ("2", "3"): "b", ("1", "3"): "1"})
 
 
@@ -64,13 +65,13 @@ def test_system_invariants_hold(b2_space):
 
 
 def test_space_from_discrete_system(chain2):
-    s = LambdaSpace.from_distances(chain2, ["1", "2"], {("1", "2"): "1"})
+    s = space_from_distances(chain2, ["1", "2"], {("1", "2"): "1"})
     eq = equivalences_from_space(s)
     assert space_from_equivalences(eq).d("1", "2") == "1"
 
 
 def test_space_from_one_relation_system(chain3):
-    s = LambdaSpace.from_distances(
+    s = space_from_distances(
         chain3, ["1", "2", "3"], {("1", "2"): "E", ("1", "3"): "1", ("2", "3"): "1"})
     eq = equivalences_from_space(s)
     back = space_from_equivalences(eq)
@@ -109,9 +110,9 @@ def _brute_valid_completions(lat, base, f1, f2):
 
 def test_one_base_point_amalgam_is_the_join(chain3):
     lat = chain3
-    base = LambdaSpace.from_distances(lat, ["b"], {})
-    f1 = LambdaSpace.from_distances(lat, ["b", "x"], {("b", "x"): "E"})
-    f2 = LambdaSpace.from_distances(lat, ["b", "y"], {("b", "y"): "1"})
+    base = space_from_distances(lat, ["b"], {})
+    f1 = space_from_distances(lat, ["b", "x"], {("b", "x"): "E"})
+    f2 = space_from_distances(lat, ["b", "y"], {("b", "y"): "1"})
     result = canonical_amalgam(base, f1, f2)
     assert result.space.d("x", "y") == lat.join("E", "1")
     # brute-force: the canonical value dominates every valid completion
@@ -123,16 +124,16 @@ def test_one_base_point_amalgam_is_the_join(chain3):
 
 
 def test_amalgam_with_f1_equal_to_base_returns_f2(b2):
-    base = LambdaSpace.from_distances(b2, ["b"], {})
-    f2 = LambdaSpace.from_distances(b2, ["b", "y"], {("b", "y"): "a"})
+    base = space_from_distances(b2, ["b"], {})
+    f2 = space_from_distances(b2, ["b", "y"], {("b", "y"): "a"})
     result = canonical_amalgam(base, base, f2)
     assert result.space == f2
 
 
 def test_empty_base_gives_top_distance(b2):
     base = LambdaSpace(b2, (), ())
-    f1 = LambdaSpace.from_distances(b2, ["x"], {})
-    f2 = LambdaSpace.from_distances(b2, ["y"], {})
+    f1 = space_from_distances(b2, ["x"], {})
+    f2 = space_from_distances(b2, ["y"], {})
     result = canonical_amalgam(base, f1, f2)
     assert result.space.d("x", "y") == "1"
 
@@ -142,10 +143,10 @@ def test_canonical_completion_is_maximal_not_minimal(chain4):
     # strictly smaller completion u is also valid: the canonical amalgam is
     # the pointwise-largest completion, not the smallest
     lat = chain4
-    base = LambdaSpace.from_distances(lat, ["c1", "c2"], {("c1", "c2"): "e"})
-    f1 = LambdaSpace.from_distances(
+    base = space_from_distances(lat, ["c1", "c2"], {("c1", "c2"): "e"})
+    f1 = space_from_distances(
         lat, ["c1", "c2", "x"], {("c1", "c2"): "e", ("x", "c1"): "f", ("x", "c2"): "f"})
-    f2 = LambdaSpace.from_distances(
+    f2 = space_from_distances(
         lat, ["c1", "c2", "y"], {("c1", "c2"): "e", ("y", "c1"): "f", ("y", "c2"): "f"})
     result = canonical_amalgam(base, f1, f2)
     assert result.space.d("x", "y") == "f"
@@ -157,8 +158,8 @@ def test_canonical_completion_is_maximal_not_minimal(chain4):
 
 
 def test_forced_identification_over_b2(b2):
-    base = LambdaSpace.from_distances(b2, ["c1", "c2"], {("c1", "c2"): "1"})
-    mk = lambda name: LambdaSpace.from_distances(
+    base = space_from_distances(b2, ["c1", "c2"], {("c1", "c2"): "1"})
+    mk = lambda name: space_from_distances(
         b2, ["c1", "c2", name],
         {("c1", "c2"): "1", (name, "c1"): "a", (name, "c2"): "b"})
     result = canonical_amalgam(base, mk("x"), mk("y"))
@@ -169,13 +170,13 @@ def test_forced_identification_over_b2(b2):
 def test_monotone_in_base(chain4):
     # adding base points can only lower cross distances
     lat = chain4
-    base1 = LambdaSpace.from_distances(lat, ["c1"], {})
-    base2 = LambdaSpace.from_distances(lat, ["c1", "c2"], {("c1", "c2"): "e"})
-    f1a = LambdaSpace.from_distances(lat, ["c1", "x"], {("c1", "x"): "f"})
-    f2a = LambdaSpace.from_distances(lat, ["c1", "y"], {("c1", "y"): "e"})
-    f1b = LambdaSpace.from_distances(
+    base1 = space_from_distances(lat, ["c1"], {})
+    base2 = space_from_distances(lat, ["c1", "c2"], {("c1", "c2"): "e"})
+    f1a = space_from_distances(lat, ["c1", "x"], {("c1", "x"): "f"})
+    f2a = space_from_distances(lat, ["c1", "y"], {("c1", "y"): "e"})
+    f1b = space_from_distances(
         lat, ["c1", "c2", "x"], {("c1", "c2"): "e", ("x", "c1"): "f", ("x", "c2"): "f"})
-    f2b = LambdaSpace.from_distances(
+    f2b = space_from_distances(
         lat, ["c1", "c2", "y"], {("c1", "c2"): "e", ("y", "c1"): "e", ("y", "c2"): "e"})
     d1 = canonical_amalgam(base1, f1a, f2a).space.d("x", "y")
     d2 = canonical_amalgam(base2, f1b, f2b).space.d("x", "y")
@@ -184,24 +185,24 @@ def test_monotone_in_base(chain4):
 
 def test_non_distributive_lattice_rejected():
     lat = m3()
-    base = LambdaSpace.from_distances(lat, ["b"], {})
-    f1 = LambdaSpace.from_distances(lat, ["b", "x"], {("b", "x"): "p"})
+    base = space_from_distances(lat, ["b"], {})
+    f1 = space_from_distances(lat, ["b", "x"], {("b", "x"): "p"})
     with pytest.raises(NonDistributiveError):
         canonical_amalgam(base, f1, f1)
 
 
 def test_invalid_factor_rejected(b2):
-    base = LambdaSpace.from_distances(b2, ["c"], {})
-    bad = LambdaSpace.from_distances(
+    base = space_from_distances(b2, ["c"], {})
+    bad = space_from_distances(
         b2, ["c", "x", "y"], {("c", "x"): "a", ("c", "y"): "a", ("x", "y"): "1"})
-    good = LambdaSpace.from_distances(b2, ["c", "z"], {("c", "z"): "b"})
+    good = space_from_distances(b2, ["c", "z"], {("c", "z"): "b"})
     with pytest.raises(InvalidFactorError):
         canonical_amalgam(base, bad, good)
 
 
 def test_point_id_collision_is_an_error(b2):
-    base = LambdaSpace.from_distances(b2, ["c"], {})
-    f1 = LambdaSpace.from_distances(b2, ["c", "x"], {("c", "x"): "a"})
+    base = space_from_distances(b2, ["c"], {})
+    f1 = space_from_distances(b2, ["c", "x"], {("c", "x"): "a"})
     with pytest.raises(InvalidFactorError):
         canonical_amalgam(base, f1, f1)
 
@@ -438,8 +439,25 @@ def _reference_sweep(lat, max_base, max_new):
 _SMALL_LATTICES = [m3(), n5()] + list(enumerate_lattices(5))
 
 
-@pytest.mark.parametrize("lat", _SMALL_LATTICES, ids=lambda lat: "-".join(lat.elements))
-@pytest.mark.parametrize("max_base, max_new", [(2, 2), (3, 1), (1, 2)])
+@pytest.mark.parametrize("lat, max_base", [(lat, 2) for lat in _SMALL_LATTICES] + [(n5(), 3)],
+                         ids=lambda v: "-".join(v.elements) if hasattr(v, "elements") else None)
+def test_two_point_extensions_are_exactly_the_valid_ones(lat, max_base):
+    # every mutual distance of every row pair, kept iff the factor it gives
+    # is a valid space
+    for base in _base_spaces(lat, max_base):
+        rows, exts = _extensions(lat, base, 2)
+        brute = [((i1, i2), m)
+                 for i1, i2 in itertools.combinations_with_replacement(range(len(rows)), 2)
+                 for m in range(lat.n)
+                 if validate_space(_materialize(base, rows, ((i1, i2), m), "x")).ok]
+        assert [ext for ext in exts if ext[1] is not None] == brute
+
+
+@pytest.mark.parametrize("max_base, max_new, lat", [
+    (max_base, max_new, lat) for max_base, max_new in [(2, 2), (3, 1), (1, 2)]
+    for lat in _SMALL_LATTICES
+] + [(3, 2, n5())],  # the benchmark's size, on bases mixing clean and faulty extensions
+    ids=lambda v: "-".join(v.elements) if hasattr(v, "elements") else None)
 def test_sweep_kernel_matches_the_per_instance_check(lat, max_base, max_new):
     report = SweepReport(0, [])
     failures = list(_sweep(lat, max_base, max_new, report=report))

@@ -5,10 +5,10 @@ import pytest
 
 from permlat.errors import (NotConvexError, TopBottomMismatchError,
                             UndefinedRestrictionError)
-from permlat.spaces import LambdaSpace
 from permlat.sqorders import (OrderedLambdaStructure, SubquotientOrder, compose_lex,
                               convexity_check, generic_filler, restrict_to,
                               split_convex_linear, validate_sqorder)
+from space_helpers import space_from_distances
 
 
 def linear_order(space, ranks):
@@ -23,7 +23,7 @@ def block_space(chain3):
     block = {i: i // 2 for i in range(8)}
     for i, j in itertools.combinations(range(8), 2):
         dd[(f"q{i}", f"q{j}")] = "E" if block[i] == block[j] else "1"
-    return LambdaSpace.from_distances(chain3, [f"q{i}" for i in range(8)], dd)
+    return space_from_distances(chain3, [f"q{i}" for i in range(8)], dd)
 
 
 @pytest.fixture
@@ -39,7 +39,7 @@ def b2_grid_space(b2):
             dd[(f"p{i}", f"p{j}")] = "b"
         else:
             dd[(f"p{i}", f"p{j}")] = "1"
-    return LambdaSpace.from_distances(b2, [f"p{i}" for i in range(8)], dd)
+    return space_from_distances(b2, [f"p{i}" for i in range(8)], dd)
 
 
 def test_linear_order_is_a_valid_subquotient_order(block_space):
@@ -123,7 +123,7 @@ def test_decreasing_sequence_of_increasing_sequences(chain3):
     # 4 points, two blocks; within ascending, blocks reversed
     dd = {("x0", "x1"): "E", ("x2", "x3"): "E",
           ("x0", "x2"): "1", ("x0", "x3"): "1", ("x1", "x2"): "1", ("x1", "x3"): "1"}
-    space = LambdaSpace.from_distances(chain3, ["x0", "x1", "x2", "x3"], dd)
+    space = space_from_distances(chain3, ["x0", "x1", "x2", "x3"], dd)
     lo = SubquotientOrder.from_ranks(space, "0", "E",
                                      {"x0": 0, "x1": 1, "x2": 0, "x3": 1})
     hi = SubquotientOrder.from_ranks(space, "E", "1", {"x0": 1, "x2": 0})
@@ -143,7 +143,7 @@ def test_compose_is_associative_on_three_levels(chain4):
             dd[(f"q{i}", f"q{j}")] = "f"
         else:
             dd[(f"q{i}", f"q{j}")] = "1"
-    space = LambdaSpace.from_distances(chain4, [f"q{i}" for i in range(8)], dd)
+    space = space_from_distances(chain4, [f"q{i}" for i in range(8)], dd)
     rng = random.Random(9)
     o1 = generic_filler(space, "0", "e", rng)
     o2 = generic_filler(space, "e", "f", rng)
@@ -182,7 +182,7 @@ def test_convexity_at_bottom_is_trivial(block_space):
 
 def test_interleaving_blocks_detected(chain3):
     dd = {("x0", "x2"): "E", ("x0", "x1"): "1", ("x1", "x2"): "1"}
-    space = LambdaSpace.from_distances(chain3, ["x0", "x1", "x2"], dd)
+    space = space_from_distances(chain3, ["x0", "x1", "x2"], dd)
     o = linear_order(space, {"x0": 0, "x1": 1, "x2": 2})
     result = convexity_check(o, "E")
     assert not result
@@ -209,7 +209,7 @@ def test_split_then_compose_is_identity_on_random_convex_orders(block_space):
 
 def test_split_non_convex_raises_with_witness(chain3):
     dd = {("x0", "x2"): "E", ("x0", "x1"): "1", ("x1", "x2"): "1"}
-    space = LambdaSpace.from_distances(chain3, ["x0", "x1", "x2"], dd)
+    space = space_from_distances(chain3, ["x0", "x1", "x2"], dd)
     o = linear_order(space, {"x0": 0, "x1": 1, "x2": 2})
     with pytest.raises(NotConvexError) as err:
         split_convex_linear(o, "E")
