@@ -9,8 +9,8 @@ import json
 from pathlib import Path
 
 from . import __version__
-from .errors import FormatError
-from .lattice import FiniteLattice, lambda0_poset
+from .errors import FormatError, SizeCapError
+from .lattice import MAX_ELEMENTS, FiniteLattice, lambda0_poset
 from .permstruct import PermStructure
 from .spaces import LambdaSpace
 from .sqorders import OrderedLambdaStructure, SubquotientOrder
@@ -59,6 +59,9 @@ def load_lattice(path: str | Path) -> FiniteLattice:
             elements = tuple(line.split(":", 1)[1].split())
             if not elements:
                 raise FormatError(f"{path}:{lineno}: 'elements:' names no element")
+            if len(elements) > MAX_ELEMENTS:
+                raise SizeCapError(f"{path}:{lineno}: lattices are capped at {MAX_ELEMENTS} "
+                                   f"elements, got {len(elements)}")
             _distinct(path, lineno, elements, "element id")
         elif line.startswith("cover:"):
             body = line.split(":", 1)[1]

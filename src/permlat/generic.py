@@ -166,21 +166,6 @@ def _append_point(s: OrderedLambdaStructure, ctx: _CheckContext, idx_a, delta, g
     return OrderedLambdaStructure(new_space, tuple(new_orders))
 
 
-def _force_far_point(s: OrderedLambdaStructure, rng: random.Random) -> OrderedLambdaStructure:
-    """Append a point at top distance from everything, ranks seeded. The
-    orders of s must have dense ranks, as for ``_append_point``."""
-    lat = s.space.lattice
-    name = _new_name(s.space)
-    new_space = s.space.extended(name, [lat.top_idx] * s.space.n)
-    new_orders = []
-    for o in s.orders:
-        rank = dict(o.rank)
-        # below the lattice top the new point is alone in its top class
-        rank[name] = rng.randint(0, len(rank)) - 0.5 if o.top == lat.top else 0
-        new_orders.append(SubquotientOrder(new_space, o.bottom, o.top, rank).renormalized())
-    return OrderedLambdaStructure(new_space, tuple(new_orders))
-
-
 # ---------------------------------------------------------------------------
 # seeded generation
 
@@ -311,9 +296,13 @@ def generate_generic(lat: FiniteLattice, sq_signature, cfg: GenerationConfig,
             if cand:
                 append(_append_point(s, ctx, A, *cand[rng.randrange(len(cand))].type, rng))
         if s.space.n == n:
-            # every pair realized below target (possible only in order-free
-            # signatures): densify with far generic points
-            append(_force_far_point(s, rng))
+            # every type over every subset realized: append over the empty
+            # base, at distance top from every point, drawing no rank. Only
+            # order-free signatures get here. Given an order o and a point a
+            # whose bottom class ranks last in its scale, no point realizes the
+            # type over {a} at distance top_o ranked above a (gap 1). So a
+            # plain walk always appends, and a steered one does too (above)
+            append(_append_point(s, ctx, (), (), (None,) * len(s.orders), rng))
     saturation = None
     if with_saturation_report:
         saturation = _extension_report(ctx, k)
@@ -466,8 +455,7 @@ class _CheckContext:
             bot = lat.index[o.bottom]
             top = lat.index[o.top]
             reps = o.bottom_reps
-            rank_by_idx = [o.rank[s.space.points[reps[i]]] for i in range(self.n)] \
-                if s.space.n else []
+            rank_by_idx = [o.rank[s.space.points[reps[i]]] for i in range(self.n)]
             self.orders.append((bot, top, reps, rank_by_idx))
         self._scales_base: tuple | None = None
         self._scales: dict = {}

@@ -82,17 +82,14 @@ def _triangles(lat: FiniteLattice) -> tuple[tuple[int, ...], ...]:
                        for b in elems) for a in elems)
 
 
-def _triangle_rows(lat: FiniteLattice, base_dist,
-                   prefix: tuple[int, ...] = ()) -> list[tuple[int, ...]]:
+def _triangle_rows(lat: FiniteLattice, base_dist) -> list[tuple[int, ...]]:
     """Every row of nonzero distances from one new point to the points of
     ``base_dist`` (a square distance matrix) that keeps each join-triangle
-    through two base points, in lexicographic order. The row starts with
-    ``prefix``, taken as given."""
+    through two base points, in lexicographic order."""
     tri = _triangles(lat)
     nonzero = lat.nonzero_idx()
-    rows = [tuple(prefix)]
-    for v in range(len(prefix), len(base_dist)):
-        dv = base_dist[v]
+    rows = [()]
+    for dv in base_dist:
         grown = []
         for row in rows:
             # bit z: (row[u], dv[u], z) keeps the triangle for every u
@@ -380,26 +377,25 @@ def _has_pseudo_completion(lat: FiniteLattice, base: LambdaSpace,
 
 def amalgamation_failure_probe(lat: FiniteLattice, max_base: int = 3,
                                max_new: int = 2) -> FailingInstance | None:
-    """Search for a base/factor pair with no amalgam at all: the first
-    instance, in sweep order, that resists every completion, identification
-    included.
+    """Search for a base/factor pair with no amalgam at all: the first of
+    the sweep's faulty instances, in sweep order, that resists every
+    completion, identification included.
 
-    Only the sweep's faulty instances can resist: where the canonical
-    completion passes the sweep's checks it is itself a completion, since it
-    keeps every triangle through a cross pair and puts bottom only between
-    equal rows. On a distributive lattice the sweep finds no fault; on a
+    Only faulty instances can resist: where the canonical completion passes
+    the sweep's checks it is itself a completion, since it keeps every
+    triangle through a cross pair and puts bottom only between equal rows. On a distributive lattice the sweep finds no fault; on a
     non-distributive one some instance in this space has no completion.
     """
-    for base, f1, f2, _ in _sweep(lat, max_base, max_new):
-        if not _has_pseudo_completion(lat, base, f1, f2):
-            return FailingInstance(base, f1, f2)
+    for inst in _sweep(lat, max_base, max_new):
+        if not _has_pseudo_completion(lat, inst.base, inst.f1, inst.f2):
+            return inst
     return None
 
 
 @dataclass
 class SweepReport:
     instances: int
-    failures: list
+    failures: list[FailingInstance]
 
 
 def _extensions(lat: FiniteLattice, base: LambdaSpace, max_new: int):
@@ -441,7 +437,8 @@ def amalgam_validity_sweep(lat: FiniteLattice, max_base: int = 3,
                            max_new: int = 2) -> SweepReport:
     """Exhaustively amalgamate every instance (bases up to isomorphism) and
     check that each canonical completion is a valid space. Reports the number
-    of instances and every faulty one with its reason (see ``_sweep``).
+    of instances and every faulty one (see ``_sweep``); on the distributive
+    lattices it accepts there is none.
 
     Maximality needs no search: the join-triangle through a base point c
     bounds any valid cross distance d(a,b) by d(a,c) join d(c,b), so every
@@ -455,7 +452,7 @@ def amalgam_validity_sweep(lat: FiniteLattice, max_base: int = 3,
 
 def _sweep(lat: FiniteLattice, max_base: int, max_new: int,
            report: SweepReport | None = None):
-    """Every faulty instance as (base, f1, f2, reason), lazily and in sweep
+    """Every faulty instance as a ``FailingInstance``, lazily and in sweep
     order (bases, then f1 over the extensions, then f2 from f1's position
     on); adds the number of instances to ``report.instances`` base by base.
 
@@ -463,14 +460,15 @@ def _sweep(lat: FiniteLattice, max_base: int, max_new: int,
     through a cross pair or puts two distinct rows at distance bottom
     (factor-internal triangles hold by the enumeration). That depends only
     on pairs of rows: per base, one table holds each row pair's cross
-    distance and first fault, and each extension gets a mask of its rows and
-    a mask of the rows it faults against, by a pair fault or by a triangle
-    through its other new point (mutual distance m): bit m of ``ok[u][v]``
-    for the cross distances u, v of its two rows to that row, as ``ok`` is
-    symmetric in its three sides. An instance is faulty exactly when either
-    factor's fault mask meets the other's rows, so only the pairs with a
-    fault mask set on some side are visited, in sweep order (none, on a
-    distributive lattice). Only faulty instances are built as spaces.
+    distance, one fault mask per row marks its pair faults (bottom between
+    distinct rows, a broken base triangle), and each extension gets a mask
+    of its rows and a mask of the rows it faults against, by a pair fault or
+    by a triangle through its other new point (mutual distance m): bit m of
+    ``ok[u][v]`` for the cross distances u, v of its two rows to that row, as
+    ``ok`` is symmetric in its three sides. An instance is faulty exactly
+    when either factor's fault mask meets the other's rows, so only the pairs
+    with a fault mask set on some side are visited, in sweep order (none, on
+    a distributive lattice). Only faulty instances are built as spaces.
     """
     bot, top = lat.bottom_idx, lat.top_idx
     ok = _triangles(lat)
@@ -478,20 +476,16 @@ def _sweep(lat: FiniteLattice, max_base: int, max_new: int,
         rows, exts = _extensions(lat, base, max_new)
         nrows = len(rows)
         cross = [[top] * nrows for _ in range(nrows)]
-        fault = [[None] * nrows for _ in range(nrows)]
+        faulty = [0] * nrows
         for i, ri in enumerate(rows):
             for j in range(i, nrows):
                 rj = rows[j]
                 m = _meet_of_joins(lat, ri, rj)
                 cross[i][j] = cross[j][i] = m
-                if m == bot and i != j:
-                    f = ("identification of distinct types",)
-                else:
-                    okm = ok[m]
-                    f = next((("base triangle", c) for c, (x, y) in enumerate(zip(ri, rj))
-                              if not okm[x] >> y & 1), None)
-                fault[i][j] = fault[j][i] = f
-        faulty = [sum(1 << j for j, f in enumerate(fi) if f) for fi in fault]
+                okm = ok[m]
+                if m == bot and i != j or not all(okm[x] >> y & 1 for x, y in zip(ri, rj)):
+                    faulty[i] |= 1 << j
+                    faulty[j] |= 1 << i
         masks = []
         pair = None
         for idx, m in exts:
@@ -517,23 +511,5 @@ def _sweep(lat: FiniteLattice, max_base: int, max_new: int,
             for e2 in partners:
                 own2, bad2 = masks[e2]
                 if bad1 & own2 or bad2 & own1:
-                    yield (base, _materialize(base, rows, exts[e1], "x"),
-                           _materialize(base, rows, exts[e2], "y"),
-                           _reason(exts[e1], exts[e2], cross, fault, ok))
-
-
-def _reason(ext1, ext2, cross, fault, ok) -> tuple:
-    """The first fault of a faulty instance, scanning its cross pairs (a, b)
-    in order: the pair's own fault, then the triangle through f1's other new
-    point, then the one through f2's."""
-    (idx1, m1), (idx2, m2) = ext1, ext2
-    for a, i in enumerate(idx1):
-        for b, j in enumerate(idx2):
-            if fault[i][j]:
-                name, *at = fault[i][j]
-                return (name, a, b, *at)
-            if m1 is not None and not ok[cross[i][j]][m1] >> cross[idx1[1 - a]][j] & 1:
-                return ("f1 sibling triangle", a, b)
-            if m2 is not None and not ok[cross[i][j]][m2] >> cross[i][idx2[1 - b]] & 1:
-                return ("f2 sibling triangle", a, b)
-
+                    yield FailingInstance(base, _materialize(base, rows, exts[e1], "x"),
+                                          _materialize(base, rows, exts[e2], "y"))

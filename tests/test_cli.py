@@ -18,7 +18,7 @@ from permlat import errors
 from permlat.cli import main
 from permlat.formats import (dump_lattice, dump_perm, dump_structure, load_lattice,
                              load_manifest, load_perm, load_structure)
-from permlat.lattice import boolean2, chain_lattice, m3
+from permlat.lattice import boolean2, chain_lattice, m3, n5
 
 
 @pytest.fixture
@@ -527,6 +527,21 @@ def test_lattice_enum_cap_names_the_flag(capsys):
     assert capsys.readouterr().err == "error [SIZE_CAP]: --max-size is capped at 8, got 9\n"
 
 
+def test_lattice_size_cap_names_the_file_and_line(tmp_path, capsys):
+    # a 17-element chain is refused at its elements: line, read directly or
+    # through a structure file's lattice: header
+    lat = tmp_path / "c17.lat"
+    lat.write_text("elements: " + " ".join(map(str, range(17))) + "\n"
+                   + "".join(f"cover: {i} < {i + 1}\n" for i in range(16)))
+    struct = tmp_path / "s.struct"
+    struct.write_text("lattice: c17.lat\npoints: a\n")
+    for argv in (["lattice", "check", lat], ["lattice", "bounds", lat],
+                 ["check", "ext", "--in", struct]):
+        assert main([str(a) for a in argv]) == 1
+        assert capsys.readouterr().err == (
+            f"error [SIZE_CAP]: {lat}:1: lattices are capped at 16 elements, got 17\n")
+
+
 @pytest.mark.parametrize("flag, value, cap", [("--max-base", "5", 4), ("--max-new", "3", 2)])
 def test_space_probe_caps_name_the_flag_before_reading_the_lattice(tmp_path, capsys, flag,
                                                                    value, cap):
@@ -749,6 +764,19 @@ def test_lattice_enum_matches_golden_digest(capsys):
     assert code == 0
     assert (hashlib.sha256(out.encode()).hexdigest()
             == "a7900cf85373828715dc7a4e3d5969ebe33dcca26913c965bdfe21b055788b39")
+
+
+@pytest.mark.parametrize("lat, sha", [
+    (m3(), "4c5486df3824d945cecaee04634973f4e48d145c87003ae5b11ad1994746a12a"),
+    (n5(), "cae7326a6b472b52bd4d73e171b6ce1b46a9f4ccf539e77062c459236e075bc7"),
+], ids=["m3", "n5"])
+def test_space_probe_json_matches_golden_digest(tmp_path, capsys, lat, sha):
+    # pins the first instance without an amalgam: its base and both factors
+    path = tmp_path / "probe.lat"
+    path.write_text(dump_lattice(lat))
+    code, out = run(["space", "probe", path, "--max-base", "3", "--json"], capsys)
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
 
 
 @pytest.mark.parametrize("lat, orders, size, depth, seed, struct_sha, perm_sha", [

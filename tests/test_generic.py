@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import random
 import warnings
@@ -13,7 +14,7 @@ from permlat.errors import (InvalidStructureError, MeetReducibleBottomError,
 from permlat.formats import dump_structure
 from permlat.generic import (GenerationConfig, GenerationResult, HomogeneityReport,
                              OnePointType, SaturationReport, _append_point, _CheckContext,
-                             _extension_report, _force_far_point, empty_structure,
+                             _extension_report, empty_structure,
                              enumerate_one_point_types, extension_property_check,
                              generate_generic, homogeneity_check, realize_type)
 from permlat.lattice import (boolean2, chain_lattice, enumerate_distributive_lattices, m3,
@@ -455,7 +456,7 @@ def _count_form_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("grow", ["realize_type", "_force_far_point"])
+@pytest.mark.parametrize("grow", ["realize_type", "empty_base"])
 def test_index_entries_survive_an_appended_point(chain3, grow):
     # the memo rests on this: appending a point changes no old pair code, so
     # every old subset keeps its canonical form, its pattern keys and the
@@ -474,7 +475,9 @@ def test_index_entries_survive_an_appended_point(chain3, grow):
         assert grown.added is not None
         grown = grown.structure
     else:
-        grown = _force_far_point(s, random.Random(3))
+        # a point over the empty base, as order-free generation appends its
+        # far points
+        grown = _append_point(s, ctx, (), (), (None,) * len(s.orders), random.Random(3))
     assert grown.space.points[:-1] == s.space.points
     ctx.extend(grown)
     fresh = _CheckContext(grown)
@@ -737,6 +740,20 @@ def test_sweep_census_matches_the_per_subset_census(request, monkeypatch, lat, s
     assert [o.rank for o in s.orders] == [o.rank for o in plain.orders]
 
 
+def _record_far_points(monkeypatch):
+    # the size of the structure at every append over the empty base after
+    # its first point: generation's far points
+    append, sizes = generic._append_point, []
+
+    def recorded(s, ctx, idx_a, *rest):
+        if not idx_a and s.space.n:
+            sizes.append(s.space.n)
+        return append(s, ctx, idx_a, *rest)
+
+    monkeypatch.setattr(generic, "_append_point", recorded)
+    return sizes
+
+
 @pytest.mark.parametrize("lat, sig, far", [("chain3", SIGS["chain3"], False),
                                            ("chain2", [], True)])
 def test_generation_walks_the_subsets_once_per_pass(request, monkeypatch, lat, sig, far):
@@ -744,27 +761,59 @@ def test_generation_walks_the_subsets_once_per_pass(request, monkeypatch, lat, s
     # visit walk; once a census leaves no pattern missing, steering ends and
     # every later pass is a plain visit walk alone. The 3-chain steers to
     # its last point; the order-free signature stops steering, runs out of
-    # unrealized pairs and appends far points (a steered walk always appends)
+    # unrealized types and appends far points, over the empty base after
+    # the first point (a steered walk always appends)
+    walks = []
+    forced = _record_far_points(monkeypatch)
     sweep = _CheckContext.sweep
-    force = generic._force_far_point
-    walks, forced = [], []
 
     def recorded(ctx, k, since=None):
         walks.append(since is not None)
         return sweep(ctx, k, since)
 
-    def recorded_force(s, rng):
-        forced.append(s.space.n)
-        return force(s, rng)
-
     monkeypatch.setattr(_CheckContext, "sweep", recorded)
-    monkeypatch.setattr(generic, "_force_far_point", recorded_force)
     s = gen(request.getfixturevalue(lat), sig, seed=3, size=20)
     assert s.space.n == 20
     steered = walks.count(True)
     plain = len(walks) - 2 * steered
     assert steered > 2 and walks == [True, False] * steered + [False] * plain
     assert bool(plain) == bool(forced) == far
+
+
+def test_generation_with_an_order_never_appends_a_far_point(monkeypatch):
+    # a plain walk over a structure with an order always finds an unrealized
+    # type over one point, so a far point needs an order-free signature:
+    # every distributive lattice of 2-6 elements, with its cover signature
+    # and with each of its one-order signatures
+    forced = _record_far_points(monkeypatch)
+    runs = 0
+    for lat in enumerate_distributive_lattices(6):
+        mi = meet_irreducibles(lat)
+        cover = [(e, mi.cover[e]) for e in mi.elements]
+        if not cover:  # the one-element lattice
+            continue
+        sigs = [cover] + [[pair] for pair in cover if [pair] != cover]
+        for sig, depth in itertools.product(sigs, (1, 2, 3)):
+            cfg = GenerationConfig(seed=0, target_size=16, saturation_depth=depth)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                generate_generic(lat, sig, cfg, with_saturation_report=False)
+            runs += 1
+    assert runs == 147 and forced == []
+
+
+def test_order_free_generation_matches_its_golden_digest():
+    # pins the far points of order-free generation, report and steps included
+    digest = hashlib.sha256()
+    for lat, depth, seed in itertools.product(
+            [chain_lattice(2), chain_lattice(3), boolean2(), chain_lattice(4)], (1, 2, 3),
+            range(6)):
+        cfg = GenerationConfig(seed=seed, target_size=16, saturation_depth=depth)
+        got = generate_generic(lat, [], cfg)
+        digest.update(dump_structure(got.structure).encode())
+        digest.update(repr(got.saturation.as_dict()).encode())
+        digest.update(str(got.steps).encode())
+    assert digest.hexdigest() == "957a671fced1063e9f300b67fd29280861c2bd73433b8299b970ff026a37820f"
 
 
 def _eager_generate(lat, sig, cfg):
@@ -801,7 +850,7 @@ def _eager_generate(lat, sig, cfg):
             if cand:
                 append(_append_point(s, ctx, A, *cand[rng.randrange(len(cand))].type, rng))
         if s.space.n == n:
-            append(_force_far_point(s, rng))
+            append(_append_point(s, ctx, (), (), (None,) * len(s.orders), rng))
     return GenerationResult(s, _extension_report(ctx, k), s.space.n), steered_at
 
 

@@ -6,8 +6,8 @@ import pytest
 from permlat.errors import InvalidFactorError, NonDistributiveError, SizeCapError
 from permlat.canon import canonical_key
 from permlat.lattice import (boolean2, chain_lattice, enumerate_lattices, is_distributive, m3,
-                             n5)
-from permlat.spaces import (LambdaSpace, SweepReport, amalgam_validity_sweep,
+                             n5, vertical_sum)
+from permlat.spaces import (FailingInstance, LambdaSpace, SweepReport, amalgam_validity_sweep,
                             amalgamation_failure_probe, canonical_amalgam,
                             equivalences_from_space, space_from_equivalences,
                             validate_space, _base_spaces, _extensions,
@@ -405,34 +405,28 @@ def _reference_sweep(lat, max_base, max_new):
     def leq(i, j):
         return up[i] & (1 << j)
 
-    report = SweepReport(0, [])
-    for base, rows1, m1, rows2, m2, f1, f2 in _reference_instances(lat, max_base, max_new):
-        report.instances += 1
+    def faulty(rows1, m1, rows2, m2, base_n):
         cross = [[lat.meet_many_idx([join[x][y] for x, y in zip(ra, rb)]) for rb in rows2]
                  for ra in rows1]
-        bad = None
         for a, ra in enumerate(rows1):
             for b, rb in enumerate(rows2):
                 cab = cross[a][b]
                 if cab == bot and ra != rb:
-                    bad = ("identification of distinct types", a, b)
-                    break
-                for c in range(base.n):
+                    return True
+                for c in range(base_n):
                     if not leq(ra[c], join[cab][rb[c]]) or not leq(rb[c], join[cab][ra[c]]):
-                        bad = ("base triangle", a, b, c)
-                        break
-                if bad:
-                    break
+                        return True
                 if len(rows1) == 2 and not _triangle_ok(up, join, cab, m1, cross[1 - a][b]):
-                    bad = ("f1 sibling triangle", a, b)
-                    break
+                    return True
                 if len(rows2) == 2 and not _triangle_ok(up, join, cab, m2, cross[a][1 - b]):
-                    bad = ("f2 sibling triangle", a, b)
-                    break
-            if bad:
-                break
-        if bad is not None:
-            report.failures.append((base, f1(), f2(), bad))
+                    return True
+        return False
+
+    report = SweepReport(0, [])
+    for base, rows1, m1, rows2, m2, f1, f2 in _reference_instances(lat, max_base, max_new):
+        report.instances += 1
+        if faulty(rows1, m1, rows2, m2, base.n):
+            report.failures.append(FailingInstance(base, f1(), f2()))
     return report
 
 
@@ -456,7 +450,10 @@ def test_two_point_extensions_are_exactly_the_valid_ones(lat, max_base):
 @pytest.mark.parametrize("max_base, max_new, lat", [
     (max_base, max_new, lat) for max_base, max_new in [(2, 2), (3, 1), (1, 2)]
     for lat in _SMALL_LATTICES
-] + [(3, 2, n5())],  # the benchmark's size, on bases mixing clean and faulty extensions
+] + [(3, 2, n5()),  # the benchmark's size, on bases mixing clean and faulty extensions
+      # N5 under a new bottom: its faults are broken base triangles alone, which
+      # no lattice of up to 5 elements shows on up to 4 base points
+      (3, 1, vertical_sum(chain_lattice(1), n5()))],
     ids=lambda v: "-".join(v.elements) if hasattr(v, "elements") else None)
 def test_sweep_kernel_matches_the_per_instance_check(lat, max_base, max_new):
     report = SweepReport(0, [])
