@@ -314,15 +314,6 @@ def generate_generic(lat: FiniteLattice, sq_signature, cfg: GenerationConfig,
 # canonical pattern keys
 
 
-def _canonical_autos(matrix) -> list[tuple[int, ...]]:
-    k = len(matrix)
-    out = []
-    for perm in itertools.permutations(range(k)):
-        if all(matrix[perm[u]][perm[v]] == matrix[u][v] for u in range(k) for v in range(k)):
-            out.append(perm)
-    return out
-
-
 def _apply_perm_type(delta: tuple[int, ...], gaps: tuple[Gap, ...], perm) -> tuple:
     return (tuple(delta[perm[u]] for u in range(len(delta))), gaps)
 
@@ -337,16 +328,17 @@ def _labellings(k: int) -> list:
 
 class _Class:
     """One isomorphism class of bases: its canonical matrix and
-    automorphisms. A base's consistent types depend only on its pair codes,
-    so they are a function of the class. A pattern key is (matrix, least
-    image of a type in class coordinates under the automorphisms); the
-    index numbers the keys in its shared ``keys`` list."""
+    automorphisms, in lexicographic order (``form`` finds them). A base's
+    consistent types depend only on its pair codes, so they are a function
+    of the class. A pattern key is (matrix, least image of a type in class
+    coordinates under the automorphisms); the index numbers the keys in its
+    shared ``keys`` list."""
 
     __slots__ = ("matrix", "autos", "keys", "patterns")
 
-    def __init__(self, matrix, keys: list):
+    def __init__(self, matrix, autos: list, keys: list):
         self.matrix = matrix
-        self.autos = _canonical_autos(matrix)
+        self.autos = autos
         self.keys = keys
         self.patterns: dict = {}   # type in class coordinates -> pattern number
 
@@ -404,8 +396,9 @@ class _CheckContext:
     and report and both checks read it. Its per-form row tables are the one
     record of the types realized: ``realized`` holds the pattern of every
     consistent entry, and an entry is made only from a point having its
-    row. So ``realized`` is exact only once every row has been entered: in
-    generation, only at each steered pass start.
+    row. So ``realized`` is exact only once every row has been entered: at
+    each steered pass start of generation, and after any ``sweep(k)`` that
+    runs to its end, which is when the reports read it.
 
     It holds a table of pair codes (distance, then per order: same bottom
     class, other top class, below or above), one ``_Form`` per matrix of
@@ -445,7 +438,7 @@ class _CheckContext:
 
     def extend(self, s: OrderedLambdaStructure) -> None:
         """Bind the index to s: at construction, then to the same structure
-        with points appended; codes of new pairs are added when next needed."""
+        with points appended, adding the codes of the new pairs."""
         lat = self.lat
         self.n = s.space.n
         self.dist = s.space.dist
@@ -459,6 +452,11 @@ class _CheckContext:
             self.orders.append((bot, top, reps, rank_by_idx))
         self._scales_base: tuple | None = None
         self._scales: dict = {}
+        to = self._to
+        for j in range(len(to), self.n):
+            for i in range(j):
+                to[i].append(self._pair_code(j, i))
+            to.append([self._pair_code(i, j) for i in range(j)] + [-1])
 
     def leq(self, i: int, j: int) -> bool:
         return bool(self.up[i] & (1 << j))
@@ -483,33 +481,33 @@ class _CheckContext:
         m = len(self.orders)
         return (code >> 2 * m, tuple((code >> 2 * (m - 1 - t)) & 3 for t in range(m)))
 
-    def _codes(self) -> list[list[int]]:
-        to = self._to
-        for j in range(len(to), self.n):
-            for i in range(j):
-                to[i].append(self._pair_code(j, i))
-            to.append([self._pair_code(i, j) for i in range(j)] + [-1])
-        return to
-
     def form(self, idx_a: tuple) -> _Form:
         """Canonical form of the subset: the lexicographically least code
         matrix over its labellings, the first labelling reaching it, and the
         type table of that (class, labelling). Memoized per raw code matrix;
-        the walks look a subset up in its prefix form's ``children`` first."""
-        to = self._codes()
+        the walks look a subset up in its prefix form's ``children`` first.
+
+        A new class takes its automorphisms from the same scan: q reaches
+        the least matrix exactly when q = perm * a for an automorphism a of
+        it, so a = perm^-1 * q."""
+        to = self._to
         facts = tuple([to[b][a] for a in idx_a for b in idx_a])
         form = self._by_codes.get(facts)
         if form is None:
             k = len(idx_a)
+            scanned = [(tuple(map(facts.__getitem__, cells)), perm)
+                       for perm, cells in _labellings(k)]
             # perms come in lexicographic order, so ties go to the first one
-            best, perm = min((tuple(map(facts.__getitem__, cells)), perm)
-                             for perm, cells in _labellings(k))
+            best, perm = min(scanned)
             cls = self._classes.get((k, best))
             if cls is None:
                 codes = iter(best)
                 matrix = tuple(tuple((0,) if u == v else self._decode(next(codes))
                                      for v in range(k)) for u in range(k))
-                cls = self._classes[(k, best)] = _Class(matrix, self.keys)
+                inverse = sorted(range(k), key=perm.__getitem__)
+                autos = sorted(tuple([inverse[q[u]] for u in range(k)])
+                               for key, q in scanned if key == best)
+                cls = self._classes[(k, best)] = _Class(matrix, autos, self.keys)
             types = {}
             for t in self.types(idx_a):
                 local = _apply_perm_type(*t, perm)
@@ -519,7 +517,7 @@ class _CheckContext:
 
     def row(self, idx_a: tuple, z: int) -> int:
         """The packed row of the point z over the subset."""
-        to = self._codes()
+        to = self._to
         row = 0
         for a in idx_a:
             row = row << self.width | to[a][z]
@@ -587,9 +585,16 @@ class _CheckContext:
         the last point to the prefix, and with strict ranks inside each scale
         the codes the other way are the same with below and above swapped,
         so the prefix's code matrix and the row fix the subset's. Like every
-        form table, the children survive ``extend``."""
+        form table, the children survive ``extend``.
+
+        Yielding size by size, lazily, builds each prefix's rows again for
+        every larger size: at k = 3 over 20 points, 1,558 row builds for
+        1,351 subsets (12,464 for 10,808 over the eight structures of a
+        ``pipeline`` benchmark pass). One preorder walk would build each
+        once, but would have to hold every subset's rows until its size
+        comes."""
         n = self.n
-        to = self._codes()
+        to = self._to
         root = self.form(())
         if k >= 0 and since is None:
             yield (), root, [0] * n, self._fill(root, (), [0] * n)
@@ -625,7 +630,7 @@ class _CheckContext:
         root = self.form(())
         if 0 not in root.rows:
             self._row_type(root, (), 0, z)
-        self._register_walk(self._codes(), (), [0] * (z + 1), root, k)
+        self._register_walk(self._to, (), [0] * (z + 1), root, k)
 
     def _register_walk(self, to, prefix, rows, form, depth):
         """``register``'s entries below ``prefix``; a method, as a recursive closure is a cycle."""
@@ -695,17 +700,18 @@ class _CheckContext:
 
 
 def _extension_report(ctx: _CheckContext, k: int) -> SaturationReport:
-    """Tallied per form: a subset has its form's own rows, and in a valid
-    structure one realized type per distinct outside row."""
-    tallies: dict = {}     # form -> [subsets, distinct rows summed over them, rows met]
+    """The report of a full ``sweep(k)``. Pairs are tallied per form: a
+    subset has its form's own rows, the None entries of its row table, and
+    in a valid structure one realized type per distinct outside row.
+    Patterns are read off the index: after the sweep every form is one of a
+    subset of at most k points and every row has an entry, so ``keys`` are
+    the patterns and ``realized`` the realized ones."""
+    tallies: dict = {}     # form -> [subsets, distinct rows summed over them]
     missing_pairs = []
     for A, form, _, distinct in ctx.sweep(k):
-        tally = tallies.get(form)
-        if tally is None:
-            tally = tallies[form] = [0, 0, set()]
+        tally = tallies.setdefault(form, [0, 0])
         tally[0] += 1
         tally[1] += len(distinct)
-        tally[2] |= distinct
         if len(missing_pairs) < 200:
             exact = set(map(form.rows.__getitem__, distinct))
             missing = [t for t in form.types.values() if t not in exact]
@@ -714,16 +720,11 @@ def _extension_report(ctx: _CheckContext, k: int) -> SaturationReport:
                 missing_pairs += [(names, OnePointType(names, *t.type))
                                   for t in missing[:200 - len(missing_pairs)]]
     pair_total = pair_realized = 0
-    pattern_all: set = set()
-    pattern_hit: set = set()
-    for form, (subsets, realized, rows) in tallies.items():
-        types = [form.rows[row] for row in rows]
+    for form, (subsets, realized) in tallies.items():
         pair_total += subsets * len(form.types)
-        pair_realized += realized - subsets * types.count(None)
-        pattern_all.update(t.pattern for t in form.types.values())
-        pattern_hit.update(t.pattern for t in types if t)
-    missing_patterns = sorted(repr(ctx.keys[p]) for p in pattern_all - pattern_hit)
-    return SaturationReport(len(pattern_all), len(pattern_hit),
+        pair_realized += realized - subsets * list(form.rows.values()).count(None)
+    missing_patterns = sorted(repr(key) for p, key in enumerate(ctx.keys) if p not in ctx.realized)
+    return SaturationReport(len(ctx.keys), len(ctx.realized),
                             pair_total, pair_realized, missing_pairs, missing_patterns)
 
 
@@ -784,7 +785,10 @@ def homogeneity_check(s: OrderedLambdaStructure, m: int) -> HomogeneityReport:
     instead of the quadratic pair list; results are identical. A form's
     types map one to one onto its class's types in class coordinates, and
     in a valid structure its distinct outside rows onto its realized types,
-    so the per-row tallies of one pass give each class's counts.
+    so the per-row tallies of one pass give each class's counts. Pattern
+    failures are read off the index after that pass, as in
+    ``_extension_report``: a class's missing patterns are its pattern
+    numbers (the values of ``patterns``) not in ``realized``.
     """
     ctx = _check_context(s, m, "homogeneity_check")
     points = s.space.points
@@ -811,7 +815,7 @@ def homogeneity_check(s: OrderedLambdaStructure, m: int) -> HomogeneityReport:
     pairs_checked = 0
     misses = 0
     failures = []
-    pattern_failures = 0
+    pattern_failures = len(ctx.keys) - len(ctx.realized)
     missing_patterns = []
     for cls, (subsets, forms) in members.items():
         autos = cls.autos
@@ -833,13 +837,8 @@ def homogeneity_check(s: OrderedLambdaStructure, m: int) -> HomogeneityReport:
                 if absent:
                     class_misses += total_count * absent
         misses += class_misses
-        # pattern level: consistent types of the class vs realized orbit
-        consistent = {t.pattern for t in forms[0].types.values()}
-        realized_orbit = {cls.pattern(u) for u in class_counts}
-        for missing in sorted(repr(ctx.keys[p][1]) for p in consistent - realized_orbit):
-            pattern_failures += 1
-            if len(missing_patterns) < 50:
-                missing_patterns.append((repr(cls.matrix), missing))
+        missing = sorted(repr(ctx.keys[p][1]) for p in set(cls.patterns.values()) - ctx.realized)
+        missing_patterns += [(repr(cls.matrix), u) for u in missing[:50 - len(missing_patterns)]]
         if class_misses and len(failures) < 20:
             # surface a concrete example for the report
             failures.extend(itertools.islice((

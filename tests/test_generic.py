@@ -423,6 +423,7 @@ def test_checks_match_per_subset_type_references(request, lat, size, depth, k, c
         hom, href = homogeneity_check(subject, k), ref_homogeneity_check(subject, k)
         assert hom.as_dict() == href.as_dict()
         assert hom.failures == href.failures
+        assert hom.pattern_failures == ext.pattern_total - ext.pattern_realized
     report = extension_property_check(s, k)
     assert (report.ratio == 1.0) == complete
     assert bool(report.missing_patterns) != complete
@@ -481,7 +482,7 @@ def test_index_entries_survive_an_appended_point(chain3, grow):
     assert grown.space.points[:-1] == s.space.points
     ctx.extend(grown)
     fresh = _CheckContext(grown)
-    assert ctx._codes() == fresh._codes()
+    assert ctx._to == fresh._to
     z = grown.space.n - 1
     ctx.register(z, 3)
     for A in subsets:
@@ -581,7 +582,7 @@ def test_grown_index_matches_a_fresh_one(case):
         ctx.extend(s)
         ctx.register(s.space.n - 1, 3)   # registration, as generation does it
     fresh = _CheckContext(s)
-    assert ctx._codes() == fresh._codes()
+    assert ctx._to == fresh._to
     assert _swept(ctx) == _swept(fresh)
     for A in _subsets(s.space.n):
         assert ctx.rows(A) == fresh.rows(A)
@@ -669,6 +670,7 @@ def test_sweep_matches_per_subset_forms_and_types(monkeypatch, case):
         assert (form.cls.matrix, form.perm) == (new.cls.matrix, new.perm)
         assert [t.type for t in form.types.values()] == [t.type for t in new.types.values()]
         assert rows == ctx.rows(A)
+        assert form.cls.autos == _ref_autos(form.cls.matrix)
         assert [t is None for t in types] == [z in A for z in range(ctx.n)]
         assert [t.type for t in types if t is not None] == [
             ctx.point_type(A, z) for z in range(ctx.n) if z not in A]
@@ -859,7 +861,8 @@ def test_generation_matches_the_eager_schedule(depth):
     # dropping the census and registration once steering ends changes no
     # byte, report or step count; and the eager schedule, which keeps its
     # census exact on every pass, never finds a pattern missing again after
-    # a pass start found none
+    # a pass start found none; the report read off the warm index is the one
+    # a check on a fresh index gives
     ended = 0
     for lat in enumerate_distributive_lattices(5):
         mi = meet_irreducibles(lat)
@@ -872,6 +875,9 @@ def test_generation_matches_the_eager_schedule(depth):
                 got = generate_generic(lat, sig, cfg)
             assert dump_structure(got.structure) == dump_structure(want.structure)
             assert got.saturation.as_dict() == want.saturation.as_dict()
+            fresh = extension_property_check(got.structure, depth)
+            assert (got.saturation.as_dict(), got.saturation.missing_pairs) == (
+                fresh.as_dict(), fresh.missing_pairs)
             assert got.steps == want.steps
             assert steered_at[0] and steered_at == sorted(steered_at, reverse=True)
             ended += not steered_at[-1]
