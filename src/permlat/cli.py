@@ -22,7 +22,8 @@ from .generic import (MAX_DEPTH, GenerationConfig, extension_property_check,
                       generate_generic, homogeneity_check)
 from .lattice import (MAX_DISTRIBUTIVE_ENUM, dimension_bounds, enumerate_distributive_lattices,
                       is_distributive, require_lattice, validate_lattice)
-from .permstruct import cameron_enumeration, decode_relations, encode_orders, profile
+from .permstruct import (MAX_PROFILE_K, cameron_enumeration, decode_relations, encode_orders,
+                         profile)
 from .spaces import (MAX_BASE_POINTS, MAX_NEW_POINTS, LambdaSpace,
                      amalgamation_failure_probe, canonical_amalgam, validate_space)
 from .sqorders import OrderedLambdaStructure, _require_valid, compose_lex, split_convex_linear
@@ -376,7 +377,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    _in_range("--k", args.k, 0, 4)   # profile is exhaustive only up to 4
+    _in_range("--k", args.k, 0, MAX_PROFILE_K)
     p = load_perm(args.infile)
     prof = profile(p, args.k)
     payload = {"k": args.k, "distinct_types": len(prof),

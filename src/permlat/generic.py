@@ -443,13 +443,8 @@ class _CheckContext:
         self.n = s.space.n
         self.dist = s.space.dist
         self.points = s.space.points
-        self.orders = []
-        for o in s.orders:
-            bot = lat.index[o.bottom]
-            top = lat.index[o.top]
-            reps = o.bottom_reps
-            rank_by_idx = [o.rank[s.space.points[reps[i]]] for i in range(self.n)]
-            self.orders.append((bot, top, reps, rank_by_idx))
+        self.orders = [(lat.index[o.bottom], lat.index[o.top], o.bottom_reps, o.point_ranks)
+                       for o in s.orders]
         self._scales_base: tuple | None = None
         self._scales: dict = {}
         to = self._to

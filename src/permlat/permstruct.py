@@ -6,12 +6,13 @@ Encoding plan. Pick a family of chains covering the internal
 meet-irreducibles; each chain is padded to a node chain from bottom to top,
 with each input subquotient order hosted on a chain where its bottom and top
 sit as consecutive nodes (a new chain is opened when no existing one can take
-it). Per chain one base linear order is composed along the node segments,
-using the hosted input orders where present and seeded generic fillers
-elsewhere, plus ceil(log2(m+1)) companion orders for the chain's m credited
-relations: on a segment at level l (the number of credited relations at or
-below the segment's lower node) companion j agrees with the base iff bit j
-of l is set. A pair's agreement bits therefore spell out its level, which is
+it). Each node segment takes its hosted input order, or a seeded generic
+filler. Per chain the base linear order is one stacked composition of the
+segments' orders (``compose_lex``); each of the ceil(log2(m+1)) companion
+orders for the chain's m credited relations stacks the same orders or their
+reverses: on a segment at level l (the number of credited relations at or
+below the segment's lower node) companion j keeps the order iff bit j of l
+is set. A pair's agreement bits therefore spell out its level, which is
 what the decoder reads. Every credited relation, and every input order, is
 then a union of orientation types recorded in the codebook.
 """
@@ -31,6 +32,8 @@ from .errors import MissingMeetIrreducibleError, SizeCapError
 from .lattice import (FiniteLattice, FinitePoset, _bits, is_distributive, lambda0_poset,
                       meet_irreducibles, min_chain_cover, require_distributive)
 from .sqorders import OrderedLambdaStructure, SubquotientOrder, compose_lex, generic_filler
+
+MAX_PROFILE_K = 4   # profile is exhaustive over k-subsets
 
 
 class PermStructure:
@@ -130,11 +133,6 @@ class PermStructure:
 
     def __repr__(self):
         return f"PermStructure(n={self.n}, N={self.N})"
-
-
-def _linear_ranks(order: SubquotientOrder) -> tuple[int, ...]:
-    space = order.space
-    return tuple(order.rank[space.points[order.bottom_reps[i]]] for i in range(space.n))
 
 
 # ---------------------------------------------------------------------------
@@ -243,21 +241,15 @@ def encode_orders(s: OrderedLambdaStructure, cover: str | list = "auto",
             else:
                 seg_orders.append(generic_filler(s.space, lo, hi, rng))
         levels = [sum(1 for lam in plan.credited if lat.leq(lam, lo)) for lo, _ in segments]
-        base = seg_orders[0]
-        for nxt in seg_orders[1:]:
-            base = compose_lex(base, nxt)
         plan.base_index = len(emitted)
-        emitted.append(base)
+        emitted.append(compose_lex(*seg_orders))
         bits = ceil(log2(len(plan.credited) + 1)) if plan.credited else 0
         for j in range(bits):
-            comp = None
-            for seg, lvl in zip(seg_orders, levels):
-                piece = seg if (lvl >> j) & 1 else seg.reverse()
-                comp = piece if comp is None else compose_lex(comp, piece)
             plan.companion_indices.append(len(emitted))
-            emitted.append(comp)
+            emitted.append(compose_lex(*(seg if (lvl >> j) & 1 else seg.reverse()
+                                         for seg, lvl in zip(seg_orders, levels))))
 
-    ranks = tuple(_linear_ranks(o) for o in emitted)
+    ranks = tuple(o.point_ranks for o in emitted)
     perm = PermStructure(s.space.points, ranks)
     n = len(emitted)
 
@@ -469,7 +461,7 @@ def _convex_in_order(p: PermStructure, blocks: list[list[int]], order: int) -> b
 def profile(p: PermStructure, k: int) -> Counter:
     """Multiset of k-point types: orbits of labeled k-tuples, keyed by the
     orientation matrix of the tuple (the vectors of its ordered pairs (u, v),
-    u != v, row by row). Exhaustive, so refused for k > 4.
+    u != v, row by row). Exhaustive, so refused above ``MAX_PROFILE_K``.
 
     Counted by orbits rather than over the k!·C(N, k) labeled tuples: the
     labeled tuple s∘σ of a sorted k-subset s and a permutation σ of its cells
@@ -480,8 +472,8 @@ def profile(p: PermStructure, k: int) -> Counter:
     of Cameron, Oligomorphic Permutation Groups, 1990). Per (k-1)-prefix P,
     zipping P's constant cells with the slices of vec[P[u]] and of column
     P[v] from max(P) + 1 on gives the keys of P's subsets in sorted order."""
-    if k > 4:
-        raise SizeCapError(f"profile is capped at k = 4, got {k}")
+    if k > MAX_PROFILE_K:
+        raise SizeCapError(f"profile is capped at k = {MAX_PROFILE_K}, got {k}")
     if k <= 1:   # one empty key per subset
         return Counter({(): comb(p.N, k)} if p.N >= k else {})
     vec, cols = p.vectors, list(zip(*p.vectors))
@@ -535,7 +527,7 @@ def cameron_enumeration(sample_size: int, seed: int = 0) -> CameronResult:
     cfg = GenerationConfig(seed=seed, target_size=sample_size, saturation_depth=2)
     single = generate_generic(c2, [("0", "1")], cfg, with_saturation_report=False).structure
     o = single.orders[0]
-    lin = _linear_ranks(o)
+    lin = o.point_ranks
     rev = tuple(len(lin) - 1 - r for r in lin)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # duplicate-signature lint is expected here
@@ -552,11 +544,11 @@ def cameron_enumeration(sample_size: int, seed: int = 0) -> CameronResult:
         ("2chain", "equal"): PermStructure(single.space.points, (lin, lin)),
         ("2chain", "reversed"): PermStructure(single.space.points, (lin, rev)),
         ("2chain", "independent"): PermStructure(
-            double.space.points, tuple(_linear_ranks(x) for x in double.orders)),
+            double.space.points, tuple(x.point_ranks for x in double.orders)),
         ("3chain", "within-reversed"): PermStructure(
-            blocks.space.points, (_linear_ranks(base), _linear_ranks(within_rev))),
+            blocks.space.points, (base.point_ranks, within_rev.point_ranks)),
         ("3chain", "between-reversed"): PermStructure(
-            blocks.space.points, (_linear_ranks(base), _linear_ranks(between_rev))),
+            blocks.space.points, (base.point_ranks, between_rev.point_ranks)),
     }
     profiles = {}
     for key, inst in instances.items():

@@ -47,9 +47,8 @@ class SubquotientOrder:
         return o.renormalized()
 
     def renormalized(self) -> "SubquotientOrder":
-        points = self.space.points
         rank = _ranks(self.space, self.bottom_reps, self.top_reps,
-                      key=lambda i: self.rank[points[i]])
+                      key=self.point_ranks.__getitem__)
         return SubquotientOrder(self.space, self.bottom, self.top, rank)
 
     # -- structure ------------------------------------------------------
@@ -62,9 +61,12 @@ class SubquotientOrder:
     def top_reps(self) -> tuple[int, ...]:
         return class_reps(self.space, self.space.lattice.index[self.top])
 
-    def class_of(self, point: str) -> str:
-        i = self.space.pindex[point]
-        return self.space.points[self.bottom_reps[i]]
+    @cached_property
+    def point_ranks(self) -> tuple:
+        """The rank of each point's bottom class, indexed by point. Cached:
+        ``rank`` must not change once this is read."""
+        rank, points = self.rank, self.space.points
+        return tuple(rank[points[r]] for r in self.bottom_reps)
 
     def _scales(self) -> list[list[str]]:
         """Bottom-class representatives grouped by top class, in point order."""
@@ -83,7 +85,8 @@ class SubquotientOrder:
 
     def less(self, x: str, y: str) -> bool:
         """Point-level pullback: class(x) strictly below class(y)."""
-        return self.comparable(x, y) and self.rank[self.class_of(x)] < self.rank[self.class_of(y)]
+        i, j = self.space.pindex[x], self.space.pindex[y]
+        return self.comparable(x, y) and self.point_ranks[i] < self.point_ranks[j]
 
     def reverse(self) -> "SubquotientOrder":
         return SubquotientOrder(self.space, self.bottom, self.top,
@@ -192,23 +195,27 @@ def restrict_to(o: SubquotientOrder, g: str) -> Restriction:
     space = o.space
     # a new class ranks as the original bottom class containing it
     rank = _ranks(space, class_reps(space, lat.index[new_bottom]), class_reps(space, lat.index[g]),
-                  key=lambda i: o.rank[space.points[o.bottom_reps[i]]])
+                  key=o.point_ranks.__getitem__)
     return Restriction(SubquotientOrder(space, new_bottom, g, rank), mode)
 
 
-def compose_lex(lo: SubquotientOrder, hi: SubquotientOrder) -> SubquotientOrder:
-    """Lexicographic composition: compare by hi between lo.top-classes, by lo
-    inside them. The output is always lo.top-convex."""
-    if lo.top != hi.bottom:
-        raise TopBottomMismatchError(
-            f"compose_lex needs lo.top == hi.bottom, got {lo.top} vs {hi.bottom}")
-    if lo.space != hi.space:
-        raise ValueError("orders must live on one space")
-    space = lo.space
-    points = space.points
-    rank = _ranks(space, lo.bottom_reps, class_reps(space, space.lattice.index[hi.top]),
-                  key=lambda i: (hi.rank[points[lo.top_reps[i]]], lo.rank[points[i]]))
-    return SubquotientOrder(space, lo.bottom, hi.top, rank)
+def compose_lex(*orders: SubquotientOrder) -> SubquotientOrder:
+    """Lexicographic composition of a stack of orders, each one's top the
+    next one's bottom: compare by the highest order, then down the stack to
+    the lowest inside the classes of its top. The output is convex at every
+    joint; on valid orders it equals the pairwise folds, in either grouping."""
+    for lo, hi in zip(orders, orders[1:]):
+        if lo.top != hi.bottom:
+            raise TopBottomMismatchError(
+                f"compose_lex needs lo.top == hi.bottom, got {lo.top} vs {hi.bottom}")
+        if lo.space != hi.space:
+            raise ValueError("orders must live on one space")
+    first, last = orders[0], orders[-1]
+    space = first.space
+    rows = list(zip(*(o.point_ranks for o in reversed(orders))))   # highest order first
+    rank = _ranks(space, first.bottom_reps, class_reps(space, space.lattice.index[last.top]),
+                  key=rows.__getitem__)
+    return SubquotientOrder(space, first.bottom, last.top, rank)
 
 
 @dataclass(frozen=True)
@@ -260,7 +267,7 @@ def split_convex_linear(o: SubquotientOrder, e: str) -> tuple[SubquotientOrder, 
     # convexity makes the e-classes disjoint rank intervals of a scale, so
     # the rank of any member class (here the representative's) orders them
     rank = _ranks(space, class_reps(space, lat.index[e]), o.top_reps,
-                  key=lambda i: o.rank[space.points[o.bottom_reps[i]]])
+                  key=o.point_ranks.__getitem__)
     between = SubquotientOrder(space, e, o.top, rank)
     return within, between
 
@@ -270,9 +277,9 @@ def generic_filler(space: LambdaSpace, bottom: str, top: str, rng) -> Subquotien
     lat = space.lattice
     if not lat.leq(bottom, top):
         raise ValueError(f"{bottom} not below {top}")
-    o = SubquotientOrder(space, bottom, top, {})
-    for scale in o._scales():
+    rank: dict[str, int] = {}
+    for scale in SubquotientOrder(space, bottom, top, {})._scales():
         perm = list(range(len(scale)))
         rng.shuffle(perm)
-        o.rank.update(zip(scale, perm))
-    return o
+        rank.update(zip(scale, perm))
+    return SubquotientOrder(space, bottom, top, rank)

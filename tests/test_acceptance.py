@@ -13,8 +13,7 @@ from permlat.lattice import (chain_lattice, distributive_law_holds,
                              is_distributive, lattices_isomorphic, m3,
                              meet_irreducibles, n5)
 from permlat.permstruct import (PermStructure, cameron_enumeration, decode_relations,
-                                encode_orders, profile, two_order_catalog_parameters,
-                                _linear_ranks)
+                                encode_orders, profile, two_order_catalog_parameters)
 from permlat.spaces import (amalgam_validity_sweep, amalgamation_failure_probe,
                             equivalences_from_space, space_from_equivalences)
 from space_helpers import all_spaces
@@ -167,7 +166,7 @@ def test_criterion_6_primitivity_shadow():
                 with_saturation_report=False)
         s = res.structure
         perm = PermStructure(s.space.points,
-                             tuple(_linear_ranks(o) for o in s.orders))
+                             tuple(o.point_ranks for o in s.orders))
         two_types = set(profile(perm, 2))
         three_types = set(profile(perm, 3))
         dec = decode_relations(perm)

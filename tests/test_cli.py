@@ -392,6 +392,17 @@ def test_encode_refuses_an_order_over_a_one_element_lattice(tmp_path, capsys):
     assert "error [SIZE_CAP]" in err and "one-element lattice" in err
 
 
+def test_encode_takes_sparse_ranks_on_a_chain_of_one_segment(fixtures, capsys):
+    # ranks need only be distinct inside a scale: the lone 0:1 order is the
+    # chain's base order, read off in rank order
+    struct = fixtures / "s.struct"
+    struct.write_text("lattice: chain2.lat\npoints: p0 p1 p2\nd: p0 p1 1\nd: p0 p2 1\n"
+                      "d: p1 p2 1\nsq: 0 1\nrank: p0 1\nrank: p1 7\nrank: p2 -3\n")
+    code, _ = run(["encode", "--in", struct, "--out", fixtures / "s.perm"], capsys)
+    assert code == 0
+    assert (fixtures / "s.perm").read_text() == "1 3\np0 1\np1 2\np2 0\n"
+
+
 @pytest.mark.parametrize("argv, edit, where", [
     # a .struct file read as a .perm file: its header is not two integers
     (["decode", "--in", "{s}"], None, "s.struct:1:"),
@@ -798,6 +809,45 @@ def test_gen_and_encode_match_golden_digests(fixtures, capsys, lat, orders, size
     assert code == 0
     assert hashlib.sha256(struct.read_bytes()).hexdigest() == struct_sha
     assert hashlib.sha256(perm.read_bytes()).hexdigest() == perm_sha
+
+
+@pytest.mark.parametrize("lat, orders, chains, perm_sha", [
+    # 0:1 spans the first chain's node E, so it opens a second chain
+    ("chain3.lat", "0:E,E:1,0:1", 2,
+     "50814feec685339b3b286dc26bbfaacaa1885e893da250739010fc302a4d7198"),
+    # 0:f spans the credited e; the second e:f would sit inside the 0:f segment
+    ("chain4.lat", "0:f,e:f,e:f,f:1", 3,
+     "bd91d8ecd78901008639813e112a1e3b285ae64bf42e1894e0f2ce1b920de155"),
+])
+@pytest.mark.filterwarnings("ignore:two subquotient orders share bottom and top")
+def test_chains_opened_for_unplaceable_orders_encode_as_pinned(fixtures, capsys, lat, orders,
+                                                               chains, perm_sha):
+    # the chain planner skips a chain with a node strictly inside the new
+    # order's span, or a hosted segment with the order's end strictly inside
+    (fixtures / "chain4.lat").write_text(dump_lattice(chain_lattice(4, ["0", "e", "f", "1"])))
+    struct, perm = fixtures / "g.struct", fixtures / "g.perm"
+    code, _ = run(["gen", "--lattice", fixtures / lat, "--orders", orders, "--size", 24,
+                   "--depth", 2, "--seed", 3, "--no-report", "--out", struct], capsys)
+    assert code == 0
+    code, out = run(["encode", "--in", struct, "--out", perm, "--seed", 3, "--json"], capsys)
+    assert code == 0
+    book = json.loads(out)
+    assert (len(book["chains"]), book["orders_emitted"]) == (chains, 2 * chains - 1)
+    assert hashlib.sha256(perm.read_bytes()).hexdigest() == perm_sha
+    p = load_perm(perm)
+    _, inputs = load_structure(struct)
+    for idx, order in enumerate(inputs):
+        vectors = {tuple(v) for v in book["codebook_orders"][str(idx)]}
+        for x, y in itertools.permutations(p.points, 2):
+            assert order.less(x, y) == (p.vector(x, y) in vectors)
+
+
+def test_cameron_json_is_pinned(capsys):
+    code, out = run(["cameron", "--size", 12, "--seed", 0, "--json"], capsys)
+    assert code == 0
+    assert out == ('{"distinct_profiles": 5, "instances": {"2chain/equal": 6, '
+                   '"2chain/independent": 36, "2chain/reversed": 6, '
+                   '"3chain/between-reversed": 24, "3chain/within-reversed": 24}}\n')
 
 
 @pytest.mark.parametrize("lat, orders, size, seed, codes, shas", [

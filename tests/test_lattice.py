@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -204,6 +205,27 @@ def test_bounds_past_twelve_internal_meet_irreducibles_search_min_cardinality_co
     assert b.lower == 2 <= b.upper
     assert b.notes == ("cover search restricted to minimum-cardinality covers "
                        "(|Lambda0| = 13 > 12)",)
+
+
+def test_restricted_cover_search_fills_a_second_chain():
+    # Lambda0 is 13 elements of width 2: a chain of 12 through a, and b
+    # beside a, which the search must put in the second, empty, slot
+    lat = vertical_sum(vertical_sum(chain_lattice(6), boolean2()), chain_lattice(6))
+    p0 = lambda0_poset(lat)
+    b = dimension_bounds(lat)
+    assert (p0.n, b.lower, b.upper, b.exhaustive) == (13, 4, 7, False)
+    assert sorted(map(len, b.cover.chains)) == [1, 12]
+
+    def is_chain(part):
+        return all(p0.leq(x, y) or p0.leq(y, x) for x, y in itertools.combinations(part, 2))
+
+    costs = []
+    for mask in range(1 << p0.n):
+        parts = [[x for i, x in enumerate(p0.elements) if (mask >> i & 1) == side]
+                 for side in (0, 1)]
+        if all(is_chain(part) for part in parts):
+            costs.append(sum(1 + math.ceil(math.log2(len(part) + 1)) for part in parts if part))
+    assert b.upper == min(costs)
 
 
 def test_bounds_reject_non_distributive():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from collections import Counter
 
@@ -10,7 +11,7 @@ from permlat.generic import GenerationConfig, generate_generic
 from permlat.lattice import b2_plus_top, lattices_isomorphic, meet_irreducibles
 from permlat.permstruct import (PermStructure, cameron_enumeration, decode_relations,
                                 encode_orders, profile, two_order_catalog_parameters,
-                                _composition, _convex_in_order, _linear_ranks,
+                                _composition, _convex_in_order,
                                 _partition_from_types)
 from permlat.sqorders import OrderedLambdaStructure, SubquotientOrder
 from space_helpers import space_from_distances
@@ -138,7 +139,7 @@ def test_profile_generic_two_orders_four_types(chain2):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         s = gen(chain2, [("0", "1"), ("0", "1")], size=30, depth=3)
-    p = PermStructure(s.space.points, tuple(_linear_ranks(o) for o in s.orders))
+    p = PermStructure(s.space.points, tuple(o.point_ranks for o in s.orders))
     assert len(profile(p, 2)) == 4
 
 
@@ -156,6 +157,12 @@ def test_reversal_and_identity_profiles_differ():
 def test_cameron_five_distinct_profiles():
     result = cameron_enumeration(30, seed=3)
     assert result.distinct == len(two_order_catalog_parameters()) == 5
+
+
+def test_cameron_profiles_are_pinned():
+    result = cameron_enumeration(40, seed=0)
+    digest = hashlib.sha256(repr(sorted(result.profiles.items())).encode()).hexdigest()
+    assert digest == "8fe4564664cefa3199215995c61112ae1a4c631707a62286d11647812475918d"
 
 
 def test_three_chain_block_instances_are_mutually_reverse():

@@ -5,6 +5,7 @@ import pytest
 
 from permlat.errors import (NotConvexError, TopBottomMismatchError,
                             UndefinedRestrictionError)
+from permlat.generic import GenerationConfig, generate_generic
 from permlat.sqorders import (OrderedLambdaStructure, SubquotientOrder, compose_lex,
                               convexity_check, generic_filler, restrict_to,
                               split_convex_linear, validate_sqorder)
@@ -149,6 +150,23 @@ def test_compose_is_associative_on_three_levels(chain4):
     o2 = generic_filler(space, "e", "f", rng)
     o3 = generic_filler(space, "f", "1", rng)
     assert compose_lex(compose_lex(o1, o2), o3) == compose_lex(o1, compose_lex(o2, o3))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_stack_composes_as_both_pairwise_folds(chain4, seed):
+    cfg = GenerationConfig(seed=seed, target_size=20, saturation_depth=2)
+    s = generate_generic(chain4, [("0", "e"), ("e", "f"), ("f", "1")], cfg,
+                         with_saturation_report=False).structure
+    a, b, c = s.orders
+    stacked = compose_lex(a, b, c)
+    assert stacked == compose_lex(compose_lex(a, b), c) == compose_lex(a, compose_lex(b, c))
+    assert stacked.rank == compose_lex(compose_lex(a, b), c).rank
+    for o in (a, b, c, stacked, compose_lex(b.reverse(), c), a.reverse()):
+        assert o.point_ranks == tuple(o.rank[o.space.points[o.bottom_reps[i]]]
+                                      for i in range(o.space.n))
+    # the stack is checked joint by joint: here the second, f against e
+    with pytest.raises(TopBottomMismatchError, match="got f vs e"):
+        compose_lex(a, b, b)
 
 
 def test_compose_output_is_lo_top_convex(block_space):
