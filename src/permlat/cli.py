@@ -150,7 +150,7 @@ def cmd_lattice_bounds(args) -> int:
     b = dimension_bounds(lat)
     payload = {
         "lower": b.lower, "upper": b.upper,
-        "cover": [list(c) for c in b.cover.chains] if b.cover else [],
+        "cover": [list(c) for c in b.cover.chains],
         "exhaustive": b.exhaustive, "notes": list(b.notes),
     }
     human = [f"lower bound: {b.lower}", f"upper bound: {b.upper}",

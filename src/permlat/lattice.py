@@ -1,5 +1,6 @@
 """Finite posets and lattices: validation, distributivity, meet-irreducibles,
-chain covers, dimension bounds, and exhaustive enumeration at desk scale.
+chain covers, dimension bounds (the upper one from an exact cheapest-cover
+search), and exhaustive enumeration at desk scale.
 
 Elements are opaque string ids. Order relations are stored as bitmask rows,
 meet/join as explicit tables (sizes stay at or below 16, so table lookups are
@@ -11,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from math import ceil, log2
+from math import ceil, inf, log2
 
 from .canon import canonical_key
 from .errors import NonDistributiveError, NotALatticeError, SizeCapError
@@ -428,8 +429,8 @@ def min_chain_cover(p: FinitePoset) -> ChainCover:
 class DimensionBounds:
     lower: int
     upper: int
-    cover: ChainCover | None
-    exhaustive: bool
+    cover: ChainCover
+    exhaustive: bool  # always True: the cover search is exact on every lattice
     notes: tuple[str, ...]
 
 
@@ -437,115 +438,58 @@ def _chain_cost(length: int) -> int:
     return 1 + ceil(log2(length + 1))
 
 
-def _all_chains(p: FinitePoset) -> list[tuple[int, tuple[int, ...]]]:
-    """All nonempty chains as (bitmask, ascending index tuple)."""
-    out = []
+def _cheapest_cover(p: FinitePoset) -> tuple[int, list[tuple[int, ...]]]:
+    """A partition of ``p`` into chains of least total ``_chain_cost``, as
+    (cost, chains of ascending indices). Ties go to the first cheapest
+    partition found.
 
-    def extend(mask: int, chain: tuple[int, ...], last: int):
-        out.append((mask, chain))
-        for nxt in _bits(p.up[last] & ~mask):
-            extend(mask | (1 << nxt), chain + (nxt,), nxt)
+    Elements are placed in a linear extension (by down-set size, ties by
+    index), each on an open chain whose last element lies below it, or on a
+    new chain; this reaches every partition into chains exactly once. A
+    branch is cut once its cost reaches the best found so far: placing an
+    element never lowers a cost, so the cut loses no cheaper partition."""
+    down = p.down
+    order = sorted(range(p.n), key=lambda i: down[i].bit_count())
+    chains: list[list[int]] = []
+    best_cost, best = inf, []
 
-    for start in range(p.n):
-        extend(1 << start, (start,), start)
-    # distinct chains can repeat via different extension routes only if not
-    # built in ascending order; ascending construction makes each unique
-    return out
-
-
-def _best_cover_exhaustive(p: FinitePoset) -> tuple[int, list[tuple[int, ...]]]:
-    chains = _all_chains(p)
-    full = (1 << p.n) - 1
-    dp: dict[int, int] = {0: 0}
-    choice: dict[int, tuple[int, tuple[int, ...]]] = {}
-    frontier = [0]
-    while frontier:
-        mask = min(frontier, key=lambda m: dp[m])
-        frontier.remove(mask)
-        if mask == full:
-            continue
-        low = next(i for i in range(p.n) if not mask & (1 << i))
-        for cmask, chain in chains:
-            if not cmask & (1 << low):
-                continue
-            new = mask | cmask
-            cost = dp[mask] + _chain_cost(len(chain))
-            if new not in dp:
-                frontier.append(new)
-            elif cost >= dp[new]:
-                continue
-            dp[new] = cost
-            choice[new] = (mask, chain)
-    cover = []
-    cur = full
-    while cur:
-        prev, chain = choice[cur]
-        cover.append(chain)
-        cur = prev
-    return dp[full], cover
-
-
-def _best_cover_min_cardinality(p: FinitePoset, ell: int) -> tuple[int, list[tuple[int, ...]]]:
-    """Cheapest partition into exactly ell chains (flagged non-exhaustive mode)."""
-    topo = sorted(range(p.n), key=lambda i: p.down[i].bit_count())
-    best_cost = None
-    best_slots = None
-    slots: list[list[int]] = [[] for _ in range(ell)]
-
-    def rec(pos: int):
-        nonlocal best_cost, best_slots
-        if pos == len(topo):
-            cost = sum(_chain_cost(len(s)) for s in slots if s)
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                best_slots = [list(s) for s in slots]
+    def place(pos: int, cost: int):
+        nonlocal best_cost, best
+        if cost >= best_cost:
             return
-        e = topo[pos]
-        used_empty = False
-        for s in slots:
-            if not s:
-                if used_empty:
-                    continue
-                used_empty = True
-                s.append(e)
-                rec(pos + 1)
-                s.pop()
-            elif all((p.up[e] | p.down[e]) >> x & 1 for x in s):
-                s.append(e)
-                rec(pos + 1)
-                s.pop()
+        if pos == len(order):
+            best_cost, best = cost, [tuple(c) for c in chains]
+            return
+        e = order[pos]
+        for c in chains:
+            if down[e] >> c[-1] & 1:
+                c.append(e)
+                place(pos + 1, cost + _chain_cost(len(c)) - _chain_cost(len(c) - 1))
+                c.pop()
+        chains.append([e])
+        place(pos + 1, cost + _chain_cost(1))
+        chains.pop()
 
-    rec(0)
-    assert best_cost is not None and best_slots is not None
-    return best_cost, [tuple(s) for s in best_slots if s]
+    place(0, 0)
+    return best_cost, best
 
 
 def dimension_bounds(lat: FiniteLattice) -> DimensionBounds:
-    """Lower bound 2*ell and the chain-cover upper bound on the order count
-    needed to present the lattice.
+    """Lower bound 2*ell, ell the width of Lambda0, and the upper bound of
+    the cheapest chain cover of Lambda0 (``_cheapest_cover``), on the order
+    count needed to present the lattice.
 
     Neither bound is tight in general; the report never claims tightness.
     """
     require_lattice(lat, "dimension bounds")
     require_distributive(lat, "dimension bounds")
     p0 = lambda0_poset(lat)
-    notes: list[str] = []
-    if p0.n == 0:
-        notes.append("lattice has no internal meet-irreducibles; at least one order "
-                     "is still needed to present a structure (bound concerns the lattice only)")
-        return DimensionBounds(0, 0, ChainCover(()), True, tuple(notes))
-    ell = len(min_chain_cover(p0))
-    lower = 2 * ell
-    if p0.n <= 12:
-        cost, chains = _best_cover_exhaustive(p0)
-        exhaustive = True
-    else:
-        cost, chains = _best_cover_min_cardinality(p0, ell)
-        exhaustive = False
-        notes.append("cover search restricted to minimum-cardinality covers "
-                     f"(|Lambda0| = {p0.n} > 12)")
+    cost, chains = _cheapest_cover(p0)
+    notes = () if p0.n else (
+        "lattice has no internal meet-irreducibles; at least one order "
+        "is still needed to present a structure (bound concerns the lattice only)",)
     cover = ChainCover(tuple(sorted(tuple(p0.elements[i] for i in c) for c in chains)))
-    return DimensionBounds(lower, cost, cover, exhaustive, tuple(notes))
+    return DimensionBounds(2 * len(min_chain_cover(p0)), cost, cover, True, notes)
 
 
 # ---------------------------------------------------------------------------

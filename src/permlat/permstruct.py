@@ -29,8 +29,8 @@ from math import ceil, comb, log2
 from operator import lshift, or_
 
 from .errors import MissingMeetIrreducibleError, SizeCapError
-from .lattice import (FiniteLattice, FinitePoset, _bits, is_distributive, lambda0_poset,
-                      meet_irreducibles, min_chain_cover, require_distributive)
+from .lattice import (MAX_ELEMENTS, FiniteLattice, FinitePoset, _bits, is_distributive,
+                      lambda0_poset, meet_irreducibles, min_chain_cover, require_distributive)
 from .sqorders import OrderedLambdaStructure, SubquotientOrder, compose_lex, generic_filler
 
 MAX_PROFILE_K = 4   # profile is exhaustive over k-subsets
@@ -377,7 +377,9 @@ def decode_relations(p: PermStructure) -> DecodeResult:
     the structure's rank kernel: its per-point vector masks and its ranks
     (see ``_composition``, ``_partition_from_types``, ``_convex_in_order``).
     Transitivity is only tested on the sample; small samples can only
-    falsify, which is why the result carries the sample size.
+    falsify, which is why the result carries the sample size. The search
+    raises SizeCapError once it holds more closed sets than a lattice may
+    have elements, rather than enumerating a family it would refuse.
     """
     N = p.N
     comp = _composition(p)
@@ -395,6 +397,9 @@ def decode_relations(p: PermStructure) -> DecodeResult:
             new = _transitive_closure_types(comp, base | atom)
             if new not in closed:
                 closed.add(new)
+                if len(closed) > MAX_ELEMENTS:
+                    raise SizeCapError(f"lattices are capped at {MAX_ELEMENTS} elements, got more "
+                                       f"than {MAX_ELEMENTS} closed unions of orientation types")
                 queue.append(new)
 
     by_size = sorted(closed, key=lambda s: (len(s), tuple(sorted(s))))

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -551,6 +552,22 @@ def test_lattice_size_cap_names_the_file_and_line(tmp_path, capsys):
         assert main([str(a) for a in argv]) == 1
         assert capsys.readouterr().err == (
             f"error [SIZE_CAP]: {lat}:1: lattices are capped at 16 elements, got 17\n")
+
+
+def test_decode_size_cap_counts_no_closed_sets_past_the_cap(tmp_path, capsys):
+    # the random 8-point, 5-order sample of seed 2 has 22 closed unions of
+    # orientation types; decode stops at the 17th
+    rng = random.Random(2)
+    columns = [list(range(8)) for _ in range(5)]
+    for column in columns:
+        rng.shuffle(column)
+    perm = tmp_path / "r2.perm"
+    perm.write_text("5 8\n" + "".join(f"p{i} " + " ".join(str(c[i]) for c in columns) + "\n"
+                                      for i in range(8)))
+    assert main(["decode", "--in", str(perm)]) == 1
+    assert capsys.readouterr().err == (
+        "error [SIZE_CAP]: lattices are capped at 16 elements, got more than 16 closed "
+        "unions of orientation types\n")
 
 
 @pytest.mark.parametrize("flag, value, cap", [("--max-base", "5", 4), ("--max-new", "3", 2)])

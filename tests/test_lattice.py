@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from permlat.errors import NonDistributiveError, NotALatticeError, SizeCapError
 from permlat.canon import canonical_key
-from permlat.lattice import (FiniteLattice, FinitePoset, _ideals, _is_meet_semilattice,
-                             b2_plus_top, boolean2,
+from permlat.lattice import (FiniteLattice, FinitePoset, _cheapest_cover, _ideal_lattice,
+                             _ideals, _is_meet_semilattice, _natural_posets, b2_plus_top, boolean2,
                              chain_lattice, dimension_bounds, distributive_law_holds,
                              enumerate_distributive_lattices, enumerate_lattices,
                              is_distributive, lattices_isomorphic, m3,
@@ -196,24 +196,24 @@ def test_bounds_on_b2_plus_top():
     assert b.exhaustive
 
 
-def test_bounds_past_twelve_internal_meet_irreducibles_search_min_cardinality_covers():
-    # a 15-chain has 13 internal meet-irreducibles, one more than the
-    # exhaustive cover search takes
+def test_bounds_on_fifteen_chain_cover_its_lambda0_with_one_chain():
+    # a 15-chain has 13 internal meet-irreducibles, which the exact cover
+    # search puts on one chain
     b = dimension_bounds(chain_lattice(15))
-    assert not b.exhaustive
+    assert b.exhaustive
     assert b.cover.chains == (tuple(f"c{i}" for i in range(1, 14)),)
     assert b.lower == 2 <= b.upper
-    assert b.notes == ("cover search restricted to minimum-cardinality covers "
-                       "(|Lambda0| = 13 > 12)",)
+    assert b.notes == ()
 
 
-def test_restricted_cover_search_fills_a_second_chain():
+def test_exact_cover_search_fills_a_second_chain():
     # Lambda0 is 13 elements of width 2: a chain of 12 through a, and b
-    # beside a, which the search must put in the second, empty, slot
+    # beside a, which the search must put on a second chain
     lat = vertical_sum(vertical_sum(chain_lattice(6), boolean2()), chain_lattice(6))
     p0 = lambda0_poset(lat)
     b = dimension_bounds(lat)
-    assert (p0.n, b.lower, b.upper, b.exhaustive) == (13, 4, 7, False)
+    assert (p0.n, b.lower, b.upper, b.exhaustive) == (13, 4, 7, True)
+    assert b.notes == ()
     assert sorted(map(len, b.cover.chains)) == [1, 12]
 
     def is_chain(part):
@@ -226,6 +226,58 @@ def test_restricted_cover_search_fills_a_second_chain():
         if all(is_chain(part) for part in parts):
             costs.append(sum(1 + math.ceil(math.log2(len(part) + 1)) for part in parts if part))
     assert b.upper == min(costs)
+
+
+def _set_partitions(items):
+    """Every partition of the list ``items`` into nonempty blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for partition in _set_partitions(rest):
+        yield [[first]] + partition
+        for i in range(len(partition)):
+            yield partition[:i] + [[first] + partition[i]] + partition[i + 1:]
+
+
+def test_upper_bound_is_the_cheapest_partition_into_chains():
+    # brute force over every set partition of Lambda0, keeping the chains
+    for lat in enumerate_distributive_lattices(8):
+        p0 = lambda0_poset(lat)
+
+        def into_chains(partition):
+            return all(p0.leq(x, y) or p0.leq(y, x)
+                       for block in partition for x, y in itertools.combinations(block, 2))
+
+        costs = [sum(1 + math.ceil(math.log2(len(block) + 1)) for block in partition)
+                 for partition in _set_partitions(list(p0.elements)) if into_chains(partition)]
+        b = dimension_bounds(lat)
+        assert b.upper == min(costs) and b.exhaustive
+        assert into_chains(b.cover.chains)
+        assert sorted(x for chain in b.cover.chains for x in chain) == sorted(p0.elements)
+
+
+def test_cover_search_cost_does_not_depend_on_element_order():
+    # a seeded relabelling of Lambda0, for every distributive lattice of up
+    # to 16 elements with |Lambda0| >= 8, changes the order the search
+    # places elements in and the ties it meets, never the cheapest cost
+    rng = random.Random(5)
+    checked = 0
+    for _, poset in _natural_posets(15, lambda down: _ideal_lattice(down, 16)):
+        p0 = lambda0_poset(FiniteLattice.from_poset(poset))
+        if p0.n < 8:
+            continue
+        names = list(p0.elements)
+        rng.shuffle(names)
+        assert _cheapest_cover(p0.subposet(names))[0] == _cheapest_cover(p0)[0]
+        checked += 1
+    assert checked == 2651
+
+
+def test_bounds_on_fifteen_element_lattice_with_twelve_internal_meet_irreducibles():
+    lat = vertical_sum(vertical_sum(chain_lattice(2), boolean2()), chain_lattice(9))
+    b = dimension_bounds(lat)
+    assert (lambda0_poset(lat).n, b.lower, b.upper, b.exhaustive) == (12, 4, 7, True)
 
 
 def test_bounds_reject_non_distributive():

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -91,6 +92,26 @@ def test_decode_identity_structure():
     assert len(dec.relations) == 2
     assert dec.relations[0].partition == tuple((x,) for x in p.points)
     assert len(dec.relations[1].partition) == 1
+
+
+def random_perm(seed: int, N: int, n: int) -> PermStructure:
+    """One shuffled rank column per order, drawn from ``random.Random(seed)``;
+    point p{i} takes the i-th entry of each column."""
+    rng = random.Random(seed)
+    columns = []
+    for _ in range(n):
+        column = list(range(N))
+        rng.shuffle(column)
+        columns.append(tuple(column))
+    return PermStructure(tuple(f"p{i}" for i in range(N)), tuple(columns))
+
+
+def test_decode_stops_once_the_closed_sets_pass_the_lattice_cap():
+    # a random 12-point, 8-order sample has far more closed unions of
+    # orientation types than the 16 a lattice may have: the search stops at
+    # the 17th instead of enumerating them all
+    with pytest.raises(SizeCapError, match="got more than 16 closed unions of orientation types"):
+        decode_relations(random_perm(4, 12, 8))
 
 
 def test_decoded_meet_irreducibles_are_convex_somewhere(block8):
