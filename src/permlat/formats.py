@@ -9,7 +9,7 @@ import json
 from pathlib import Path
 
 from . import __version__
-from .errors import FormatError, SizeCapError
+from .errors import FormatError, PermlatError, SizeCapError
 from .lattice import MAX_ELEMENTS, FiniteLattice, lambda0_poset
 from .permstruct import PermStructure
 from .spaces import LambdaSpace
@@ -121,71 +121,105 @@ def read_lattice_ref(path: str | Path) -> str | None:
 
 def load_structure(path: str | Path) -> tuple[LambdaSpace, tuple]:
     """Space file with optional subquotient-order blocks. The header
-    references the lattice file, relative to this file."""
+    references the lattice file, relative to this file. Lines may come in
+    any order, and a pair may repeat, in either order, with the same value.
+
+    Header lines are read first and each ``d:`` line then goes straight into
+    the index matrix. Faults are named in file order only once one is seen:
+    a fault of a ``d:`` line comes before a header fault on a later line."""
     path = Path(path)
     lattice = None
     points = None
-    distances = {}  # point pair, sorted -> [x, y, lambda] of its first line
+    dlines = []  # (lineno, line) of each 'd:' line, in file order
     order_blocks = []
-    for lineno, line in _lines(path):
-        if line.startswith("d:"):
-            given = line[2:].split()
-            if len(given) != 3:
-                raise FormatError(f"{path}:{lineno}: expected 'd: x y lambda'")
-            x, y, lam = given
-            prev = distances.setdefault((x, y) if x < y else (y, x), given)
-            if prev[2] != lam:
-                raise FormatError(f"{path}:{lineno}: d({x},{y}) = {lam} conflicts with "
-                                  f"an earlier line that set it to {prev[2]}")
+    for row in _lines(path):
+        if row[1].startswith("d:"):
+            dlines.append(row)
             continue
+        lineno, line = row
         tag, sep, body = line.partition(":")
         tag += sep
-        if tag == "lattice:":
-            if lattice is not None:
-                raise FormatError(f"{path}:{lineno}: repeated 'lattice:' header")
-            lattice = load_lattice(path.parent / body.strip())
-        elif tag == "points:":
-            if points is not None:
-                raise FormatError(f"{path}:{lineno}: repeated 'points:' header")
-            points = tuple(body.split())
-            _distinct(path, lineno, points, "point id")
-        elif tag == "sq:":
-            parts = body.split()
-            if len(parts) != 2:
-                raise FormatError(f"{path}:{lineno}: expected 'sq: BOTTOM TOP'")
-            order_blocks.append({"bottom": parts[0], "top": parts[1], "rank": {}})
-        elif tag == "rank:":
-            if not order_blocks:
-                raise FormatError(f"{path}:{lineno}: 'rank:' before any 'sq:' block")
-            parts = body.split()
-            if len(parts) != 2:
-                raise FormatError(f"{path}:{lineno}: expected 'rank: CLASS_REP INT'")
-            order_blocks[-1]["rank"][parts[0]] = _int(path, lineno, parts[1], "rank")
-        else:
-            raise FormatError(f"{path}:{lineno}: unrecognized line {line!r}")
-    if lattice is None:
-        raise FormatError(f"{path}: missing 'lattice:' header")
-    if points is None:
-        raise FormatError(f"{path}: missing 'points:' header")
+        try:
+            if tag == "lattice:":
+                if lattice is not None:
+                    raise FormatError(f"{path}:{lineno}: repeated 'lattice:' header")
+                lattice = load_lattice(path.parent / body.strip())
+            elif tag == "points:":
+                if points is not None:
+                    raise FormatError(f"{path}:{lineno}: repeated 'points:' header")
+                points = tuple(body.split())
+                _distinct(path, lineno, points, "point id")
+            elif tag == "sq:":
+                parts = body.split()
+                if len(parts) != 2:
+                    raise FormatError(f"{path}:{lineno}: expected 'sq: BOTTOM TOP'")
+                order_blocks.append({"bottom": parts[0], "top": parts[1], "rank": {}})
+            elif tag == "rank:":
+                if not order_blocks:
+                    raise FormatError(f"{path}:{lineno}: 'rank:' before any 'sq:' block")
+                parts = body.split()
+                if len(parts) != 2:
+                    raise FormatError(f"{path}:{lineno}: expected 'rank: CLASS_REP INT'")
+                order_blocks[-1]["rank"][parts[0]] = _int(path, lineno, parts[1], "rank")
+            else:
+                raise FormatError(f"{path}:{lineno}: unrecognized line {line!r}")
+        except PermlatError:
+            _named_distances(path, dlines)
+            raise
+    for tag, value in (("lattice:", lattice), ("points:", points)):
+        if value is None:
+            _named_distances(path, dlines)
+            raise FormatError(f"{path}: missing {tag!r} header")
+    n = len(points)
     pindex = {x: i for i, x in enumerate(points)}
-    dist = [[lattice.bottom_idx] * len(points) for _ in points]
-    for x, y, lam in distances.values():
-        i, j = pindex.get(x), pindex.get(y)
-        if i is None or j is None:
-            raise FormatError(f"{path}: distance names unknown point ({x}, {y})")
-        e = lattice.index.get(lam)
-        if e is None:
-            raise FormatError(f"{path}: unknown lattice element {lam!r}")
-        dist[i][j] = dist[j][i] = e
-    if sum(x != y for x, y in distances) < len(points) * (len(points) - 1) // 2:
-        missing = [(x, y) for x, y in itertools.combinations(points, 2)
-                   if ((x, y) if x < y else (y, x)) not in distances]
+    eindex = lattice.index
+    dist = [[None] * n for _ in points]  # None: not given yet
+    try:
+        for _, line in dlines:
+            x, y, lam = line[2:].split()
+            i, j, e = pindex[x], pindex[y], eindex[lam]
+            row_i = dist[i]
+            if row_i[j] is None:
+                row_i[j] = dist[j][i] = e
+            elif row_i[j] != e:
+                raise ValueError  # a conflicting repeat, named below
+    except (ValueError, KeyError):
+        # name the fault as a read by name does: a line fault, else the
+        # first pair naming an unknown point or lattice element
+        for x, y, lam in _named_distances(path, dlines).values():
+            if x not in pindex or y not in pindex:
+                raise FormatError(f"{path}: distance names unknown point ({x}, {y})") from None
+            if lam not in eindex:
+                raise FormatError(f"{path}: unknown lattice element {lam!r}") from None
+    for i in range(n):
+        if dist[i][i] is None:
+            dist[i][i] = lattice.bottom_idx
+    if any(None in row for row in dist):
+        missing = [(points[i], points[j]) for i, j in itertools.combinations(range(n), 2)
+                   if dist[i][j] is None]
         raise FormatError(f"{path}: missing distances for pairs {missing[:5]}")
     space = LambdaSpace(lattice, points, dist)
     orders = tuple(
         SubquotientOrder(space, blk["bottom"], blk["top"], blk["rank"])
         for blk in order_blocks)
     return space, orders
+
+
+def _named_distances(path, dlines) -> dict:
+    """``d:`` lines read by name, in file order: the first line of each point
+    pair, keyed by the sorted pair. A line without three fields, or giving a
+    pair another value than its first line does, is refused at its line."""
+    distances = {}
+    for lineno, line in dlines:
+        given = line[2:].split()
+        if len(given) != 3:
+            raise FormatError(f"{path}:{lineno}: expected 'd: x y lambda'")
+        x, y, lam = given
+        prev = distances.setdefault((x, y) if x < y else (y, x), given)
+        if prev[2] != lam:
+            raise FormatError(f"{path}:{lineno}: d({x},{y}) = {lam} conflicts with "
+                              f"an earlier line that set it to {prev[2]}")
+    return distances
 
 
 def dump_structure(s: OrderedLambdaStructure | LambdaSpace,
@@ -211,7 +245,8 @@ def dump_structure(s: OrderedLambdaStructure | LambdaSpace,
 def load_perm(path: str | Path) -> PermStructure:
     """Header ``n N`` (two counts, neither negative); then one line per point
     with its distinct id and its rank in each order, each order's ranks
-    running over 0..N-1 once."""
+    running over 0..N-1 once. Faults are named in file order only once one
+    is seen."""
     rows = _lines(path)
     if not rows:
         raise FormatError(f"{path}: empty file")
@@ -222,30 +257,33 @@ def load_perm(path: str | Path) -> PermStructure:
     n, N = (_int(path, lineno, h, "header count") for h in header)
     if n < 0 or N < 0:
         raise FormatError(f"{path}:{lineno}: header counts must not be negative")
-    points = []
-    ranks = [[] for _ in range(n)]
+    table = [line.split() for _, line in rows[1:]]
+    columns = list(zip(*table)) or [()] * (n + 1)
+    if len(table) == N == len(set(columns[0])) and all(len(p) == n + 1 for p in table):
+        try:
+            # PermStructure refuses a column that is no permutation of 0..N-1
+            return PermStructure(columns[0], [tuple(map(int, c)) for c in columns[1:]])
+        except ValueError:
+            pass
+    # a check failed: name the first fault in file order
     seen_ids: set[str] = set()
     seen_ranks = [set() for _ in range(n)]
-    for lineno, line in rows[1:]:
+    for count, (lineno, line) in enumerate(rows[1:]):
         parts = line.split()
         if len(parts) != n + 1:
             raise FormatError(f"{path}:{lineno}: expected point id and {n} ranks")
-        if len(points) == N:
+        if count == N:
             raise FormatError(f"{path}:{lineno}: header says {N} points, found more")
         if parts[0] in seen_ids:
             raise FormatError(f"{path}:{lineno}: duplicate point id {parts[0]!r}")
         seen_ids.add(parts[0])
-        points.append(parts[0])
-        for t in range(n):
+        for t, seen in enumerate(seen_ranks):
             r = _int(path, lineno, parts[t + 1], "rank")
-            if not 0 <= r < N or r in seen_ranks[t]:
+            if not 0 <= r < N or r in seen:
                 raise FormatError(f"{path}:{lineno}: rank {r} of order {t} is outside "
                                   f"0..{N - 1} or given to an earlier point")
-            seen_ranks[t].add(r)
-            ranks[t].append(r)
-    if len(points) != N:
-        raise FormatError(f"{path}: header says {N} points, found {len(points)}")
-    return PermStructure(tuple(points), tuple(tuple(r) for r in ranks))
+            seen.add(r)
+    raise FormatError(f"{path}: header says {N} points, found {len(table)}")
 
 
 def dump_perm(p: PermStructure) -> str:

@@ -29,8 +29,8 @@ from math import ceil, comb, log2
 from operator import lshift, or_
 
 from .errors import MissingMeetIrreducibleError, SizeCapError
-from .lattice import (MAX_ELEMENTS, FiniteLattice, FinitePoset, _bits, is_distributive,
-                      lambda0_poset, meet_irreducibles, min_chain_cover, require_distributive)
+from .lattice import (MAX_ELEMENTS, FiniteLattice, FinitePoset, _bits, _cheapest_cover,
+                      is_distributive, lambda0_poset, meet_irreducibles, require_distributive)
 from .sqorders import OrderedLambdaStructure, SubquotientOrder, compose_lex, generic_filler
 
 MAX_PROFILE_K = 4   # profile is exhaustive over k-subsets
@@ -219,8 +219,8 @@ def encode_orders(s: OrderedLambdaStructure, cover: str | list = "auto",
         raise MissingMeetIrreducibleError(
             f"meet-irreducibles without a subquotient order: {missing}", missing=missing)
     p0 = lambda0_poset(lat)
-    if cover == "auto":
-        cover_chains = [list(c) for c in min_chain_cover(p0).chains]
+    if cover == "auto":  # the cheapest cover, whose cost lattice bounds reports
+        cover_chains = sorted([p0.elements[i] for i in c] for c in _cheapest_cover(p0)[1])
     else:
         cover_chains = [_bottom_up(lat, c) for c in cover]
         covered = {x for c in cover_chains for x in c}

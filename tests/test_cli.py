@@ -384,6 +384,22 @@ def test_cover_chains_may_list_their_elements_in_any_order(fixtures, capsys):
     assert all(json.loads(outs[1])["codebook_orders"].values())
 
 
+def test_encode_auto_takes_the_cheapest_cover(tmp_path, capsys):
+    # B2 under a 3-chain: Lambda0 is i1, i2 < i3 < i4; the fewest chains
+    # (i1 i4), (i2 i3) cost 6 orders, the cheapest cover (i1 i3 i4), (i2) 5
+    lat = tmp_path / "b2c3.lat"
+    lat.write_text("elements: i0 i1 i2 i3 i4 i5\n" + "".join(
+        f"cover: i{a} < i{b}\n" for a, b in ["01", "02", "13", "23", "34", "45"]))
+    struct, perm = tmp_path / "s.struct", tmp_path / "s.perm"
+    assert run(["gen", "--lattice", lat, "--orders", "i1:i3,i2:i3,i3:i4,i4:i5", "--size", "40",
+                "--depth", "3", "--seed", "1", "--no-report", "--out", struct], capsys)[0] == 0
+    code, out = run(["encode", "--in", struct, "--out", perm, "--json"], capsys)
+    assert code == 0 and json.loads(out)["bound"] == 5
+    assert perm.read_text().split("\n", 1)[0] == "5 40"
+    code, out = run(["lattice", "bounds", lat, "--json"], capsys)
+    assert json.loads(out)["upper"] == 5
+
+
 def test_encode_refuses_an_order_over_a_one_element_lattice(tmp_path, capsys):
     (tmp_path / "one.lat").write_text("elements: x0\n")
     struct = tmp_path / "s.struct"

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from permlat.errors import MissingMeetIrreducibleError, SizeCapError
 from permlat.generic import GenerationConfig, generate_generic
-from permlat.lattice import b2_plus_top, lattices_isomorphic, meet_irreducibles
+from permlat.lattice import (b2_plus_top, dimension_bounds, enumerate_distributive_lattices,
+                             lambda0_poset, lattices_isomorphic, meet_irreducibles)
 from permlat.permstruct import (PermStructure, cameron_enumeration, decode_relations,
                                 encode_orders, profile, two_order_catalog_parameters,
                                 _composition, _convex_in_order,
@@ -71,6 +72,17 @@ def test_two_generic_orders_encode_as_themselves(chain2):
         {(0, 0), (0, 1), (1, 0), (1, 1)})
     dec = decode_relations(enc.perm)
     assert len(dec.relations) == 2  # only equality and the trivial relation
+
+
+def test_auto_cover_meets_the_upper_dimension_bound():
+    # the cheapest chain cover of Lambda0, not any with the fewest chains:
+    # on two of these lattices a fewest-chains cover costs more orders
+    for lat in enumerate_distributive_lattices(8):
+        if not lambda0_poset(lat).n:
+            continue
+        mi = meet_irreducibles(lat)
+        enc = encode_orders(gen(lat, [(e, mi.cover[e]) for e in mi.elements], size=6, depth=1))
+        assert enc.bound == dimension_bounds(lat).upper == enc.emitted == enc.perm.n
 
 
 def test_b2_plus_point_round_trip():
