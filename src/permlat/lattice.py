@@ -10,7 +10,7 @@ the cheapest possible representation for the hot loops downstream).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import ceil, inf, log2
 
@@ -131,6 +131,7 @@ class FiniteLattice:
         self.top = top
         self.bottom_idx = poset.index[bottom]
         self.top_idx = poset.index[top]
+        self._tables_from_order = False  # from_poset sets it
 
     @classmethod
     def from_poset(cls, poset: FinitePoset) -> "FiniteLattice":
@@ -149,8 +150,10 @@ class FiniteLattice:
         all_mask = (1 << n) - 1
         bottom = next((i for i in range(n) if up[i] == all_mask), bottoms[0] if bottoms else 0)
         top = next((i for i in range(n) if down[i] == all_mask), tops[0] if tops else n - 1)
-        return cls(poset, tuple(map(tuple, meet)), tuple(map(tuple, join)),
-                   poset.elements[bottom], poset.elements[top])
+        lat = cls(poset, tuple(map(tuple, meet)), tuple(map(tuple, join)),
+                  poset.elements[bottom], poset.elements[top])
+        lat._tables_from_order = True
+        return lat
 
     @classmethod
     def from_cover_relations(cls, elements, covers) -> "FiniteLattice":
@@ -281,12 +284,23 @@ def require_lattice(lat: FiniteLattice, where: str) -> FiniteLattice:
 
 @dataclass(frozen=True)
 class DistributivityResult:
+    """Birkhoff's verdict; ``witness``, the first M3 or N5 sublattice as a
+    5-tuple in element-id order, and its ``kind`` are found when first read."""
     distributive: bool
-    witness: tuple[str, ...] | None = None
-    kind: str | None = None  # "M3" or "N5"
+    _lattice: FiniteLattice | None = field(default=None, repr=False, compare=False)
 
     def __bool__(self):
         return self.distributive
+
+    @cached_property
+    def _found(self) -> tuple[tuple[str, ...] | None, str | None]:
+        for subset in itertools.combinations(range(self._lattice.n) if self._lattice else (), 5):
+            if kind := _sublattice_shape(self._lattice, subset):
+                return tuple(self._lattice.elements[i] for i in subset), kind
+        return None, None
+
+    witness = property(lambda self: self._found[0])
+    kind = property(lambda self: self._found[1])  # "M3" or "N5"
 
 
 def _sublattice_shape(lat: FiniteLattice, subset: tuple[int, ...]) -> str | None:
@@ -318,9 +332,10 @@ def is_distributive(lat: FiniteLattice) -> DistributivityResult:
     with one lower cover), onto them iff it is distributive. So it is iff
     they have exactly n down-sets; the count stops past n.
 
-    A lattice failing the count is scanned for the forbidden-sublattice
-    witness (M3 / N5): the lexicographically first violating 5-tuple in
-    element-id order, so failures are reproducible.
+    A lattice failing the count has an M3 or N5 sublattice (Dedekind and
+    Birkhoff), found when the witness is read. Objects that may be no lattice
+    are scanned at the call: all but complete tables of a reflexive,
+    antisymmetric order from ``from_poset`` (exact meets make it transitive).
     """
     down = lat.poset.down
     principal = set(down)
@@ -331,11 +346,10 @@ def is_distributive(lat: FiniteLattice) -> DistributivityResult:
     jdown = tuple(sum(1 << label[i] for i in _bits(down[j]) if i in label) for j in joins)
     if len(_ideals(jdown, lat.n)) == lat.n:
         return DistributivityResult(True)
-    for subset in itertools.combinations(range(lat.n), 5):
-        kind = _sublattice_shape(lat, subset)
-        if kind is not None:
-            return DistributivityResult(False, tuple(lat.elements[i] for i in subset), kind)
-    return DistributivityResult(True)  # only a poset that is no lattice gets here
+    result = DistributivityResult(False, lat)
+    sure = (lat._tables_from_order and None not in itertools.chain(*lat._meet, *lat._join)
+            and all(u & d == 1 << i for i, (u, d) in enumerate(zip(lat.poset.up, down))))
+    return result if sure or result.witness else DistributivityResult(True)
 
 
 def require_distributive(lat: FiniteLattice, what: str) -> None:
@@ -553,17 +567,16 @@ def _natural_posets(max_size: int, lattice_of):
         yield from ((key, poset) for key, (_, poset) in kept.items())
 
 
-def _is_meet_semilattice(down: tuple[int, ...]) -> bool:
-    principal = set(down)
-    return all(a & b in principal for a, b in itertools.combinations(down, 2))
-
-
 def _with_top(down: tuple[int, ...]) -> FinitePoset | None:
-    """A meet-semilattice with a top adjoined, or None for any other poset."""
-    if not _is_meet_semilattice(down):
+    """A meet-semilattice with a top adjoined, or None for any other poset.
+    The walk extends only meet-semilattices: only the last point's meets are new."""
+    principal = set(down)
+    if any(d & down[-1] not in principal for d in down):
         return None
-    n = len(down) + 1
-    return FinitePoset(tuple(f"x{i}" for i in range(n)), _transpose(down + ((1 << n) - 1,)))
+    down += ((1 << len(down) + 1) - 1,)
+    poset = FinitePoset(tuple(f"x{i}" for i in range(len(down))), _transpose(down))
+    poset.down = down  # from_poset reads it: spare transposing back
+    return poset
 
 
 def _ideal_lattice(down: tuple[int, ...], max_size: int) -> FinitePoset | None:

@@ -313,10 +313,11 @@ def _base_spaces(lat: FiniteLattice, max_base: int):
     """Valid base spaces with 0..max_base points, one per isomorphism class.
 
     Each (k+1)-point class is a k-point class plus one triangle-valid row,
-    kept the first time its canonical key is seen (isomorph-free generation,
-    McKay 1998). Deleting any point of a space leaves a space of some k-point
-    class, so every class is reached. The cap bounds the sweep's run time
-    only.
+    kept the first time its key is seen (isomorph-free generation, McKay
+    1998): on at most 3 points the sorted distances, as S3 permutes a
+    triangle's sides freely, and ``canonical_key`` on more. Deleting a point
+    of a space leaves one of a k-point class, so every class is reached. The
+    cap bounds the sweep's run time only.
     """
     if max_base > MAX_BASE_POINTS:
         raise SizeCapError(f"bases are capped at {MAX_BASE_POINTS} points, got {max_base}: "
@@ -326,10 +327,11 @@ def _base_spaces(lat: FiniteLattice, max_base: int):
     for k in range(max_base):
         classes = {}
         for base in layer:
+            sides = tuple(d for i, r in enumerate(base.dist) for d in r[:i])
             for row in _triangle_rows(lat, base.dist):
-                s = base.extended(f"c{k}", row)
-                classes.setdefault(canonical_key(s.dist), s)
-        layer = list(classes.values())
+                classes.setdefault(tuple(sorted(sides + row)) if k < 3
+                                   else canonical_key(base.extended("", row).dist), (base, row))
+        layer = [base.extended(f"c{k}", row) for base, row in classes.values()]
         yield from layer
 
 

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 
 from permlat.errors import NonDistributiveError, NotALatticeError, SizeCapError
 from permlat.canon import canonical_key
+from permlat import lattice
 from permlat.lattice import (FiniteLattice, FinitePoset, _cheapest_cover, _ideal_lattice,
-                             _ideals, _is_meet_semilattice, _natural_posets, b2_plus_top, boolean2,
+                             _ideals, _natural_posets, _with_top, b2_plus_top, boolean2,
                              chain_lattice, dimension_bounds, distributive_law_holds,
                              enumerate_distributive_lattices, enumerate_lattices,
                              is_distributive, lattices_isomorphic, m3,
@@ -418,12 +420,20 @@ def test_enumerate_distributive_lattices_matches_the_eager_reference(max_size):
 
 def test_the_walk_cuts_only_what_no_extension_brings_back():
     # a poset that is no meet-semilattice has no one-point extension that is
-    # one, and an extension has at least as many ideals
+    # one, and an extension has at least as many ideals; so the walk extends
+    # only meet-semilattices, and _with_top, which checks only the new
+    # point's meets, decides each of their children exactly
     for down in ref_natural_posets(5):
         children = [down + (ideal | 1 << len(down),) for ideal in _ideals(down)]
-        assert _is_meet_semilattice(down) == ref_is_meet_semilattice(down)
-        if not _is_meet_semilattice(down):
-            assert not any(_is_meet_semilattice(child) for child in children)
+        if ref_is_meet_semilattice(down):
+            for child in children:
+                poset = _with_top(child)
+                assert (poset is not None) == ref_is_meet_semilattice(child)
+                if poset is not None:
+                    ref = poset_of_down(child + ((1 << len(child) + 1) - 1,))
+                    assert (poset.up, poset.down) == (ref.up, ref.down)
+        else:
+            assert not any(ref_is_meet_semilattice(child) for child in children)
         assert all(len(_ideals(child)) >= len(_ideals(down)) for child in children)
 
 
@@ -612,6 +622,76 @@ def test_distributivity_witness_and_key_match_the_loops():
             assert result.witness == tuple(lat.elements[i] for i in first[0])
             assert result.kind == first[1]
         assert lat.key() == ref_key(lat.poset)
+
+
+def test_a_census_reading_only_the_verdict_scans_for_no_witness(monkeypatch):
+    calls = []
+    shape = lattice._sublattice_shape
+    monkeypatch.setattr(lattice, "_sublattice_shape", lambda *a: calls.append(a) or shape(*a))
+    verdicts = [bool(is_distributive(lat)) for lat in enumerate_lattices(7)]
+    assert (len(verdicts), sum(verdicts)) == (77, 20)
+    assert calls == []
+    assert is_distributive(m3()).witness == ("0", "p", "q", "r", "1") and calls
+
+
+def ref_eager_is_distributive(lat):
+    """is_distributive as it was while it scanned at the call: Birkhoff's
+    count, then the first M3/N5 5-tuple, or distributive if none is found."""
+    down = lat.poset.down
+    joins = sorted((j for j in range(lat.n) if down[j] ^ 1 << j in down),
+                   key=lambda j: down[j].bit_count())
+    jdown = tuple(sum(1 << joins.index(i) for i in joins if down[j] >> i & 1) for j in joins)
+    if len(_ideals(jdown, lat.n)) != lat.n:
+        for s in itertools.combinations(range(lat.n), 5):
+            if kind := lattice._sublattice_shape(lat, s):
+                return SimpleNamespace(distributive=False, kind=kind,
+                                       witness=tuple(lat.elements[i] for i in s))
+    return SimpleNamespace(distributive=True, witness=None, kind=None)
+
+
+def outcome(decide, lat):
+    """What a call gives: the verdict, witness and kind, or the error it
+    raises there (an error put off past the call would escape this)."""
+    try:
+        result = decide(lat)
+    except NotALatticeError as e:
+        return "raises", str(e)
+    return result.distributive, result.witness, result.kind
+
+
+def test_a_missing_meet_still_fails_at_the_call():
+    lat = m3()
+    meet = [list(row) for row in lat._meet]
+    meet[1][2] = meet[2][1] = None   # p ^ q
+    bad = FiniteLattice(lat.poset, tuple(map(tuple, meet)), lat._join, lat.bottom, lat.top)
+    assert outcome(is_distributive, bad) == ("raises", "no meet for (p, q)")
+    assert outcome(ref_eager_is_distributive, bad) == ("raises", "no meet for (p, q)")
+
+
+def test_the_verdict_witness_and_error_match_the_eager_scan_on_any_object():
+    # relations with cycles, irreflexive masks, and lattices whose tables
+    # have entries missing or wrong: only from_poset's complete tables over
+    # a partial order put the scan off, and every object gets what the
+    # eager scan gives it
+    rng = random.Random(5)
+    lattices = [lat for lat in enumerate_lattices(7) if lat.n >= 5]
+    for trial in range(3000):
+        n = rng.randint(4, 7)
+        els = tuple(f"e{i}" for i in range(n))
+        if trial % 3 == 0:
+            pairs = [(rng.choice(els), rng.choice(els)) for _ in range(rng.randint(0, 12))]
+            lat = FiniteLattice.from_poset(FinitePoset.from_leq_pairs(els, pairs))
+        elif trial % 3 == 1:
+            lat = FiniteLattice.from_poset(FinitePoset(
+                els, tuple(rng.getrandbits(n) | (rng.random() < 0.9) << i for i in range(n))))
+        else:   # a lattice with one or two table entries redrawn
+            lat = rng.choice(lattices)
+            meet, join = [list(map(list, lat._meet)), list(map(list, lat._join))]
+            for _ in range(rng.randint(1, 2)):
+                rng.choice((meet, join))[rng.randrange(lat.n)][rng.randrange(lat.n)] = (
+                    rng.choice([None, *range(lat.n)]))
+            lat = FiniteLattice(lat.poset, meet, join, lat.bottom, lat.top)
+        assert outcome(is_distributive, lat) == outcome(ref_eager_is_distributive, lat), trial
 
 
 @pytest.mark.parametrize("a, b", [

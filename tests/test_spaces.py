@@ -6,7 +6,7 @@ import pytest
 from permlat.errors import InvalidFactorError, NonDistributiveError, SizeCapError
 from permlat.canon import canonical_key
 from permlat.lattice import (boolean2, chain_lattice, enumerate_lattices, is_distributive, m3,
-                             n5, vertical_sum)
+                             n5, product_lattice, vertical_sum)
 from permlat.spaces import (FailingInstance, LambdaSpace, SweepReport, amalgam_validity_sweep,
                             amalgamation_failure_probe, canonical_amalgam,
                             equivalences_from_space, space_from_equivalences,
@@ -292,6 +292,29 @@ def _reference_base_spaces(lat, max_base):
 @pytest.mark.parametrize("lat", list(enumerate_lattices(6)), ids=lambda lat: "-".join(lat.elements))
 def test_bases_up_to_3_points_match_the_distance_multiset_enumeration(lat):
     assert list(_base_spaces(lat, 3)) == list(_reference_base_spaces(lat, 3))
+
+
+def _canonical_base_spaces(lat, max_base):
+    """_base_spaces as it was while canonical_key keyed every layer."""
+    layer = [LambdaSpace(lat, (), ())]
+    yield from layer
+    for k in range(max_base):
+        classes = {}
+        for base in layer:
+            for row in _triangle_rows(lat, base.dist):
+                s = base.extended(f"c{k}", row)
+                classes.setdefault(canonical_key(s.dist), s)
+        layer = list(classes.values())
+        yield from layer
+
+
+@pytest.mark.parametrize("lat", [*enumerate_lattices(5), product_lattice(boolean2(), chain_lattice(2))],
+                         ids=lambda lat: "-".join(lat.elements))
+def test_distance_keyed_bases_equal_the_canonical_keyed_ones(lat):
+    # keying bases of at most 3 points by their sorted distances keeps the
+    # same representatives, in the same order, as canonical_key did
+    assert ([(s.points, s.dist) for s in _base_spaces(lat, 4)]
+            == [(s.points, s.dist) for s in _canonical_base_spaces(lat, 4)])
 
 
 def _space_key(s):
