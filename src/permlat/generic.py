@@ -31,7 +31,7 @@ from operator import or_
 
 from .errors import CollapsedCompletionError, MeetReducibleBottomError, SizeCapError
 from .lattice import FiniteLattice, meet_irreducibles, require_distributive
-from .spaces import LambdaSpace, _meet_of_joins, _triangle_rows
+from .spaces import LambdaSpace, _meet_of_joins, _triangle_rows, class_reps
 from .sqorders import OrderedLambdaStructure, SubquotientOrder, _require_valid
 
 Gap = int | None
@@ -133,7 +133,7 @@ def _append_point(s: OrderedLambdaStructure, ctx: _CheckContext, idx_a, delta, g
     """Append a fresh point of the unrealized type (delta, gaps) over the
     base, with ctx bound to s. The orders of s must have dense ranks: the new
     point's top class is then one old scale ranked 0..m-1, and a fresh class
-    takes a rank between two of them, ``renormalized`` closing the gap."""
+    takes a slot in 0..m, those ranked at or above it moving up by one."""
     lat = ctx.lat
     space = s.space
     n = space.n
@@ -152,17 +152,19 @@ def _append_point(s: OrderedLambdaStructure, ctx: _CheckContext, idx_a, delta, g
     for o, (bot, top, reps, _), gap, sc in zip(s.orders, ctx.orders, gaps,
                                                ctx.scale_ranks(idx_a, delta)):
         rank = dict(o.rank)
-        if not any(ctx.leq(d, bot) for d in new_d):
+        if class_reps(new_space, bot)[n] == n:
             # fresh class, represented by the new point itself; slots run
             # strictly after the gap's left base class, at most at the right one
-            m = len({reps[i] for i in range(n) if ctx.leq(new_d[i], top)})
+            scale = [space.points[c] for c in range(n) if reps[c] == c and ctx.leq(new_d[c], top)]
+            m = len(scale)
             if gap is None:
                 slot = rng.randint(0, m)
             else:
                 slot = rng.randint(sc[gap - 1] + 1 if gap > 0 else 0,
                                    sc[gap] if gap < len(sc) else m)
-            rank[name] = slot - 0.5
-        new_orders.append(SubquotientOrder(new_space, o.bottom, o.top, rank).renormalized())
+            rank.update({c: rank[c] + 1 for c in scale if rank[c] >= slot})
+            rank[name] = slot
+        new_orders.append(SubquotientOrder(new_space, o.bottom, o.top, rank))
     return OrderedLambdaStructure(new_space, tuple(new_orders))
 
 
@@ -414,12 +416,12 @@ class _CheckContext:
     Append invariant: ``extend`` rebinds the index to the same structure
     with points appended, and keeps every code table entry, every form and
     every form's row table. That is sound because appending a point never
-    changes a pair code among old points: distances are fixed,
-    ``renormalized`` keeps the order among old classes, and the new point
-    comes last, so it never becomes an existing class's representative. So
-    each old subset keeps its code matrix and form, each old point keeps
-    its row over it, and a row table entry is a function of the form and
-    the row (see ``_fill``), so a realized pattern stays realized.
+    changes a pair code among old points: distances are fixed, a fresh class
+    shifts the old classes above its slot together, keeping their order, and
+    the new point comes last, so it never becomes an existing class's
+    representative. So each old subset keeps its code matrix and form, each
+    old point keeps its row over it, and a row table entry is a function of
+    the form and the row (see ``_fill``), so a realized pattern stays realized.
     """
 
     def __init__(self, s: OrderedLambdaStructure):

@@ -347,14 +347,21 @@ def is_distributive(lat: FiniteLattice) -> DistributivityResult:
     if len(_ideals(jdown, lat.n)) == lat.n:
         return DistributivityResult(True)
     result = DistributivityResult(False, lat)
-    sure = (lat._tables_from_order and None not in itertools.chain(*lat._meet, *lat._join)
-            and all(u & d == 1 << i for i, (u, d) in enumerate(zip(lat.poset.up, down))))
-    return result if sure or result.witness else DistributivityResult(True)
+    return result if _vouched(lat) or result.witness else DistributivityResult(True)
+
+
+def _vouched(lat: FiniteLattice) -> bool:
+    """Whether ``from_poset`` read complete tables off a reflexive, antisymmetric order."""
+    return (lat._tables_from_order and None not in itertools.chain(*lat._meet, *lat._join)
+            and all(u & d == 1 << i for i, (u, d) in enumerate(zip(lat.poset.up, lat.poset.down))))
 
 
 def require_distributive(lat: FiniteLattice, what: str) -> None:
-    """Raise NonDistributiveError, naming ``what`` and the M3/N5 witness of
-    ``is_distributive``, unless the lattice is distributive."""
+    """Raise NotALatticeError unless the object is a lattice (checked only
+    where ``_vouched`` fails), then NonDistributiveError, naming ``what``
+    and the M3/N5 witness of ``is_distributive``, unless it is distributive."""
+    if not _vouched(lat):
+        require_lattice(lat, what)
     dist = is_distributive(lat)
     if not dist:
         raise NonDistributiveError(f"{what}: the lattice is not distributive "

@@ -1,9 +1,9 @@
 """Subquotient orders: partial orders on bottom-relation classes that are
 total exactly inside each top-relation class.
 
-Ranks are dense integers per top-class scale, renormalized after every
-construction, so comparisons are O(1) and equality of orders is equality of
-rank maps. Class representatives are the first member in point order.
+Ranks are dense integers per top-class scale, as every construction leaves
+them, so comparisons are O(1) and equality of orders is equality of rank
+maps. Class representatives are the first member in point order.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from permlat.generic import (GenerationConfig, GenerationResult, HomogeneityRepo
                              generate_generic, homogeneity_check, realize_type)
 from permlat.lattice import (boolean2, chain_lattice, enumerate_distributive_lattices, m3,
                              meet_irreducibles, product_lattice)
-from permlat.spaces import equivalences_from_space, validate_space
+from permlat.spaces import LambdaSpace, class_reps, equivalences_from_space, validate_space
 from permlat.sqorders import OrderedLambdaStructure, SubquotientOrder, validate_sqorder
 
 
@@ -594,6 +594,46 @@ def test_grown_index_matches_a_fresh_one(case):
         fresh.register(z, 3)
         assert ([_registered(ctx, A, z).type for A in _subsets(z)]
                 == [_registered(fresh, A, z).type for A in _subsets(z)])
+
+
+def _ref_appended_ranks(o, grown):
+    # the rank rule of an append before ranks were shifted in place: the old
+    # ranks, a fresh bottom class (no point within the bottom of the new one)
+    # at its slot - 0.5, and every scale re-sorted by renormalized(), on a
+    # space with nothing cached
+    space = LambdaSpace(grown.space.lattice, grown.space.points, grown.space.dist)
+    rank = dict(o.rank)
+    lat, name = space.lattice, space.points[-1]
+    if not any(lat.leq_idx(d, lat.index[o.bottom]) for d in space.dist[-1][:-1]):
+        rank[name] = grown.rank[name] - 0.5
+    return SubquotientOrder(space, o.bottom, o.top, rank).renormalized().rank
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_an_append_carries_class_reps_and_ranks_as_a_rebuild_gives_them(monkeypatch, case):
+    # generation at depths 1-3, each append checked against a rebuild: the
+    # class representatives it carries over against class_reps on a fresh
+    # space, and each order's ranks against the renormalizing rule
+    make, sig, size, _ = KERNEL_CASES[case]
+    appends = []
+
+    def checked(s, ctx, *args):
+        grown = _append_point(s, ctx, *args)
+        lat = s.space.lattice
+        assert {lat.index[o.bottom] for o in s.orders} <= s.space._class_reps.keys()
+        fresh = LambdaSpace(lat, grown.space.points, grown.space.dist)
+        assert grown.space._class_reps.keys() >= s.space._class_reps.keys()
+        for level, reps in grown.space._class_reps.items():
+            assert reps == class_reps(fresh, level)
+        for o, new in zip(s.orders, grown.orders):
+            assert new.rank == _ref_appended_ranks(o, new)
+        appends.append(grown.space.n)
+        return grown
+
+    monkeypatch.setattr(generic, "_append_point", checked)
+    for depth, seed in itertools.product((1, 2, 3), (0, 1, 7)):
+        assert gen(make(), sig, seed=seed, size=size, depth=depth).space.n == size
+    assert appends == list(range(1, size + 1)) * 9
 
 
 def _ref_register(ctx, z, k):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permlat.errors import NonDistributiveError, NotALatticeError, SizeCapError
+from permlat.generic import GenerationConfig, generate_generic
 from permlat.canon import canonical_key
 from permlat import lattice
 from permlat.lattice import (FiniteLattice, FinitePoset, _cheapest_cover, _ideal_lattice,
@@ -17,8 +18,9 @@ from permlat.lattice import (FiniteLattice, FinitePoset, _cheapest_cover, _ideal
                              enumerate_distributive_lattices, enumerate_lattices,
                              is_distributive, lattices_isomorphic, m3,
                              meet_irreducibles, min_chain_cover,
-                             n5, lambda0_poset, product_lattice, validate_lattice,
-                             vertical_sum)
+                             n5, lambda0_poset, product_lattice, require_distributive,
+                             validate_lattice, vertical_sum)
+from permlat.spaces import amalgam_validity_sweep
 from permlat.validation import ValidationReport
 
 
@@ -692,6 +694,42 @@ def test_the_verdict_witness_and_error_match_the_eager_scan_on_any_object():
                     rng.choice([None, *range(lat.n)]))
             lat = FiniteLattice(lat.poset, meet, join, lat.bottom, lat.top)
         assert outcome(is_distributive, lat) == outcome(ref_eager_is_distributive, lat), trial
+
+
+def test_the_distributivity_gate_refuses_an_object_that_is_no_lattice():
+    # a cyclic relation: its closure is no order, Birkhoff's count fails and
+    # no 5 elements form M3 or N5, so the verdict alone reads distributive;
+    # the gate, and amalgamation and generation behind it, refuse it
+    cycle = FiniteLattice.from_cover_relations(
+        ["e0", "e1", "e2", "e3", "e4"],
+        [("e4", "e0"), ("e2", "e4"), ("e4", "e1"), ("e1", "e2"), ("e3", "e4")])
+    assert is_distributive(cycle)
+    calls = [lambda: require_distributive(cycle, "gate"),
+             lambda: amalgam_validity_sweep(cycle, 2, 1),
+             lambda: generate_generic(cycle, [], GenerationConfig(seed=1, target_size=3))]
+    for call, where in zip(calls, ["gate", "validity sweep", "generation"]):
+        with pytest.raises(NotALatticeError, match=f"^{where}: not a lattice: antisymmetric") as err:
+            call()
+        assert err.value.code == "NOT_A_LATTICE"
+
+
+def test_the_gate_validates_only_tables_from_poset_cannot_vouch_for(monkeypatch):
+    calls = []
+    validate = lattice.validate_lattice
+    monkeypatch.setattr(lattice, "validate_lattice", lambda lat: calls.append(lat) or validate(lat))
+    for lat in enumerate_distributive_lattices(7):
+        require_distributive(lat, "gate")
+    with pytest.raises(NonDistributiveError):
+        require_distributive(m3(), "gate")
+    assert calls == []
+    # hand-made tables, right or wrong, are validated at the gate
+    b2 = boolean2()
+    require_distributive(FiniteLattice(b2.poset, b2._meet, b2._join, b2.bottom, b2.top), "gate")
+    join = [list(row) for row in b2._join]
+    join[1][2] = join[2][1] = b2.bottom_idx
+    with pytest.raises(NotALatticeError, match="^gate: not a lattice: join-lub"):
+        require_distributive(FiniteLattice(b2.poset, b2._meet, join, b2.bottom, b2.top), "gate")
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("a, b", [
