@@ -293,10 +293,10 @@ def generate_generic(lat: FiniteLattice, sq_signature, cfg: GenerationConfig,
             for z in range(n, ctx.n):
                 row = ctx.row(A, z)
                 exact.add(form.rows.get(row) or ctx._row_type(form, A, row, z))
-            cand = [t for t in form.types.values()
-                    if t not in exact and not (steered and t.pattern in ctx.realized)]
+            cand = [t for t, u in form.types.items()
+                    if u not in exact and not (steered and u.pattern in ctx.realized)]
             if cand:
-                append(_append_point(s, ctx, A, *cand[rng.randrange(len(cand))].type, rng))
+                append(_append_point(s, ctx, A, *cand[rng.randrange(len(cand))], rng))
         if s.space.n == n:
             # every type over every subset realized: append over the empty
             # base, at distance top from every point, drawing no rank. Only
@@ -329,43 +329,29 @@ def _labellings(k: int) -> list:
 
 
 class _Class:
-    """One isomorphism class of bases: its canonical matrix and
-    automorphisms, in lexicographic order (``form`` finds them). A base's
-    consistent types depend only on its pair codes, so they are a function
-    of the class. A pattern key is (matrix, least image of a type in class
-    coordinates under the automorphisms); the index numbers the keys in its
-    shared ``keys`` list."""
+    """One isomorphism class of bases: its canonical matrix, automorphisms
+    in lexicographic order, and consistent types (``form`` finds all three).
+    A base's consistent types depend only on its pair codes, so they are a
+    function of the class: ``types`` maps each, in class coordinates, to its
+    ``_Type``, and is enumerated once, over the first base met. A pattern key
+    is (matrix, least image of a type under the automorphisms)."""
 
-    __slots__ = ("matrix", "autos", "keys", "patterns")
+    __slots__ = ("matrix", "autos", "types")
 
-    def __init__(self, matrix, autos: list, keys: list):
+    def __init__(self, matrix, autos: list):
         self.matrix = matrix
         self.autos = autos
-        self.keys = keys
-        self.patterns: dict = {}   # type in class coordinates -> pattern number
-
-    def pattern(self, local) -> int:
-        number = self.patterns.get(local)
-        if number is None:
-            orbit = min(_apply_perm_type(*local, a) for a in self.autos)
-            number = self.patterns.get(orbit)
-            if number is None:
-                number = self.patterns[orbit] = len(self.keys)
-                self.keys.append((self.matrix, orbit))
-            self.patterns[local] = number
-        return number
+        self.types: dict = {}
 
 
 class _Type:
-    """A type over the subsets of one form: ``type`` is (delta, gaps) in
-    subset coordinates, ``local`` the same in class coordinates, and
-    ``pattern`` the number of its pattern key. A form holds one object per
-    consistent type, so identity is equality."""
+    """A type over the bases of one class: ``local`` is (delta, gaps) in
+    class coordinates and ``pattern`` the number of its pattern key. A class
+    holds one object per consistent type, so identity is equality."""
 
-    __slots__ = ("type", "local", "pattern")
+    __slots__ = ("local", "pattern")
 
-    def __init__(self, t: tuple, local: tuple, pattern: int):
-        self.type = t
+    def __init__(self, local: tuple, pattern: int):
         self.local = local
         self.pattern = pattern
 
@@ -373,10 +359,10 @@ class _Type:
 class _Form:
     """A class seen through one canonical labelling, shared by every subset
     with the same matrix of raw pair codes. ``types`` maps each consistent
-    type, in subset coordinates and enumeration order, to its ``_Type``;
-    ``rows`` maps a point's packed row over the subset to its ``_Type``, or
-    None for a base point, and ``children`` maps it to the form of the
-    subset with that point appended (see ``_CheckContext.sweep``)."""
+    type, in subset coordinates and enumeration order, to its class's
+    ``_Type``; ``rows`` maps a point's packed row over the subset to one of
+    them, or None for a base point, and ``children`` maps it to the form of
+    the subset with that point appended (see ``_CheckContext.sweep``)."""
 
     __slots__ = ("cls", "perm", "types", "rows", "children")
 
@@ -404,8 +390,8 @@ class _CheckContext:
 
     It holds a table of pair codes (distance, then per order: same bottom
     class, other top class, below or above), one ``_Form`` per matrix of
-    raw pair codes met so far, one ``_Class`` per
-    canonical matrix, and the per-order class ranks that exact types need.
+    raw pair codes met so far, one ``_Class`` per canonical matrix with its
+    types (``types`` runs once per class), and the per-order class ranks.
 
     Packed rows: a point's row over a subset (a_1, ..., a_k) is one integer
     holding its codes to a_1, ..., a_k in fields of ``width`` bits, a_1's
@@ -481,12 +467,15 @@ class _CheckContext:
     def form(self, idx_a: tuple) -> _Form:
         """Canonical form of the subset: the lexicographically least code
         matrix over its labellings, the first labelling reaching it, and the
-        type table of that (class, labelling). Memoized per raw code matrix;
+        class's types in subset coordinates. Memoized per raw code matrix;
         the walks look a subset up in its prefix form's ``children`` first.
 
         A new class takes its automorphisms from the same scan: q reaches
         the least matrix exactly when q = perm * a for an automorphism a of
-        it, so a = perm^-1 * q."""
+        it, so a = perm^-1 * q. Its patterns are numbered in ``keys`` as
+        ``types`` meets them. A form maps its class's types back through
+        perm^-1 and sorts them into ``types``' order: deltas, then each
+        delta's gaps (with None in the same places), lexicographically."""
         to = self._to
         facts = tuple([to[b][a] for a in idx_a for b in idx_a])
         form = self._by_codes.get(facts)
@@ -496,19 +485,25 @@ class _CheckContext:
                        for perm, cells in _labellings(k)]
             # perms come in lexicographic order, so ties go to the first one
             best, perm = min(scanned)
+            inverse = sorted(range(k), key=perm.__getitem__)
             cls = self._classes.get((k, best))
             if cls is None:
                 codes = iter(best)
                 matrix = tuple(tuple((0,) if u == v else self._decode(next(codes))
                                      for v in range(k)) for u in range(k))
-                inverse = sorted(range(k), key=perm.__getitem__)
                 autos = sorted(tuple([inverse[q[u]] for u in range(k)])
                                for key, q in scanned if key == best)
-                cls = self._classes[(k, best)] = _Class(matrix, autos, self.keys)
-            types = {}
-            for t in self.types(idx_a):
-                local = _apply_perm_type(*t, perm)
-                types[t] = _Type(t, local, cls.pattern(local))
+                cls = self._classes[(k, best)] = _Class(matrix, autos)
+                numbers: dict = {}   # least image under the automorphisms -> pattern number
+                for t in self.types(idx_a):
+                    local = _apply_perm_type(*t, perm)
+                    orbit = min(_apply_perm_type(*local, a) for a in autos)
+                    if orbit not in numbers:
+                        numbers[orbit] = len(self.keys)
+                        self.keys.append((matrix, orbit))
+                    cls.types[local] = _Type(local, numbers[orbit])
+            types = dict(sorted((_apply_perm_type(*local, inverse), u)
+                                for local, u in cls.types.items()))
             form = self._by_codes[facts] = _Form(cls, perm, types)
         return form
 
@@ -711,10 +706,10 @@ def _extension_report(ctx: _CheckContext, k: int) -> SaturationReport:
         tally[1] += len(distinct)
         if len(missing_pairs) < 200:
             exact = set(map(form.rows.__getitem__, distinct))
-            missing = [t for t in form.types.values() if t not in exact]
+            missing = [t for t, u in form.types.items() if u not in exact]
             if missing:
                 names = tuple(ctx.points[a] for a in A)
-                missing_pairs += [(names, OnePointType(names, *t.type))
+                missing_pairs += [(names, OnePointType(names, *t))
                                   for t in missing[:200 - len(missing_pairs)]]
     pair_total = pair_realized = 0
     for form, (subsets, realized) in tallies.items():
@@ -751,7 +746,7 @@ class HomogeneityReport:
     pairs_checked: int
     extension_misses: int
     pattern_failures: int
-    failures: list          # explicit (A, B, point, note) samples
+    failures: list          # explicit (A, B, repr of a type in class coordinates, note) samples
     missing_patterns: list
 
     @property
@@ -784,8 +779,9 @@ def homogeneity_check(s: OrderedLambdaStructure, m: int) -> HomogeneityReport:
     in a valid structure its distinct outside rows onto its realized types,
     so the per-row tallies of one pass give each class's counts. Pattern
     failures are read off the index after that pass, as in
-    ``_extension_report``: a class's missing patterns are its pattern
-    numbers (the values of ``patterns``) not in ``realized``.
+    ``_extension_report``: a class's missing patterns are the pattern
+    numbers of its ``types`` not in ``realized``, listed only until the
+    sample of 50 is full.
     """
     ctx = _check_context(s, m, "homogeneity_check")
     points = s.space.points
@@ -834,8 +830,10 @@ def homogeneity_check(s: OrderedLambdaStructure, m: int) -> HomogeneityReport:
                 if absent:
                     class_misses += total_count * absent
         misses += class_misses
-        missing = sorted(repr(ctx.keys[p][1]) for p in set(cls.patterns.values()) - ctx.realized)
-        missing_patterns += [(repr(cls.matrix), u) for u in missing[:50 - len(missing_patterns)]]
+        if len(missing_patterns) < 50:
+            patterns = {u.pattern for u in cls.types.values()} - ctx.realized
+            missing = sorted(repr(ctx.keys[p][1]) for p in patterns)[:50 - len(missing_patterns)]
+            missing_patterns += [(repr(cls.matrix), u) for u in missing]
         if class_misses and len(failures) < 20:
             # surface a concrete example for the report
             failures.extend(itertools.islice((

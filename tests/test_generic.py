@@ -429,11 +429,18 @@ def test_checks_match_per_subset_type_references(request, lat, size, depth, k, c
     assert bool(report.missing_patterns) != complete
 
 
+def _subset_types(form):
+    # each _Type of the form's class to its key in form.types: the type in
+    # subset coordinates
+    return {u: t for t, u in form.types.items()}
+
+
 def _tally(ctx, A):
     # the exact type of every point outside A, counted
     ctx.exact_types(A)   # fills the form's row table
-    table = ctx.form(A).rows
-    return Counter(table[row].type for row in ctx.rows(A) if row >= 0)
+    form = ctx.form(A)
+    key = _subset_types(form)
+    return Counter(key[form.rows[row]] for row in ctx.rows(A) if row >= 0)
 
 
 def _subsets(n, k=3):
@@ -441,19 +448,20 @@ def _subsets(n, k=3):
 
 
 def _registered(ctx, A, z):
-    # the row table entry of the point z over A
-    return ctx.form(A).rows[ctx.row(A, z)]
+    # the row table entry of the point z over A, in subset coordinates
+    form = ctx.form(A)
+    return _subset_types(form)[form.rows[ctx.row(A, z)]]
 
 
-def _count_form_calls(monkeypatch):
-    # every _CheckContext.form call from here on, by subset
-    form, calls = _CheckContext.form, []
+def _count_calls(monkeypatch, name):
+    # every call of the _CheckContext method from here on, by subset
+    method, calls = getattr(_CheckContext, name), []
 
     def counted(ctx, idx_a):
         calls.append(idx_a)
-        return form(ctx, idx_a)
+        return method(ctx, idx_a)
 
-    monkeypatch.setattr(_CheckContext, "form", counted)
+    monkeypatch.setattr(_CheckContext, name, counted)
     return calls
 
 
@@ -491,11 +499,11 @@ def test_index_entries_survive_an_appended_point(chain3, grow):
         assert form is kept[A]
         assert (form.cls.matrix, form.perm) == (new.cls.matrix, new.perm)
         assert (form.cls.matrix, form.perm) == _ref_canonical(fresh, list(A))
-        assert ([(u.type, u.local, ctx.keys[u.pattern]) for u in form.types.values()]
-                == [(u.type, u.local, fresh.keys[u.pattern]) for u in new.types.values()])
-        assert t.type == fresh.point_type(A, z)
+        assert ([(t, u.local, ctx.keys[u.pattern]) for t, u in form.types.items()]
+                == [(t, u.local, fresh.keys[u.pattern]) for t, u in new.types.items()])
+        assert t == fresh.point_type(A, z)
         assert ctx.rows(A) == fresh.rows(A) == rows[A] + [fresh.rows(A)[z]]
-        assert _tally(ctx, A) == _tally(fresh, A) == exact[A] + Counter([t.type])
+        assert _tally(ctx, A) == _tally(fresh, A) == exact[A] + Counter([t])
 
 
 def _b2_times_chain2():
@@ -522,6 +530,7 @@ def test_packed_rows_match_point_types(case):
         rows = ctx.rows(A)
         exact = ctx.exact_types(A)
         form = ctx.form(A)
+        key = _subset_types(form)
         for z in range(ctx.n):
             assert (rows[z] < 0) == (z in A)
             if z in A:
@@ -530,15 +539,15 @@ def test_packed_rows_match_point_types(case):
             fields = [rows[z] >> width * (len(A) - 1 - i) & mask for i in range(len(A))]
             assert [ctx._decode(c) for c in fields] == [_ref_pair_code(ctx, z, a) for a in A]
             t = form.rows[rows[z]]
-            assert t.type == ctx.point_type(A, z)
-            assert t is form.types[t.type] and t in exact
+            assert key[t] == ctx.point_type(A, z)
+            assert t is form.types[key[t]] and t in exact
         assert _tally(ctx, A) == Counter(
             ctx.point_type(A, z) for z in range(ctx.n) if z not in A)
         assert list(exact) == list(dict.fromkeys(
             form.rows[rows[z]] for z in range(ctx.n) if z not in A))
     for z in range(ctx.n):
         ctx.register(z, 3)
-        assert ([_registered(ctx, A, z).type for A in _subsets(z)]
+        assert ([_registered(ctx, A, z) for A in _subsets(z)]
                 == [ctx.point_type(A, z) for A in _subsets(z)])
 
 
@@ -576,9 +585,9 @@ def test_grown_index_matches_a_fresh_one(case):
         for A in _subsets(s.space.n):
             ctx.exact_types(A)
         base, t = next((A, t) for A in _subsets(s.space.n)
-                       for t in ctx.form(A).types.values() if t not in ctx.exact_types(A))
+                       for t, u in ctx.form(A).types.items() if u not in ctx.exact_types(A))
         list(ctx.sweep(3))   # fills child forms, which must survive the append
-        s = _append_point(s, ctx, base, *t.type, rng)
+        s = _append_point(s, ctx, base, *t, rng)
         ctx.extend(s)
         ctx.register(s.space.n - 1, 3)   # registration, as generation does it
     fresh = _CheckContext(s)
@@ -587,13 +596,12 @@ def test_grown_index_matches_a_fresh_one(case):
     for A in _subsets(s.space.n):
         assert ctx.rows(A) == fresh.rows(A)
         assert _tally(ctx, A) == _tally(fresh, A)
-        assert ([t.type for t in ctx.form(A).types.values()]
-                == [t.type for t in fresh.form(A).types.values()])
+        assert list(ctx.form(A).types) == list(fresh.form(A).types)
     for z in range(s.space.n):
         ctx.register(z, 3)
         fresh.register(z, 3)
-        assert ([_registered(ctx, A, z).type for A in _subsets(z)]
-                == [_registered(fresh, A, z).type for A in _subsets(z)])
+        assert ([_registered(ctx, A, z) for A in _subsets(z)]
+                == [_registered(fresh, A, z) for A in _subsets(z)])
 
 
 def _ref_appended_ranks(o, grown):
@@ -647,8 +655,11 @@ def _ref_register(ctx, z, k):
 
 def _row_tables(ctx):
     # every form's row table, by raw code matrix, with patterns as keys
-    return {facts: {row: (t.type, ctx.keys[t.pattern]) for row, t in form.rows.items()}
-            for facts, form in ctx._by_codes.items()}
+    tables = {}
+    for facts, form in ctx._by_codes.items():
+        key = _subset_types(form)
+        tables[facts] = {row: (key[t], ctx.keys[t.pattern]) for row, t in form.rows.items()}
+    return tables
 
 
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
@@ -664,12 +675,12 @@ def test_registration_matches_the_per_subset_reference(monkeypatch, case):
         walk.register(z, 3)
         _ref_register(ref, z, 3)
     rng = random.Random(5)
-    calls = _count_form_calls(monkeypatch)
+    calls = _count_calls(monkeypatch, "form")
     for _ in range(4):
         pick = _CheckContext(s)
         base, t = next((A, t) for A in _subsets(s.space.n)
-                       for t in pick.form(A).types.values() if t not in pick.exact_types(A))
-        s = _append_point(s, pick, base, *t.type, rng)
+                       for t, u in pick.form(A).types.items() if u not in pick.exact_types(A))
+        s = _append_point(s, pick, base, *t, rng)
         walk.extend(s)
         ref.extend(s)
         calls.clear()
@@ -681,38 +692,67 @@ def test_registration_matches_the_per_subset_reference(monkeypatch, case):
 
 
 def _swept(ctx, k=3, since=None):
-    return [(A, form.cls.matrix, form.perm, rows, [form.rows[row] and form.rows[row].type
-                                                   for row in rows])
-            for A, form, rows, _ in ctx.sweep(k, since)]
+    swept = []
+    for A, form, rows, _ in ctx.sweep(k, since):
+        key = _subset_types(form)
+        swept.append((A, form.cls.matrix, form.perm, rows,
+                      [form.rows[row] and key[form.rows[row]] for row in rows]))
+    return swept
 
 
-@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+SWEEP_CASES = {
+    # lattice, signature, size, sweep depth: the kernel cases at depth 3, two
+    # at depth 4, where a class has many forms, and B2 with one order, where
+    # classes have automorphisms, so that some types share a pattern
+    **{case: (make, sig, size, 3) for case, (make, sig, size, _) in KERNEL_CASES.items()},
+    "chain3-k4": KERNEL_CASES["chain3"][:3] + (4,),
+    "b2-k4": KERNEL_CASES["b2"][:3] + (4,),
+    "b2-one-order": (boolean2, [("a", "1")], 12, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
 def test_sweep_matches_per_subset_forms_and_types(monkeypatch, case):
     # one walk serves both checks: it must visit today's subsets in today's
     # order, and its child-table forms and row-table types must be the ones
-    # form() and point_type() give subset by subset
-    make, sig, size, _ = KERNEL_CASES[case]
+    # form() and point_type() give subset by subset. A class enumerates its
+    # types once, over its first subset; every form maps them onto its own
+    # labelling in types()'s order, which the seeded draws of generation
+    # rest on, and numbers each by its orbit under the automorphisms
+    make, sig, size, k = SWEEP_CASES[case]
     s = gen(make(), sig, size=size, depth=3)
     ctx = _CheckContext(s)
-    calls = _count_form_calls(monkeypatch)
+    calls = _count_calls(monkeypatch, "form")
+    enumerated = _count_calls(monkeypatch, "types")
     swept = []
-    for A, form, rows, distinct in ctx.sweep(3):
+    for A, form, rows, distinct in ctx.sweep(k):
         # the form's row table covers the subset's rows when it is yielded
         assert distinct == set(rows) and form.rows.keys() >= distinct
         swept.append((A, form, rows, [form.rows[row] for row in rows]))
-    assert [A for A, _, _, _ in swept] == _subsets(s.space.n)
+    assert [A for A, _, _, _ in swept] == _subsets(s.space.n, k)
     assert len(calls) < len(swept)   # most forms came from a child table
+    # types() ran once per class, and some class has more than one form
+    assert len({ctx.form(A).cls for A in enumerated}) == len(enumerated) == len(ctx._classes)
+    assert len(ctx._by_codes) > len(ctx._classes)
+    for A, form, _, _ in swept:
+        assert list(form.types) == list(ctx.types(A))
+        autos = _ref_autos(form.cls.matrix)
+        for t, u in form.types.items():
+            assert u is form.cls.types[_permuted(*t, form.perm)]
+            assert ctx.keys[u.pattern] == (form.cls.matrix,
+                                           min(_permuted(*u.local, a) for a in autos))
     fresh = _CheckContext(s)
     for A, form, rows, types in swept:
         # one form object per code matrix, so identity is exactness
         assert form is ctx.form(A)
         new = fresh.form(A)
         assert (form.cls.matrix, form.perm) == (new.cls.matrix, new.perm)
-        assert [t.type for t in form.types.values()] == [t.type for t in new.types.values()]
+        assert list(form.types) == list(new.types)
         assert rows == ctx.rows(A)
         assert form.cls.autos == _ref_autos(form.cls.matrix)
         assert [t is None for t in types] == [z in A for z in range(ctx.n)]
-        assert [t.type for t in types if t is not None] == [
+        key = _subset_types(form)
+        assert [key[t] for t in types if t is not None] == [
             ctx.point_type(A, z) for z in range(ctx.n) if z not in A]
         assert list(dict.fromkeys(t for t in types if t is not None)) == list(ctx.exact_types(A))
     assert [A for A, _, _, _ in ctx.sweep(0)] == [()]
@@ -887,10 +927,10 @@ def _eager_generate(lat, sig, cfg):
                 break
             exact = {form.rows[row] for row in distinct}
             exact.update(form.rows[ctx.row(A, z)] for z in range(n, ctx.n))
-            cand = [t for t in form.types.values()
-                    if t not in exact and not (steered and t.pattern in ctx.realized)]
+            cand = [t for t, u in form.types.items()
+                    if u not in exact and not (steered and u.pattern in ctx.realized)]
             if cand:
-                append(_append_point(s, ctx, A, *cand[rng.randrange(len(cand))].type, rng))
+                append(_append_point(s, ctx, A, *cand[rng.randrange(len(cand))], rng))
         if s.space.n == n:
             append(_append_point(s, ctx, (), (), (None,) * len(s.orders), rng))
     return GenerationResult(s, _extension_report(ctx, k), s.space.n), steered_at
