@@ -538,7 +538,8 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        kind = "IO" if isinstance(e, OSError) else "ERROR"
+        print(f"error [{kind}]: {e}", file=sys.stderr)
         return 1
 
 

@@ -31,7 +31,7 @@ from operator import or_
 
 from .errors import CollapsedCompletionError, MeetReducibleBottomError, SizeCapError
 from .lattice import FiniteLattice, meet_irreducibles, require_distributive
-from .spaces import LambdaSpace, _meet_of_joins, _triangle_rows, class_reps
+from .spaces import LambdaSpace, _meet_of_joins, _triangle_rows
 from .sqorders import OrderedLambdaStructure, SubquotientOrder, _require_valid
 
 Gap = int | None
@@ -108,8 +108,7 @@ def realize_type(s: OrderedLambdaStructure, t: OnePointType,
     from the seeded stream. Idempotent when the type is already realized.
     The input orders may have sparse ranks: they are renormalized first."""
     _require_generable(s.space.lattice, s.signature())
-    dense = OrderedLambdaStructure(s.space, tuple(o.renormalized() for o in s.orders))
-    ctx = _CheckContext(dense)
+    ctx = _CheckContext(OrderedLambdaStructure(s.space, tuple(o.renormalized() for o in s.orders)))
     idx_a = _index_of(s, t.over)
     want = (tuple(t.distances), tuple(t.order_constraints))
     if want not in ctx.types(idx_a):
@@ -117,55 +116,51 @@ def realize_type(s: OrderedLambdaStructure, t: OnePointType,
     for z in range(ctx.n):
         if z not in idx_a and ctx.point_type(idx_a, z) == want:
             return RealizeResult(s, None, s.space.points[z])
-    grown = _append_point(dense, ctx, idx_a, *want, rng or random.Random(0))
-    return RealizeResult(grown, grown.space.points[-1], None)
+    _append_point(ctx, idx_a, *want, rng or random.Random(0))
+    return RealizeResult(ctx.structure(), ctx.points[-1], None)
 
 
-def _new_name(space: LambdaSpace) -> str:
-    name = f"p{space.n}"
-    while name in space.pindex:
+def _append_point(ctx: _CheckContext, idx_a, delta, gaps, rng: random.Random) -> None:
+    """Append to ctx a fresh point of the unrealized type (delta, gaps) over
+    the base. Ranks are dense: the new point's top class is one scale ranked
+    0..m-1, and a fresh class takes a slot in 0..m, the points ranked at or
+    above it moving up by one."""
+    lat, up, dist, points, n = ctx.lat, ctx.up, ctx.dist, ctx.points, ctx.n
+    name = f"p{n}"
+    while name in points:
         name = name + "'"
-    return name
-
-
-def _append_point(s: OrderedLambdaStructure, ctx: _CheckContext, idx_a, delta, gaps,
-                  rng: random.Random) -> OrderedLambdaStructure:
-    """Append a fresh point of the unrealized type (delta, gaps) over the
-    base, with ctx bound to s. The orders of s must have dense ranks: the new
-    point's top class is then one old scale ranked 0..m-1, and a fresh class
-    takes a slot in 0..m, those ranked at or above it moving up by one."""
-    lat = ctx.lat
-    space = s.space
-    n = space.n
-    name = _new_name(space)
     # on the base itself this gives back delta, which is triangle-closed
-    new_d = [_meet_of_joins(lat, delta, [space.dist[a][z] for a in idx_a]) for z in range(n)]
+    new_d = [_meet_of_joins(lat, delta, [dist[a][z] for a in idx_a]) for z in range(n)]
     if lat.bottom_idx in new_d:
         # cannot happen: the type is unrealized, and a bottom distance would
         # make that point realize it
         z = new_d.index(lat.bottom_idx)
         raise CollapsedCompletionError(
-            f"canonical completion collapsed a fresh point onto {space.points[z]}",
-            point=space.points[z])
-    new_space = space.extended(name, new_d)
-    new_orders = []
-    for o, (bot, top, reps, _), gap, sc in zip(s.orders, ctx.orders, gaps,
-                                               ctx.scale_ranks(idx_a, delta)):
-        rank = dict(o.rank)
-        if class_reps(new_space, bot)[n] == n:
-            # fresh class, represented by the new point itself; slots run
-            # strictly after the gap's left base class, at most at the right one
-            scale = [space.points[c] for c in range(n) if reps[c] == c and ctx.leq(new_d[c], top)]
-            m = len(scale)
-            if gap is None:
-                slot = rng.randint(0, m)
-            else:
-                slot = rng.randint(sc[gap - 1] + 1 if gap > 0 else 0,
-                                   sc[gap] if gap < len(sc) else m)
-            rank.update({c: rank[c] + 1 for c in scale if rank[c] >= slot})
-            rank[name] = slot
-        new_orders.append(SubquotientOrder(new_space, o.bottom, o.top, rank))
-    return OrderedLambdaStructure(new_space, tuple(new_orders))
+            f"canonical completion collapsed a fresh point onto {points[z]}", point=points[z])
+    for (bot, top, reps, rank), gap, sc in zip(ctx.orders, gaps, ctx.scale_ranks(idx_a, delta)):
+        # the new point's class is that of the first point within bot of it
+        same = next((z for z, d in enumerate(new_d) if up[d] >> bot & 1), None)
+        reps.append(n if same is None else reps[same])
+        if same is not None:
+            rank.append(rank[same])
+            continue
+        # fresh class, represented by the new point itself; slots run
+        # strictly after the gap's left base class, at most at the right one
+        inside = [up[d] >> top & 1 for d in new_d]
+        m = sum(inside[c] for c in range(n) if reps[c] == c)
+        if gap is None:
+            slot = rng.randint(0, m)
+        else:
+            slot = rng.randint(sc[gap - 1] + 1 if gap > 0 else 0, sc[gap] if gap < len(sc) else m)
+        rank[:] = [r + 1 if i and r >= slot else r for r, i in zip(rank, inside)]
+        rank.append(slot)
+    for row, d in zip(dist, new_d):
+        row.append(d)
+    dist.append(new_d + [lat.bottom_idx])
+    points.append(name)
+    ctx.n += 1
+    ctx._scales_base = None   # the ranks have moved
+    ctx._code(n)
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +223,12 @@ def generate_generic(lat: FiniteLattice, sq_signature, cfg: GenerationConfig,
     per-subset unrealized type, so the budget goes to genuine saturation
     first and density second. Steering never comes back (see the flag).
 
-    One subset index serves the whole run, the final report included. It is
-    extended after every appended point and never rebuilt: appending a point
-    changes no pair code among the old points (see ``_CheckContext``), so
-    the forms, pattern keys and row tables of old subsets stay valid, and
-    the row tables are the record of what is realized (``ctx.realized``).
+    One subset index serves the whole run, the final report included. It
+    holds the structure, grows it in place and builds it once, at the end.
+    It is never rebuilt: appending a point changes no pair code among the
+    old points (see ``_CheckContext``), so the forms, pattern keys and row
+    tables of old subsets stay valid, and the row tables are the record of
+    what is realized (``ctx.realized``).
     A steered pass start sweeps only the subsets that meet a point appended
     since the last one (``sweep`` with ``since``), and while steered an
     appended point enters its rows over the subsets before it
@@ -253,8 +249,7 @@ def generate_generic(lat: FiniteLattice, sq_signature, cfg: GenerationConfig,
         warnings.warn("two subquotient orders share bottom and top; reversal "
                       "deduplication is not applied", stacklevel=2)
     rng = random.Random(cfg.seed)
-    s = empty_structure(lat, signature)
-    ctx = _CheckContext(s)
+    ctx = _CheckContext(empty_structure(lat, signature))
     censused = 0            # points whose subsets ctx.realized covers
     # Steering, once ended, never comes back, so the flag only goes from True
     # to False. Say a steered pass start finds every pattern of ctx.keys
@@ -265,18 +260,8 @@ def generate_generic(lat: FiniteLattice, sq_signature, cfg: GenerationConfig,
     # isomorphic to B' | {w}, an old subset whose class was met: keys cannot
     # grow, and every later pass start would find them all realized too.
     steered = True
-
-    def append(grown: OrderedLambdaStructure):
-        nonlocal s
-        s = grown
-        ctx.extend(s)
-        if steered:
-            # enter the new point's rows, so later steered picks in this pass
-            # do not chase patterns it already covers
-            ctx.register(s.space.n - 1, k)
-
-    while s.space.n < cfg.target_size:
-        n = s.space.n
+    while ctx.n < cfg.target_size:
+        n = ctx.n
         if steered:
             for _ in ctx.sweep(k, since=censused):
                 pass
@@ -287,7 +272,7 @@ def generate_generic(lat: FiniteLattice, sq_signature, cfg: GenerationConfig,
             # offers it, unless an earlier visit has appended
             steered = len(ctx.realized) < len(ctx.keys)
         for A, form, _, distinct in ctx.sweep(k):
-            if s.space.n >= cfg.target_size:
+            if ctx.n >= cfg.target_size:
                 break
             exact = {form.rows[row] for row in distinct}
             for z in range(n, ctx.n):
@@ -296,20 +281,25 @@ def generate_generic(lat: FiniteLattice, sq_signature, cfg: GenerationConfig,
             cand = [t for t, u in form.types.items()
                     if u not in exact and not (steered and u.pattern in ctx.realized)]
             if cand:
-                append(_append_point(s, ctx, A, *cand[rng.randrange(len(cand))], rng))
-        if s.space.n == n:
+                _append_point(ctx, A, *cand[rng.randrange(len(cand))], rng)
+                if steered:
+                    # enter the new point's rows, so later steered picks in
+                    # this pass do not chase patterns it already covers
+                    ctx.register(ctx.n - 1, k)
+        if ctx.n == n:
             # every type over every subset realized: append over the empty
             # base, at distance top from every point, drawing no rank. Only
             # order-free signatures get here. Given an order o and a point a
             # whose bottom class ranks last in its scale, no point realizes the
             # type over {a} at distance top_o ranked above a (gap 1). So a
-            # plain walk always appends, and a steered one does too (above)
-            append(_append_point(s, ctx, (), (), (None,) * len(s.orders), rng))
+            # plain walk always appends, and a steered one does too (above):
+            # steering has ended here, and nothing needs the point registered
+            _append_point(ctx, (), (), (None,) * len(ctx.orders), rng)
     saturation = None
     if with_saturation_report:
         saturation = _extension_report(ctx, k)
     # generation starts empty and each append adds one point
-    return GenerationResult(s, saturation, s.space.n)
+    return GenerationResult(ctx.structure(), saturation, ctx.n)
 
 
 # ---------------------------------------------------------------------------
@@ -379,19 +369,23 @@ class _Form:
 
 
 class _CheckContext:
-    """Integer subset index over one structure. Its ``sweep`` is the one
-    walk over all small subsets: generation's visits, steered pass starts
-    and report and both checks read it. Its per-form row tables are the one
-    record of the types realized: ``realized`` holds the pattern of every
-    consistent entry, and an entry is made only from a point having its
-    row. So ``realized`` is exact only once every row has been entered: at
-    each steered pass start of generation, and after any ``sweep(k)`` that
-    runs to its end, which is when the reports read it.
+    """Integer subset index over one structure, held as lists that
+    ``_append_point`` grows in place and ``structure`` builds into one:
+    ``points``, the distance rows ``dist`` and, per order, ``(bot, top,
+    reps, rank)``, the levels' lattice indices and, per point, its
+    bottom-class representative and that class's dense rank. Its ``sweep``
+    is the one walk over all small subsets: generation's visits, steered
+    pass starts and report and both checks read it. Its per-form row tables
+    are the one record of the types realized: ``realized`` holds the
+    pattern of every consistent entry, and an entry is made only from a
+    point having its row. So ``realized`` is exact only once every row has
+    been entered: at each steered pass start of generation, and after any
+    ``sweep(k)`` that runs to its end, which is when the reports read it.
 
     It holds a table of pair codes (distance, then per order: same bottom
     class, other top class, below or above), one ``_Form`` per matrix of
-    raw pair codes met so far, one ``_Class`` per canonical matrix with its
-    types (``types`` runs once per class), and the per-order class ranks.
+    raw pair codes met so far, and one ``_Class`` per canonical matrix with
+    its types (``types`` runs once per class).
 
     Packed rows: a point's row over a subset (a_1, ..., a_k) is one integer
     holding its codes to a_1, ..., a_k in fields of ``width`` bits, a_1's
@@ -399,15 +393,17 @@ class _CheckContext:
     shifted and ORed with -1, or a negative row shifted and ORed with a
     code, stays negative: base points are the negative rows.
 
-    Append invariant: ``extend`` rebinds the index to the same structure
-    with points appended, and keeps every code table entry, every form and
-    every form's row table. That is sound because appending a point never
-    changes a pair code among old points: distances are fixed, a fresh class
-    shifts the old classes above its slot together, keeping their order, and
-    the new point comes last, so it never becomes an existing class's
-    representative. So each old subset keeps its code matrix and form, each
-    old point keeps its row over it, and a row table entry is a function of
-    the form and the row (see ``_fill``), so a realized pattern stays realized.
+    Append invariant: ``_append_point`` adds a row and a column to
+    ``dist``, a representative and a rank per order, and the codes of the new
+    pairs, and keeps every code table entry, every form and every form's row
+    table. That is sound because appending a point never changes a pair code
+    among old points: old distances are fixed, a fresh class shifts the old
+    classes above its slot together, keeping their order, and the new point
+    comes last, so it never becomes an existing class's representative. So
+    the grown state is the one a fresh index on the built structure holds,
+    each old subset keeps its code matrix and form, each old point keeps its
+    row over it, and a row table entry is a function of the form and the row
+    (see ``_fill``), so a realized pattern stays realized.
     """
 
     def __init__(self, s: OrderedLambdaStructure):
@@ -422,27 +418,32 @@ class _CheckContext:
         self._to: list[list[int]] = []   # _to[j][i]: pair code of (i, j), -1 on the diagonal
         self._by_codes: dict = {}        # raw code tuple -> _Form
         self._classes: dict = {}         # (size, canonical codes) -> _Class
-        self.extend(s)
-
-    def extend(self, s: OrderedLambdaStructure) -> None:
-        """Bind the index to s: at construction, then to the same structure
-        with points appended, adding the codes of the new pairs."""
-        lat = self.lat
         self.n = s.space.n
-        self.dist = s.space.dist
-        self.points = s.space.points
-        self.orders = [(lat.index[o.bottom], lat.index[o.top], o.bottom_reps, o.point_ranks)
-                       for o in s.orders]
+        self.points = list(s.space.points)
+        self.dist = [list(row) for row in s.space.dist]
+        self.orders = [(lat.index[o.bottom], lat.index[o.top], list(o.bottom_reps),
+                        list(o.point_ranks)) for o in s.orders]
         self._scales_base: tuple | None = None
         self._scales: dict = {}
-        to = self._to
-        for j in range(len(to), self.n):
-            for i in range(j):
-                to[i].append(self._pair_code(j, i))
-            to.append([self._pair_code(i, j) for i in range(j)] + [-1])
+        for j in range(self.n):
+            self._code(j)
 
-    def leq(self, i: int, j: int) -> bool:
-        return bool(self.up[i] & (1 << j))
+    def _code(self, j: int) -> None:
+        """Add the codes of the pairs of point j with the points before it."""
+        to = self._to
+        for i in range(j):
+            to[i].append(self._pair_code(j, i))
+        to.append([self._pair_code(i, j) for i in range(j)] + [-1])
+
+    def structure(self) -> OrderedLambdaStructure:
+        """The structure the index holds, built anew: its space and orders
+        are immutable, so later appends do not reach them."""
+        space = LambdaSpace(self.lat, self.points, self.dist)
+        names = self.lat.elements
+        return OrderedLambdaStructure(space, tuple(
+            SubquotientOrder(space, names[bot], names[top],
+                             {self.points[c]: rank[c] for c, r in enumerate(reps) if r == c})
+            for bot, top, reps, rank in self.orders))
 
     def _pair_code(self, i: int, j: int) -> int:
         d = self.dist[i][j]
@@ -565,7 +566,7 @@ class _CheckContext:
         packed row over the subset, their set, and the form's row table
         filled for each (see ``_fill``), so ``realized`` then covers them.
         With ``since``, only the subsets whose last point is at least
-        ``since``, so not ``()``. The points are those bound at the call:
+        ``since``, so not ``()``. The points are those held at the call:
         points appended while the walk is suspended are not in its rows.
 
         Each size is walked depth-first over prefixes: a prefix shifts its
@@ -577,7 +578,7 @@ class _CheckContext:
         the last point to the prefix, and with strict ranks inside each scale
         the codes the other way are the same with below and above swapped,
         so the prefix's code matrix and the row fix the subset's. Like every
-        form table, the children survive ``extend``.
+        form table, the children survive an append.
 
         Yielding size by size, lazily, builds each prefix's rows again for
         every larger size: at k = 3 over 20 points, 1,558 row builds for

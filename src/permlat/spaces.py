@@ -42,16 +42,10 @@ class LambdaSpace:
 
     def extended(self, name: str, row) -> "LambdaSpace":
         """This space with one point ``name`` appended at distance ``row[i]``
-        from point i. Cached ``class_reps`` carry over, old points keeping theirs;
-        the new one takes that of the first point below the level, or its own index."""
+        from point i."""
         dist = tuple(r + (x,) for r, x in zip(self.dist, row))
-        grown = LambdaSpace(self.lattice, self.points + (name,),
-                            dist + (tuple(row) + (self.lattice.bottom_idx,),))
-        down = self.lattice.poset.down
-        for level, reps in self._class_reps.items():
-            grown._class_reps[level] = reps + (
-                next((reps[j] for j, x in enumerate(row) if down[level] >> x & 1), self.n),)
-        return grown
+        return LambdaSpace(self.lattice, self.points + (name,),
+                           dist + (tuple(row) + (self.lattice.bottom_idx,),))
 
     def __eq__(self, other):
         return (isinstance(other, LambdaSpace) and self.lattice == other.lattice
@@ -202,7 +196,7 @@ class EquivalenceSystem:
 def class_reps(space: LambdaSpace, level_idx: int) -> tuple[int, ...]:
     """Map each point index to the index of its class representative at the
     given lattice level (first member in point order). Computed once per
-    space and level, or carried over by ``LambdaSpace.extended``."""
+    space and level."""
     reps = space._class_reps.get(level_idx)
     if reps is None:
         below = space.lattice.poset.down[level_idx]

@@ -603,6 +603,22 @@ def test_guards_name_the_file_rule_and_witness(fixtures, capsys):
     assert "error [NON_DISTRIBUTIVE]" in err and "M3 sublattice ('0', 'p', 'q', 'r', '1')" in err
 
 
+@pytest.mark.parametrize("exc, err", [
+    (OSError(28, "No space left on device"), "error [IO]: [Errno 28] No space left on device\n"),
+    (ValueError("no such value"), "error [ERROR]: no such value\n"),
+])
+def test_an_uncoded_error_exits_1_with_a_stable_code(fixtures, capsys, monkeypatch, exc, err):
+    # a disk that fills while gen writes its output, and a ValueError that
+    # no coded error covers
+    def fail(self, *args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(Path, "write_text", fail)
+    assert main(["gen", "--lattice", str(fixtures / "chain3.lat"), "--orders", "0:E,E:1",
+                 "--size", "4", "--depth", "1", "--out", str(fixtures / "g.struct")]) == 1
+    assert capsys.readouterr().err == err
+
+
 def test_every_error_code_is_documented():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     codes = {cls.code for cls in vars(errors).values()

@@ -269,8 +269,20 @@ def test_collapsed_completion_is_a_coded_error(b2):
     s = realize_type(s, t, random.Random(0)).structure
     assert realizers(s, t) == ["p2"]
     with pytest.raises(CollapsedCompletionError) as e:
-        _append_point(s, _CheckContext(s), (0, 1), (a, b), (None, None), random.Random(0))
+        _append_point(_CheckContext(s), (0, 1), (a, b), (None, None), random.Random(0))
     assert e.value.code == "COLLAPSED_COMPLETION"
+
+
+def test_an_appended_point_is_renamed_past_a_taken_name(chain3):
+    # the new point of a two-point structure is p2, unless a point has that
+    # name already: then it takes primes until the name is free
+    E, one = chain3.index["E"], chain3.index["1"]
+    space = LambdaSpace(chain3, ("p2", "x"), ((0, E), (E, 0)))
+    s = OrderedLambdaStructure(space, (SubquotientOrder(space, "0", "1", {"p2": 0, "x": 1}),))
+    r = realize_type(s, OnePointType(("x",), (one,), (1,)), random.Random(0))
+    assert r.added == "p2'" and r.structure.space.points == ("p2", "x", "p2'")
+    assert r.structure.validate().ok
+    assert realizers(r.structure, OnePointType(("x",), (one,), (1,))) == ["p2'"]
 
 
 # -- the subset index against a per-(subset, type) computation ----------------
@@ -284,9 +296,9 @@ def _ref_pair_code(ctx, i, j):
     d = ctx.dist[i][j]
     codes = []
     for bot, top, _, rank in ctx.orders:
-        if ctx.leq(d, bot):
+        if ctx.lat.leq_idx(d, bot):
             codes.append(0)
-        elif not ctx.leq(d, top):
+        elif not ctx.lat.leq_idx(d, top):
             codes.append(3)
         else:
             codes.append(1 if rank[i] < rank[j] else 2)
@@ -477,18 +489,20 @@ def test_index_entries_survive_an_appended_point(chain3, grow):
     rows = {A: ctx.rows(A) for A in subsets}
     exact = {A: _tally(ctx, A) for A in subsets}
     if grow == "realize_type":
+        # the point realize_type appends, appended to the index in place
         base = (0, 2)
         delta, gaps = next(t for t in ctx.form(base).types if t not in exact[base])
         names = tuple(s.space.points[a] for a in base)
-        grown = realize_type(s, OnePointType(names, delta, gaps), random.Random(3))
-        assert grown.added is not None
-        grown = grown.structure
+        want = realize_type(s, OnePointType(names, delta, gaps), random.Random(3))
+        assert want.added is not None
+        _append_point(ctx, base, delta, gaps, random.Random(3))
+        assert dump_structure(ctx.structure()) == dump_structure(want.structure)
     else:
         # a point over the empty base, as order-free generation appends its
         # far points
-        grown = _append_point(s, ctx, (), (), (None,) * len(s.orders), random.Random(3))
+        _append_point(ctx, (), (), (None,) * len(ctx.orders), random.Random(3))
+    grown = ctx.structure()
     assert grown.space.points[:-1] == s.space.points
-    ctx.extend(grown)
     fresh = _CheckContext(grown)
     assert ctx._to == fresh._to
     z = grown.space.n - 1
@@ -582,14 +596,14 @@ def test_grown_index_matches_a_fresh_one(case):
     ctx = _CheckContext(s)
     rng = random.Random(5)
     for _ in range(4):
-        for A in _subsets(s.space.n):
+        for A in _subsets(ctx.n):
             ctx.exact_types(A)
-        base, t = next((A, t) for A in _subsets(s.space.n)
+        base, t = next((A, t) for A in _subsets(ctx.n)
                        for t, u in ctx.form(A).types.items() if u not in ctx.exact_types(A))
         list(ctx.sweep(3))   # fills child forms, which must survive the append
-        s = _append_point(s, ctx, base, *t, rng)
-        ctx.extend(s)
-        ctx.register(s.space.n - 1, 3)   # registration, as generation does it
+        _append_point(ctx, base, *t, rng)
+        ctx.register(ctx.n - 1, 3)   # registration, as generation does it
+    s = ctx.structure()
     fresh = _CheckContext(s)
     assert ctx._to == fresh._to
     assert _swept(ctx) == _swept(fresh)
@@ -602,6 +616,29 @@ def test_grown_index_matches_a_fresh_one(case):
         fresh.register(z, 3)
         assert ([_registered(ctx, A, z) for A in _subsets(z)]
                 == [_registered(fresh, A, z) for A in _subsets(z)])
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_generation_grows_the_state_a_fresh_index_builds(monkeypatch, case):
+    # the append invariant: after generation at depths 1-3, the index it grew
+    # point by point holds the pair codes, distance rows, representatives
+    # and ranks that an index built on the structure it returned holds
+    make, sig, size, _ = KERNEL_CASES[case]
+    grown, structure = [], _CheckContext.structure
+
+    def recorded(ctx):
+        grown.append(ctx)
+        return structure(ctx)
+
+    monkeypatch.setattr(_CheckContext, "structure", recorded)
+    for depth, seed in itertools.product((1, 2, 3), (0, 7)):
+        cfg = GenerationConfig(seed=seed, target_size=size, saturation_depth=depth)
+        s = generate_generic(make(), sig, cfg).structure
+        ctx = grown.pop()
+        fresh = _CheckContext(s)
+        assert (ctx.n, ctx.points, ctx.dist) == (fresh.n, fresh.points, fresh.dist)
+        assert ctx._to == fresh._to
+        assert ctx.orders == fresh.orders
 
 
 def _ref_appended_ranks(o, grown):
@@ -620,23 +657,25 @@ def _ref_appended_ranks(o, grown):
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
 def test_an_append_carries_class_reps_and_ranks_as_a_rebuild_gives_them(monkeypatch, case):
     # generation at depths 1-3, each append checked against a rebuild: the
-    # class representatives it carries over against class_reps on a fresh
-    # space, and each order's ranks against the renormalizing rule
+    # class representatives it grows in place against class_reps on a fresh
+    # space, each order's ranks, per class and per point, against the
+    # renormalizing rule, and the memoized scale ranks over the base against
+    # a fresh index's
     make, sig, size, _ = KERNEL_CASES[case]
     appends = []
 
-    def checked(s, ctx, *args):
-        grown = _append_point(s, ctx, *args)
-        lat = s.space.lattice
-        assert {lat.index[o.bottom] for o in s.orders} <= s.space._class_reps.keys()
-        fresh = LambdaSpace(lat, grown.space.points, grown.space.dist)
-        assert grown.space._class_reps.keys() >= s.space._class_reps.keys()
-        for level, reps in grown.space._class_reps.items():
-            assert reps == class_reps(fresh, level)
-        for o, new in zip(s.orders, grown.orders):
-            assert new.rank == _ref_appended_ranks(o, new)
-        appends.append(grown.space.n)
-        return grown
+    def checked(ctx, idx_a, delta, *args):
+        before = ctx.structure()
+        _append_point(ctx, idx_a, delta, *args)
+        grown = ctx.structure()
+        assert ctx.scale_ranks(idx_a, delta) == _CheckContext(grown).scale_ranks(idx_a, delta)
+        fresh = LambdaSpace(ctx.lat, ctx.points, ctx.dist)
+        for (bot, _, reps, rank), o, new in zip(ctx.orders, before.orders, grown.orders):
+            assert reps == list(class_reps(fresh, bot))
+            want = _ref_appended_ranks(o, new)
+            assert new.rank == want
+            assert rank == [want[ctx.points[r]] for r in reps]
+        appends.append(ctx.n)
 
     monkeypatch.setattr(generic, "_append_point", checked)
     for depth, seed in itertools.product((1, 2, 3), (0, 1, 7)):
@@ -677,16 +716,20 @@ def test_registration_matches_the_per_subset_reference(monkeypatch, case):
     rng = random.Random(5)
     calls = _count_calls(monkeypatch, "form")
     for _ in range(4):
-        pick = _CheckContext(s)
-        base, t = next((A, t) for A in _subsets(s.space.n)
+        # a third context picks the type, so that neither twin's row tables
+        # fill before its point is registered; both draw the same slots
+        pick = _CheckContext(walk.structure())
+        base, t = next((A, t) for A in _subsets(pick.n)
                        for t, u in pick.form(A).types.items() if u not in pick.exact_types(A))
-        s = _append_point(s, pick, base, *t, rng)
-        walk.extend(s)
-        ref.extend(s)
+        state = rng.getstate()
+        _append_point(walk, base, *t, rng)
+        rng.setstate(state)
+        _append_point(ref, base, *t, rng)
+        assert (walk.points, walk.dist, walk.orders) == (ref.points, ref.dist, ref.orders)
         calls.clear()
-        walk.register(s.space.n - 1, 3)
-        assert len(calls) < len(_subsets(s.space.n - 1))
-        _ref_register(ref, s.space.n - 1, 3)
+        walk.register(walk.n - 1, 3)
+        assert len(calls) < len(_subsets(walk.n - 1))
+        _ref_register(ref, ref.n - 1, 3)
     assert _row_tables(walk) == _row_tables(ref)
     assert {walk.keys[p] for p in walk.realized} == {ref.keys[p] for p in ref.realized}
 
@@ -827,10 +870,10 @@ def _record_far_points(monkeypatch):
     # its first point: generation's far points
     append, sizes = generic._append_point, []
 
-    def recorded(s, ctx, idx_a, *rest):
-        if not idx_a and s.space.n:
-            sizes.append(s.space.n)
-        return append(s, ctx, idx_a, *rest)
+    def recorded(ctx, idx_a, *rest):
+        if not idx_a and ctx.n:
+            sizes.append(ctx.n)
+        append(ctx, idx_a, *rest)
 
     monkeypatch.setattr(generic, "_append_point", recorded)
     return sizes
@@ -903,37 +946,34 @@ def _eager_generate(lat, sig, cfg):
     pass, steered or not, as it ran before steering could end: the result,
     report included, and the steered value at each pass start."""
     rng = random.Random(cfg.seed)
-    s = empty_structure(lat, sig)
-    ctx = _CheckContext(s)
+    ctx = _CheckContext(empty_structure(lat, sig))
     k = cfg.saturation_depth
     censused = 0
     steered_at = []
 
-    def append(grown):
-        nonlocal s
-        s = grown
-        ctx.extend(s)
-        ctx.register(s.space.n - 1, k)
+    def append(*args):
+        _append_point(ctx, *args, rng)
+        ctx.register(ctx.n - 1, k)
 
-    while s.space.n < cfg.target_size:
-        n = s.space.n
+    while ctx.n < cfg.target_size:
+        n = ctx.n
         for _ in ctx.sweep(k, since=censused):
             pass
         censused = n
         steered = len(ctx.realized) < len(ctx.keys)
         steered_at.append(steered)
         for A, form, _, distinct in ctx.sweep(k):
-            if s.space.n >= cfg.target_size:
+            if ctx.n >= cfg.target_size:
                 break
             exact = {form.rows[row] for row in distinct}
             exact.update(form.rows[ctx.row(A, z)] for z in range(n, ctx.n))
             cand = [t for t, u in form.types.items()
                     if u not in exact and not (steered and u.pattern in ctx.realized)]
             if cand:
-                append(_append_point(s, ctx, A, *cand[rng.randrange(len(cand))], rng))
-        if s.space.n == n:
-            append(_append_point(s, ctx, (), (), (None,) * len(s.orders), rng))
-    return GenerationResult(s, _extension_report(ctx, k), s.space.n), steered_at
+                append(A, *cand[rng.randrange(len(cand))])
+        if ctx.n == n:
+            append((), (), (None,) * len(ctx.orders))
+    return GenerationResult(ctx.structure(), _extension_report(ctx, k), ctx.n), steered_at
 
 
 @pytest.mark.parametrize("depth", [2, 3])

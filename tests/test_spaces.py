@@ -8,7 +8,7 @@ from permlat.canon import canonical_key
 from permlat.lattice import (boolean2, chain_lattice, enumerate_lattices, is_distributive, m3,
                              n5, product_lattice, vertical_sum)
 from permlat.spaces import (FailingInstance, LambdaSpace, SweepReport, amalgam_validity_sweep,
-                            amalgamation_failure_probe, canonical_amalgam, class_reps,
+                            amalgamation_failure_probe, canonical_amalgam,
                             equivalences_from_space, space_from_equivalences,
                             validate_space, _base_spaces, _extensions,
                             _has_pseudo_completion, _materialize, _sweep, _triangle_rows)
@@ -395,26 +395,6 @@ def test_fast_triangle_pass_agrees_with_the_witness_scan(lat):
         report = validate_space(s)
         assert [(v.rule, tuple(map(s.pindex.get, v.witness)))
                 for v in report.violations] == _witness_scan(s)
-
-
-@pytest.mark.parametrize("lat", [chain_lattice(3), boolean2(), n5()], ids=["chain3", "b2", "n5"])
-def test_extended_carries_class_reps_as_a_fresh_space_computes_them(lat):
-    # any matrix, valid or not, so the new point may lie below a level from
-    # points of two classes: each cached level grows by the entry class_reps
-    # gives on a fresh space, and a space with nothing cached carries nothing
-    rng = random.Random(lat.n)
-    for _ in range(300):
-        n = rng.randint(0, 6)
-        dist = tuple(tuple(rng.randrange(lat.n) for _ in range(n)) for _ in range(n))
-        space = LambdaSpace(lat, tuple(f"p{i}" for i in range(n)), dist)
-        row = [rng.randrange(lat.n) for _ in range(n)]
-        assert space.extended("x", row)._class_reps == {}
-        levels = rng.sample(range(lat.n), rng.randint(1, lat.n))
-        for level in levels:
-            class_reps(space, level)
-        grown = space.extended("x", row)
-        fresh = LambdaSpace(lat, grown.points, grown.dist)
-        assert grown._class_reps == {level: class_reps(fresh, level) for level in levels}
 
 
 # -- sweep kernel against the per-instance check -----------------------------
