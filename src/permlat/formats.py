@@ -226,16 +226,16 @@ def dump_structure(s: OrderedLambdaStructure | LambdaSpace,
                    lattice_ref: str = "lattice.lat") -> str:
     space = s.space if isinstance(s, OrderedLambdaStructure) else s
     orders = s.orders if isinstance(s, OrderedLambdaStructure) else ()
-    lines = [f"lattice: {lattice_ref}", "points: " + " ".join(space.points)]
-    for i, x in enumerate(space.points):
-        for j in range(i + 1, space.n):
-            lines.append(f"d: {x} {space.points[j]} "
-                         f"{space.lattice.elements[space.dist[i][j]]}")
+    points, names, dist = space.points, space.lattice.elements, space.dist
+    # one string per point, holding its d: lines: a string per pair would
+    # set the peak of a large gen
+    out = [f"lattice: {lattice_ref}\n", "points: " + " ".join(points) + "\n"]
+    out += ["".join([f"d: {x} {y} {names[d]}\n" for y, d in zip(points[i + 1:], dist[i][i + 1:])])
+            for i, x in enumerate(points)]
     for o in orders:
-        lines.append(f"sq: {o.bottom} {o.top}")
-        for rep in sorted(o.rank, key=space.pindex.__getitem__):
-            lines.append(f"rank: {rep} {o.rank[rep]}")
-    return "\n".join(lines) + "\n"
+        out.append(f"sq: {o.bottom} {o.top}\n")
+        out += [f"rank: {r} {o.rank[r]}\n" for r in sorted(o.rank, key=space.pindex.__getitem__)]
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

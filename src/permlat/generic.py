@@ -106,8 +106,10 @@ def realize_type(s: OrderedLambdaStructure, t: OnePointType,
     """Extend by one fresh point satisfying the type; distances outside the
     base come from the canonical amalgam completion, unconstrained rank slots
     from the seeded stream. Idempotent when the type is already realized.
-    The input orders may have sparse ranks: they are renormalized first."""
+    The input must validate; its orders may have sparse ranks, as they are
+    renormalized first."""
     _require_generable(s.space.lattice, s.signature())
+    _require_valid(s, "realize_type")
     ctx = _CheckContext(OrderedLambdaStructure(s.space, tuple(o.renormalized() for o in s.orders)))
     idx_a = _index_of(s, t.over)
     want = (tuple(t.distances), tuple(t.order_constraints))
@@ -159,7 +161,6 @@ def _append_point(ctx: _CheckContext, idx_a, delta, gaps, rng: random.Random) ->
     dist.append(new_d + [lat.bottom_idx])
     points.append(name)
     ctx.n += 1
-    ctx._scales_base = None   # the ranks have moved
     ctx._code(n)
 
 
@@ -383,9 +384,10 @@ class _CheckContext:
     ``sweep(k)`` that runs to its end, which is when the reports read it.
 
     It holds a table of pair codes (distance, then per order: same bottom
-    class, other top class, below or above), one ``_Form`` per matrix of
-    raw pair codes met so far, and one ``_Class`` per canonical matrix with
-    its types (``types`` runs once per class).
+    class, other top class, below or above), coded once per point as that
+    point's column by ``_code``, one ``_Form`` per matrix of raw pair codes
+    met so far, and one ``_Class`` per canonical matrix with its types
+    (``types`` runs once per class).
 
     Packed rows: a point's row over a subset (a_1, ..., a_k) is one integer
     holding its codes to a_1, ..., a_k in fields of ``width`` bits, a_1's
@@ -394,16 +396,17 @@ class _CheckContext:
     code, stays negative: base points are the negative rows.
 
     Append invariant: ``_append_point`` adds a row and a column to
-    ``dist``, a representative and a rank per order, and the codes of the new
-    pairs, and keeps every code table entry, every form and every form's row
-    table. That is sound because appending a point never changes a pair code
-    among old points: old distances are fixed, a fresh class shifts the old
-    classes above its slot together, keeping their order, and the new point
-    comes last, so it never becomes an existing class's representative. So
-    the grown state is the one a fresh index on the built structure holds,
-    each old subset keeps its code matrix and form, each old point keeps its
-    row over it, and a row table entry is a function of the form and the row
-    (see ``_fill``), so a realized pattern stays realized.
+    ``dist``, a representative and a rank per order, and the new point's
+    column of codes, and keeps every code table entry, every form and every
+    form's row table. That is sound because appending a point never changes
+    a pair code among old points: old distances are fixed, a fresh class
+    shifts the old classes above its slot together, keeping their order, and
+    the new point comes last, so it never becomes an existing class's
+    representative. So the grown state is the one a fresh index on the built
+    structure holds, each old subset keeps its code matrix and form, each
+    old point keeps its row over it, and a row table entry is a function of
+    the form and the row (see ``_fill``), so a realized pattern stays
+    realized.
     """
 
     def __init__(self, s: OrderedLambdaStructure):
@@ -423,17 +426,30 @@ class _CheckContext:
         self.dist = [list(row) for row in s.space.dist]
         self.orders = [(lat.index[o.bottom], lat.index[o.top], list(o.bottom_reps),
                         list(o.point_ranks)) for o in s.orders]
-        self._scales_base: tuple | None = None
-        self._scales: dict = {}
         for j in range(self.n):
             self._code(j)
 
     def _code(self, j: int) -> None:
-        """Add the codes of the pairs of point j with the points before it."""
-        to = self._to
-        for i in range(j):
-            to[i].append(self._pair_code(j, i))
-        to.append([self._pair_code(i, j) for i in range(j)] + [-1])
+        """Add the codes of the pairs of point j with the points before it,
+        as one column: per order one pass over j's distance row gives the
+        codes of (i, j), i < j, and those of (j, i) swap each order field's
+        1 and 2. The swap is exact on a valid structure: a field is 1 or 2
+        only when i and j share a top class but not a bottom class, whose
+        ranks then differ. Every reader of codes works on a valid one:
+        generation builds one, and both checks and ``realize_type`` refuse
+        any other. ``enumerate_one_point_types`` does not validate, but
+        ``types`` reads no codes."""
+        up = self.up
+        codes = self.dist[j][:j]
+        ups = [up[d] for d in codes]
+        for bot, top, _, rank in self.orders:
+            r = rank[j]
+            codes = [c << 2 | (0 if u >> bot & 1 else 3 if not u >> top & 1 else 1 if q < r else 2)
+                     for c, u, q in zip(codes, ups, rank)]
+        low = (1 << 2 * len(self.orders)) // 3   # bit 0 of each order field
+        for col, c in zip(self._to, codes):
+            col.append(c ^ ((c ^ c >> 1) & low) * 3)
+        self._to.append(codes + [-1])
 
     def structure(self) -> OrderedLambdaStructure:
         """The structure the index holds, built anew: its space and orders
@@ -444,20 +460,6 @@ class _CheckContext:
             SubquotientOrder(space, names[bot], names[top],
                              {self.points[c]: rank[c] for c, r in enumerate(reps) if r == c})
             for bot, top, reps, rank in self.orders))
-
-    def _pair_code(self, i: int, j: int) -> int:
-        d = self.dist[i][j]
-        up = self.up[d]
-        code = d
-        for bot, top, _, rank in self.orders:
-            if up & (1 << bot):
-                c = 0
-            elif not up & (1 << top):
-                c = 3
-            else:
-                c = 1 if rank[i] < rank[j] else 2
-            code = code << 2 | c
-        return code
 
     def _decode(self, code: int) -> tuple:
         """The pair code as (distance, per-order codes); integer order on
@@ -643,15 +645,7 @@ class _CheckContext:
 
     def scale_ranks(self, idx_a, delta) -> list[list[int] | None]:
         """Per order: sorted ranks of the base's distinct bottom classes in
-        the new point's top class, or None when unconstrained. Memoized per
-        delta for the most recent base."""
-        base = tuple(idx_a)
-        if base != self._scales_base:
-            self._scales_base = base
-            self._scales = {}
-        out = self._scales.get(delta)
-        if out is not None:
-            return out
+        the new point's top class, or None when unconstrained."""
         out = []
         for bot, top, reps, rank in self.orders:
             pinned = False
@@ -666,7 +660,6 @@ class _CheckContext:
                 out.append(None)
             else:
                 out.append(sorted({rank[reps[u]] for u in members}))
-        self._scales[delta] = out
         return out
 
     def point_type(self, idx_a, z: int) -> tuple:

@@ -11,7 +11,7 @@ import pytest
 from permlat import generic
 from permlat.errors import (InvalidStructureError, MeetReducibleBottomError,
                             NonDistributiveError, SizeCapError)
-from permlat.formats import dump_structure
+from permlat.formats import dump_lattice, dump_structure, load_structure
 from permlat.generic import (GenerationConfig, GenerationResult, HomogeneityReport,
                              OnePointType, SaturationReport, _append_point, _CheckContext,
                              _extension_report, empty_structure,
@@ -271,6 +271,47 @@ def test_collapsed_completion_is_a_coded_error(b2):
     with pytest.raises(CollapsedCompletionError) as e:
         _append_point(_CheckContext(s), (0, 1), (a, b), (None, None), random.Random(0))
     assert e.value.code == "COLLAPSED_COMPLETION"
+
+
+def test_realize_type_refuses_an_invalid_structure(chain3):
+    # a broken join-triangle, d(a, c) = 1 above d(a, b) v d(b, c) = E: the
+    # extension realize_type built on it failed validate
+    E, one = chain3.index["E"], chain3.index["1"]
+    space = LambdaSpace(chain3, ("a", "b", "c"), ((0, E, one), (E, 0, E), (one, E, 0)))
+    s = OrderedLambdaStructure(space, (SubquotientOrder(space, "0", "E", {"a": 0, "b": 0, "c": 0}),
+                                       SubquotientOrder(space, "E", "1", {"a": 0, "c": 0})))
+    assert not s.validate().ok
+    with pytest.raises(InvalidStructureError, match="realize_type") as e:
+        realize_type(s, enumerate_one_point_types(s, ("a",))[0])
+    assert e.value.code == "INVALID_STRUCTURE"
+
+
+def _sparse(s):
+    # the structure with each rank r written as 3r + 1: strict but not dense
+    return OrderedLambdaStructure(s.space, tuple(
+        SubquotientOrder(s.space, o.bottom, o.top, {c: 3 * r + 1 for c, r in o.rank.items()})
+        for o in s.orders))
+
+
+def test_realize_type_takes_sparse_strict_ranks(monkeypatch, chain3):
+    # sparse ranks are renormalized first: the same point is found or
+    # appended as on the dense structure, and the index it is
+    # appended to holds the reference's pair codes
+    s = gen(chain3, SIGS["chain3"], size=10, depth=2)
+    sparse = _sparse(s)
+    grown = _recorded_indexes(monkeypatch)
+    added = 0
+    for A in itertools.combinations(s.space.points, 2):
+        for t in enumerate_one_point_types(s, A):
+            want = realize_type(s, t, random.Random(4))
+            got = realize_type(sparse, t, random.Random(4))
+            assert (got.added, got.realized_by) == (want.added, want.realized_by)
+            if want.added is not None:
+                assert dump_structure(got.structure) == dump_structure(want.structure)
+                added += 1
+    assert added > 0 and len(grown) == 2 * added
+    for ctx in grown:
+        _assert_codes(ctx)
 
 
 def test_an_appended_point_is_renamed_past_a_taken_name(chain3):
@@ -618,12 +659,9 @@ def test_grown_index_matches_a_fresh_one(case):
                 == [_registered(fresh, A, z) for A in _subsets(z)])
 
 
-@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
-def test_generation_grows_the_state_a_fresh_index_builds(monkeypatch, case):
-    # the append invariant: after generation at depths 1-3, the index it grew
-    # point by point holds the pair codes, distance rows, representatives
-    # and ranks that an index built on the structure it returned holds
-    make, sig, size, _ = KERNEL_CASES[case]
+def _recorded_indexes(monkeypatch):
+    # the index of every later structure() call: generation's, once it ends,
+    # and realize_type's, after its append
     grown, structure = [], _CheckContext.structure
 
     def recorded(ctx):
@@ -631,6 +669,24 @@ def test_generation_grows_the_state_a_fresh_index_builds(monkeypatch, case):
         return structure(ctx)
 
     monkeypatch.setattr(_CheckContext, "structure", recorded)
+    return grown
+
+
+def _assert_codes(ctx):
+    # every ordered pair's code against the reference, read off the index's
+    # ranks: the (j, i) codes are swapped from the (i, j) ones, not computed
+    for i, j in itertools.permutations(range(ctx.n), 2):
+        assert ctx._decode(ctx._to[j][i]) == _ref_pair_code(ctx, i, j), (i, j)
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_generation_grows_the_state_a_fresh_index_builds(monkeypatch, case):
+    # the append invariant: after generation at depths 1-3, the index it grew
+    # point by point holds the pair codes, distance rows, representatives
+    # and ranks that an index built on the structure it returned holds, and
+    # each code is the reference's
+    make, sig, size, _ = KERNEL_CASES[case]
+    grown = _recorded_indexes(monkeypatch)
     for depth, seed in itertools.product((1, 2, 3), (0, 7)):
         cfg = GenerationConfig(seed=seed, target_size=size, saturation_depth=depth)
         s = generate_generic(make(), sig, cfg).structure
@@ -639,6 +695,21 @@ def test_generation_grows_the_state_a_fresh_index_builds(monkeypatch, case):
         assert (ctx.n, ctx.points, ctx.dist) == (fresh.n, fresh.points, fresh.dist)
         assert ctx._to == fresh._to
         assert ctx.orders == fresh.orders
+        _assert_codes(ctx)
+
+
+def test_pair_codes_of_a_loaded_structure_with_sparse_ranks(tmp_path):
+    # three orders with sparse ranks, through a .struct file
+    make, sig, size, _ = KERNEL_CASES["b2xc2"]
+    s = gen(make(), sig, seed=3, size=size, depth=2)
+    sparse = _sparse(s)
+    (tmp_path / "lattice.lat").write_text(dump_lattice(s.space.lattice))
+    (tmp_path / "s.struct").write_text(dump_structure(sparse))
+    space, orders = load_structure(tmp_path / "s.struct")
+    loaded = OrderedLambdaStructure(space, orders)
+    assert [o.rank for o in loaded.orders] == [o.rank for o in sparse.orders]
+    assert max(o.rank[c] for o in loaded.orders for c in o.rank) > size
+    _assert_codes(_CheckContext(loaded))
 
 
 def _ref_appended_ranks(o, grown):
@@ -659,8 +730,8 @@ def test_an_append_carries_class_reps_and_ranks_as_a_rebuild_gives_them(monkeypa
     # generation at depths 1-3, each append checked against a rebuild: the
     # class representatives it grows in place against class_reps on a fresh
     # space, each order's ranks, per class and per point, against the
-    # renormalizing rule, and the memoized scale ranks over the base against
-    # a fresh index's
+    # renormalizing rule, and the scale ranks over the base against a fresh
+    # index's
     make, sig, size, _ = KERNEL_CASES[case]
     appends = []
 
