@@ -10,6 +10,7 @@ import functools
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from . import __version__
@@ -523,24 +524,28 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        code = args.func(args)
-        sys.stdout.flush()   # a closed reader surfaces here, not at exit
-        return code
-    except UsageError as e:
-        print(f"error [{e.code}]: {e}", file=sys.stderr)
-        return 2
-    except PermlatError as e:
-        print(f"error [{e.code}]: {e}", file=sys.stderr)
-        return 1
-    except BrokenPipeError:
-        # the reader left early (`| head`): exit 1 quietly, flushing to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
-    except (OSError, ValueError) as e:
-        kind = "IO" if isinstance(e, OSError) else "ERROR"
-        print(f"error [{kind}]: {e}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        # one `warning: ...` line per warning, not Python's two with file:line
+        warnings.simplefilter("default")
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            code = args.func(args)
+            sys.stdout.flush()   # a closed reader surfaces here, not at exit
+            return code
+        except UsageError as e:
+            print(f"error [{e.code}]: {e}", file=sys.stderr)
+            return 2
+        except PermlatError as e:
+            print(f"error [{e.code}]: {e}", file=sys.stderr)
+            return 1
+        except BrokenPipeError:
+            # the reader left early (`| head`): exit 1 quietly, flushing to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
+        except (OSError, ValueError) as e:
+            kind = "IO" if isinstance(e, OSError) else "ERROR"
+            print(f"error [{kind}]: {e}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

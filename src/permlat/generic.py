@@ -393,7 +393,10 @@ class _CheckContext:
     holding its codes to a_1, ..., a_k in fields of ``width`` bits, a_1's
     highest. A base point's row holds its own -1 diagonal code, and a row
     shifted and ORed with -1, or a negative row shifted and ORed with a
-    code, stays negative: base points are the negative rows.
+    code, stays negative: base points are the negative rows. So a_i's row
+    is all ones up to its field i and holds codes after it. No code is all
+    ones (see ``width``), so for j > i, field i + 1 tells a_i's row from
+    a_j's: a subset of k points has exactly k distinct negative rows.
 
     Append invariant: ``_append_point`` adds a row and a column to
     ``dist``, a representative and a rank per order, and the new point's
@@ -414,8 +417,9 @@ class _CheckContext:
         self.lat = lat
         self.up = lat.poset.up
         m = len(s.orders)
-        # the widest pair code: the last distance with every order field at 3
-        self.width = max(1, ((lat.n - 1) << 2 * m | (1 << 2 * m) - 1).bit_length())
+        # wider than the widest pair code, (lat.n << 2m) - 1, so that no code
+        # is all ones in its field and base points' rows stay distinct
+        self.width = (lat.n << 2 * m).bit_length()
         self.keys: list = []             # pattern number -> pattern key
         self.realized: set = set()       # pattern numbers of the row table entries
         self._to: list[list[int]] = []   # _to[j][i]: pair code of (i, j), -1 on the diagonal
@@ -686,18 +690,17 @@ class _CheckContext:
 
 
 def _extension_report(ctx: _CheckContext, k: int) -> SaturationReport:
-    """The report of a full ``sweep(k)``. Pairs are tallied per form: a
-    subset has its form's own rows, the None entries of its row table, and
-    in a valid structure one realized type per distinct outside row.
+    """The report of a full ``sweep(k)``. A subset has one pair per type of
+    its form, and its k points have k distinct rows (see ``_CheckContext``),
+    so in a valid structure its other rows are one per realized type.
     Patterns are read off the index: after the sweep every form is one of a
     subset of at most k points and every row has an entry, so ``keys`` are
     the patterns and ``realized`` the realized ones."""
-    tallies: dict = {}     # form -> [subsets, distinct rows summed over them]
+    pair_total = pair_realized = 0
     missing_pairs = []
     for A, form, _, distinct in ctx.sweep(k):
-        tally = tallies.setdefault(form, [0, 0])
-        tally[0] += 1
-        tally[1] += len(distinct)
+        pair_total += len(form.types)
+        pair_realized += len(distinct) - len(A)
         if len(missing_pairs) < 200:
             exact = set(map(form.rows.__getitem__, distinct))
             missing = [t for t, u in form.types.items() if u not in exact]
@@ -705,10 +708,6 @@ def _extension_report(ctx: _CheckContext, k: int) -> SaturationReport:
                 names = tuple(ctx.points[a] for a in A)
                 missing_pairs += [(names, OnePointType(names, *t))
                                   for t in missing[:200 - len(missing_pairs)]]
-    pair_total = pair_realized = 0
-    for form, (subsets, realized) in tallies.items():
-        pair_total += subsets * len(form.types)
-        pair_realized += realized - subsets * list(form.rows.values()).count(None)
     missing_patterns = sorted(repr(key) for p, key in enumerate(ctx.keys) if p not in ctx.realized)
     return SaturationReport(len(ctx.keys), len(ctx.realized),
                             pair_total, pair_realized, missing_pairs, missing_patterns)
@@ -767,32 +766,37 @@ def homogeneity_check(s: OrderedLambdaStructure, m: int) -> HomogeneityReport:
     size <= m: for each pair (A, B), each iso, and each point p outside A,
     does some q outside B complete the square?
 
-    Pairs are grouped by canonical form, so the count runs over classes
-    instead of the quadratic pair list; results are identical. A form's
-    types map one to one onto its class's types in class coordinates, and
-    in a valid structure its distinct outside rows onto its realized types,
-    so the per-row tallies of one pass give each class's counts. Pattern
-    failures are read off the index after that pass, as in
+    Pairs are grouped by isomorphism class, so the count runs over classes
+    instead of the quadratic pair list; results are identical. One pass
+    counts, per form, the points and the subsets having each row. In a valid
+    structure each outside row of a form is one realized ``_Type`` of its
+    class, an object all the class's forms share, so folding those counts
+    once by ``_Type`` gives each class's. Every outside point has one exact
+    type, so a class of n subsets of k points checks |autos| * n^2 * (N - k)
+    pairs. Pattern failures are read off the index after that pass, as in
     ``_extension_report``: a class's missing patterns are the pattern
     numbers of its ``types`` not in ``realized``, listed only until the
     sample of 50 is full.
     """
     ctx = _check_context(s, m, "homogeneity_check")
     points = s.space.points
-    tallies: dict = {}     # form -> ({row: points having it}, {row: subsets}, its class's subsets)
-    members: dict = {}     # class -> (its subsets, its forms), in sweep order
+    tallies: dict = {}     # form -> ({row: points having it}, {row: subsets having it})
+    members: dict = {}     # class -> its subsets, in sweep order
     for A, form, rows, distinct in ctx.sweep(m):
-        tally = tallies.get(form)
-        if tally is None:
-            subsets, forms = members.setdefault(form.cls, ([], []))
-            forms.append(form)
-            tally = tallies[form] = ({}, {}, subsets)
-        counts, present, subsets = tally
+        counts, present = tallies.get(form) or tallies.setdefault(form, ({}, {}))
         for row in rows:
             counts[row] = counts.get(row, 0) + 1
         for row in distinct:
             present[row] = present.get(row, 0) + 1
-        subsets.append(A)
+        members.setdefault(form.cls, []).append(A)
+    type_counts: dict = {}    # _Type -> points having it over its class's subsets
+    type_present: dict = {}   # _Type -> its class's subsets over which it is realized
+    for form, (counts, present) in tallies.items():
+        for row, count in present.items():
+            t = form.rows[row]
+            if t:
+                type_counts[t] = type_counts.get(t, 0) + counts[row]
+                type_present[t] = type_present.get(t, 0) + count
 
     @functools.cache
     def exact(A) -> dict:
@@ -804,28 +808,16 @@ def homogeneity_check(s: OrderedLambdaStructure, m: int) -> HomogeneityReport:
     failures = []
     pattern_failures = len(ctx.keys) - len(ctx.realized)
     missing_patterns = []
-    for cls, (subsets, forms) in members.items():
-        autos = cls.autos
-        class_counts: dict = {}    # type in class coordinates -> points
-        class_present: dict = {}   # type in class coordinates -> subsets
-        for form in forms:
-            counts, present, _ = tallies[form]
-            for row, count in present.items():
-                t = form.rows[row]
-                if t:
-                    class_counts[t.local] = class_counts.get(t.local, 0) + counts[row]
-                    class_present[t.local] = class_present.get(t.local, 0) + count
-        n_members = len(subsets)
-        class_misses = 0
-        for a in autos:
-            for u, total_count in class_counts.items():
-                absent = n_members - class_present.get(_apply_perm_type(*u, a), 0)
-                pairs_checked += total_count * n_members
-                if absent:
-                    class_misses += total_count * absent
+    for cls, subsets in members.items():
+        autos, types, n_members = cls.autos, cls.types, len(subsets)
+        pairs_checked += len(autos) * n_members ** 2 * (ctx.n - len(cls.matrix))
+        counted = [(u, type_counts[u]) for u in types.values() if u in type_counts]
+        class_misses = sum(
+            count * (n_members - type_present.get(types[_apply_perm_type(*u.local, a)], 0))
+            for a in autos for u, count in counted)
         misses += class_misses
         if len(missing_patterns) < 50:
-            patterns = {u.pattern for u in cls.types.values()} - ctx.realized
+            patterns = {u.pattern for u in types.values()} - ctx.realized
             missing = sorted(repr(ctx.keys[p][1]) for p in patterns)[:50 - len(missing_patterns)]
             missing_patterns += [(repr(cls.matrix), u) for u in missing]
         if class_misses and len(failures) < 20:

@@ -6,6 +6,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -619,6 +620,15 @@ def test_an_uncoded_error_exits_1_with_a_stable_code(fixtures, capsys, monkeypat
     assert capsys.readouterr().err == err
 
 
+def test_a_duplicated_order_warns_in_one_line(fixtures, capsys):
+    # the warning reads as the errors do, without Python's file:line form
+    # and source line, and gen still succeeds
+    assert main(["gen", "--lattice", str(fixtures / "chain3.lat"), "--orders", "0:E,0:E,E:1",
+                 "--size", "6", "--depth", "2", "--out", str(fixtures / "w.struct")]) == 0
+    assert capsys.readouterr().err == ("warning: two subquotient orders share bottom and top; "
+                                       "reversal deduplication is not applied\n")
+
+
 def test_every_error_code_is_documented():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     codes = {cls.code for cls in vars(errors).values()
@@ -638,16 +648,35 @@ def test_lattice_check_lists_the_violations_of_a_non_lattice(tmp_path, capsys):
 # -- fuzzed lattice files --------------------------------------------------------
 
 
+_CODES = {cls.code for cls in vars(errors).values()
+          if isinstance(cls, type) and issubclass(cls, errors.PermlatError)} | {"IO"}
+
+
+def _main_coded(argv, stdout=None) -> int:
+    """``main``'s exit code, after checking that each line it wrote to
+    stderr is a coded error or a warning."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(stdout or io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    for line in err.getvalue().splitlines():
+        match = re.fullmatch(r"error \[(\w+)\]: .*|warning: .*", line)
+        assert match and match.group(1) in _CODES | {None}, line
+    return code
+
+
 @st.composite
 def lattice_files(draw):
     """A lattice file of 0-5 elements with random covers (cycles, loops and
-    non-lattices included) and an order signature over its elements."""
+    non-lattices included) and an order signature over its elements, one
+    order given once or twice."""
     names = [f"x{i}" for i in range(draw(st.integers(0, 5)))]
     element = st.sampled_from(names or ["x0"])
     covers = draw(st.lists(st.tuples(element, element), max_size=8)) if names else []
     text = "elements: " + " ".join(names) + "\n"
     text += "".join(f"cover: {a} < {b}\n" for a, b in covers)
-    return text, f"{draw(element)}:{draw(element)}"
+    order = f"{draw(element)}:{draw(element)}"
+    # now and then the order twice, which gen warns of
+    return text, ",".join([order] * draw(st.integers(1, 2)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -661,9 +690,7 @@ def test_fuzzed_lattice_files_give_an_exit_code_not_a_traceback(case):
                      ["space", "probe", lat, "--max-base", "1", "--max-new", "1"],
                      ["gen", "--lattice", lat, "--orders", orders, "--size", "4",
                       "--depth", "1", "--out", Path(tmp) / "g.struct"]):
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                assert main([str(a) for a in argv]) in (0, 1, 2)
+            assert _main_coded(argv) in (0, 1, 2)
 
 
 _FUZZ_LATTICES = {
@@ -706,9 +733,7 @@ def test_fuzzed_structure_files_give_an_exit_code_not_a_traceback(case):
                      ["sq", "compose", s, "--lo", "0", "--hi", "1"],
                      ["sq", "split", s, "--order", "0", "--at", at], ["space", "amalgam", s, s, s],
                      ["space", "amalgam", s, t, t]):
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                assert main([str(a) for a in argv]) in (0, 1, 2)
+            assert _main_coded(argv) in (0, 1, 2)
 
 
 # -- fuzzed permutation files ---------------------------------------------------
@@ -747,9 +772,7 @@ def test_fuzzed_perm_files_give_an_exit_code_not_a_traceback(text):
         perm.write_text(text)
         for argv in (["decode", "--in", perm], ["decode", "--in", perm, "--json"],
                      *(["profile", "--in", perm, "--k", k] for k in range(5))):
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                assert main([str(a) for a in argv]) in (0, 1, 2)
+            assert _main_coded(argv) in (0, 1, 2)
 
 
 # -- fuzzed cover files -----------------------------------------------------------
@@ -802,9 +825,8 @@ def test_fuzzed_cover_files_encode_to_orders_the_codebook_recovers(case):
         struct.write_text(struct_text)
         cover.write_text(cover_text)
         stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-            code = main(["encode", "--in", str(struct), "--cover", str(cover),
-                         "--out", str(perm), "--json"])
+        code = _main_coded(["encode", "--in", struct, "--cover", cover, "--out", perm, "--json"],
+                           stdout)
         assert code in (0, 1, 2)
         if code == 0:
             book = json.loads(stdout.getvalue())["codebook_orders"]

@@ -459,17 +459,23 @@ def _corrupted(s):
 
 
 SIGS = {"chain3": [("0", "E"), ("E", "1")], "b2": [("a", "1"), ("b", "1")],
-        "chain4": [("0", "e"), ("e", "f"), ("f", "1")]}
+        "chain4": [("0", "e"), ("e", "f"), ("f", "1")],
+        # the last element lies above every order's top, so at distance 1
+        # every order field codes 3 (other top class)
+        "chain4-low": [("0", "e"), ("e", "f")], "chain2-free": []}
 
 
-@pytest.mark.parametrize("lat, size, depth, k, complete", [
+@pytest.mark.parametrize("sig, size, depth, k, complete", [
     ("chain3", 4, 1, 2, False), ("chain3", 6, 1, 3, False),
     ("b2", 10, 1, 2, False), ("b2", 10, 1, 3, False),
     ("chain3", 14, 3, 3, True), ("b2", 24, 3, 3, True), ("chain4", 20, 3, 3, True),
+    ("chain4-low", 14, 3, 3, False), ("chain2-free", 12, 3, 3, True),
 ])
-def test_checks_match_per_subset_type_references(request, lat, size, depth, k, complete):
-    s = gen(request.getfixturevalue(lat), SIGS[lat], size=size, depth=depth)
-    for subject in (s, _corrupted(s)):
+def test_checks_match_per_subset_type_references(request, sig, size, depth, k, complete):
+    # a signature's key starts with its lattice's fixture name
+    lat = request.getfixturevalue(sig.split("-")[0])
+    s = gen(lat, SIGS[sig], size=size, depth=depth)
+    for subject in (s, _corrupted(s)) if s.orders else (s,):
         ext, ref = extension_property_check(subject, k), ref_extension_property_check(subject, k)
         assert ext.as_dict() == ref.as_dict()
         assert ext.missing_pairs == ref.missing_pairs
@@ -568,9 +574,12 @@ def _b2_times_chain2():
 KERNEL_CASES = {
     # lattice, signature, size, packed field width
     "chain3": (lambda: chain_lattice(3, ["0", "E", "1"]), SIGS["chain3"], 14, 6),
-    "b2": (boolean2, SIGS["b2"], 12, 6),
-    "b2xc2": (_b2_times_chain2, [("a*o", "1*o"), ("b*o", "1*o"), ("1*z", "1*o")], 10, 9),
-    "chain4": (lambda: chain_lattice(4, ["0", "e", "f", "1"]), SIGS["chain4"], 12, 8),
+    "b2": (boolean2, SIGS["b2"], 12, 7),
+    "b2xc2": (_b2_times_chain2, [("a*o", "1*o"), ("b*o", "1*o"), ("1*z", "1*o")], 10, 10),
+    "chain4": (lambda: chain_lattice(4, ["0", "e", "f", "1"]), SIGS["chain4"], 12, 9),
+    # a code of all ones in 6 bits, (3 << 4) | 15, the pair code at distance
+    # 1, so fields of 7
+    "chain4-low": (lambda: chain_lattice(4, ["0", "e", "f", "1"]), SIGS["chain4-low"], 12, 7),
 }
 
 
@@ -586,6 +595,9 @@ def test_packed_rows_match_point_types(case):
         exact = ctx.exact_types(A)
         form = ctx.form(A)
         key = _subset_types(form)
+        # one negative row per base point, so a subset's distinct rows count
+        # its points and its realized types
+        assert len({rows[a] for a in A}) == len(A)
         for z in range(ctx.n):
             assert (rows[z] < 0) == (z in A)
             if z in A:
