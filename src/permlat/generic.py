@@ -26,6 +26,7 @@ import functools
 import itertools
 import random
 import warnings
+from collections import _count_elements
 from dataclasses import dataclass
 from operator import or_
 
@@ -325,14 +326,17 @@ class _Class:
     A base's consistent types depend only on its pair codes, so they are a
     function of the class: ``types`` maps each, in class coordinates, to its
     ``_Type``, and is enumerated once, over the first base met. A pattern key
-    is (matrix, least image of a type under the automorphisms)."""
+    is (matrix, least image of a type under the automorphisms). ``rows`` maps
+    a point's packed row over a base listed in class order to its ``_Type``,
+    one table for all the class's forms (see ``_row_type``)."""
 
-    __slots__ = ("matrix", "autos", "types")
+    __slots__ = ("matrix", "autos", "types", "rows")
 
     def __init__(self, matrix, autos: list):
         self.matrix = matrix
         self.autos = autos
         self.types: dict = {}
+        self.rows: dict = {}
 
 
 class _Type:
@@ -349,20 +353,27 @@ class _Type:
 
 class _Form:
     """A class seen through one canonical labelling, shared by every subset
-    with the same matrix of raw pair codes. ``types`` maps each consistent
-    type, in subset coordinates and enumeration order, to its class's
-    ``_Type``; ``rows`` maps a point's packed row over the subset to one of
-    them, or None for a base point, and ``children`` maps it to the form of
-    the subset with that point appended (see ``_CheckContext.sweep``)."""
+    with the same matrix of raw pair codes: class position u is the subset's
+    point perm[u]. ``rows`` maps a point's packed row over the subset to its
+    class's ``_Type``, or None for a base point, and ``children`` maps it to
+    the form of the subset with that point appended (see
+    ``_CheckContext.sweep``). ``types``, built when first read, maps each
+    consistent type, in subset coordinates and enumeration order (deltas,
+    then each delta's gaps, lexicographically), to its ``_Type``."""
 
-    __slots__ = ("cls", "perm", "types", "rows", "children")
+    __slots__ = ("cls", "perm", "rows", "children", "__dict__")
 
-    def __init__(self, cls: _Class, perm, types: dict):
+    def __init__(self, cls: _Class, perm):
         self.cls = cls
         self.perm = perm
-        self.types = types
         self.rows: dict = {}
         self.children: dict = {}
+
+    @functools.cached_property
+    def types(self) -> dict:
+        inverse = sorted(range(len(self.perm)), key=self.perm.__getitem__)
+        return dict(sorted((_apply_perm_type(*local, inverse), u)
+                           for local, u in self.cls.types.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -376,18 +387,20 @@ class _CheckContext:
     reps, rank)``, the levels' lattice indices and, per point, its
     bottom-class representative and that class's dense rank. Its ``sweep``
     is the one walk over all small subsets: generation's visits, steered
-    pass starts and report and both checks read it. Its per-form row tables
-    are the one record of the types realized: ``realized`` holds the
-    pattern of every consistent entry, and an entry is made only from a
-    point having its row. So ``realized`` is exact only once every row has
-    been entered: at each steered pass start of generation, and after any
-    ``sweep(k)`` that runs to its end, which is when the reports read it.
+    pass starts and report and both checks read it. Its per-class row
+    tables, which each form's row table reads, are the one record of the
+    types realized: ``realized`` holds the pattern of every entry, and an
+    entry is made only from a point having its row. So ``realized`` is
+    exact only once every row has been entered: at each steered pass start
+    of generation, and after any ``sweep(k)`` that runs to its end, which
+    is when the reports read it.
 
     It holds a table of pair codes (distance, then per order: same bottom
     class, other top class, below or above), coded once per point as that
     point's column by ``_code``, one ``_Form`` per matrix of raw pair codes
     met so far, and one ``_Class`` per canonical matrix with its types
-    (``types`` runs once per class).
+    (``types`` runs once per class) and rows (``point_type`` runs once per
+    entry).
 
     Packed rows: a point's row over a subset (a_1, ..., a_k) is one integer
     holding its codes to a_1, ..., a_k in fields of ``width`` bits, a_1's
@@ -400,16 +413,16 @@ class _CheckContext:
 
     Append invariant: ``_append_point`` adds a row and a column to
     ``dist``, a representative and a rank per order, and the new point's
-    column of codes, and keeps every code table entry, every form and every
-    form's row table. That is sound because appending a point never changes
-    a pair code among old points: old distances are fixed, a fresh class
-    shifts the old classes above its slot together, keeping their order, and
-    the new point comes last, so it never becomes an existing class's
-    representative. So the grown state is the one a fresh index on the built
-    structure holds, each old subset keeps its code matrix and form, each
-    old point keeps its row over it, and a row table entry is a function of
-    the form and the row (see ``_fill``), so a realized pattern stays
-    realized.
+    column of codes, and keeps every code table entry, form and row table.
+    That is sound because appending a point never changes a pair code among
+    old points: old distances are fixed, a fresh class shifts the old
+    classes above its slot together, keeping their order, and the new point
+    comes last, so it never becomes an existing class's representative. So
+    the grown state is the one a fresh index on the built structure holds,
+    each old subset keeps its code matrix and form, each old point keeps its
+    row over it, and a row table entry is a function of the form and the
+    row, or of the class and the row in class order (see ``_fill``), so a
+    realized pattern stays realized.
     """
 
     def __init__(self, s: OrderedLambdaStructure):
@@ -473,16 +486,14 @@ class _CheckContext:
 
     def form(self, idx_a: tuple) -> _Form:
         """Canonical form of the subset: the lexicographically least code
-        matrix over its labellings, the first labelling reaching it, and the
-        class's types in subset coordinates. Memoized per raw code matrix;
-        the walks look a subset up in its prefix form's ``children`` first.
+        matrix over its labellings and the first labelling reaching it.
+        Memoized per raw code matrix; the walks look a subset up in its
+        prefix form's ``children`` first.
 
         A new class takes its automorphisms from the same scan: q reaches
         the least matrix exactly when q = perm * a for an automorphism a of
         it, so a = perm^-1 * q. Its patterns are numbered in ``keys`` as
-        ``types`` meets them. A form maps its class's types back through
-        perm^-1 and sorts them into ``types``' order: deltas, then each
-        delta's gaps (with None in the same places), lexicographically."""
+        ``types`` meets them."""
         to = self._to
         facts = tuple([to[b][a] for a in idx_a for b in idx_a])
         form = self._by_codes.get(facts)
@@ -492,12 +503,12 @@ class _CheckContext:
                        for perm, cells in _labellings(k)]
             # perms come in lexicographic order, so ties go to the first one
             best, perm = min(scanned)
-            inverse = sorted(range(k), key=perm.__getitem__)
             cls = self._classes.get((k, best))
             if cls is None:
                 codes = iter(best)
                 matrix = tuple(tuple((0,) if u == v else self._decode(next(codes))
                                      for v in range(k)) for u in range(k))
+                inverse = sorted(range(k), key=perm.__getitem__)
                 autos = sorted(tuple([inverse[q[u]] for u in range(k)])
                                for key, q in scanned if key == best)
                 cls = self._classes[(k, best)] = _Class(matrix, autos)
@@ -509,9 +520,7 @@ class _CheckContext:
                         numbers[orbit] = len(self.keys)
                         self.keys.append((matrix, orbit))
                     cls.types[local] = _Type(local, numbers[orbit])
-            types = dict(sorted((_apply_perm_type(*local, inverse), u)
-                                for local, u in cls.types.items()))
-            form = self._by_codes[facts] = _Form(cls, perm, types)
+            form = self._by_codes[facts] = _Form(cls, perm)
         return form
 
     def row(self, idx_a: tuple, z: int) -> int:
@@ -528,11 +537,18 @@ class _CheckContext:
         return [self.row(idx_a, z) for z in range(self.n)]
 
     def _row_type(self, form: _Form, idx_a: tuple, row: int, z: int) -> _Type:
-        """Fill the form's table entry for a row from a point z having it and
-        enter its pattern in ``realized``. In a valid structure, the only kind
-        generation builds and the checks accept, z's type is one of the form's."""
-        entry = form.rows[row] = form.types[self.point_type(idx_a, z)]
-        self.realized.add(entry.pattern)
+        """Fill the form's table entry for a row from a point z having it:
+        the class's entry for z's row over the subset listed in class order,
+        made on a miss from z's type, whose pattern enters ``realized``. In
+        a valid structure, the only kind generation builds and the checks
+        accept, that type is one of the class's."""
+        cls = form.cls
+        key = self.row([idx_a[u] for u in form.perm], z)
+        entry = cls.rows.get(key)
+        if entry is None:
+            entry = cls.rows[key] = cls.types[_apply_perm_type(*self.point_type(idx_a, z), form.perm)]
+            self.realized.add(entry.pattern)
+        form.rows[row] = entry
         return entry
 
     def _fill(self, form: _Form, idx_a: tuple, rows: list[int]) -> set:
@@ -545,9 +561,10 @@ class _CheckContext:
         pinned orders and the base points ranked below it, and with strict
         ranks inside each scale (a valid order) that fixes every gap. The
         subset's own codes are its form's, and so are its own rows (each
-        holds the codes from one base point to the base points after it), so
-        ``point_type`` runs once per form and distinct row, and every other
-        point and subset of the form reads the form's table."""
+        holds the codes from one base point to the base points after it).
+        Listed in class order, they are the class's, so ``point_type`` runs
+        once per class and row in class order (see ``_row_type``), and every
+        other point, subset and form of the class reads a table."""
         distinct = set(rows)
         table = form.rows
         if not table.keys() >= distinct:
@@ -699,16 +716,18 @@ def _extension_report(ctx: _CheckContext, k: int) -> SaturationReport:
     pair_total = pair_realized = 0
     missing_pairs = []
     for A, form, _, distinct in ctx.sweep(k):
-        pair_total += len(form.types)
+        pair_total += len(form.cls.types)
         pair_realized += len(distinct) - len(A)
-        if len(missing_pairs) < 200:
+        if len(missing_pairs) < 200 and len(distinct) - len(A) < len(form.cls.types):
             exact = set(map(form.rows.__getitem__, distinct))
             missing = [t for t, u in form.types.items() if u not in exact]
             if missing:
                 names = tuple(ctx.points[a] for a in A)
                 missing_pairs += [(names, OnePointType(names, *t))
                                   for t in missing[:200 - len(missing_pairs)]]
-    missing_patterns = sorted(repr(key) for p, key in enumerate(ctx.keys) if p not in ctx.realized)
+    matrices = {id(cls.matrix): repr(cls.matrix) for cls in ctx._classes.values()}   # one per class
+    missing_patterns = sorted(f"({matrices[id(matrix)]}, {orbit!r})"
+                              for p, (matrix, orbit) in enumerate(ctx.keys) if p not in ctx.realized)
     return SaturationReport(len(ctx.keys), len(ctx.realized),
                             pair_total, pair_realized, missing_pairs, missing_patterns)
 
@@ -768,7 +787,9 @@ def homogeneity_check(s: OrderedLambdaStructure, m: int) -> HomogeneityReport:
 
     Pairs are grouped by isomorphism class, so the count runs over classes
     instead of the quadratic pair list; results are identical. One pass
-    counts, per form, the points and the subsets having each row. In a valid
+    counts, per form, the points and the subsets having each row, in the C
+    loop behind ``Counter.update`` (``_count_elements``), whose own wrapper
+    costs more than it counts at a subset's few rows. In a valid
     structure each outside row of a form is one realized ``_Type`` of its
     class, an object all the class's forms share, so folding those counts
     once by ``_Type`` gives each class's. Every outside point has one exact
@@ -784,10 +805,8 @@ def homogeneity_check(s: OrderedLambdaStructure, m: int) -> HomogeneityReport:
     members: dict = {}     # class -> its subsets, in sweep order
     for A, form, rows, distinct in ctx.sweep(m):
         counts, present = tallies.get(form) or tallies.setdefault(form, ({}, {}))
-        for row in rows:
-            counts[row] = counts.get(row, 0) + 1
-        for row in distinct:
-            present[row] = present.get(row, 0) + 1
+        _count_elements(counts, rows)
+        _count_elements(present, distinct)
         members.setdefault(form.cls, []).append(A)
     type_counts: dict = {}    # _Type -> points having it over its class's subsets
     type_present: dict = {}   # _Type -> its class's subsets over which it is realized

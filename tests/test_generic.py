@@ -516,9 +516,9 @@ def _count_calls(monkeypatch, name):
     # every call of the _CheckContext method from here on, by subset
     method, calls = getattr(_CheckContext, name), []
 
-    def counted(ctx, idx_a):
+    def counted(ctx, idx_a, *rest):
         calls.append(idx_a)
-        return method(ctx, idx_a)
+        return method(ctx, idx_a, *rest)
 
     monkeypatch.setattr(_CheckContext, name, counted)
     return calls
@@ -924,6 +924,39 @@ def test_sweep_realizes_the_per_subset_census(case):
     for _ in ctx.sweep(3):
         pass
     assert ctx.realized == _ref_census(ctx, 3)
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_a_sweep_types_each_canonical_row_once(monkeypatch, case):
+    # a row table entry is a function of the class and the row in class
+    # order, so point_type runs once per class table entry, not once per
+    # form and row
+    make, sig, size, _ = KERNEL_CASES[case]
+    ctx = _CheckContext(gen(make(), sig, size=size, depth=3))
+    calls = _count_calls(monkeypatch, "point_type")
+    for _ in ctx.sweep(3):
+        pass
+    assert len(calls) == sum(len(cls.rows) for cls in ctx._classes.values())
+    assert len(calls) < sum(t is not None for form in ctx._by_codes.values()
+                            for t in form.rows.values())
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_homogeneity_check_builds_no_subset_type_list(monkeypatch, case):
+    # the sweep and the check read class tables alone: after them, no form
+    # holds its types in subset coordinates
+    make, sig, size, _ = KERNEL_CASES[case]
+    checked, check_context = [], generic._check_context
+
+    def recorded(*args):
+        checked.append(check_context(*args))
+        return checked[-1]
+
+    monkeypatch.setattr(generic, "_check_context", recorded)
+    homogeneity_check(gen(make(), sig, size=size, depth=3), 3)
+    (ctx,) = checked
+    assert ctx._by_codes
+    assert not any("types" in vars(form) for form in ctx._by_codes.values())
 
 
 @pytest.mark.parametrize("lat, size", [("chain3", 20), ("b2", 14)])
