@@ -228,7 +228,7 @@ def generate_generic(lat: FiniteLattice, sq_signature, cfg: GenerationConfig,
     One subset index serves the whole run, the final report included. It
     holds the structure, grows it in place and builds it once, at the end.
     It is never rebuilt: appending a point changes no pair code among the
-    old points (see ``_CheckContext``), so the forms, pattern keys and row
+    old points (see ``_CheckContext``), so the forms, class types and row
     tables of old subsets stay valid, and the row tables are the record of
     what is realized (``ctx.realized``).
     A steered pass start sweeps only the subsets that meet a point appended
@@ -254,13 +254,13 @@ def generate_generic(lat: FiniteLattice, sq_signature, cfg: GenerationConfig,
     ctx = _CheckContext(empty_structure(lat, signature))
     censused = 0            # points whose subsets ctx.realized covers
     # Steering, once ended, never comes back, so the flag only goes from True
-    # to False. Say a steered pass start finds every pattern of ctx.keys
-    # realized. A new point z makes a new class of at most k points only as
-    # B | {z}, B an old subset of at most k - 1 points. z's type over B is
-    # consistent, so its pattern is in ctx.keys (B's class was met when B was
-    # swept), and is realized by some old w over some old B'. So B | {z} is
-    # isomorphic to B' | {w}, an old subset whose class was met: keys cannot
-    # grow, and every later pass start would find them all realized too.
+    # to False. Say a steered pass start finds every pattern of the classes
+    # met realized. A new point z makes a new class of at most k points only
+    # as B | {z}, B an old subset of at most k - 1 points. z's type over B is
+    # consistent, so its pattern is one of B's class (met when B was swept),
+    # and is realized by some old w over some old B'. So B | {z} is
+    # isomorphic to B' | {w}, an old subset whose class was met: no pattern
+    # is added, and every later pass start would find them all realized too.
     steered = True
     while ctx.n < cfg.target_size:
         n = ctx.n
@@ -268,11 +268,11 @@ def generate_generic(lat: FiniteLattice, sq_signature, cfg: GenerationConfig,
             for _ in ctx.sweep(k, since=censused):
                 pass
             censused = n
-            # ctx.keys numbers the patterns of the forms met over these points
-            # and ctx.realized is exact here, so a steered walk always
+            # ctx.patterns counts the patterns of the classes met over these
+            # points and ctx.realized is exact here, so a steered walk always
             # appends: the first subset of a form with a missing pattern
             # offers it, unless an earlier visit has appended
-            steered = len(ctx.realized) < len(ctx.keys)
+            steered = len(ctx.realized) < ctx.patterns
         for A, form, _, distinct in ctx.sweep(k):
             if ctx.n >= cfg.target_size:
                 break
@@ -305,7 +305,7 @@ def generate_generic(lat: FiniteLattice, sq_signature, cfg: GenerationConfig,
 
 
 # ---------------------------------------------------------------------------
-# canonical pattern keys
+# classes, forms and patterns
 
 
 def _apply_perm_type(delta: tuple[int, ...], gaps: tuple[Gap, ...], perm) -> tuple:
@@ -325,8 +325,7 @@ class _Class:
     in lexicographic order, and consistent types (``form`` finds all three).
     A base's consistent types depend only on its pair codes, so they are a
     function of the class: ``types`` maps each, in class coordinates, to its
-    ``_Type``, and is enumerated once, over the first base met. A pattern key
-    is (matrix, least image of a type under the automorphisms). ``rows`` maps
+    ``_Type``, and is enumerated once, over the first base met. ``rows`` maps
     a point's packed row over a base listed in class order to its ``_Type``,
     one table for all the class's forms (see ``_row_type``)."""
 
@@ -341,14 +340,14 @@ class _Class:
 
 class _Type:
     """A type over the bases of one class: ``local`` is (delta, gaps) in
-    class coordinates and ``pattern`` the number of its pattern key. A class
-    holds one object per consistent type, so identity is equality."""
+    class coordinates and ``pattern`` the type standing for its isomorphism
+    pattern (see ``_CheckContext.form``). A class holds one object per
+    consistent type, so identity is equality."""
 
     __slots__ = ("local", "pattern")
 
-    def __init__(self, local: tuple, pattern: int):
+    def __init__(self, local: tuple):
         self.local = local
-        self.pattern = pattern
 
 
 class _Form:
@@ -433,8 +432,8 @@ class _CheckContext:
         # wider than the widest pair code, (lat.n << 2m) - 1, so that no code
         # is all ones in its field and base points' rows stay distinct
         self.width = (lat.n << 2 * m).bit_length()
-        self.keys: list = []             # pattern number -> pattern key
-        self.realized: set = set()       # pattern numbers of the row table entries
+        self.patterns = 0                # patterns of the classes met
+        self.realized: set = set()       # patterns of the row table entries
         self._to: list[list[int]] = []   # _to[j][i]: pair code of (i, j), -1 on the diagonal
         self._by_codes: dict = {}        # raw code tuple -> _Form
         self._classes: dict = {}         # (size, canonical codes) -> _Class
@@ -492,8 +491,9 @@ class _CheckContext:
 
         A new class takes its automorphisms from the same scan: q reaches
         the least matrix exactly when q = perm * a for an automorphism a of
-        it, so a = perm^-1 * q. Its patterns are numbered in ``keys`` as
-        ``types`` meets them."""
+        it, so a = perm^-1 * q. A type's pattern is the class's type of the
+        least image of its ``local`` under them: an automorphism keeps the
+        base's codes, so that image is consistent, one of the class's types."""
         to = self._to
         facts = tuple([to[b][a] for a in idx_a for b in idx_a])
         form = self._by_codes.get(facts)
@@ -512,14 +512,12 @@ class _CheckContext:
                 autos = sorted(tuple([inverse[q[u]] for u in range(k)])
                                for key, q in scanned if key == best)
                 cls = self._classes[(k, best)] = _Class(matrix, autos)
-                numbers: dict = {}   # least image under the automorphisms -> pattern number
                 for t in self.types(idx_a):
                     local = _apply_perm_type(*t, perm)
-                    orbit = min(_apply_perm_type(*local, a) for a in autos)
-                    if orbit not in numbers:
-                        numbers[orbit] = len(self.keys)
-                        self.keys.append((matrix, orbit))
-                    cls.types[local] = _Type(local, numbers[orbit])
+                    cls.types[local] = _Type(local)
+                for local, u in cls.types.items():
+                    u.pattern = cls.types[min(_apply_perm_type(*local, a) for a in autos)]
+                    self.patterns += u.pattern is u
             form = self._by_codes[facts] = _Form(cls, perm)
         return form
 
@@ -710,9 +708,9 @@ def _extension_report(ctx: _CheckContext, k: int) -> SaturationReport:
     """The report of a full ``sweep(k)``. A subset has one pair per type of
     its form, and its k points have k distinct rows (see ``_CheckContext``),
     so in a valid structure its other rows are one per realized type.
-    Patterns are read off the index: after the sweep every form is one of a
-    subset of at most k points and every row has an entry, so ``keys`` are
-    the patterns and ``realized`` the realized ones."""
+    Patterns are read off the index: after the sweep every class is one of a
+    subset of at most k points and every row has an entry, so ``patterns``
+    counts the patterns and ``realized`` holds the realized ones."""
     pair_total = pair_realized = 0
     missing_pairs = []
     for A, form, _, distinct in ctx.sweep(k):
@@ -725,10 +723,10 @@ def _extension_report(ctx: _CheckContext, k: int) -> SaturationReport:
                 names = tuple(ctx.points[a] for a in A)
                 missing_pairs += [(names, OnePointType(names, *t))
                                   for t in missing[:200 - len(missing_pairs)]]
-    matrices = {id(cls.matrix): repr(cls.matrix) for cls in ctx._classes.values()}   # one per class
-    missing_patterns = sorted(f"({matrices[id(matrix)]}, {orbit!r})"
-                              for p, (matrix, orbit) in enumerate(ctx.keys) if p not in ctx.realized)
-    return SaturationReport(len(ctx.keys), len(ctx.realized),
+    missing_patterns = sorted(f"({matrix}, {u.local!r})" for cls in ctx._classes.values()
+                              for matrix in [repr(cls.matrix)] for u in cls.types.values()
+                              if u.pattern is u and u not in ctx.realized)
+    return SaturationReport(ctx.patterns, len(ctx.realized),
                             pair_total, pair_realized, missing_pairs, missing_patterns)
 
 
@@ -795,9 +793,9 @@ def homogeneity_check(s: OrderedLambdaStructure, m: int) -> HomogeneityReport:
     once by ``_Type`` gives each class's. Every outside point has one exact
     type, so a class of n subsets of k points checks |autos| * n^2 * (N - k)
     pairs. Pattern failures are read off the index after that pass, as in
-    ``_extension_report``: a class's missing patterns are the pattern
-    numbers of its ``types`` not in ``realized``, listed only until the
-    sample of 50 is full.
+    ``_extension_report``: a class's missing patterns are the patterns of
+    its ``types`` not in ``realized``, listed by their ``local`` only until
+    the sample of 50 is full.
     """
     ctx = _check_context(s, m, "homogeneity_check")
     points = s.space.points
@@ -825,7 +823,7 @@ def homogeneity_check(s: OrderedLambdaStructure, m: int) -> HomogeneityReport:
     pairs_checked = 0
     misses = 0
     failures = []
-    pattern_failures = len(ctx.keys) - len(ctx.realized)
+    pattern_failures = ctx.patterns - len(ctx.realized)
     missing_patterns = []
     for cls, subsets in members.items():
         autos, types, n_members = cls.autos, cls.types, len(subsets)
@@ -837,7 +835,7 @@ def homogeneity_check(s: OrderedLambdaStructure, m: int) -> HomogeneityReport:
         misses += class_misses
         if len(missing_patterns) < 50:
             patterns = {u.pattern for u in types.values()} - ctx.realized
-            missing = sorted(repr(ctx.keys[p][1]) for p in patterns)[:50 - len(missing_patterns)]
+            missing = sorted(repr(p.local) for p in patterns)[:50 - len(missing_patterns)]
             missing_patterns += [(repr(cls.matrix), u) for u in missing]
         if class_misses and len(failures) < 20:
             # surface a concrete example for the report

@@ -838,6 +838,67 @@ def test_fuzzed_cover_files_encode_to_orders_the_codebook_recovers(case):
                     assert order.less(x, y) == (p.vector(x, y) in vectors)
 
 
+# -- fuzzed flags ---------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def flag_files(tmp_path_factory):
+    """The fuzzed lattice files, an 8-point B2 structure and its encoding."""
+    from permlat.generic import GenerationConfig, generate_generic
+    path = tmp_path_factory.mktemp("flags")
+    for name, body in _FUZZ_LATTICES.items():
+        (path / name).write_text(body)
+    s = generate_generic(boolean2(), [("a", "1"), ("b", "1")],
+                         GenerationConfig(seed=1, target_size=8, saturation_depth=2),
+                         with_saturation_report=False).structure
+    (path / "s.struct").write_text(dump_structure(s, lattice_ref="b2.lat"))
+    assert main(["encode", "--in", str(path / "s.struct"), "--out", str(path / "s.perm")]) == 0
+    return path
+
+
+_BAD_ORDERS = ["", ",", "a", "a:", ":1", "a:1:b", "a:1,", "q:1", "1:a", "-a:1", "a:1,a:1", "0:1"]
+
+
+@st.composite
+def flag_draws(draw):
+    """A command line, its paths under ``{dir}``: integer flags from -1 to
+    12 (``--k`` to 4), an ``--orders`` that is B2's or malformed, and an
+    ``--out`` that is a new file, a directory or a file in a missing one."""
+    number = st.integers(-1, 12).map(str)
+    # weighted so that gen, with the most ways to fail, also succeeds
+    out = draw(st.sampled_from(["{dir}/new.out"] * 4 + ["{dir}", "{dir}/missing/new.out"]))
+    command = draw(st.sampled_from(["gen"] * 4 + ["ext", "hom", "probe", "encode", "profile",
+                                                  "cameron"]))
+    if command == "gen":
+        depth = draw(st.integers(-1, 12))
+        # a report at depth 6 or 7 over 12 points takes 1-17 s (k!
+        # labellings per form); keep those depths to 8 points
+        size = draw(st.integers(-1, 8 if depth in (6, 7) else 12))
+        orders = draw(st.sampled_from(_BAD_ORDERS + ["a:1,b:1"] * len(_BAD_ORDERS)))
+        return ["gen", "--lattice={dir}/b2.lat", f"--orders={orders}", f"--size={size}",
+                f"--depth={depth}", f"--seed={draw(number)}", f"--out={out}"]
+    if command in ("ext", "hom"):
+        return ["check", command, "--in={dir}/s.struct", f"--k={draw(st.integers(-1, 4))}"]
+    if command == "probe":
+        lat = draw(st.sampled_from(sorted(_FUZZ_LATTICES)))
+        return ["space", "probe", f"{{dir}}/{lat}", f"--max-base={draw(number)}",
+                f"--max-new={draw(number)}"]
+    if command == "encode":
+        return ["encode", "--in={dir}/s.struct", f"--seed={draw(number)}", f"--out={out}"]
+    if command == "profile":
+        return ["profile", "--in={dir}/s.perm", f"--k={draw(st.integers(-1, 4))}"]
+    return ["cameron", f"--size={draw(number)}", f"--seed={draw(number)}"]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(flag_draws())
+def test_fuzzed_flags_give_an_exit_code_not_a_traceback(flag_files, argv):
+    code = _main_coded([a.format(dir=flag_files) for a in argv])
+    assert code in (0, 1, 2)
+    # a directory, or a file in a missing one, is never written
+    assert code or not any(a in ("--out={dir}", "--out={dir}/missing/new.out") for a in argv)
+
+
 # -- golden digests -------------------------------------------------------------
 
 

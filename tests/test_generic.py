@@ -502,6 +502,14 @@ def _tally(ctx, A):
     return Counter(key[form.rows[row]] for row in ctx.rows(A) if row >= 0)
 
 
+def _pattern_keys(ctx):
+    # each pattern of the index, a class type that is its own pattern, as
+    # (matrix, least image of a type under the automorphisms), so that the
+    # patterns of two indexes compare
+    return {u: (cls.matrix, u.local) for cls in ctx._classes.values()
+            for u in cls.types.values() if u.pattern is u}
+
+
 def _subsets(n, k=3):
     return [A for size in range(k + 1) for A in itertools.combinations(range(n), size)]
 
@@ -527,7 +535,7 @@ def _count_calls(monkeypatch, name):
 @pytest.mark.parametrize("grow", ["realize_type", "empty_base"])
 def test_index_entries_survive_an_appended_point(chain3, grow):
     # the memo rests on this: appending a point changes no old pair code, so
-    # every old subset keeps its canonical form, its pattern keys and the
+    # every old subset keeps its canonical form, its types' patterns and the
     # packed row of every old point
     s = gen(chain3, SIGS["chain3"], size=10, depth=2)
     ctx = _CheckContext(s)
@@ -554,14 +562,16 @@ def test_index_entries_survive_an_appended_point(chain3, grow):
     assert ctx._to == fresh._to
     z = grown.space.n - 1
     ctx.register(z, 3)
+    new_forms = {A: fresh.form(A) for A in subsets}
+    keys, fresh_keys = _pattern_keys(ctx), _pattern_keys(fresh)
     for A in subsets:
         t = _registered(ctx, A, z)
-        form, new = ctx.form(A), fresh.form(A)
+        form, new = ctx.form(A), new_forms[A]
         assert form is kept[A]
         assert (form.cls.matrix, form.perm) == (new.cls.matrix, new.perm)
         assert (form.cls.matrix, form.perm) == _ref_canonical(fresh, list(A))
-        assert ([(t, u.local, ctx.keys[u.pattern]) for t, u in form.types.items()]
-                == [(t, u.local, fresh.keys[u.pattern]) for t, u in new.types.items()])
+        assert ([(t, u.local, keys[u.pattern]) for t, u in form.types.items()]
+                == [(t, u.local, fresh_keys[u.pattern]) for t, u in new.types.items()])
         assert t == fresh.point_type(A, z)
         assert ctx.rows(A) == fresh.rows(A) == rows[A] + [fresh.rows(A)[z]]
         assert _tally(ctx, A) == _tally(fresh, A) == exact[A] + Counter([t])
@@ -777,10 +787,10 @@ def _ref_register(ctx, z, k):
 
 def _row_tables(ctx):
     # every form's row table, by raw code matrix, with patterns as keys
-    tables = {}
+    tables, patterns = {}, _pattern_keys(ctx)
     for facts, form in ctx._by_codes.items():
         key = _subset_types(form)
-        tables[facts] = {row: (key[t], ctx.keys[t.pattern]) for row, t in form.rows.items()}
+        tables[facts] = {row: (key[t], patterns[t.pattern]) for row, t in form.rows.items()}
     return tables
 
 
@@ -814,7 +824,8 @@ def test_registration_matches_the_per_subset_reference(monkeypatch, case):
         assert len(calls) < len(_subsets(walk.n - 1))
         _ref_register(ref, ref.n - 1, 3)
     assert _row_tables(walk) == _row_tables(ref)
-    assert {walk.keys[p] for p in walk.realized} == {ref.keys[p] for p in ref.realized}
+    walk_keys, ref_keys = _pattern_keys(walk), _pattern_keys(ref)
+    assert {walk_keys[p] for p in walk.realized} == {ref_keys[p] for p in ref.realized}
 
 
 def _swept(ctx, k=3, since=None):
@@ -844,7 +855,8 @@ def test_sweep_matches_per_subset_forms_and_types(monkeypatch, case):
     # form() and point_type() give subset by subset. A class enumerates its
     # types once, over its first subset; every form maps them onto its own
     # labelling in types()'s order, which the seeded draws of generation
-    # rest on, and numbers each by its orbit under the automorphisms
+    # rest on, and each type's pattern is the class type of the least image
+    # of its local under the automorphisms, one type per pattern
     make, sig, size, k = SWEEP_CASES[case]
     s = gen(make(), sig, size=size, depth=3)
     ctx = _CheckContext(s)
@@ -860,13 +872,17 @@ def test_sweep_matches_per_subset_forms_and_types(monkeypatch, case):
     # types() ran once per class, and some class has more than one form
     assert len({ctx.form(A).cls for A in enumerated}) == len(enumerated) == len(ctx._classes)
     assert len(ctx._by_codes) > len(ctx._classes)
+    keys, orbits = _pattern_keys(ctx), set()
     for A, form, _, _ in swept:
         assert list(form.types) == list(ctx.types(A))
         autos = _ref_autos(form.cls.matrix)
         for t, u in form.types.items():
             assert u is form.cls.types[_permuted(*t, form.perm)]
-            assert ctx.keys[u.pattern] == (form.cls.matrix,
-                                           min(_permuted(*u.local, a) for a in autos))
+            orbit = min(_permuted(*u.local, a) for a in autos)
+            assert u.pattern is form.cls.types[orbit] and u.pattern.pattern is u.pattern
+            assert keys[u.pattern] == (form.cls.matrix, orbit)
+            orbits.add((form.cls.matrix, orbit))
+    assert ctx.patterns == len(orbits) == len(keys)
     fresh = _CheckContext(s)
     for A, form, rows, types in swept:
         # one form object per code matrix, so identity is exactness
@@ -1076,7 +1092,7 @@ def _eager_generate(lat, sig, cfg):
         for _ in ctx.sweep(k, since=censused):
             pass
         censused = n
-        steered = len(ctx.realized) < len(ctx.keys)
+        steered = len(ctx.realized) < ctx.patterns
         steered_at.append(steered)
         for A, form, _, distinct in ctx.sweep(k):
             if ctx.n >= cfg.target_size:
