@@ -1,5 +1,6 @@
 """Command-line front door. Exit codes: 0 success/valid, 1 invalid input or
-failed check, 2 usage error, a flag value out of range included. ``--json``
+failed check, 2 usage error, a flag value out of range and the parser's own
+rejections included. ``--json``
 switches stdout to a stable machine-readable report (sorted keys, canonical
 ordering)."""
 
@@ -410,11 +411,19 @@ def cmd_cameron(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises its own rejections as ``UsageError``, which ``main`` prints
+    coded; its subparsers are of its class."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process and shared by every
     caller of ``main``."""
-    parser = argparse.ArgumentParser(prog="permlat")
+    parser = _Parser(prog="permlat")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -522,13 +531,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     with warnings.catch_warnings():
         # one `warning: ...` line per warning, not Python's two with file:line
         warnings.simplefilter("default")
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
+            args = build_parser().parse_args(argv)
             code = args.func(args)
             sys.stdout.flush()   # a closed reader surfaces here, not at exit
             return code

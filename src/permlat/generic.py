@@ -231,13 +231,13 @@ def generate_generic(lat: FiniteLattice, sq_signature, cfg: GenerationConfig,
     old points (see ``_CheckContext``), so the forms, class types and row
     tables of old subsets stay valid, and the row tables are the record of
     what is realized (``ctx.realized``).
-    A steered pass start sweeps only the subsets that meet a point appended
-    since the last one (``sweep`` with ``since``), and while steered an
-    appended point enters its rows over the subsets before it
-    (``register``), so ``ctx.realized`` is exact at each steered pass start.
-    Once steering ends neither runs, as nothing reads ``ctx.realized``
-    again. The visits walk ``sweep`` over the points of the pass start and
-    look up the rows of the points appended since, filling missing entries.
+    A steered pass start runs a full ``sweep``, which enters every row, so
+    ``ctx.realized`` is exact there; and while steered an appended point
+    enters its rows over the subsets before it (``register``), so that later
+    picks in the pass see it. Once steering ends neither runs, as nothing
+    reads ``ctx.realized`` again. The visits walk ``sweep`` over the points
+    of the pass start and look up the rows of the points appended since,
+    filling missing entries.
     """
     signature = [tuple(pair) for pair in sq_signature]
     _require_generable(lat, signature)
@@ -252,7 +252,6 @@ def generate_generic(lat: FiniteLattice, sq_signature, cfg: GenerationConfig,
                       "deduplication is not applied", stacklevel=2)
     rng = random.Random(cfg.seed)
     ctx = _CheckContext(empty_structure(lat, signature))
-    censused = 0            # points whose subsets ctx.realized covers
     # Steering, once ended, never comes back, so the flag only goes from True
     # to False. Say a steered pass start finds every pattern of the classes
     # met realized. A new point z makes a new class of at most k points only
@@ -265,9 +264,8 @@ def generate_generic(lat: FiniteLattice, sq_signature, cfg: GenerationConfig,
     while ctx.n < cfg.target_size:
         n = ctx.n
         if steered:
-            for _ in ctx.sweep(k, since=censused):
+            for _ in ctx.sweep(k):
                 pass
-            censused = n
             # ctx.patterns counts the patterns of the classes met over these
             # points and ctx.realized is exact here, so a steered walk always
             # appends: the first subset of a form with a missing pattern
@@ -396,8 +394,8 @@ class _CheckContext:
 
     It holds a table of pair codes (distance, then per order: same bottom
     class, other top class, below or above), coded once per point as that
-    point's column by ``_code``, one ``_Form`` per matrix of raw pair codes
-    met so far, and one ``_Class`` per canonical matrix with its types
+    point's column by ``_code``, a prefix tree of forms, the one form index
+    (see ``form``), and one ``_Class`` per canonical matrix with its types
     (``types`` runs once per class) and rows (``point_type`` runs once per
     entry).
 
@@ -435,7 +433,6 @@ class _CheckContext:
         self.patterns = 0                # patterns of the classes met
         self.realized: set = set()       # patterns of the row table entries
         self._to: list[list[int]] = []   # _to[j][i]: pair code of (i, j), -1 on the diagonal
-        self._by_codes: dict = {}        # raw code tuple -> _Form
         self._classes: dict = {}         # (size, canonical codes) -> _Class
         self.n = s.space.n
         self.points = list(s.space.points)
@@ -444,6 +441,7 @@ class _CheckContext:
                         list(o.point_ranks)) for o in s.orders]
         for j in range(self.n):
             self._code(j)
+        self.root = self._canonical(())   # the empty subset's form, the tree's root
 
     def _code(self, j: int) -> None:
         """Add the codes of the pairs of point j with the points before it,
@@ -484,10 +482,20 @@ class _CheckContext:
         return (code >> 2 * m, tuple((code >> 2 * (m - 1 - t)) & 3 for t in range(m)))
 
     def form(self, idx_a: tuple) -> _Form:
-        """Canonical form of the subset: the lexicographically least code
-        matrix over its labellings and the first labelling reaching it.
-        Memoized per raw code matrix; the walks look a subset up in its
-        prefix form's ``children`` first.
+        """The subset's form: its node in the prefix tree of forms, whose
+        root is the empty subset's and whose nodes' ``children`` map a
+        point's row over the node's subset to the node of the subset with
+        that point appended, so one node per matrix of raw pair codes met
+        (see ``sweep``). A missing node is made by ``_canonical``."""
+        form = self.root
+        for i, b in enumerate(idx_a):
+            row, children = self.row(idx_a[:i], b), form.children
+            form = children.get(row) or children.setdefault(row, self._canonical(idx_a[:i + 1]))
+        return form
+
+    def _canonical(self, idx_a: tuple) -> _Form:
+        """A new node's form: the lexicographically least code matrix over
+        the subset's labellings and the first labelling reaching it.
 
         A new class takes its automorphisms from the same scan: q reaches
         the least matrix exactly when q = perm * a for an automorphism a of
@@ -496,30 +504,27 @@ class _CheckContext:
         base's codes, so that image is consistent, one of the class's types."""
         to = self._to
         facts = tuple([to[b][a] for a in idx_a for b in idx_a])
-        form = self._by_codes.get(facts)
-        if form is None:
-            k = len(idx_a)
-            scanned = [(tuple(map(facts.__getitem__, cells)), perm)
-                       for perm, cells in _labellings(k)]
-            # perms come in lexicographic order, so ties go to the first one
-            best, perm = min(scanned)
-            cls = self._classes.get((k, best))
-            if cls is None:
-                codes = iter(best)
-                matrix = tuple(tuple((0,) if u == v else self._decode(next(codes))
-                                     for v in range(k)) for u in range(k))
-                inverse = sorted(range(k), key=perm.__getitem__)
-                autos = sorted(tuple([inverse[q[u]] for u in range(k)])
-                               for key, q in scanned if key == best)
-                cls = self._classes[(k, best)] = _Class(matrix, autos)
-                for t in self.types(idx_a):
-                    local = _apply_perm_type(*t, perm)
-                    cls.types[local] = _Type(local)
-                for local, u in cls.types.items():
-                    u.pattern = cls.types[min(_apply_perm_type(*local, a) for a in autos)]
-                    self.patterns += u.pattern is u
-            form = self._by_codes[facts] = _Form(cls, perm)
-        return form
+        k = len(idx_a)
+        scanned = [(tuple(map(facts.__getitem__, cells)), perm)
+                   for perm, cells in _labellings(k)]
+        # perms come in lexicographic order, so ties go to the first one
+        best, perm = min(scanned)
+        cls = self._classes.get((k, best))
+        if cls is None:
+            codes = iter(best)
+            matrix = tuple(tuple((0,) if u == v else self._decode(next(codes))
+                                 for v in range(k)) for u in range(k))
+            inverse = sorted(range(k), key=perm.__getitem__)
+            autos = sorted(tuple([inverse[q[u]] for u in range(k)])
+                           for key, q in scanned if key == best)
+            cls = self._classes[(k, best)] = _Class(matrix, autos)
+            for t in self.types(idx_a):
+                local = _apply_perm_type(*t, perm)
+                cls.types[local] = _Type(local)
+            for local, u in cls.types.items():
+                u.pattern = cls.types[min(_apply_perm_type(*local, a) for a in autos)]
+                self.patterns += u.pattern is u
+        return _Form(cls, perm)
 
     def row(self, idx_a: tuple, z: int) -> int:
         """The packed row of the point z over the subset."""
@@ -528,11 +533,6 @@ class _CheckContext:
         for a in idx_a:
             row = row << self.width | to[a][z]
         return row
-
-    def rows(self, idx_a: tuple) -> list[int]:
-        """The packed row over the subset of every point, negative for the
-        subset's own points."""
-        return [self.row(idx_a, z) for z in range(self.n)]
 
     def _row_type(self, form: _Form, idx_a: tuple, row: int, z: int) -> _Type:
         """Fill the form's table entry for a row from a point z having it:
@@ -571,35 +571,25 @@ class _CheckContext:
                     table[row] = None if row < 0 else self._row_type(form, idx_a, row, z)
         return distinct
 
-    def exact_types(self, idx_a: tuple) -> dict:
-        """The exact types of the points outside the base, as ``_Type``s of
-        the subset's form: the keys of a dict, in order of first point."""
-        form = self.form(idx_a)
-        rows = self.rows(idx_a)
-        self._fill(form, idx_a, rows)
-        out = dict.fromkeys(map(form.rows.__getitem__, rows))
-        out.pop(None, None)
-        return out
-
-    def sweep(self, k: int, since: int | None = None):
+    def sweep(self, k: int):
         """Yield ``(subset, form, rows, distinct)`` for every subset of at
         most k points, by size and then lexicographically: every point's
         packed row over the subset, their set, and the form's row table
         filled for each (see ``_fill``), so ``realized`` then covers them.
-        With ``since``, only the subsets whose last point is at least
-        ``since``, so not ``()``. The points are those held at the call:
-        points appended while the walk is suspended are not in its rows.
+        The points are those held at the call: points appended while the
+        walk is suspended are not in its rows.
 
         Each size is walked depth-first over prefixes: a prefix shifts its
         rows once, each subset ORs them with its last point's code column,
         and the subsets of one prefix are yielded as a batch. A subset's
         form is read from its prefix's form, in ``children`` under the last
-        point's row over the prefix, and is filled by ``form`` when missing.
-        That key is exact in a valid structure: the row holds the codes from
-        the last point to the prefix, and with strict ranks inside each scale
-        the codes the other way are the same with below and above swapped,
-        so the prefix's code matrix and the row fix the subset's. Like every
-        form table, the children survive an append.
+        point's row over the prefix, and is made by ``_canonical`` when
+        missing. That key is exact in a valid structure: the row holds the
+        codes from the last point to the prefix, and with strict ranks inside
+        each scale the codes the other way are the same with below and above
+        swapped, so the prefix's code matrix and the row fix the subset's,
+        and a tree node is one code matrix. Like every form table, the
+        children survive an append.
 
         Yielding size by size, lazily, builds each prefix's rows again for
         every larger size: at k = 3 over 20 points, 1,558 row builds for
@@ -607,30 +597,25 @@ class _CheckContext:
         ``pipeline`` benchmark pass). One preorder walk would build each
         once, but would have to hold every subset's rows until its size
         comes."""
-        n = self.n
-        to = self._to
-        root = self.form(())
-        if k >= 0 and since is None:
+        n, to, root = self.n, self._to, self.root
+        if k >= 0:
             yield (), root, [0] * n, self._fill(root, (), [0] * n)
         for size in range(1, min(k, n) + 1):
-            for batch in self._walk(to, since or 0, (), [0] * n, root, size):
+            for batch in self._walk(to, (), [0] * n, root, size):
                 yield from batch
 
-    def _walk(self, to, first, prefix, rows, form, depth):
+    def _walk(self, to, prefix, rows, form, depth):
         """``sweep``'s batches below ``prefix``; a method, as a recursive closure is a cycle."""
         n, w = len(rows), self.width
         children = form.children
         shifted = [r << w for r in rows]
         batch = []
-        start = prefix[-1] + 1 if prefix else 0
-        for b in range(max(start, first) if depth == 1 else start, n - depth + 1):
+        for b in range(prefix[-1] + 1 if prefix else 0, n - depth + 1):
             A = prefix + (b,)
-            child = children.get(rows[b])
-            if child is None:
-                child = children[rows[b]] = self.form(A)
+            child = children.get(rows[b]) or children.setdefault(rows[b], self._canonical(A))
             grown = list(map(or_, shifted, to[b]))
             if depth > 1:
-                yield from self._walk(to, first, A, grown, child, depth - 1)
+                yield from self._walk(to, A, grown, child, depth - 1)
             else:
                 batch.append((A, child, grown, self._fill(child, A, grown)))
         if batch:
@@ -641,10 +626,9 @@ class _CheckContext:
         before it in its form's row table, walking prefixes as ``_walk`` does
         with the packed rows of the points up to z, z's last. An entry is a
         function of form and row (see ``_fill``), so fill order is free."""
-        root = self.form(())
-        if 0 not in root.rows:
-            self._row_type(root, (), 0, z)
-        self._register_walk(self._to, (), [0] * (z + 1), root, k)
+        if 0 not in self.root.rows:
+            self._row_type(self.root, (), 0, z)
+        self._register_walk(self._to, (), [0] * (z + 1), self.root, k)
 
     def _register_walk(self, to, prefix, rows, form, depth):
         """``register``'s entries below ``prefix``; a method, as a recursive closure is a cycle."""
@@ -653,9 +637,7 @@ class _CheckContext:
         shifted = [r << w for r in rows]
         for b in range(prefix[-1] + 1 if prefix else 0, z):
             A = prefix + (b,)
-            child = children.get(rows[b])
-            if child is None:
-                child = children[rows[b]] = self.form(A)
+            child = children.get(rows[b]) or children.setdefault(rows[b], self._canonical(A))
             row = shifted[z] | to[b][z]
             if row not in child.rows:
                 self._row_type(child, A, row, z)
@@ -817,8 +799,11 @@ def homogeneity_check(s: OrderedLambdaStructure, m: int) -> HomogeneityReport:
 
     @functools.cache
     def exact(A) -> dict:
-        """The exact types over A in class coordinates, in order of first point."""
-        return dict.fromkeys(t.local for t in ctx.exact_types(A))
+        """The exact types over A in class coordinates, in order of first
+        point, read off the form's row table, which the sweep filled."""
+        table = ctx.form(A).rows
+        types = (table[ctx.row(A, z)] for z in range(ctx.n))
+        return dict.fromkeys(t.local for t in types if t)
 
     pairs_checked = 0
     misses = 0

@@ -93,10 +93,16 @@ def test_lattice_check_chain_exits_0(fixtures, capsys):
     assert code == 0
 
 
-def test_usage_error_exits_2(capsys):
-    with pytest.raises(SystemExit) as e:
-        main(["lattice", "frobnicate"])
-    assert e.value.code == 2
+def test_usage_error_exits_2(fixtures, capsys):
+    # the parser's own rejections print one coded line and no usage banner
+    assert main(["lattice", "frobnicate"]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error \[USAGE\]: argument sub: invalid choice: 'frobnicate'.*\n", err)
+    out = fixtures / "o.struct"
+    assert main(["gen", "--lattice", str(fixtures / "chain3.lat"), "--orders", "0:E,E:1",
+                 "--size", "x", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error [USAGE]: argument --size: invalid int value: 'x'\n"
+    assert not out.exists()
 
 
 def test_space_probe_m3_exits_1(fixtures, capsys):
@@ -857,37 +863,62 @@ def flag_files(tmp_path_factory):
 
 
 _BAD_ORDERS = ["", ",", "a", "a:", ":1", "a:1:b", "a:1,", "q:1", "1:a", "-a:1", "a:1,a:1", "0:1"]
+_NON_INTEGERS = ["x", "1.5", ""]
 
 
 @st.composite
 def flag_draws(draw):
     """A command line, its paths under ``{dir}``: integer flags from -1 to
-    12 (``--k`` to 4), an ``--orders`` that is B2's or malformed, and an
-    ``--out`` that is a new file, a directory or a file in a missing one."""
-    number = st.integers(-1, 12).map(str)
+    12 (``--k`` to 4), now and then a value that is no integer, an
+    ``--orders`` that is B2's or malformed, and an ``--out`` that is a new
+    file, a directory or a file in a missing one. Each value is given in
+    its flag's word or as the next word, and the command may be missing or
+    unknown."""
+    def number(high=12):
+        ints = st.integers(-1, high).map(str)
+        return draw(st.sampled_from(_NON_INTEGERS) if draw(st.integers(0, 9)) == 0 else ints)
+
+    def flag(name, value):
+        return [f"--{name}={value}"] if draw(st.booleans()) else [f"--{name}", value]
+
     # weighted so that gen, with the most ways to fail, also succeeds
     out = draw(st.sampled_from(["{dir}/new.out"] * 4 + ["{dir}", "{dir}/missing/new.out"]))
     command = draw(st.sampled_from(["gen"] * 4 + ["ext", "hom", "probe", "encode", "profile",
-                                                  "cameron"]))
+                                                  "cameron", "none", "frob"]))
     if command == "gen":
-        depth = draw(st.integers(-1, 12))
+        depth = number()
         # a report at depth 6 or 7 over 12 points takes 1-17 s (k!
         # labellings per form); keep those depths to 8 points
-        size = draw(st.integers(-1, 8 if depth in (6, 7) else 12))
+        size = number(8 if depth in ("6", "7") else 12)
         orders = draw(st.sampled_from(_BAD_ORDERS + ["a:1,b:1"] * len(_BAD_ORDERS)))
-        return ["gen", "--lattice={dir}/b2.lat", f"--orders={orders}", f"--size={size}",
-                f"--depth={depth}", f"--seed={draw(number)}", f"--out={out}"]
+        return ["gen", *flag("lattice", "{dir}/b2.lat"), *flag("orders", orders),
+                *flag("size", size), *flag("depth", depth), *flag("seed", number()),
+                *flag("out", out)]
     if command in ("ext", "hom"):
-        return ["check", command, "--in={dir}/s.struct", f"--k={draw(st.integers(-1, 4))}"]
+        return ["check", command, *flag("in", "{dir}/s.struct"), *flag("k", number(4))]
     if command == "probe":
         lat = draw(st.sampled_from(sorted(_FUZZ_LATTICES)))
-        return ["space", "probe", f"{{dir}}/{lat}", f"--max-base={draw(number)}",
-                f"--max-new={draw(number)}"]
+        return ["space", "probe", f"{{dir}}/{lat}", *flag("max-base", number()),
+                *flag("max-new", number())]
     if command == "encode":
-        return ["encode", "--in={dir}/s.struct", f"--seed={draw(number)}", f"--out={out}"]
+        return ["encode", *flag("in", "{dir}/s.struct"), *flag("seed", number()),
+                *flag("out", out)]
     if command == "profile":
-        return ["profile", "--in={dir}/s.perm", f"--k={draw(st.integers(-1, 4))}"]
-    return ["cameron", f"--size={draw(number)}", f"--seed={draw(number)}"]
+        return ["profile", *flag("in", "{dir}/s.perm"), *flag("k", number(4))]
+    if command == "none":
+        return []
+    if command == "frob":
+        return ["frob", *flag("seed", number())]
+    return ["cameron", *flag("size", number()), *flag("seed", number())]
+
+
+def _out_value(argv):
+    # the --out value of a command line, in the flag's word or the next one
+    for flag, value in zip(argv, argv[1:] + [None]):
+        if flag.startswith("--out="):
+            return flag[len("--out="):]
+        if flag == "--out":
+            return value
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -896,7 +927,7 @@ def test_fuzzed_flags_give_an_exit_code_not_a_traceback(flag_files, argv):
     code = _main_coded([a.format(dir=flag_files) for a in argv])
     assert code in (0, 1, 2)
     # a directory, or a file in a missing one, is never written
-    assert code or not any(a in ("--out={dir}", "--out={dir}/missing/new.out") for a in argv)
+    assert code or _out_value(argv) not in ("{dir}", "{dir}/missing/new.out")
 
 
 # -- golden digests -------------------------------------------------------------

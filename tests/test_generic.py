@@ -494,12 +494,36 @@ def _subset_types(form):
     return {u: t for t, u in form.types.items()}
 
 
+def _rows(ctx, A):
+    # the packed row over A of every point, negative for A's own points
+    return [ctx.row(A, z) for z in range(ctx.n)]
+
+
+def _exact_types(ctx, A):
+    # the exact types of the points outside A, as _Types of A's form: the
+    # keys of a dict, in order of first point, once every point's row has
+    # filled the form's row table
+    form, rows = ctx.form(A), _rows(ctx, A)
+    ctx._fill(form, A, rows)
+    return dict.fromkeys(form.rows[row] for row in rows if row >= 0)
+
+
 def _tally(ctx, A):
     # the exact type of every point outside A, counted
-    ctx.exact_types(A)   # fills the form's row table
+    _exact_types(ctx, A)   # fills the form's row table
     form = ctx.form(A)
     key = _subset_types(form)
-    return Counter(key[form.rows[row]] for row in ctx.rows(A) if row >= 0)
+    return Counter(key[form.rows[row]] for row in _rows(ctx, A) if row >= 0)
+
+
+def _tree_forms(ctx):
+    # every form of the index's prefix tree, by its path of rows from the root
+    forms, stack = {}, [((), ctx.root)]
+    while stack:
+        path, form = stack.pop()
+        forms[path] = form
+        stack += [(path + (row,), child) for row, child in form.children.items()]
+    return forms
 
 
 def _pattern_keys(ctx):
@@ -541,7 +565,7 @@ def test_index_entries_survive_an_appended_point(chain3, grow):
     ctx = _CheckContext(s)
     subsets = _subsets(s.space.n)
     kept = {A: ctx.form(A) for A in subsets}
-    rows = {A: ctx.rows(A) for A in subsets}
+    rows = {A: _rows(ctx, A) for A in subsets}
     exact = {A: _tally(ctx, A) for A in subsets}
     if grow == "realize_type":
         # the point realize_type appends, appended to the index in place
@@ -573,7 +597,7 @@ def test_index_entries_survive_an_appended_point(chain3, grow):
         assert ([(t, u.local, keys[u.pattern]) for t, u in form.types.items()]
                 == [(t, u.local, fresh_keys[u.pattern]) for t, u in new.types.items()])
         assert t == fresh.point_type(A, z)
-        assert ctx.rows(A) == fresh.rows(A) == rows[A] + [fresh.rows(A)[z]]
+        assert _rows(ctx, A) == _rows(fresh, A) == rows[A] + [_rows(fresh, A)[z]]
         assert _tally(ctx, A) == _tally(fresh, A) == exact[A] + Counter([t])
 
 
@@ -601,8 +625,8 @@ def test_packed_rows_match_point_types(case):
     assert ctx.width == width
     mask = (1 << width) - 1
     for A in _subsets(s.space.n):
-        rows = ctx.rows(A)
-        exact = ctx.exact_types(A)
+        rows = _rows(ctx, A)
+        exact = _exact_types(ctx, A)
         form = ctx.form(A)
         key = _subset_types(form)
         # one negative row per base point, so a subset's distinct rows count
@@ -660,9 +684,9 @@ def test_grown_index_matches_a_fresh_one(case):
     rng = random.Random(5)
     for _ in range(4):
         for A in _subsets(ctx.n):
-            ctx.exact_types(A)
+            _exact_types(ctx, A)
         base, t = next((A, t) for A in _subsets(ctx.n)
-                       for t, u in ctx.form(A).types.items() if u not in ctx.exact_types(A))
+                       for t, u in ctx.form(A).types.items() if u not in _exact_types(ctx, A))
         list(ctx.sweep(3))   # fills child forms, which must survive the append
         _append_point(ctx, base, *t, rng)
         ctx.register(ctx.n - 1, 3)   # registration, as generation does it
@@ -671,7 +695,7 @@ def test_grown_index_matches_a_fresh_one(case):
     assert ctx._to == fresh._to
     assert _swept(ctx) == _swept(fresh)
     for A in _subsets(s.space.n):
-        assert ctx.rows(A) == fresh.rows(A)
+        assert _rows(ctx, A) == _rows(fresh, A)
         assert _tally(ctx, A) == _tally(fresh, A)
         assert list(ctx.form(A).types) == list(fresh.form(A).types)
     for z in range(s.space.n):
@@ -786,11 +810,11 @@ def _ref_register(ctx, z, k):
 
 
 def _row_tables(ctx):
-    # every form's row table, by raw code matrix, with patterns as keys
+    # every form's row table, by path in the prefix tree, with patterns as keys
     tables, patterns = {}, _pattern_keys(ctx)
-    for facts, form in ctx._by_codes.items():
+    for path, form in _tree_forms(ctx).items():
         key = _subset_types(form)
-        tables[facts] = {row: (key[t], patterns[t.pattern]) for row, t in form.rows.items()}
+        tables[path] = {row: (key[t], patterns[t.pattern]) for row, t in form.rows.items()}
     return tables
 
 
@@ -798,7 +822,7 @@ def _row_tables(ctx):
 def test_registration_matches_the_per_subset_reference(monkeypatch, case):
     # twin contexts grown point by point, one registering each point with
     # the children-table walk and one subset by subset, fill the same row
-    # tables and realize the same patterns; the walk calls form() only on
+    # tables and realize the same patterns; the walk canonicalizes only on
     # a children miss, so fewer times than there are subsets
     make, sig, size, _ = KERNEL_CASES[case]
     s = gen(make(), sig, size=size - 4, depth=2)
@@ -807,13 +831,13 @@ def test_registration_matches_the_per_subset_reference(monkeypatch, case):
         walk.register(z, 3)
         _ref_register(ref, z, 3)
     rng = random.Random(5)
-    calls = _count_calls(monkeypatch, "form")
+    calls = _count_calls(monkeypatch, "_canonical")
     for _ in range(4):
         # a third context picks the type, so that neither twin's row tables
         # fill before its point is registered; both draw the same slots
         pick = _CheckContext(walk.structure())
         base, t = next((A, t) for A in _subsets(pick.n)
-                       for t, u in pick.form(A).types.items() if u not in pick.exact_types(A))
+                       for t, u in pick.form(A).types.items() if u not in _exact_types(pick, A))
         state = rng.getstate()
         _append_point(walk, base, *t, rng)
         rng.setstate(state)
@@ -828,9 +852,9 @@ def test_registration_matches_the_per_subset_reference(monkeypatch, case):
     assert {walk_keys[p] for p in walk.realized} == {ref_keys[p] for p in ref.realized}
 
 
-def _swept(ctx, k=3, since=None):
+def _swept(ctx, k=3):
     swept = []
-    for A, form, rows, _ in ctx.sweep(k, since):
+    for A, form, rows, _ in ctx.sweep(k):
         key = _subset_types(form)
         swept.append((A, form.cls.matrix, form.perm, rows,
                       [form.rows[row] and key[form.rows[row]] for row in rows]))
@@ -859,9 +883,9 @@ def test_sweep_matches_per_subset_forms_and_types(monkeypatch, case):
     # of its local under the automorphisms, one type per pattern
     make, sig, size, k = SWEEP_CASES[case]
     s = gen(make(), sig, size=size, depth=3)
-    ctx = _CheckContext(s)
-    calls = _count_calls(monkeypatch, "form")
+    calls = _count_calls(monkeypatch, "_canonical")
     enumerated = _count_calls(monkeypatch, "types")
+    ctx = _CheckContext(s)
     swept = []
     for A, form, rows, distinct in ctx.sweep(k):
         # the form's row table covers the subset's rows when it is yielded
@@ -871,7 +895,7 @@ def test_sweep_matches_per_subset_forms_and_types(monkeypatch, case):
     assert len(calls) < len(swept)   # most forms came from a child table
     # types() ran once per class, and some class has more than one form
     assert len({ctx.form(A).cls for A in enumerated}) == len(enumerated) == len(ctx._classes)
-    assert len(ctx._by_codes) > len(ctx._classes)
+    assert len(_tree_forms(ctx)) > len(ctx._classes)
     keys, orbits = _pattern_keys(ctx), set()
     for A, form, _, _ in swept:
         assert list(form.types) == list(ctx.types(A))
@@ -890,32 +914,33 @@ def test_sweep_matches_per_subset_forms_and_types(monkeypatch, case):
         new = fresh.form(A)
         assert (form.cls.matrix, form.perm) == (new.cls.matrix, new.perm)
         assert list(form.types) == list(new.types)
-        assert rows == ctx.rows(A)
+        assert rows == _rows(ctx, A)
         assert form.cls.autos == _ref_autos(form.cls.matrix)
         assert [t is None for t in types] == [z in A for z in range(ctx.n)]
         key = _subset_types(form)
         assert [key[t] for t in types if t is not None] == [
             ctx.point_type(A, z) for z in range(ctx.n) if z not in A]
-        assert list(dict.fromkeys(t for t in types if t is not None)) == list(ctx.exact_types(A))
+        assert list(dict.fromkeys(t for t in types if t is not None)) == list(_exact_types(ctx, A))
     assert [A for A, _, _, _ in ctx.sweep(0)] == [()]
     assert list(ctx.sweep(-1)) == []
 
 
-@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
-def test_sweep_since_yields_the_subsets_meeting_the_later_points(case):
-    # the census sweeps only the subsets whose last point is new: the full
-    # sweep's nonempty subsets with last point >= since, in the same order,
-    # with the same forms, rows and row tables, on a warm index and a cold one
+@pytest.mark.parametrize("case, k", [(case, 3) for case in sorted(KERNEL_CASES)] + [("chain3", 4)])
+def test_the_prefix_tree_holds_one_form_per_code_matrix(case, k):
+    # the tree is the one form index: after a full sweep its nodes are one
+    # per distinct matrix of raw pair codes among the subsets swept, each
+    # subset was yielded its matrix's node, and form() descends to that node
     make, sig, size, _ = KERNEL_CASES[case]
-    s = gen(make(), sig, size=size, depth=3)
-    ctx = _CheckContext(s)
-    full = list(ctx.sweep(3))
-    for since in (0, 1, ctx.n // 2, ctx.n - 1, ctx.n):
-        assert list(ctx.sweep(3, since)) == [x for x in full if x[0] and x[0][-1] >= since]
-    since = ctx.n // 2
-    assert _swept(_CheckContext(s), 3, since) == [
-        x for x in _swept(ctx) if x[0] and x[0][-1] >= since]
-    assert list(ctx.sweep(0, 0)) == []
+    ctx = _CheckContext(gen(make(), sig, size=size, depth=3))
+    to, by_codes = ctx._to, {}
+    swept = [(A, form) for A, form, _, _ in ctx.sweep(k)]
+    for A, form in swept:
+        assert by_codes.setdefault(tuple(to[b][a] for a in A for b in A), form) is form
+    nodes = _tree_forms(ctx)
+    assert len(set(nodes.values())) == len(nodes) == len(set(by_codes.values())) == len(by_codes)
+    assert set(nodes.values()) == set(by_codes.values())
+    assert all(ctx.form(A) is form for A, form in swept)
+    assert len(_tree_forms(ctx)) == len(nodes)   # form() made no node
 
 
 def _ref_census(ctx, k):
@@ -953,7 +978,7 @@ def test_a_sweep_types_each_canonical_row_once(monkeypatch, case):
     for _ in ctx.sweep(3):
         pass
     assert len(calls) == sum(len(cls.rows) for cls in ctx._classes.values())
-    assert len(calls) < sum(t is not None for form in ctx._by_codes.values()
+    assert len(calls) < sum(t is not None for form in _tree_forms(ctx).values()
                             for t in form.rows.values())
 
 
@@ -971,28 +996,32 @@ def test_homogeneity_check_builds_no_subset_type_list(monkeypatch, case):
     monkeypatch.setattr(generic, "_check_context", recorded)
     homogeneity_check(gen(make(), sig, size=size, depth=3), 3)
     (ctx,) = checked
-    assert ctx._by_codes
-    assert not any("types" in vars(form) for form in ctx._by_codes.values())
+    forms = _tree_forms(ctx).values()
+    assert len(forms) > 1
+    assert not any("types" in vars(form) for form in forms)
 
 
 @pytest.mark.parametrize("lat, size", [("chain3", 20), ("b2", 14)])
 def test_sweep_census_matches_the_per_subset_census(request, monkeypatch, lat, size):
-    # the pass start's sweep, over the subsets meeting the points appended
-    # since the last one, leaves the row tables realizing exactly the
-    # patterns that a census over every subset finds
+    # the pass start's sweep, over the warm index that generation grows and
+    # registers into, leaves the row tables realizing exactly the patterns
+    # that a census over every subset finds. With an order every visit walk
+    # appends, so the walks that run to their end appending nothing are the
+    # pass starts, one per pass
     sweep = _CheckContext.sweep
     starts = []
 
-    def checked(ctx, k, since=None):
-        yield from sweep(ctx, k, since)
-        if since is not None:
+    def checked(ctx, k):
+        n = ctx.n
+        yield from sweep(ctx, k)
+        if ctx.n == n:
             assert ctx.realized == _ref_census(ctx, k)
-            starts.append(since)
+            starts.append(n)
 
     plain = gen(request.getfixturevalue(lat), SIGS[lat], seed=3, size=size)
     monkeypatch.setattr(_CheckContext, "sweep", checked)
     s = gen(request.getfixturevalue(lat), SIGS[lat], seed=3, size=size)
-    assert len(starts) > 2 and starts == sorted(starts)
+    assert len(starts) > 2 and starts == sorted(set(starts))
     assert s.space.dist == plain.space.dist
     assert [o.rank for o in s.orders] == [o.rank for o in plain.orders]
 
@@ -1014,26 +1043,30 @@ def _record_far_points(monkeypatch):
 @pytest.mark.parametrize("lat, sig, far", [("chain3", SIGS["chain3"], False),
                                            ("chain2", [], True)])
 def test_generation_walks_the_subsets_once_per_pass(request, monkeypatch, lat, sig, far):
-    # each steered pass is its census (a walk with ``since``) and then one
-    # visit walk; once a census leaves no pattern missing, steering ends and
-    # every later pass is a plain visit walk alone. The 3-chain steers to
-    # its last point; the order-free signature stops steering, runs out of
-    # unrealized types and appends far points, over the empty base after
-    # the first point (a steered walk always appends)
+    # each steered pass is its census (a full walk) and then one visit walk,
+    # both at the size of the pass start; once a census leaves no pattern
+    # missing, steering ends and every later pass is a plain visit walk
+    # alone. Every pass appends, so the sizes at the walks group them by
+    # pass. The 3-chain steers to its last point; the order-free signature
+    # stops steering, runs out of unrealized types and appends far points,
+    # over the empty base after the first point (a steered walk always
+    # appends)
     walks = []
     forced = _record_far_points(monkeypatch)
     sweep = _CheckContext.sweep
 
-    def recorded(ctx, k, since=None):
-        walks.append(since is not None)
-        return sweep(ctx, k, since)
+    def recorded(ctx, k):
+        walks.append(ctx.n)
+        return sweep(ctx, k)
 
     monkeypatch.setattr(_CheckContext, "sweep", recorded)
     s = gen(request.getfixturevalue(lat), sig, seed=3, size=20)
     assert s.space.n == 20
-    steered = walks.count(True)
-    plain = len(walks) - 2 * steered
-    assert steered > 2 and walks == [True, False] * steered + [False] * plain
+    passes = [len(list(size)) for _, size in itertools.groupby(walks)]
+    steered = passes.count(2)
+    plain = len(passes) - steered
+    assert walks == sorted(walks)
+    assert steered > 2 and passes == [2] * steered + [1] * plain
     assert bool(plain) == bool(forced) == far
 
 
@@ -1080,7 +1113,6 @@ def _eager_generate(lat, sig, cfg):
     rng = random.Random(cfg.seed)
     ctx = _CheckContext(empty_structure(lat, sig))
     k = cfg.saturation_depth
-    censused = 0
     steered_at = []
 
     def append(*args):
@@ -1089,9 +1121,8 @@ def _eager_generate(lat, sig, cfg):
 
     while ctx.n < cfg.target_size:
         n = ctx.n
-        for _ in ctx.sweep(k, since=censused):
+        for _ in ctx.sweep(k):
             pass
-        censused = n
         steered = len(ctx.realized) < ctx.patterns
         steered_at.append(steered)
         for A, form, _, distinct in ctx.sweep(k):
