@@ -320,7 +320,7 @@ def _labellings(k: int) -> list:
 
 class _Class:
     """One isomorphism class of bases: its canonical matrix, automorphisms
-    in lexicographic order, and consistent types (``form`` finds all three).
+    in lexicographic order, and consistent types (``_canonical`` finds all three).
     A base's consistent types depend only on its pair codes, so they are a
     function of the class: ``types`` maps each, in class coordinates, to its
     ``_Type``, and is enumerated once, over the first base met. ``rows`` maps
@@ -339,7 +339,7 @@ class _Class:
 class _Type:
     """A type over the bases of one class: ``local`` is (delta, gaps) in
     class coordinates and ``pattern`` the type standing for its isomorphism
-    pattern (see ``_CheckContext.form``). A class holds one object per
+    pattern (see ``_CheckContext._canonical``). A class holds one object per
     consistent type, so identity is equality."""
 
     __slots__ = ("local", "pattern")
@@ -394,10 +394,10 @@ class _CheckContext:
 
     It holds a table of pair codes (distance, then per order: same bottom
     class, other top class, below or above), coded once per point as that
-    point's column by ``_code``, a prefix tree of forms, the one form index
-    (see ``form``), and one ``_Class`` per canonical matrix with its types
-    (``types`` runs once per class) and rows (``point_type`` runs once per
-    entry).
+    point's column by ``_code``, a prefix tree of forms, the one form index,
+    which only the walks (``sweep`` and ``register``) read and grow, and one
+    ``_Class`` per canonical matrix with its types (``types`` runs once per
+    class) and rows (``point_type`` runs once per entry).
 
     Packed rows: a point's row over a subset (a_1, ..., a_k) is one integer
     holding its codes to a_1, ..., a_k in fields of ``width`` bits, a_1's
@@ -481,18 +481,6 @@ class _CheckContext:
         m = len(self.orders)
         return (code >> 2 * m, tuple((code >> 2 * (m - 1 - t)) & 3 for t in range(m)))
 
-    def form(self, idx_a: tuple) -> _Form:
-        """The subset's form: its node in the prefix tree of forms, whose
-        root is the empty subset's and whose nodes' ``children`` map a
-        point's row over the node's subset to the node of the subset with
-        that point appended, so one node per matrix of raw pair codes met
-        (see ``sweep``). A missing node is made by ``_canonical``."""
-        form = self.root
-        for i, b in enumerate(idx_a):
-            row, children = self.row(idx_a[:i], b), form.children
-            form = children.get(row) or children.setdefault(row, self._canonical(idx_a[:i + 1]))
-        return form
-
     def _canonical(self, idx_a: tuple) -> _Form:
         """A new node's form: the lexicographically least code matrix over
         the subset's labellings and the first labelling reaching it.
@@ -549,10 +537,11 @@ class _CheckContext:
         form.rows[row] = entry
         return entry
 
-    def _fill(self, form: _Form, idx_a: tuple, rows: list[int]) -> set:
+    def _fill(self, form: _Form, idx_a: tuple, rows: list[int]) -> frozenset:
         """Enter every row over the subset in the form's table, the
         subset's own (negative) rows as None and each other row as the
-        ``_Type`` of the first point having it; return the set of rows.
+        ``_Type`` of the first point having it; return the subset's row set,
+        a frozenset, so that ``homogeneity_check`` can key by it.
 
         A point's type over the base is a function of its row of pair codes
         to it, given the subset's own codes: the row fixes the distances, the
@@ -563,7 +552,7 @@ class _CheckContext:
         Listed in class order, they are the class's, so ``point_type`` runs
         once per class and row in class order (see ``_row_type``), and every
         other point, subset and form of the class reads a table."""
-        distinct = set(rows)
+        distinct = frozenset(rows)
         table = form.rows
         if not table.keys() >= distinct:
             for z, row in enumerate(rows):
@@ -574,10 +563,11 @@ class _CheckContext:
     def sweep(self, k: int):
         """Yield ``(subset, form, rows, distinct)`` for every subset of at
         most k points, by size and then lexicographically: every point's
-        packed row over the subset, their set, and the form's row table
-        filled for each (see ``_fill``), so ``realized`` then covers them.
-        The points are those held at the call: points appended while the
-        walk is suspended are not in its rows.
+        packed row over the subset, their frozenset (the subset's row set),
+        and the form's row table filled for each (see ``_fill``), so
+        ``realized`` then covers them. The points are those held at the
+        call: points appended while the walk is suspended are not in its
+        rows.
 
         Each size is walked depth-first over prefixes: a prefix shifts its
         rows once, each subset ORs them with its last point's code column,
@@ -646,22 +636,13 @@ class _CheckContext:
 
     def scale_ranks(self, idx_a, delta) -> list[list[int] | None]:
         """Per order: sorted ranks of the base's distinct bottom classes in
-        the new point's top class, or None when unconstrained."""
-        out = []
-        for bot, top, reps, rank in self.orders:
-            pinned = False
-            members = []
-            for u, d in zip(idx_a, delta):
-                if self.up[d] & (1 << bot):
-                    pinned = True
-                    break
-                if self.up[d] & (1 << top):
-                    members.append(u)
-            if pinned or not members:
-                out.append(None)
-            else:
-                out.append(sorted({rank[reps[u]] for u in members}))
-        return out
+        the new point's top class, or None when unconstrained: pinned (some
+        base point within the bottom) or with no base point within the top."""
+        ups = [self.up[d] for d in delta]
+        within = functools.reduce(or_, ups, 0)   # the levels within which some base point lies
+        return [None if within >> bot & 1
+                else sorted({rank[reps[a]] for a, u in zip(idx_a, ups) if u >> top & 1}) or None
+                for bot, top, reps, rank in self.orders]
 
     def point_type(self, idx_a, z: int) -> tuple:
         """(delta, gaps) of the existing point z over the base; a gap counts
@@ -767,51 +748,58 @@ def homogeneity_check(s: OrderedLambdaStructure, m: int) -> HomogeneityReport:
 
     Pairs are grouped by isomorphism class, so the count runs over classes
     instead of the quadratic pair list; results are identical. One pass
-    counts, per form, the points and the subsets having each row, in the C
-    loop behind ``Counter.update`` (``_count_elements``), whose own wrapper
-    costs more than it counts at a subset's few rows. In a valid
-    structure each outside row of a form is one realized ``_Type`` of its
-    class, an object all the class's forms share, so folding those counts
-    once by ``_Type`` gives each class's. Every outside point has one exact
-    type, so a class of n subsets of k points checks |autos| * n^2 * (N - k)
-    pairs. Pattern failures are read off the index after that pass, as in
+    tallies, per form, the points having each row, in the C loop behind
+    ``Counter.update`` (``_count_elements``), whose own wrapper costs more
+    than it counts at a subset's few rows, and per row set (see ``_fill``)
+    its first subset and its number of subsets. In a valid structure each
+    outside row of a form is one realized ``_Type`` of its class, an object
+    all the class's forms share, so folding those counts once by ``_Type``
+    gives each class's. Every outside point has one exact type, so a class
+    of n subsets of k points checks |autos| * n^2 * (N - k) pairs.
+
+    A subset's exact types are its row set read through its form's table,
+    so subsets of one form and row set are interchangeable: the first A
+    with a miss, then the first B, is the first subset of its row set, and
+    the example search runs over those first subsets alone. Pattern
+    failures are read off the index after that pass, as in
     ``_extension_report``: a class's missing patterns are the patterns of
     its ``types`` not in ``realized``, listed by their ``local`` only until
     the sample of 50 is full.
     """
     ctx = _check_context(s, m, "homogeneity_check")
-    points = s.space.points
-    tallies: dict = {}     # form -> ({row: points having it}, {row: subsets having it})
-    members: dict = {}     # class -> its subsets, in sweep order
+    tallies: dict = {}     # form -> ({row: points having it}, {row set: [first subset, subsets]})
+    entries: dict = {}     # class -> (form, [first subset, subsets]) per row set, in sweep order
     for A, form, rows, distinct in ctx.sweep(m):
-        counts, present = tallies.get(form) or tallies.setdefault(form, ({}, {}))
+        counts, sets = tallies.get(form) or tallies.setdefault(form, ({}, {}))
         _count_elements(counts, rows)
-        _count_elements(present, distinct)
-        members.setdefault(form.cls, []).append(A)
+        entry = sets.get(distinct)
+        if entry is None:
+            entry = sets[distinct] = [A, 0]
+            entries.setdefault(form.cls, []).append((form, entry))
+        entry[1] += 1
     type_counts: dict = {}    # _Type -> points having it over its class's subsets
     type_present: dict = {}   # _Type -> its class's subsets over which it is realized
-    for form, (counts, present) in tallies.items():
-        for row, count in present.items():
-            t = form.rows[row]
-            if t:
-                type_counts[t] = type_counts.get(t, 0) + counts[row]
+    for form, (counts, sets) in tallies.items():
+        for row, count in counts.items():
+            if t := form.rows[row]:
+                type_counts[t] = type_counts.get(t, 0) + count
+        for distinct, (_, count) in sets.items():
+            for t in filter(None, map(form.rows.__getitem__, distinct)):
                 type_present[t] = type_present.get(t, 0) + count
 
     @functools.cache
-    def exact(A) -> dict:
+    def exact(form, A) -> dict:
         """The exact types over A in class coordinates, in order of first
         point, read off the form's row table, which the sweep filled."""
-        table = ctx.form(A).rows
-        types = (table[ctx.row(A, z)] for z in range(ctx.n))
+        types = (form.rows[ctx.row(A, z)] for z in range(ctx.n))
         return dict.fromkeys(t.local for t in types if t)
 
-    pairs_checked = 0
-    misses = 0
-    failures = []
+    pairs_checked = misses = 0
+    failures, missing_patterns = [], []
     pattern_failures = ctx.patterns - len(ctx.realized)
-    missing_patterns = []
-    for cls, subsets in members.items():
-        autos, types, n_members = cls.autos, cls.types, len(subsets)
+    for cls, firsts in entries.items():
+        autos, types = cls.autos, cls.types
+        n_members = sum(count for _, (_, count) in firsts)
         pairs_checked += len(autos) * n_members ** 2 * (ctx.n - len(cls.matrix))
         counted = [(u, type_counts[u]) for u in types.values() if u in type_counts]
         class_misses = sum(
@@ -825,8 +813,8 @@ def homogeneity_check(s: OrderedLambdaStructure, m: int) -> HomogeneityReport:
         if class_misses and len(failures) < 20:
             # surface a concrete example for the report
             failures.extend(itertools.islice((
-                (tuple(points[i] for i in A), tuple(points[i] for i in B), repr(u),
+                (tuple(ctx.points[i] for i in A), tuple(ctx.points[i] for i in B), repr(u),
                  "no matching extension point")
-                for a in autos for A in subsets for B in subsets
-                for u in exact(A) if _apply_perm_type(*u, a) not in exact(B)), 1))
+                for a in autos for fa, (A, _) in firsts for fb, (B, _) in firsts
+                for u in exact(fa, A) if _apply_perm_type(*u, a) not in exact(fb, B)), 1))
     return HomogeneityReport(pairs_checked, misses, pattern_failures, failures, missing_patterns)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .canon import canonical_key
 from .errors import InvalidFactorError, SizeCapError
-from .lattice import FiniteLattice, require_distributive
+from .lattice import FiniteLattice, _vouched, require_distributive, require_lattice
 from .validation import ValidationReport
 
 
@@ -46,6 +46,11 @@ class LambdaSpace:
         dist = tuple(r + (x,) for r, x in zip(self.dist, row))
         return LambdaSpace(self.lattice, self.points + (name,),
                            dist + (tuple(row) + (self.lattice.bottom_idx,),))
+
+    @functools.cached_property
+    def _in_lattice(self) -> bool:
+        """Whether every distance is a lattice index, by one whole-matrix test."""
+        return set(range(self.lattice.n)).issuperset(itertools.chain(*self.dist))
 
     def __eq__(self, other):
         return (isinstance(other, LambdaSpace) and self.lattice == other.lattice
@@ -102,10 +107,17 @@ def _triangle_rows(lat: FiniteLattice, base_dist) -> list[tuple[int, ...]]:
 
 
 def validate_space(s: LambdaSpace) -> ValidationReport:
-    """All metric axioms, join-triangle included; violations carry witnesses.
-    The per-pair and per-triple scans run only once a whole-matrix test fails."""
+    """All metric axioms, join-triangle included; violations carry witnesses,
+    a distance outside the lattice alone. The per-pair and per-triple scans
+    run only once a whole-matrix test fails. A non-lattice raises NotALatticeError."""
     report = ValidationReport(subject="space")
     lat, dist, n, bot = s.lattice, s.dist, s.n, s.lattice.bottom_idx
+    if not _vouched(lat):
+        require_lattice(lat, "space")
+    if not s._in_lattice:
+        i, j = next((i, j) for i in range(n) for j in range(n) if dist[i][j] not in range(lat.n))
+        report.add("range", (s.points[i], s.points[j]), "distance is not a lattice element")
+        return report
     if dist != tuple(zip(*dist)) or any(row[i] != bot or row.count(bot) != 1
                                         for i, row in enumerate(dist)):
         for i in range(n):

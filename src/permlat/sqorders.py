@@ -119,6 +119,9 @@ def validate_sqorder(o: SubquotientOrder) -> ValidationReport:
     if not lat.leq(o.bottom, o.top):
         report.add("levels", (o.bottom, o.top), "bottom must lie below top")
         return report
+    if not o.space._in_lattice:
+        report.add("range", (), "the space's distances must be lattice elements")
+        return report
     scales = o._scales()
     all_reps = {c for scale in scales for c in scale}
     if set(o.rank) != all_reps:
@@ -126,6 +129,9 @@ def validate_sqorder(o: SubquotientOrder) -> ValidationReport:
         extra = sorted(set(o.rank) - all_reps)
         report.add("rank-keys", (tuple(missing), tuple(extra)),
                    "rank map must cover exactly the bottom-class representatives")
+        return report
+    if bad := sorted(c for c, r in o.rank.items() if not isinstance(r, int)):
+        report.add("rank-values", tuple(bad), "ranks must be integers")
         return report
     for scale in scales:
         ranks = [o.rank[c] for c in scale]

@@ -499,11 +499,21 @@ def _rows(ctx, A):
     return [ctx.row(A, z) for z in range(ctx.n)]
 
 
+def _form(ctx, A):
+    # A's form, read down the prefix tree from the root, each step under the
+    # row of A's next point over the points before it; the node must exist,
+    # made by a sweep or a registration over A
+    form = ctx.root
+    for i, b in enumerate(A):
+        form = form.children[ctx.row(A[:i], b)]
+    return form
+
+
 def _exact_types(ctx, A):
     # the exact types of the points outside A, as _Types of A's form: the
     # keys of a dict, in order of first point, once every point's row has
     # filled the form's row table
-    form, rows = ctx.form(A), _rows(ctx, A)
+    form, rows = _form(ctx, A), _rows(ctx, A)
     ctx._fill(form, A, rows)
     return dict.fromkeys(form.rows[row] for row in rows if row >= 0)
 
@@ -511,7 +521,7 @@ def _exact_types(ctx, A):
 def _tally(ctx, A):
     # the exact type of every point outside A, counted
     _exact_types(ctx, A)   # fills the form's row table
-    form = ctx.form(A)
+    form = _form(ctx, A)
     key = _subset_types(form)
     return Counter(key[form.rows[row]] for row in _rows(ctx, A) if row >= 0)
 
@@ -540,7 +550,7 @@ def _subsets(n, k=3):
 
 def _registered(ctx, A, z):
     # the row table entry of the point z over A, in subset coordinates
-    form = ctx.form(A)
+    form = _form(ctx, A)
     return _subset_types(form)[form.rows[ctx.row(A, z)]]
 
 
@@ -564,13 +574,13 @@ def test_index_entries_survive_an_appended_point(chain3, grow):
     s = gen(chain3, SIGS["chain3"], size=10, depth=2)
     ctx = _CheckContext(s)
     subsets = _subsets(s.space.n)
-    kept = {A: ctx.form(A) for A in subsets}
+    kept = {A: form for A, form, _, _ in ctx.sweep(3)}
     rows = {A: _rows(ctx, A) for A in subsets}
     exact = {A: _tally(ctx, A) for A in subsets}
     if grow == "realize_type":
         # the point realize_type appends, appended to the index in place
         base = (0, 2)
-        delta, gaps = next(t for t in ctx.form(base).types if t not in exact[base])
+        delta, gaps = next(t for t in kept[base].types if t not in exact[base])
         names = tuple(s.space.points[a] for a in base)
         want = realize_type(s, OnePointType(names, delta, gaps), random.Random(3))
         assert want.added is not None
@@ -586,11 +596,11 @@ def test_index_entries_survive_an_appended_point(chain3, grow):
     assert ctx._to == fresh._to
     z = grown.space.n - 1
     ctx.register(z, 3)
-    new_forms = {A: fresh.form(A) for A in subsets}
+    new_forms = {A: form for A, form, _, _ in fresh.sweep(3)}
     keys, fresh_keys = _pattern_keys(ctx), _pattern_keys(fresh)
     for A in subsets:
         t = _registered(ctx, A, z)
-        form, new = ctx.form(A), new_forms[A]
+        form, new = _form(ctx, A), new_forms[A]
         assert form is kept[A]
         assert (form.cls.matrix, form.perm) == (new.cls.matrix, new.perm)
         assert (form.cls.matrix, form.perm) == _ref_canonical(fresh, list(A))
@@ -624,10 +634,11 @@ def test_packed_rows_match_point_types(case):
     ctx = _CheckContext(s)
     assert ctx.width == width
     mask = (1 << width) - 1
+    list(ctx.sweep(3))   # makes every subset's form
     for A in _subsets(s.space.n):
         rows = _rows(ctx, A)
         exact = _exact_types(ctx, A)
-        form = ctx.form(A)
+        form = _form(ctx, A)
         key = _subset_types(form)
         # one negative row per base point, so a subset's distinct rows count
         # its points and its realized types
@@ -683,11 +694,9 @@ def test_grown_index_matches_a_fresh_one(case):
     ctx = _CheckContext(s)
     rng = random.Random(5)
     for _ in range(4):
-        for A in _subsets(ctx.n):
-            _exact_types(ctx, A)
-        base, t = next((A, t) for A in _subsets(ctx.n)
-                       for t, u in ctx.form(A).types.items() if u not in _exact_types(ctx, A))
         list(ctx.sweep(3))   # fills child forms, which must survive the append
+        base, t = next((A, t) for A in _subsets(ctx.n)
+                       for t, u in _form(ctx, A).types.items() if u not in _exact_types(ctx, A))
         _append_point(ctx, base, *t, rng)
         ctx.register(ctx.n - 1, 3)   # registration, as generation does it
     s = ctx.structure()
@@ -697,7 +706,7 @@ def test_grown_index_matches_a_fresh_one(case):
     for A in _subsets(s.space.n):
         assert _rows(ctx, A) == _rows(fresh, A)
         assert _tally(ctx, A) == _tally(fresh, A)
-        assert list(ctx.form(A).types) == list(fresh.form(A).types)
+        assert list(_form(ctx, A).types) == list(_form(fresh, A).types)
     for z in range(s.space.n):
         ctx.register(z, 3)
         fresh.register(z, 3)
@@ -802,9 +811,14 @@ def test_an_append_carries_class_reps_and_ranks_as_a_rebuild_gives_them(monkeypa
 
 def _ref_register(ctx, z, k):
     # registration as it ran before it read the children tables: size by
-    # size, one form() lookup per subset of the points before z
+    # size, one descent from the root per subset of the points before z,
+    # making its node under its prefix's, which its own size made, if missing
     for A in _subsets(z, k):
-        form, row = ctx.form(A), ctx.row(A, z)
+        form = ctx.root
+        if A:
+            children, last = _form(ctx, A[:-1]).children, ctx.row(A[:-1], A[-1])
+            form = children.get(last) or children.setdefault(last, ctx._canonical(A))
+        row = ctx.row(A, z)
         if row not in form.rows:
             ctx._row_type(form, A, row, z)
 
@@ -836,8 +850,9 @@ def test_registration_matches_the_per_subset_reference(monkeypatch, case):
         # a third context picks the type, so that neither twin's row tables
         # fill before its point is registered; both draw the same slots
         pick = _CheckContext(walk.structure())
+        list(pick.sweep(3))
         base, t = next((A, t) for A in _subsets(pick.n)
-                       for t, u in pick.form(A).types.items() if u not in _exact_types(pick, A))
+                       for t, u in _form(pick, A).types.items() if u not in _exact_types(pick, A))
         state = rng.getstate()
         _append_point(walk, base, *t, rng)
         rng.setstate(state)
@@ -876,7 +891,7 @@ SWEEP_CASES = {
 def test_sweep_matches_per_subset_forms_and_types(monkeypatch, case):
     # one walk serves both checks: it must visit today's subsets in today's
     # order, and its child-table forms and row-table types must be the ones
-    # form() and point_type() give subset by subset. A class enumerates its
+    # _canonical() and point_type() give subset by subset. A class enumerates its
     # types once, over its first subset; every form maps them onto its own
     # labelling in types()'s order, which the seeded draws of generation
     # rest on, and each type's pattern is the class type of the least image
@@ -894,7 +909,7 @@ def test_sweep_matches_per_subset_forms_and_types(monkeypatch, case):
     assert [A for A, _, _, _ in swept] == _subsets(s.space.n, k)
     assert len(calls) < len(swept)   # most forms came from a child table
     # types() ran once per class, and some class has more than one form
-    assert len({ctx.form(A).cls for A in enumerated}) == len(enumerated) == len(ctx._classes)
+    assert len({_form(ctx, A).cls for A in enumerated}) == len(enumerated) == len(ctx._classes)
     assert len(_tree_forms(ctx)) > len(ctx._classes)
     keys, orbits = _pattern_keys(ctx), set()
     for A, form, _, _ in swept:
@@ -910,8 +925,8 @@ def test_sweep_matches_per_subset_forms_and_types(monkeypatch, case):
     fresh = _CheckContext(s)
     for A, form, rows, types in swept:
         # one form object per code matrix, so identity is exactness
-        assert form is ctx.form(A)
-        new = fresh.form(A)
+        assert form is _form(ctx, A)
+        new = fresh._canonical(A)
         assert (form.cls.matrix, form.perm) == (new.cls.matrix, new.perm)
         assert list(form.types) == list(new.types)
         assert rows == _rows(ctx, A)
@@ -929,7 +944,7 @@ def test_sweep_matches_per_subset_forms_and_types(monkeypatch, case):
 def test_the_prefix_tree_holds_one_form_per_code_matrix(case, k):
     # the tree is the one form index: after a full sweep its nodes are one
     # per distinct matrix of raw pair codes among the subsets swept, each
-    # subset was yielded its matrix's node, and form() descends to that node
+    # subset was yielded its matrix's node, which the descent by its rows reaches
     make, sig, size, _ = KERNEL_CASES[case]
     ctx = _CheckContext(gen(make(), sig, size=size, depth=3))
     to, by_codes = ctx._to, {}
@@ -939,8 +954,7 @@ def test_the_prefix_tree_holds_one_form_per_code_matrix(case, k):
     nodes = _tree_forms(ctx)
     assert len(set(nodes.values())) == len(nodes) == len(set(by_codes.values())) == len(by_codes)
     assert set(nodes.values()) == set(by_codes.values())
-    assert all(ctx.form(A) is form for A, form in swept)
-    assert len(_tree_forms(ctx)) == len(nodes)   # form() made no node
+    assert all(_form(ctx, A) is form for A, form in swept)
 
 
 def _ref_census(ctx, k):
@@ -949,7 +963,7 @@ def _ref_census(ctx, k):
     # row tables
     realized = set()
     for A in _subsets(ctx.n, k):
-        types = ctx.form(A).types
+        types = _form(ctx, A).types
         realized.update(types[ctx.point_type(A, z)].pattern
                         for z in range(ctx.n) if z not in A)
     return realized
@@ -980,6 +994,22 @@ def test_a_sweep_types_each_canonical_row_once(monkeypatch, case):
     assert len(calls) == sum(len(cls.rows) for cls in ctx._classes.values())
     assert len(calls) < sum(t is not None for form in _tree_forms(ctx).values()
                             for t in form.rows.values())
+
+
+@pytest.mark.parametrize("case, size", [(case, KERNEL_CASES[case][2]) for case in
+                                        sorted(KERNEL_CASES)] + [("chain3", 24)])
+def test_homogeneity_check_matches_the_reference_over_shared_row_sets(case, size):
+    # the check keeps the first subset of each form and row set, where the
+    # reference keeps every subset: the counts, the failure examples and
+    # the missing patterns agree, on the kernel cases and on a 24-point
+    # 3-chain, where most subsets repeat an earlier subset's form and row set
+    make, sig, _, _ = KERNEL_CASES[case]
+    s = gen(make(), sig, size=size, depth=3)
+    swept = [(form, distinct) for _, form, _, distinct in _CheckContext(s).sweep(3)]
+    assert size < 24 or len(set(swept)) < len(swept) / 2
+    hom, ref = homogeneity_check(s, 3), ref_homogeneity_check(s, 3)
+    assert hom.failures and hom.as_dict() == ref.as_dict()
+    assert hom.failures == ref.failures
 
 
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))

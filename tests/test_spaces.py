@@ -3,10 +3,12 @@ import random
 
 import pytest
 
-from permlat.errors import InvalidFactorError, NonDistributiveError, SizeCapError
+from permlat.errors import (InvalidFactorError, NonDistributiveError, NotALatticeError,
+                            SizeCapError)
 from permlat.canon import canonical_key
-from permlat.lattice import (boolean2, chain_lattice, enumerate_lattices, is_distributive, m3,
-                             n5, product_lattice, vertical_sum)
+from permlat.lattice import (FiniteLattice, FinitePoset, boolean2, chain_lattice,
+                             enumerate_lattices, is_distributive, m3, n5, product_lattice,
+                             vertical_sum)
 from permlat.spaces import (FailingInstance, LambdaSpace, SweepReport, amalgam_validity_sweep,
                             amalgamation_failure_probe, canonical_amalgam,
                             equivalences_from_space, space_from_equivalences,
@@ -37,6 +39,26 @@ def test_triangle_violation_reported(chain3):
         chain3, ["x", "y", "z"], {("x", "y"): "E", ("y", "z"): "E", ("x", "z"): "1"})
     report = validate_space(s)
     assert any(v.rule == "join-triangle" for v in report.violations)
+
+
+@pytest.mark.parametrize("far", [5, -1])
+def test_a_distance_outside_the_lattice_is_reported_with_its_pair(chain3, far):
+    # reported alone, before the join-triangle pass reads the matrix: at
+    # three points that pass raised an uncoded ValueError
+    two = LambdaSpace(chain3, ("a", "b"), ((0, far), (far, 0)))
+    three = LambdaSpace(chain3, ("a", "b", "c"), ((0, 2, 2), (2, 0, far), (2, far, 0)))
+    assert [(v.rule, v.witness) for v in validate_space(two).violations] == [("range", ("a", "b"))]
+    assert [(v.rule, v.witness) for v in validate_space(three).violations] == [
+        ("range", ("b", "c"))]
+
+
+def test_a_space_over_a_relation_that_is_no_lattice_is_refused_with_a_code():
+    # the join-triangle pass presumes a lattice: over an irreflexive
+    # relation it raised an uncoded IndexError
+    lat = FiniteLattice.from_poset(FinitePoset(("e0", "e1", "e2"), (0, 0, 0)))
+    s = LambdaSpace(lat, ("a", "b", "c"), ((0, 1, 1), (1, 0, 1), (1, 1, 0)))
+    with pytest.raises(NotALatticeError, match="reflexive"):
+        validate_space(s)
 
 
 # -- equivalence systems -----------------------------------------------------

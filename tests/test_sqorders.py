@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from permlat.errors import (NotConvexError, TopBottomMismatchError,
+from permlat.errors import (InvalidStructureError, NotConvexError, TopBottomMismatchError,
                             UndefinedRestrictionError)
-from permlat.generic import GenerationConfig, generate_generic
+from permlat.generic import GenerationConfig, extension_property_check, generate_generic
 from permlat.sqorders import (OrderedLambdaStructure, SubquotientOrder, compose_lex,
                               convexity_check, generic_filler, restrict_to,
                               split_convex_linear, validate_sqorder)
@@ -53,6 +53,16 @@ def test_duplicate_ranks_within_scale_invalid(block_space):
                          {p: 0 for p in block_space.points})
     report = validate_sqorder(o)
     assert any(v.rule == "strict-total" for v in report.violations)
+
+
+def test_non_integer_ranks_are_refused_before_a_check_reads_them(block_space):
+    # a string rank passed validation, and extension_property_check then
+    # raised an uncoded TypeError comparing it with the integer ranks
+    o = SubquotientOrder(block_space, "E", "1", {"q0": "x", "q2": 0, "q4": 1.5, "q6": 2})
+    report = validate_sqorder(o)
+    assert [(v.rule, v.witness) for v in report.violations] == [("rank-values", ("q0", "q4"))]
+    with pytest.raises(InvalidStructureError, match="rank-values"):
+        extension_property_check(OrderedLambdaStructure(block_space, (o,)), 2)
 
 
 def test_generated_order_is_valid(block_space):
