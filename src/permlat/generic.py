@@ -128,12 +128,14 @@ def _append_point(ctx: _CheckContext, idx_a, delta, gaps, rng: random.Random) ->
     the base. Ranks are dense: the new point's top class is one scale ranked
     0..m-1, and a fresh class takes a slot in 0..m, the points ranked at or
     above it moving up by one."""
-    lat, up, dist, points, n = ctx.lat, ctx.up, ctx.dist, ctx.points, ctx.n
+    lat, up, to, shift, points, n = ctx.lat, ctx.up, ctx._to, ctx.shift, ctx.points, ctx.n
     name = f"p{n}"
     while name in points:
         name = name + "'"
-    # on the base itself this gives back delta, which is triangle-closed
-    new_d = [_meet_of_joins(lat, delta, [dist[a][z] for a in idx_a]) for z in range(n)]
+    new_d = [_meet_of_joins(lat, delta, [to[a][z] >> shift for a in idx_a]) for z in range(n)]
+    # a base point reads its -1 diagonal code; its distance is delta's
+    for a, d in zip(idx_a, delta):
+        new_d[a] = d
     if lat.bottom_idx in new_d:
         # cannot happen: the type is unrealized, and a bottom distance would
         # make that point realize it
@@ -157,12 +159,9 @@ def _append_point(ctx: _CheckContext, idx_a, delta, gaps, rng: random.Random) ->
             slot = rng.randint(sc[gap - 1] + 1 if gap > 0 else 0, sc[gap] if gap < len(sc) else m)
         rank[:] = [r + 1 if i and r >= slot else r for r, i in zip(rank, inside)]
         rank.append(slot)
-    for row, d in zip(dist, new_d):
-        row.append(d)
-    dist.append(new_d + [lat.bottom_idx])
     points.append(name)
     ctx.n += 1
-    ctx._code(n)
+    ctx._code(n, new_d)
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +379,8 @@ class _Form:
 class _CheckContext:
     """Integer subset index over one structure, held as lists that
     ``_append_point`` grows in place and ``structure`` builds into one:
-    ``points``, the distance rows ``dist`` and, per order, ``(bot, top,
-    reps, rank)``, the levels' lattice indices and, per point, its
+    ``points``, the table ``_to`` of pair codes and, per order, ``(bot,
+    top, reps, rank)``, the levels' lattice indices and, per point, its
     bottom-class representative and that class's dense rank. Its ``sweep``
     is the one walk over all small subsets: generation's visits, steered
     pass starts and report and both checks read it. Its per-class row
@@ -392,12 +391,12 @@ class _CheckContext:
     of generation, and after any ``sweep(k)`` that runs to its end, which
     is when the reports read it.
 
-    It holds a table of pair codes (distance, then per order: same bottom
-    class, other top class, below or above), coded once per point as that
-    point's column by ``_code``, a prefix tree of forms, the one form index,
-    which only the walks (``sweep`` and ``register``) read and grow, and one
-    ``_Class`` per canonical matrix with its types (``types`` runs once per
-    class) and rows (``point_type`` runs once per entry).
+    It holds one table of pair codes (distance, read as ``code >> shift``,
+    then per order: same bottom class, other top class, below or above),
+    coded once per point as that point's column by ``_code``, a prefix tree
+    of forms, the one form index, which only the walks (``sweep`` and
+    ``register``) read and grow, and one ``_Class`` per canonical matrix with
+    its types (``types`` once per class) and rows (``point_type`` per entry).
 
     Packed rows: a point's row over a subset (a_1, ..., a_k) is one integer
     holding its codes to a_1, ..., a_k in fields of ``width`` bits, a_1's
@@ -408,9 +407,9 @@ class _CheckContext:
     ones (see ``width``), so for j > i, field i + 1 tells a_i's row from
     a_j's: a subset of k points has exactly k distinct negative rows.
 
-    Append invariant: ``_append_point`` adds a row and a column to
-    ``dist``, a representative and a rank per order, and the new point's
-    column of codes, and keeps every code table entry, form and row table.
+    Append invariant: ``_append_point`` adds a representative and a rank
+    per order and grows the one table by the new point's codes, a column
+    and a code in each old one, and keeps every code, form and row table.
     That is sound because appending a point never changes a pair code among
     old points: old distances are fixed, a fresh class shifts the old
     classes above its slot together, keeping their order, and the new point
@@ -426,24 +425,23 @@ class _CheckContext:
         lat = s.space.lattice
         self.lat = lat
         self.up = lat.poset.up
-        m = len(s.orders)
-        # wider than the widest pair code, (lat.n << 2m) - 1, so that no code
-        # is all ones in its field and base points' rows stay distinct
-        self.width = (lat.n << 2 * m).bit_length()
+        self.shift = 2 * len(s.orders)   # the distance field's offset in a pair code
+        # wider than the widest pair code, (lat.n << shift) - 1, so that no
+        # code is all ones in its field and base points' rows stay distinct
+        self.width = (lat.n << self.shift).bit_length()
         self.patterns = 0                # patterns of the classes met
         self.realized: set = set()       # patterns of the row table entries
         self._to: list[list[int]] = []   # _to[j][i]: pair code of (i, j), -1 on the diagonal
         self._classes: dict = {}         # (size, canonical codes) -> _Class
         self.n = s.space.n
         self.points = list(s.space.points)
-        self.dist = [list(row) for row in s.space.dist]
         self.orders = [(lat.index[o.bottom], lat.index[o.top], list(o.bottom_reps),
                         list(o.point_ranks)) for o in s.orders]
-        for j in range(self.n):
-            self._code(j)
+        for j, row in enumerate(s.space.dist):
+            self._code(j, row)
         self.root = self._canonical(())   # the empty subset's form, the tree's root
 
-    def _code(self, j: int) -> None:
+    def _code(self, j: int, row) -> None:
         """Add the codes of the pairs of point j with the points before it,
         as one column: per order one pass over j's distance row gives the
         codes of (i, j), i < j, and those of (j, i) swap each order field's
@@ -452,15 +450,15 @@ class _CheckContext:
         ranks then differ. Every reader of codes works on a valid one:
         generation builds one, and both checks and ``realize_type`` refuse
         any other. ``enumerate_one_point_types`` does not validate, but
-        ``types`` reads no codes."""
+        ``types`` reads only the distances of (i, j), i < j, j's row as given."""
         up = self.up
-        codes = self.dist[j][:j]
+        codes = list(row[:j])
         ups = [up[d] for d in codes]
         for bot, top, _, rank in self.orders:
             r = rank[j]
             codes = [c << 2 | (0 if u >> bot & 1 else 3 if not u >> top & 1 else 1 if q < r else 2)
                      for c, u, q in zip(codes, ups, rank)]
-        low = (1 << 2 * len(self.orders)) // 3   # bit 0 of each order field
+        low = (1 << self.shift) // 3   # bit 0 of each order field
         for col, c in zip(self._to, codes):
             col.append(c ^ ((c ^ c >> 1) & low) * 3)
         self._to.append(codes + [-1])
@@ -468,7 +466,10 @@ class _CheckContext:
     def structure(self) -> OrderedLambdaStructure:
         """The structure the index holds, built anew: its space and orders
         are immutable, so later appends do not reach them."""
-        space = LambdaSpace(self.lat, self.points, self.dist)
+        shift, bottom = self.shift, self.lat.bottom_idx
+        space = LambdaSpace(self.lat, self.points,
+                            [tuple([bottom if i == j else c >> shift for i, c in enumerate(col)])
+                             for j, col in enumerate(self._to)])
         names = self.lat.elements
         return OrderedLambdaStructure(space, tuple(
             SubquotientOrder(space, names[bot], names[top],
@@ -478,8 +479,7 @@ class _CheckContext:
     def _decode(self, code: int) -> tuple:
         """The pair code as (distance, per-order codes); integer order on
         codes is lexicographic order on these tuples."""
-        m = len(self.orders)
-        return (code >> 2 * m, tuple((code >> 2 * (m - 1 - t)) & 3 for t in range(m)))
+        return (code >> self.shift, tuple(code >> f & 3 for f in range(self.shift - 2, -1, -2)))
 
     def _canonical(self, idx_a: tuple) -> _Form:
         """A new node's form: the lexicographically least code matrix over
@@ -647,8 +647,8 @@ class _CheckContext:
     def point_type(self, idx_a, z: int) -> tuple:
         """(delta, gaps) of the existing point z over the base; a gap counts
         the scale's classes ranked below z's class."""
-        row = self.dist[z]
-        delta = tuple([row[a] for a in idx_a])
+        to, shift = self._to, self.shift
+        delta = tuple([to[a][z] >> shift for a in idx_a])
         gaps = tuple([None if sc is None else bisect.bisect_left(sc, rank[z])
                       for (_, _, _, rank), sc in zip(self.orders, self.scale_ranks(idx_a, delta))])
         return delta, gaps
@@ -656,7 +656,8 @@ class _CheckContext:
     def types(self, idx_a):
         """Every consistent 1-type over the base as (delta, gaps): distance
         assignments in lexicographic order, each crossed with its gap choices."""
-        for delta in _triangle_rows(self.lat, [[self.dist[a][b] for b in idx_a] for a in idx_a]):
+        to, shift = self._to, self.shift   # _triangle_rows never reads the -1 diagonal
+        for delta in _triangle_rows(self.lat, [[to[a][b] >> shift for b in idx_a] for a in idx_a]):
             gap_ranges = [(None,) if sc is None else range(len(sc) + 1)
                           for sc in self.scale_ranks(idx_a, delta)]
             for gaps in itertools.product(*gap_ranges):

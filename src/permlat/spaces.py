@@ -49,8 +49,11 @@ class LambdaSpace:
 
     @functools.cached_property
     def _in_lattice(self) -> bool:
-        """Whether every distance is a lattice index, by one whole-matrix test."""
-        return set(range(self.lattice.n)).issuperset(itertools.chain(*self.dist))
+        """Whether every distance is a lattice index, in one C-level pass that refuses floats."""
+        try:
+            return not bytes(itertools.chain(*self.dist)).translate(None, bytes(range(self.lattice.n)))
+        except (TypeError, ValueError):
+            return False
 
     def __eq__(self, other):
         return (isinstance(other, LambdaSpace) and self.lattice == other.lattice
@@ -115,7 +118,8 @@ def validate_space(s: LambdaSpace) -> ValidationReport:
     if not _vouched(lat):
         require_lattice(lat, "space")
     if not s._in_lattice:
-        i, j = next((i, j) for i in range(n) for j in range(n) if dist[i][j] not in range(lat.n))
+        i, j = next((i, j) for i in range(n) for j in range(n)
+                    if not isinstance(dist[i][j], int) or dist[i][j] not in range(lat.n))
         report.add("range", (s.points[i], s.points[j]), "distance is not a lattice element")
         return report
     if dist != tuple(zip(*dist)) or any(row[i] != bot or row.count(bot) != 1

@@ -37,16 +37,16 @@ def lattices(draw):
 def structures(draw):
     """A lattice, a space of 0-4 points over it and 0-2 orders on the space.
     Distances are mostly non-bottom elements, now and then an index one or
-    two past either end of the lattice, a bottom off the diagonal or a
-    non-bottom on it; the matrix is symmetric or not. An order's levels
-    are lattice elements or a name that is none, and its rank keys are the
-    bottom classes' representatives (where the space's distances are
-    indices) or any points and a name that is none, ranked by small
-    integers, duplicates included, or now and then by a non-integer."""
+    two past either end of the lattice, a float equal to an index, a bottom
+    off the diagonal or a non-bottom on it; the matrix is symmetric or not.
+    An order's levels are lattice elements or a name that is none, and its
+    rank keys are the bottom classes' representatives (where the space's
+    distances are indices) or any points and a name that is none, ranked by
+    small integers, duplicates included, or now and then by a non-integer."""
     lat = draw(lattices())
     n = draw(st.integers(0, 4))
     points = tuple(f"p{i}" for i in range(n))
-    wild = st.integers(-2, lat.n + 1)
+    wild = st.one_of(st.integers(-2, lat.n + 1), st.integers(0, lat.n - 1).map(float))
     cell = st.one_of(st.sampled_from(lat.nonzero_idx() or [lat.bottom_idx]), wild)
     symmetric = draw(st.booleans())
     dist = [[draw(st.one_of(st.just(lat.bottom_idx), wild)) if i == j else draw(cell)
@@ -54,7 +54,8 @@ def structures(draw):
     if symmetric:
         dist = [[dist[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
     space = LambdaSpace(lat, points, dist)
-    in_range = all(0 <= d < lat.n for d in itertools.chain(*dist))
+    # class_reps reads indices: a float raises there
+    in_range = all(isinstance(d, int) and 0 <= d < lat.n for d in itertools.chain(*dist))
     levels = st.sampled_from(lat.elements + ("nowhere",))
     orders = []
     for _ in range(draw(st.integers(0, 2))):

@@ -17,8 +17,9 @@ from permlat.generic import (GenerationConfig, GenerationResult, HomogeneityRepo
                              _extension_report, empty_structure,
                              enumerate_one_point_types, extension_property_check,
                              generate_generic, homogeneity_check, realize_type)
-from permlat.lattice import (boolean2, chain_lattice, enumerate_distributive_lattices, m3,
-                             meet_irreducibles, product_lattice)
+from permlat.lattice import (FiniteLattice, boolean2, chain_lattice,
+                             enumerate_distributive_lattices, m3, meet_irreducibles,
+                             product_lattice)
 from permlat.spaces import LambdaSpace, class_reps, equivalences_from_space, validate_space
 from permlat.sqorders import OrderedLambdaStructure, SubquotientOrder, validate_sqorder
 
@@ -310,8 +311,8 @@ def test_realize_type_takes_sparse_strict_ranks(monkeypatch, chain3):
                 assert dump_structure(got.structure) == dump_structure(want.structure)
                 added += 1
     assert added > 0 and len(grown) == 2 * added
-    for ctx in grown:
-        _assert_codes(ctx)
+    for ctx, built in grown:
+        _assert_codes(ctx, built.space.dist)
 
 
 def test_an_appended_point_is_renamed_past_a_taken_name(chain3):
@@ -333,8 +334,9 @@ def test_an_appended_point_is_renamed_past_a_taken_name(chain3):
 # a minimum over automorphisms: no memo, no code table, no class table.
 
 
-def _ref_pair_code(ctx, i, j):
-    d = ctx.dist[i][j]
+def _ref_pair_code(ctx, dist, i, j):
+    # distances from the test's own space, ranks from the index
+    d = dist[i][j]
     codes = []
     for bot, top, _, rank in ctx.orders:
         if ctx.lat.leq_idx(d, bot):
@@ -346,9 +348,9 @@ def _ref_pair_code(ctx, i, j):
     return (d, tuple(codes))
 
 
-def _ref_canonical(ctx, idx_a):
+def _ref_canonical(ctx, dist, idx_a):
     k = len(idx_a)
-    facts = [[(0,) if u == v else _ref_pair_code(ctx, idx_a[u], idx_a[v])
+    facts = [[(0,) if u == v else _ref_pair_code(ctx, dist, idx_a[u], idx_a[v])
               for v in range(k)] for u in range(k)]
     best = best_perm = None
     for perm in itertools.permutations(range(k)):
@@ -369,8 +371,8 @@ def _permuted(delta, gaps, perm):
     return (tuple(delta[perm[u]] for u in range(len(delta))), gaps)
 
 
-def _ref_subset_types(ctx, idx_a):
-    matrix, perm = _ref_canonical(ctx, idx_a)
+def _ref_subset_types(ctx, dist, idx_a):
+    matrix, perm = _ref_canonical(ctx, dist, idx_a)
     autos = _ref_autos(matrix)
     exact = {ctx.point_type(idx_a, z) for z in range(ctx.n) if z not in idx_a}
     for delta, gaps in ctx.types(idx_a):
@@ -388,7 +390,7 @@ def ref_extension_property_check(s, k):
     for size in range(0, k + 1):
         for A in itertools.combinations(range(ctx.n), size):
             names = tuple(points[a] for a in A)
-            for delta, gaps, realized, key in _ref_subset_types(ctx, list(A)):
+            for delta, gaps, realized, key in _ref_subset_types(ctx, s.space.dist, list(A)):
                 pattern_all.add(key)
                 pair_total += 1
                 if realized:
@@ -407,7 +409,7 @@ def ref_homogeneity_check(s, m):
     classes = {}
     for size in range(0, m + 1):
         for A in itertools.combinations(range(ctx.n), size):
-            matrix, perm = _ref_canonical(ctx, list(A))
+            matrix, perm = _ref_canonical(ctx, s.space.dist, list(A))
             exact = {}
             for z in range(ctx.n):
                 if z not in A:
@@ -603,7 +605,7 @@ def test_index_entries_survive_an_appended_point(chain3, grow):
         form, new = _form(ctx, A), new_forms[A]
         assert form is kept[A]
         assert (form.cls.matrix, form.perm) == (new.cls.matrix, new.perm)
-        assert (form.cls.matrix, form.perm) == _ref_canonical(fresh, list(A))
+        assert (form.cls.matrix, form.perm) == _ref_canonical(fresh, s.space.dist, list(A))
         assert ([(t, u.local, keys[u.pattern]) for t, u in form.types.items()]
                 == [(t, u.local, fresh_keys[u.pattern]) for t, u in new.types.items()])
         assert t == fresh.point_type(A, z)
@@ -649,7 +651,8 @@ def test_packed_rows_match_point_types(case):
                 continue
             # each field decodes to the pair code of (z, a), a_1's highest
             fields = [rows[z] >> width * (len(A) - 1 - i) & mask for i in range(len(A))]
-            assert [ctx._decode(c) for c in fields] == [_ref_pair_code(ctx, z, a) for a in A]
+            assert [ctx._decode(c) for c in fields] == [_ref_pair_code(ctx, s.space.dist, z, a)
+                                                        for a in A]
             t = form.rows[rows[z]]
             assert key[t] == ctx.point_type(A, z)
             assert t is form.types[key[t]] and t in exact
@@ -715,42 +718,68 @@ def test_grown_index_matches_a_fresh_one(case):
 
 
 def _recorded_indexes(monkeypatch):
-    # the index of every later structure() call: generation's, once it ends,
-    # and realize_type's, after its append
+    # the index of every later structure() call, with the structure built:
+    # generation's, once it ends, and realize_type's, after its append
     grown, structure = [], _CheckContext.structure
 
     def recorded(ctx):
-        grown.append(ctx)
-        return structure(ctx)
+        grown.append((ctx, structure(ctx)))
+        return grown[-1][1]
 
     monkeypatch.setattr(_CheckContext, "structure", recorded)
     return grown
 
 
-def _assert_codes(ctx):
+def _assert_codes(ctx, dist):
     # every ordered pair's code against the reference, read off the index's
-    # ranks: the (j, i) codes are swapped from the (i, j) ones, not computed
+    # ranks and the distance rows given: the (j, i) codes are swapped from
+    # the (i, j) ones, not computed
     for i, j in itertools.permutations(range(ctx.n), 2):
-        assert ctx._decode(ctx._to[j][i]) == _ref_pair_code(ctx, i, j), (i, j)
+        assert ctx._decode(ctx._to[j][i]) == _ref_pair_code(ctx, dist, i, j), (i, j)
 
 
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
 def test_generation_grows_the_state_a_fresh_index_builds(monkeypatch, case):
     # the append invariant: after generation at depths 1-3, the index it grew
-    # point by point holds the pair codes, distance rows, representatives
-    # and ranks that an index built on the structure it returned holds, and
-    # each code is the reference's
+    # point by point holds the pair codes, representatives and ranks that
+    # an index built on the structure it returned holds, builds the same
+    # distance rows, and each code is the reference's
     make, sig, size, _ = KERNEL_CASES[case]
     grown = _recorded_indexes(monkeypatch)
     for depth, seed in itertools.product((1, 2, 3), (0, 7)):
         cfg = GenerationConfig(seed=seed, target_size=size, saturation_depth=depth)
         s = generate_generic(make(), sig, cfg).structure
-        ctx = grown.pop()
+        ctx, built = grown.pop()
         fresh = _CheckContext(s)
-        assert (ctx.n, ctx.points, ctx.dist) == (fresh.n, fresh.points, fresh.dist)
+        assert (ctx.n, ctx.points) == (fresh.n, fresh.points)
+        assert built.space.dist == fresh.structure().space.dist == s.space.dist
         assert ctx._to == fresh._to
         assert ctx.orders == fresh.orders
-        _assert_codes(ctx)
+        _assert_codes(ctx, s.space.dist)
+
+
+def test_a_lattice_listing_its_bottom_last_builds_its_diagonal(monkeypatch):
+    # the 3-chain listed E 1 0, so bottom_idx is 2: the index codes the
+    # diagonal -1, and the built space must hold the bottom there
+    lat = FiniteLattice.from_cover_relations(("E", "1", "0"), [("0", "E"), ("E", "1")])
+    assert lat.bottom_idx == 2
+    grown = _recorded_indexes(monkeypatch)
+    s = gen(lat, SIGS["chain3"], seed=2, size=30, depth=3)
+    ctx, built = grown.pop()
+    assert [row[i] for i, row in enumerate(s.space.dist)] == [lat.bottom_idx] * 30
+    assert s.validate().ok
+    fresh = _CheckContext(s)
+    assert (ctx._to, ctx.orders) == (fresh._to, fresh.orders)
+    assert built.space.dist == fresh.structure().space.dist == s.space.dist
+    assert dump_structure(fresh.structure()) == dump_structure(s)
+    _assert_codes(fresh, s.space.dist)
+    # realize_type on it appends a point the built structure validates
+    t = next(t for A in itertools.combinations(s.space.points, 2)
+             for t in enumerate_one_point_types(s, A) if not realizers(s, t))
+    r = realize_type(s, t, random.Random(0))
+    assert r.added is not None and r.structure.validate().ok
+    assert [row[i] for i, row in enumerate(r.structure.space.dist)] == [lat.bottom_idx] * 31
+    assert realizers(r.structure, t) == [r.added]
 
 
 def test_pair_codes_of_a_loaded_structure_with_sparse_ranks(tmp_path):
@@ -764,7 +793,7 @@ def test_pair_codes_of_a_loaded_structure_with_sparse_ranks(tmp_path):
     loaded = OrderedLambdaStructure(space, orders)
     assert [o.rank for o in loaded.orders] == [o.rank for o in sparse.orders]
     assert max(o.rank[c] for o in loaded.orders for c in o.rank) > size
-    _assert_codes(_CheckContext(loaded))
+    _assert_codes(_CheckContext(loaded), space.dist)
 
 
 def _ref_appended_ranks(o, grown):
@@ -795,7 +824,7 @@ def test_an_append_carries_class_reps_and_ranks_as_a_rebuild_gives_them(monkeypa
         _append_point(ctx, idx_a, delta, *args)
         grown = ctx.structure()
         assert ctx.scale_ranks(idx_a, delta) == _CheckContext(grown).scale_ranks(idx_a, delta)
-        fresh = LambdaSpace(ctx.lat, ctx.points, ctx.dist)
+        fresh = LambdaSpace(ctx.lat, ctx.points, grown.space.dist)
         for (bot, _, reps, rank), o, new in zip(ctx.orders, before.orders, grown.orders):
             assert reps == list(class_reps(fresh, bot))
             want = _ref_appended_ranks(o, new)
@@ -857,7 +886,8 @@ def test_registration_matches_the_per_subset_reference(monkeypatch, case):
         _append_point(walk, base, *t, rng)
         rng.setstate(state)
         _append_point(ref, base, *t, rng)
-        assert (walk.points, walk.dist, walk.orders) == (ref.points, ref.dist, ref.orders)
+        assert (walk.points, walk._to, walk.orders) == (ref.points, ref._to, ref.orders)
+        assert walk.structure().space.dist == ref.structure().space.dist
         calls.clear()
         walk.register(walk.n - 1, 3)
         assert len(calls) < len(_subsets(walk.n - 1))

@@ -14,6 +14,7 @@ from permlat.spaces import (FailingInstance, LambdaSpace, SweepReport, amalgam_v
                             equivalences_from_space, space_from_equivalences,
                             validate_space, _base_spaces, _extensions,
                             _has_pseudo_completion, _materialize, _sweep, _triangle_rows)
+from permlat.sqorders import SubquotientOrder, validate_sqorder
 from space_helpers import all_spaces, space_from_distances
 
 
@@ -50,6 +51,19 @@ def test_a_distance_outside_the_lattice_is_reported_with_its_pair(chain3, far):
     assert [(v.rule, v.witness) for v in validate_space(two).violations] == [("range", ("a", "b"))]
     assert [(v.rule, v.witness) for v in validate_space(three).violations] == [
         ("range", ("b", "c"))]
+
+
+def test_a_float_distance_is_outside_the_lattice(chain3):
+    # 1.0 == 1, so a float equal to a lattice index passed the range test:
+    # two points read ok, and at three the join-triangle pass raised an
+    # uncoded TypeError; the order's range rule reads the same test
+    two = LambdaSpace(chain3, ("a", "b"), ((0, 1.0), (1.0, 0)))
+    three = LambdaSpace(chain3, ("a", "b", "c"), ((0, 2, 2), (2, 0, 1.0), (2, 1.0, 0)))
+    assert [(v.rule, v.witness) for v in validate_space(two).violations] == [("range", ("a", "b"))]
+    assert [(v.rule, v.witness) for v in validate_space(three).violations] == [
+        ("range", ("b", "c"))]
+    order = SubquotientOrder(three, "0", "1", {"a": 0, "b": 1, "c": 2})
+    assert [v.rule for v in validate_sqorder(order).violations] == ["range"]
 
 
 def test_a_space_over_a_relation_that_is_no_lattice_is_refused_with_a_code():
